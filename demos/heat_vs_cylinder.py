@@ -31,7 +31,6 @@ print(f"  heat trace:      b1 = {rep.b1:+.10f}")
 print(f"  cylinder trace:  e0 = {rep.e0:.10f}   e1 = {rep.e1:+.10f}")
 print(f"  relations:       |e0 - (2/sqrt(pi)) b0| = {rep.defect_e0:.2e}")
 print(f"                   |e1 - b1|              = {rep.defect_e1:.2e}")
-print(f"  e2 fixed by the b's? {rep.e2_determined_by_heat}")
 print(f"  note: {rep.note}")
 
 # Same b_0 and b_1, different e_2: D/D and N/N share every heat

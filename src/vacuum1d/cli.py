@@ -11,8 +11,9 @@ Exit codes are a stable contract::
 
     0   success
     1   verification failure (``vacuum verify``)
-    2   usage or configuration error
-    3   domain error (continuous spectrum, point outside the domain, ...)
+    2   usage or configuration error (including ``InvalidParameter``)
+    3   any other library error: continuous spectrum, point outside the
+        domain, a series or fit that did not converge, ...
 
 The environment variable ``VACUUM_TOL`` supplies a default for ``--tol``
 wherever a tolerance is consulted (notably ``vacuum verify``).
@@ -39,13 +40,7 @@ from .energy import (
     total_energy_regularized,
     total_energy_renormalized,
 )
-from .errors import (
-    AtEigenvalue,
-    ContinuousSpectrum,
-    InvalidParameter,
-    OutOfDomain,
-    UnsupportedGeometry,
-)
+from .errors import ContinuousSpectrum, InvalidParameter, VacuumError
 from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM, cylinder_kernel
 from .spectrum import (
     DIRICHLET,
@@ -487,11 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameter as exc:
         print(f"vacuum: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ContinuousSpectrum as exc:
-        print(f"vacuum: continuous spectrum: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (AtEigenvalue, OutOfDomain, UnsupportedGeometry) as exc:
-        print(f"vacuum: {exc}", file=sys.stderr)
+    except VacuumError as exc:
+        kind = "continuous spectrum: " if isinstance(exc, ContinuousSpectrum) else ""
+        print(f"vacuum: {kind}{exc}", file=sys.stderr)
         return EXIT_DOMAIN
     fmt = args.fmt or ("json" if args.command == "verify" else "csv")
     text = emit_json(table) if fmt == "json" else emit_csv(table)

@@ -49,13 +49,7 @@ from .errors import (
     OutOfDomain,
     UnsupportedGeometry,
 )
-from .spectrum import (
-    BoundaryCondition,
-    Geometry,
-    HalfLine,
-    Interval,
-    TwistedCircle,
-)
+from .spectrum import Geometry, HalfLine, Interval, TwistedCircle
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 
 PI = math.pi
@@ -122,64 +116,40 @@ def _twisted_periodic_regularized(length: float, theta: float, t: float) -> floa
     return num / (2.0 * sh * sh) - 1.0 / (2.0 * b * t * t)
 
 
-def _boundary_energy_series(geom: Interval, t: float, n_pairs: int = 4000) -> SeriesValue:
-    """The boundary-family total energy at regulator t, summed honestly.
-
-    For like ends the pole pairs ``a_{n+1} - a_n`` with
-    ``a_n = 2 L n / (t^2 + 4 L^2 n^2)`` telescope to zero; the ladder in
-    :func:`summation.telescoping_check` confirms it to ~1e-12.  For mixed
-    ends the two-sided sum cancels pairwise and is exactly zero.
-    """
-    length = geom.length
-    if not geom.like_ends:
-        return SeriesValue(0.0, 0, 0.0, summation.CLOSED_FORM)
-    scale = (-1.0) ** geom.l / (4.0 * PI)
-    n = np.arange(0, n_pairs, dtype=float)
-
-    def a(k: np.ndarray) -> np.ndarray:
-        return 2.0 * length * k / (t * t + 4.0 * length**2 * k * k)
-
-    plus = 2.0 * scale * a(n + 1.0)
-    minus = 2.0 * scale * a(n)
-    return summation.telescoping_check(np.column_stack([plus, minus]), limit_hint=0.0)
-
-
 def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
     """E(t) = -1/2 d/dt Tr T(t), split by orbit family.
 
     ``weyl = L/(2 pi t^2)`` exactly; ``periodic`` carries the finite
-    vacuum energy as t -> 0; ``boundary`` is zero at every t (telescoping
-    pole pairs), evaluated honestly for like ends.  Half-line totals have
-    no trace to differentiate; see :func:`half_line_total`.
+    vacuum energy as t -> 0; ``boundary`` is exactly zero at every t.
+    For like ends the boundary pole pairs ``a_{n+1} - a_n`` with
+    ``a_n = 2 L n / (t^2 + 4 L^2 n^2)`` telescope to ``a_N -> 0``; for
+    mixed ends the two-sided sum cancels pairwise.  The verify registry
+    sums the like-ends pairs independently to confirm it.  The half-line
+    has no trace to differentiate: its boundary density integrates to
+    zero over (0, inf).
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidParameter("regulator t must be positive and finite")
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum(
-            "half-line has no global trace; use half_line_total for the "
-            "(identically zero) integrated density"
+            "half-line has no global trace; its boundary density "
+            "integrates to zero"
         )
     length = geometry.length
     weyl = length / (2.0 * PI * t * t)
     if isinstance(geometry, Interval):
         z = PI * t / (2.0 * length)
-        if geometry.like_ends:
-            per = (PI / (8.0 * length)) * _g_even(z)
-        else:
-            per = (PI / (8.0 * length)) * _g_odd(z)
-        bdry = _boundary_energy_series(geometry, t).value
-        note = _zero_mode_note(geometry)
+        g = _g_even(z) if geometry.like_ends else _g_odd(z)
+        per = (PI / (8.0 * length)) * g
     else:
         per = _twisted_periodic_regularized(length, geometry.theta, t)
-        bdry = 0.0
-        note = _zero_mode_note(geometry)
     return EnergyBreakdown(
         weyl=weyl,
         periodic=per,
-        boundary=bdry,
-        total_renormalized=per + bdry,
+        boundary=0.0,
+        total_renormalized=per,
         regulator_t=t,
-        note=note,
+        note=_zero_mode_note(geometry),
     )
 
 
@@ -203,8 +173,8 @@ def total_energy_renormalized(geometry: Geometry) -> EnergyBreakdown:
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum(
-            "half-line has no global trace; use half_line_total for the "
-            "(identically zero) integrated density"
+            "half-line has no global trace; its boundary density "
+            "integrates to zero"
         )
     length = geometry.length
     if isinstance(geometry, Interval):
@@ -221,21 +191,6 @@ def total_energy_renormalized(geometry: Geometry) -> EnergyBreakdown:
     )
 
 
-def half_line_total(condition: BoundaryCondition, t: float) -> float:
-    """Integrated half-line energy density at any regulator t: exactly 0.
-
-    The boundary density is ``(-1)^l (t^2 - 4x^2) / (2 pi (t^2+4x^2)^2)``
-    whose antiderivative is ``(-1)^l x / (2 pi (t^2 + 4 x^2))``, vanishing
-    at both ends of (0, inf).  Returned as an exact float zero so callers
-    can assert the sum rule.
-    """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("regulator t must be positive and finite")
-    if not isinstance(condition, BoundaryCondition):
-        raise InvalidParameter("condition must be a BoundaryCondition")
-    return 0.0
-
-
 def twisted_energy(theta: float, length: float) -> float:
     """Closed-form twisted-circle vacuum energy -(pi/L) B_2(theta/2pi).
 
@@ -244,6 +199,8 @@ def twisted_energy(theta: float, length: float) -> float:
     """
     if not (length > 0.0):
         raise InvalidParameter("length must be positive")
+    if not math.isfinite(theta):
+        raise InvalidParameter("theta must be finite")
     return -summation.bernoulli_cos_sum(theta) / (PI * length)
 
 
@@ -303,14 +260,14 @@ def orbit_energy_contribution(
                    / (t^2 + a^2)^2,     a = n L,
 
       evaluated at the requested t (default: the t -> 0 limit
-      ``-cos(n theta) / (2 pi n^2 L)``... times 1/L; see below).
+      ``-cos(n theta) / (2 pi n^2 L)``).
     * ``riesz-cesaro-2``: the order-2 Riesz-Cesaro mean of the divergent
       frequency integral, ``(1/2pi) * closed antiderivative`` from
       :func:`summation.riesz_cesaro2_energy_integrand` at the requested
       cutoff (default: its Omega -> inf limit).
 
     The two regulators agree exactly in their limits -- the orbit energy
-    is scheme-independent: ``E_n = -cos(n theta) / (2 pi (n L)^2) * L``.
+    is scheme-independent: ``E_n = -cos(n theta) / (2 pi n^2 L)``.
     """
     if n == 0:
         raise InvalidParameter("winding n must be nonzero")
@@ -370,9 +327,8 @@ def energy_density_regularized(
     ``weyl = 1/(2 pi t^2)`` per unit length; ``periodic`` is the uniform
     bulk part; ``boundary`` is the wall profile scaled by 4 xi.  The
     xi-dependence is exactly that factor: xi = 1/4 reproduces the
-    cylinder-kernel diagonal derivative, xi = 0 weights the same profile
-    by zero... but only after the boundary family has been isolated; the
-    bulk is xi-independent.
+    cylinder-kernel diagonal derivative, and xi = 0 removes the wall
+    profile altogether.  The bulk is xi-independent.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidParameter("regulator t must be positive and finite")
@@ -483,15 +439,13 @@ def energy_density_renormalized(
 
 @dataclass(frozen=True)
 class CylinderExpansion:
-    """Fitted small-t expansion Tr T ~ sum_s e_s t^{s-d} (+ f_s t^{s-d} log t).
+    """Fitted small-t expansion Tr T ~ sum_s e_s t^{s-d}.
 
-    In one dimension every logarithmic coefficient f_s vanishes; they are
-    reported anyway (identically zero) because their absence is exactly
+    In one dimension the expansion has no logarithmic terms, which is
     what makes the e_2 energy coefficient well-defined.
     """
 
     e: dict[int, float]
-    f: dict[int, float]
     d: int
     residual: float
 
@@ -504,7 +458,6 @@ class CylinderExpansion:
 def extract_cylinder_coefficients(
     geometry: Geometry,
     t_grid: np.ndarray | None = None,
-    control: SeriesControl = SeriesControl(),
 ) -> CylinderExpansion:
     """Fit e_0 / t + e_1 + e_2 t + e_3 t^2 + e_4 t^3 to the exact trace.
 
@@ -520,8 +473,6 @@ def extract_cylinder_coefficients(
     t_grid : array, optional
         Strictly increasing, at least 8 points, spanning at least a
         decade, inside (0, 0.1 L].  Default ``L * geomspace(1e-3, 0.1, 25)``.
-    control : SeriesControl
-        Unused by the closed-form sampling; kept for interface symmetry.
 
     Raises
     ------
@@ -560,8 +511,7 @@ def extract_cylinder_coefficients(
             "grid likely outside the asymptotic regime"
         )
     e = {int(k): float(c / t[-1] ** k) for k, c in zip(powers, coef) if k <= 4}
-    f = {k: 0.0 for k in range(5)}
-    return CylinderExpansion(e=e, f=f, d=1, residual=resid)
+    return CylinderExpansion(e=e, d=1, residual=resid)
 
 
 @dataclass(frozen=True)
@@ -573,8 +523,7 @@ class Theorem1Report:
         e_0 = (2 / sqrt(pi)) b_0,        e_1 = b_1,
 
     but say nothing about e_2: that coefficient (the energy) lives in the
-    exponentially small part of the heat trace.  ``e2_determined_by_heat``
-    is always False and exists so downstream reports state it explicitly.
+    exponentially small part of the heat trace, as ``note`` states.
     """
 
     b0: float
@@ -584,7 +533,6 @@ class Theorem1Report:
     e2: float
     defect_e0: float
     defect_e1: float
-    e2_determined_by_heat: bool
     note: str
 
 
@@ -624,24 +572,11 @@ def theorem1_check(geometry: Geometry) -> Theorem1Report:
         e2=e2,
         defect_e0=abs(e0 - pred_e0),
         defect_e1=abs(e1 - float(b[1])),
-        e2_determined_by_heat=False,
         note=(
             "e2 (hence the vacuum energy -e2/2) is invisible to the heat "
             "expansion: it sits in terms exponentially small in 1/t"
         ),
     )
-
-
-def zeta_check(length: float) -> float:
-    """Zeta-regularized Dirichlet-Dirichlet energy, as an independent route.
-
-    ``E = (pi/2L) zeta(-1)`` with ``zeta(-1) = -1/12`` from the functional
-    equation; returns ``-pi/(24 L)`` for comparison against the orbit and
-    coefficient routes.
-    """
-    if not (length > 0.0):
-        raise InvalidParameter("length must be positive")
-    return (PI / (2.0 * length)) * (-1.0 / 12.0)
 
 
 # ---------------------------------------------------------------------------

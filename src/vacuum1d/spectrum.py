@@ -162,7 +162,7 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         Discrete-spectrum geometry.  :class:`HalfLine` raises
         :class:`ContinuousSpectrum`.
     omega_max : float
-        Upper frequency cutoff, must be positive; the list contains every
+        Upper frequency cutoff, positive and finite; the list contains every
         omega_j <= omega_max (including a zero mode where one exists).
 
     Returns
@@ -173,8 +173,8 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line has no discrete eigenvalues")
-    if not (omega_max > 0.0):
-        raise InvalidParameter("omega_max must be positive")
+    if not (omega_max > 0.0) or not math.isfinite(omega_max):
+        raise InvalidParameter("omega_max must be positive and finite")
     if isinstance(geometry, Interval):
         step, offset, j_min = _interval_ladder(geometry)
         n = _count_leq(step, offset, j_min, omega_max)
@@ -294,7 +294,7 @@ def counting_decomposition(
     ----------
     geometry : Interval or TwistedCircle
     omega : float
-        Frequency, > 0 and not within ``tol_eigen`` of an eigenvalue
+        Frequency, > 0, finite, and not within ``tol_eigen`` of an eigenvalue
         (where the sawtooth sits on a jump and the split is ambiguous);
         raises :class:`AtEigenvalue` there.
     tol_eigen : float, optional
@@ -308,8 +308,8 @@ def counting_decomposition(
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line counting function is not defined")
-    if not (omega > 0.0):
-        raise InvalidParameter("omega must be positive")
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise InvalidParameter("omega must be positive and finite")
     if tol_eigen is None:
         tol_eigen = 1e-9 * math.pi / geometry.length
     dist = _nearest_eigen_distance(geometry, omega)

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from vacuum1d import cli
+from vacuum1d import IllConditionedFit, NonConvergent, cli
 from vacuum1d.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -164,6 +164,25 @@ def test_energy_halfline_is_a_domain_error(capsys):
     code, _, err = run(capsys, "energy", "--geometry", "halfline")
     assert code == EXIT_DOMAIN
     assert "continuous spectrum" in err
+
+
+def test_energy_far_past_the_length_scale(capsys):
+    code, out, _ = run(capsys, "energy", "--t", "300")
+    assert code == EXIT_OK
+    ((t, weyl, periodic, boundary, total_reg, total_ren),) = parse_table(out).rows
+    assert boundary == 0.0
+    assert math.isfinite(total_reg) and math.isfinite(total_ren)
+
+
+@pytest.mark.parametrize("error", [NonConvergent, IllConditionedFit])
+def test_numerical_errors_are_domain_errors(capsys, monkeypatch, error):
+    def failing(args):
+        raise error("did not settle")
+
+    monkeypatch.setattr(cli, "cmd_energy", failing)
+    code, _, err = run(capsys, "energy")
+    assert code == EXIT_DOMAIN
+    assert "did not settle" in err
 
 
 # ---------------------------------------------------------------------------

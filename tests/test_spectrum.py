@@ -111,6 +111,12 @@ def test_eigenvalues_rejects_bad_cutoff():
         eigenvalues(Interval(1.0, DIRICHLET, DIRICHLET), -1.0)
 
 
+@pytest.mark.parametrize("omega_max", [math.inf, math.nan])
+def test_eigenvalues_rejects_non_finite_cutoff(omega_max):
+    with pytest.raises(InvalidParameter):
+        eigenvalues(TwistedCircle(1.0, 0.7), omega_max)
+
+
 def test_geometry_validation():
     with pytest.raises(InvalidParameter):
         Interval(0.0, DIRICHLET, DIRICHLET)
@@ -217,6 +223,12 @@ def test_decomposition_weyl_term():
 def test_decomposition_guards_eigenvalue_jumps():
     with pytest.raises(AtEigenvalue):
         counting_decomposition(Interval(1.0, DIRICHLET, DIRICHLET), PI)
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan])
+def test_decomposition_rejects_non_finite_omega(omega):
+    with pytest.raises(InvalidParameter):
+        counting_decomposition(Interval(1.0, DIRICHLET, DIRICHLET), omega)
 
 
 # ---------------------------------------------------------------------------
