@@ -15,8 +15,11 @@ Exit codes are a stable contract::
     3   any other library error: continuous spectrum, point outside the
         domain, a series or fit that did not converge, ...
 
-The environment variable ``VACUUM_TOL`` supplies a default for ``--tol``
-wherever a tolerance is consulted (notably ``vacuum verify``).
+``--tol`` sets the series target of ``vacuum kernel`` (the image sums
+stop once their truncation bound is below it; the table reports each
+series route's term count and bound) and overrides every check's
+tolerance in ``vacuum verify``.  The environment variable ``VACUUM_TOL``
+supplies its default.
 """
 
 from __future__ import annotations
@@ -321,17 +324,16 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
     rows = []
     for t in ts:
         for x in xs:
-            by_method = {
-                method: cylinder_kernel(geometry, t, x, method=method,
-                                        control=control).value
+            mode, image, closed = (
+                cylinder_kernel(geometry, t, x, method=method, control=control)
                 for method in (MODE_SUM, IMAGE_SUM, CLOSED_FORM)
-            }
-            closed = by_method[CLOSED_FORM]
-            spread = max(abs(by_method[MODE_SUM] - closed),
-                         abs(by_method[IMAGE_SUM] - closed))
-            rows.append((t, x, by_method[MODE_SUM], by_method[IMAGE_SUM],
-                         closed, spread))
-    columns = ("t", "x", "mode_sum", "image_sum", "closed_form", "max_deviation")
+            )
+            spread = max(abs(mode.value - closed.value), abs(image.value - closed.value))
+            rows.append((t, x, mode.value, image.value, closed.value, spread,
+                         mode.terms_used, mode.truncation_bound,
+                         image.terms_used, image.truncation_bound))
+    columns = ("t", "x", "mode_sum", "image_sum", "closed_form", "max_deviation",
+               "mode_sum_terms", "mode_sum_bound", "image_sum_terms", "image_sum_bound")
     return Table(_meta(args, geometry), columns, rows), EXIT_OK
 
 
@@ -425,7 +427,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-points", dest="grid_points", type=int, default=None,
                      help="number of points for default grids")
     sub.add_argument("--tol", type=float, default=None,
-                     help="tolerance override (default: env VACUUM_TOL, else per-check)")
+                     help="series target for 'kernel', tolerance override for 'verify' "
+                          "(default: env VACUUM_TOL, else 1e-12 / per-check)")
     sub.add_argument("--max-terms", dest="max_terms", type=int, default=None,
                      help="series truncation cap for the summed routes")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,

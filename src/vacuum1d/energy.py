@@ -74,8 +74,14 @@ class EnergyBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Cancellation-free small-argument forms.
+# Cancellation-free small-argument forms, and exponent-scaled large ones.
 # ---------------------------------------------------------------------------
+
+# Past z = 170 every hyperbolic factor is one exponential to within e^{-340}
+# relative: csch^2 z = 4 e^{-2z}, csch z coth z = 2 e^{-z}.  The scaled
+# forms take over well before sinh(z)^2 (z ~ 355) or sinh(z) (z ~ 710)
+# overflows.
+_SCALED = 170.0
 
 
 def _g_even(z: float) -> float:
@@ -83,6 +89,8 @@ def _g_even(z: float) -> float:
     if z < 0.1:
         z2 = z * z
         return -1.0 / 3.0 + z2 * (1.0 / 15.0 + z2 * (-2.0 / 189.0 + z2 / 675.0))
+    if z > _SCALED:
+        return 4.0 * math.exp(-2.0 * z) - 1.0 / (z * z)
     s = math.sinh(z)
     return 1.0 / (s * s) - 1.0 / (z * z)
 
@@ -92,6 +100,8 @@ def _g_odd(z: float) -> float:
     if z < 0.05:
         z2 = z * z
         return 1.0 / 6.0 + z2 * (-7.0 / 120.0 + z2 * (31.0 / 3024.0))
+    if z > _SCALED:
+        return 2.0 * math.exp(-z) - 1.0 / (z * z)
     s = math.sinh(z)
     return math.cosh(z) / (s * s) - 1.0 / (z * z)
 
@@ -207,39 +217,33 @@ def twisted_energy(theta: float, length: float) -> float:
 def twisted_energy_orbit_sum(
     theta: float, length: float, control: SeriesControl = SeriesControl()
 ) -> SeriesValue:
-    """Twisted-circle energy as an Abel-damped orbit sum plus tail.
+    """Twisted-circle energy as an Abel-damped orbit sum.
 
     Sums the folded winding pairs
 
         E_n(t) = -(L/pi) cos(n theta) (a^2 - t^2)/(a^2 + t^2)^2,  a = n L,
 
-    at ``t = control.damping_t`` up to ``control.max_terms`` windings,
-    then completes the series with Euler-Maclaurin tails of
-    ``sum cos(n theta)/n^2`` and ``/n^4`` so the truncation error is
-    pushed to O(t^4 / N^5) + O(1e-13/N).  Converges to
-    :func:`twisted_energy` as t -> 0.
+    at ``t = control.damping_t`` over every n >= 1: the windings are the
+    lattice sums ``sum_{m != 0} e^{i m theta} (m L -/+ i t)^-2`` of
+    :func:`summation.lattice_sum`, whose tails are completed in closed form,
+    so ``truncation_bound`` (the sum of theirs) meets ``control.tol`` with
+    tens to hundreds of windings.  Converges to :func:`twisted_energy` as
+    t -> 0; at t > 0 the value keeps the damping's own O(t^2) bias.
     """
     if not (length > 0.0):
         raise InvalidParameter("length must be positive")
     t = control.damping_t
-    n_max = int(control.max_terms)
-    n = np.arange(1, n_max + 1, dtype=float)
-    a = n * length
-    a2, t2 = a * a, t * t
-    terms = -(length / PI) * np.cos(n * theta) * (a2 - t2) / (a2 + t2) ** 2
-    partial = float(np.sum(terms))
-    s2 = summation.cosine_power_tail(theta, n_max + 1, 2)
-    s4 = summation.cosine_power_tail(theta, n_max + 1, 4)
-    tail = -s2 / (PI * length) + 3.0 * t2 * s4 / (PI * length**3)
-    bound = (
-        5.0 * t2 * t2 / (PI * length**5 * n_max**5)
-        + 1e-13 / n_max
-        + abs(terms[-1]) * 1e-3
-    )
+    # Re (a - i t)^-2 = (a^2 - t^2)/(a^2 + t^2)^2; the m and -m terms of
+    # the two lattices at +-t add up to 4 cos(n theta) Re (a - i t)^-2.
+    parts = [
+        summation.lattice_sum(length, 0.0, s, theta, 2, control, skip_zero=True)
+        for s in ((t, -t) if t > 0.0 else (0.0,))
+    ]
+    scale = length / (2.0 * PI * len(parts))
     return SeriesValue(
-        value=partial + tail,
-        terms_used=n_max,
-        truncation_bound=bound,
+        value=-scale * sum(p.value.real for p in parts),
+        terms_used=sum(p.terms_used for p in parts),
+        truncation_bound=scale * sum(p.truncation_bound for p in parts),
         method_tag=ABEL,
     )
 
@@ -310,10 +314,18 @@ def _interval_boundary_density_regularized(
     length, l = geom.length, geom.l
     z = PI * t / (2.0 * length)
     p = PI * x / length
+    pref = (-1.0) ** l * PI / (8.0 * length**2)
+    if z > _SCALED:
+        # numerator and denominator divided by sinh^4 z; r = csch^2 z
+        r = 4.0 * math.exp(-2.0 * z)
+        sp2 = math.sin(p) ** 2
+        denom = (1.0 + sp2 * r) ** 2
+        if geom.like_ends:
+            return pref * (math.cos(2.0 * p) * r - sp2 * r * r) / denom
+        return pref * math.cos(p) * 2.0 * math.exp(-z) * (1.0 - sp2 * r) / denom
     sh2 = math.sinh(z) ** 2
     sp2 = math.sin(p) ** 2
     denom = (sh2 + sp2) ** 2
-    pref = (-1.0) ** l * PI / (8.0 * length**2)
     if geom.like_ends:
         return pref * (math.cos(2.0 * p) * sh2 - sp2) / denom
     return pref * math.cos(p) * math.cosh(z) * (sh2 - sp2) / denom

@@ -8,9 +8,12 @@ equivalently the Poisson kernel of the spatial operator: the solution of
 ``u_tt + u_xx = 0`` on the half-cylinder with u(0, x, y) = delta(x - y).
 Its free-space form is the Lorentzian ``(t/pi) / ((x-y)^2 + t^2)``, so the
 method of images turns every geometry here into a lattice of Lorentzians
-with reflection signs and holonomy phases.  Geometric resummation of the
-lattice gives elementary closed forms; all three routes must agree, and
-the tests hold them to ~1e-8 of each other.
+with reflection signs and holonomy phases.  The image route sums each
+lattice with :func:`vacuum1d.summation.lattice_sum`, which completes both
+tails in closed form and stops once its bound meets ``SeriesControl.tol``
+(tens to a few hundred windings).  Geometric resummation of the lattice
+gives elementary closed forms; all three routes must agree, and the
+verify registry holds them to 1e-8 of each other (they agree to ~1e-14).
 
 The heat kernel is the same construction for ``e^{-t omega^2}`` with the
 Gaussian free kernel ``(4 pi t)^{-1/2} e^{-(x-y)^2/4t}``; its image sums
@@ -18,8 +21,8 @@ converge so fast that a closed form is never needed.
 
 Small-t and near-diagonal evaluations use cancellation-free forms
 throughout, e.g. ``cosh a - cos b = 2 sinh^2(a/2) + 2 sin^2(b/2)``, and
-truncated twisted-circle image sums are completed with the Euler-Maclaurin
-tails from :mod:`vacuum1d.summation`.
+the interval closed forms switch to exponent-scaled ones past
+``pi t / 2L = 350``, before ``sinh^2`` overflows.
 """
 
 from __future__ import annotations
@@ -176,63 +179,40 @@ def _lorentzian(t: float, d: np.ndarray | float) -> np.ndarray | float:
     return (t / math.pi) / (d * d + t * t)
 
 
-def _lorentzian_tail_ge(m0: int, step: float, d: float, t: float) -> float:
-    """Euler-Maclaurin value of sum_{m >= m0} (t/pi)/((step m + d)^2 + t^2).
+def _lorentzian_lattice(
+    step: float, d: float, t: float, theta: float, control: SeriesControl
+) -> tuple[complex, int, float]:
+    """sum_m e^{i m theta} (t/pi)/((step m + d)^2 + t^2) with its bound.
 
-    Integral term is an arctan; the f/2 - f'/12 corrections leave a
-    remainder below |f'''(m0)|/720 ~ t step^3 / (30 pi (step m0)^5)."""
-    z = step * m0 + d
-    q = z * z + t * t
-    integral = (0.5 * math.pi - math.atan(z / t)) / (math.pi * step)
-    f = (t / math.pi) / q
-    fp = -(t / math.pi) * 2.0 * z * step / (q * q)
-    return integral + 0.5 * f - fp / 12.0
+    (t/pi)/(z^2 + t^2) = [(z - i t)^-1 - (z + i t)^-1] / (2 pi i), so the
+    sum is two tail-completed lattice sums; at real weights (theta a
+    multiple of pi) the second is the conjugate of the first."""
+    plus = summation.lattice_sum(step, d, t, theta, 1, control)
+    if math.remainder(theta, math.pi) == 0.0:
+        return (
+            complex(plus.value.imag / math.pi),
+            plus.terms_used,
+            plus.truncation_bound / math.pi,
+        )
+    minus = summation.lattice_sum(step, d, -t, theta, 1, control)
+    return (
+        (plus.value - minus.value) / (2j * math.pi),
+        plus.terms_used + minus.terms_used,
+        (plus.truncation_bound + minus.truncation_bound) / (2.0 * math.pi),
+    )
 
 
 def _interval_image_sum(
     geom: Interval, t: float, x: float, y: float, control: SeriesControl
 ) -> KernelValue:
-    length, l, r = geom.length, geom.l, geom.r
-    w = int(control.max_terms)
-    n = np.arange(-w, w + 1, dtype=float)
-    if (l + r) % 2 == 0:
-        sg_even = np.ones_like(n)
-    else:
-        sg_even = np.where(np.arange(-w, w + 1) % 2 == 0, 1.0, -1.0)
-    per = np.sum(sg_even * _lorentzian(t, x - y + 2.0 * n * length))
-    nb = np.arange(-w, w, dtype=float)
-    if (l + r) % 2 == 0:
-        sg_odd = np.full(nb.shape, (-1.0) ** l)
-    else:
-        sg_odd = (-1.0) ** l * np.where(np.arange(-w, w) % 2 == 0, 1.0, -1.0)
-    bdry = np.sum(sg_odd * _lorentzian(t, x + y + 2.0 * nb * length))
-    val = float(per + bdry)
-    if geom.like_ends:
-        # Same-sign tails do not cancel between families (they add for
-        # Neumann ends); complete them analytically.  Leftover images:
-        # periodic |n| > W, boundary n >= W and n <= -W-1.
-        dp, db, s = x - y, x + y, (-1.0) ** l
-        step = 2.0 * length
-        val += (
-            _lorentzian_tail_ge(w + 1, step, dp, t)
-            + _lorentzian_tail_ge(w + 1, step, -dp, t)
-            + s * _lorentzian_tail_ge(w, step, db, t)
-            + s * _lorentzian_tail_ge(w + 1, step, -db, t)
-        )
-        # Euler-Maclaurin remainder of the four completed tails is
-        # 4 |f'''|/720 ~ (2/15) t step^3 / (pi zmin^5); in practice the
-        # rounding floor of the 4W+1-term sum dominates.
-        zmin = step * w - abs(db)
-        bound = (
-            2.0 * t * step**3 / (15.0 * math.pi * max(zmin, step) ** 5)
-            + 2e-15 * (1.0 / (math.pi * t) + 1.0 / length)
-        )
-    else:
-        # Alternating tails: remainder per tail is bounded by the first
-        # omitted term (no credit for pair cancellation), four tails total.
-        zmin = 2.0 * length * w
-        bound = 4.0 * (t / math.pi) / (zmin * zmin + t * t) + 4e-16 * abs(val)
-    return KernelValue(val, IMAGE_SUM, 4 * w + 1, bound)
+    # Periodic images at x - y + 2nL and boundary images at x + y + 2nL,
+    # the latter signed (-1)^l; mixed ends alternate (-1)^n in both.
+    theta = 0.0 if geom.like_ends else math.pi
+    step = 2.0 * geom.length
+    per, n_per, b_per = _lorentzian_lattice(step, x - y, t, theta, control)
+    bdry, n_bdry, b_bdry = _lorentzian_lattice(step, x + y, t, theta, control)
+    val = per.real + (-1.0) ** geom.l * bdry.real
+    return KernelValue(val, IMAGE_SUM, n_per + n_bdry, b_per + b_bdry)
 
 
 def _halfline_image_sum(geom: HalfLine, t: float, x: float, y: float) -> KernelValue:
@@ -243,30 +223,18 @@ def _halfline_image_sum(geom: HalfLine, t: float, x: float, y: float) -> KernelV
 def _twisted_image_sum(
     geom: TwistedCircle, t: float, x: float, y: float, control: SeriesControl
 ) -> KernelValue:
-    length, theta = geom.length, geom.theta
-    w = int(control.max_terms)
-    d = x - y
+    # sum_n e^{i n theta} (t/pi)/((x - y - nL)^2 + t^2)
+    val, terms, bound = _lorentzian_lattice(geom.length, y - x, t, geom.theta, control)
     if x == y:
-        # Diagonal: sum_n cos(n theta) (t/pi)/((nL)^2 + t^2); complete the
-        # truncated sum with the Euler-Maclaurin Lorentzian tail.
-        n = np.arange(1, w + 1, dtype=float)
-        core = _lorentzian(t, 0.0) + 2.0 * float(
-            np.sum(np.cos(n * theta) * _lorentzian(t, n * length))
-        )
-        c = t / length
-        tail, tail_err = summation.lorentzian_cosine_tail(theta, c, w + 1)
-        val = core + 2.0 * (t / math.pi) / length**2 * tail
-        bound = 2.0 * (t / math.pi) / length**2 * tail_err
-        return KernelValue(float(val), IMAGE_SUM, 2 * w + 1, bound)
-    n = np.arange(-w, w + 1, dtype=float)
-    val = complex(np.sum(np.exp(1j * n * theta) * _lorentzian(t, d - n * length)))
-    bound = 2.0 * t / (math.pi * length**2 * max(1, w))
-    return KernelValue(val, IMAGE_SUM, 2 * w + 1, bound)
+        return KernelValue(val.real, IMAGE_SUM, terms, bound)
+    return KernelValue(val, IMAGE_SUM, terms, bound)
 
 
 def _interval_closed_form(geom: Interval, t: float, x: float, y: float) -> KernelValue:
     length, l = geom.length, geom.l
     z = math.pi * t / (2.0 * length)  # half the cylinder aspect angle
+    if z > 350.0:
+        return _interval_closed_form_far(geom, z, x, y)
     sh2 = math.sinh(z) ** 2
 
     if geom.like_ends:
@@ -287,6 +255,31 @@ def _interval_closed_form(geom: Interval, t: float, x: float, y: float) -> Kerne
         return math.cos(half) / (2.0 * sh2 + 2.0 * math.sin(half) ** 2)
 
     val = math.sinh(z) * (c(x - y) + (-1.0) ** l * c(x + y)) / length
+    return KernelValue(val, CLOSED_FORM, 0, 0.0)
+
+
+def _interval_closed_form_far(geom: Interval, z: float, x: float, y: float) -> KernelValue:
+    """The closed forms past z = 350, scaled by sinh z before sinh(z)^2
+    overflows: with r = csch^2 z = 4 e^{-2z} and s_pm = sin^2(pi (x -/+ y)/2L),
+    S(d) = 1/(1 + s r) and sinh(z) C(d) = e^{-z} cos(pi d/2L)/(1 + s r)."""
+    length, l = geom.length, geom.l
+    r = 4.0 * math.exp(-2.0 * z)
+    h_minus = math.pi * (x - y) / (2.0 * length)
+    h_plus = math.pi * (x + y) / (2.0 * length)
+    den_minus = 1.0 + math.sin(h_minus) ** 2 * r
+    den_plus = 1.0 + math.sin(h_plus) ** 2 * r
+    if geom.like_ends:
+        if l == 0:
+            val = (1.0 / den_minus + 1.0 / den_plus) / (2.0 * length)
+        else:
+            # S(x-y) - S(x+y) = (s_plus - s_minus) r / (den_minus den_plus),
+            # s_plus - s_minus = sin(pi x/L) sin(pi y/L): no cancellation.
+            lead = math.sin(math.pi * x / length) * math.sin(math.pi * y / length)
+            val = lead * r / (den_minus * den_plus) / (2.0 * length)
+    else:
+        val = math.exp(-z) * (
+            math.cos(h_minus) / den_minus + (-1.0) ** l * math.cos(h_plus) / den_plus
+        ) / length
     return KernelValue(val, CLOSED_FORM, 0, 0.0)
 
 
@@ -414,10 +407,16 @@ def cylinder_trace(
     if isinstance(geometry, Interval):
         length, l = geometry.length, geometry.l
         if method == CLOSED_FORM:
+            b = math.pi * t / length
             if geometry.like_ends:
-                val = 1.0 / math.expm1(math.pi * t / length) + (1.0 if l == 0 else 0.0)
+                # 1/(e^b - 1) = e^{-b} to within e^{-700} past b = 700
+                val = (math.exp(-b) if b > 700.0 else 1.0 / math.expm1(b)) + (
+                    1.0 if l == 0 else 0.0
+                )
+            elif b > 1400.0:
+                val = math.exp(-0.5 * b)
             else:
-                val = 0.5 / math.sinh(math.pi * t / (2.0 * length))
+                val = 0.5 / math.sinh(0.5 * b)
             return KernelValue(val, CLOSED_FORM, 0, 0.0)
         if method == MODE_SUM:
             return _trace_mode_sum(geometry, t, control)

@@ -11,8 +11,9 @@ only in the sense of distributions:
   partner (Mittag-Leffler expansions of coth and csch),
 * telescoping pole-pair series whose limit is checked by Richardson
   extrapolation,
-* Euler-Maclaurin tail estimates for ``sum_{n>=a} cos(n t)/n**p`` built
-  on the sine integral.
+* tail-completed lattice sums ``sum_m e^{i m theta} (step m + d - i t)^-k``
+  (:func:`lattice_sum`), the one primitive behind every image and orbit
+  series of the kernels and energies.
 
 All closed forms here are elementary; the module exists so the spectral
 and kernel code can share one audited implementation of each.
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import InvalidParameter, NonConvergent
 
@@ -44,10 +44,15 @@ class SeriesControl:
     Attributes
     ----------
     max_terms : int
-        Hard cap on the number of retained terms (windings or modes).
+        Cap on the retained terms: windings per side of a
+        :func:`lattice_sum` (image and orbit series), modes of a mode sum,
+        windings of the Abel-damped orbit sums.  Tail-completed lattice
+        sums rarely come near it; at the cap they return their larger
+        bound instead of raising.
     tol : float
-        Target absolute accuracy.  Sums that can bound their own tail
-        stop early once the bound drops below ``tol``.
+        Target absolute accuracy, read by :func:`lattice_sum`: its windings
+        grow until the truncation bound is at most ``max(tol, rounding)``.
+        Mode sums stop on their own term floor and do not read it.
     damping_t : float
         Abel damping parameter.  Each term acquires ``exp(-damping_t * len)``
         with ``len`` the orbit length, i.e. a Lorentzian smoothing of
@@ -73,9 +78,12 @@ class SeriesValue:
 
     ``truncation_bound`` is an estimate of the discarded tail: the last
     retained term for damped or alternating series, a Cesaro-envelope
-    heuristic for raw oscillatory ones, and the extrapolation spread for
-    accelerated ladders.  ``method_tag`` is one of :data:`RAW`,
-    :data:`ABEL`, :data:`RIESZ_CESARO_2`, :data:`CLOSED_FORM`.
+    heuristic for raw oscillatory ones, the extrapolation spread for
+    accelerated ladders, and a rigorous remainder-plus-rounding bound for
+    :func:`lattice_sum`.  ``method_tag`` is one of :data:`RAW`,
+    :data:`ABEL`, :data:`RIESZ_CESARO_2`, :data:`CLOSED_FORM`, or for a
+    lattice sum the tail completion used, :data:`EULER_MACLAURIN` or
+    :data:`SUMMATION_BY_PARTS` (whose ``value`` is complex).
     """
 
     value: float
@@ -368,108 +376,330 @@ def poisson_check(
     return lhs, rhs
 
 
+
+
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin tails for sum_{n >= a} cos(n theta) / n^p.
+# Tail-completed lattice sums S = sum_m e^{i m theta} (step m + d - i t)^{-k}.
 #
-# The integral term reduces to Si by parts:
-#   int_a^inf cos(t v)/v^2 dv = cos(t a)/a - t (pi/2 - Si(t a))
-#   int_a^inf cos(t v)/v^4 dv = cos(t a)/(3 a^3) - t sin(t a)/(6 a^2)
-#                               - (t^2/6) * int_a^inf cos(t v)/v^2 dv
-# and the correction ladder f/2 - f'/12 + f'''/720 leaves a remainder
-# below ~ theta^5/(30240 a^p) over the reduced range theta in [0, pi]:
-# at a ~ 1e4 that is < 1e-11 for p = 2 and < 1e-19 for p = 4.
+# Windings |m| <= W are summed directly.  Each one-sided tail (m < -W maps
+# onto m > W under m -> -m) is completed in closed form with a remainder
+# bound that needs no sign condition on g(x) = (step x + c)^{-k}:
+#
+# * |theta| < 0.1 (mod 2 pi), Poisson summation: the n = 0 frequency is
+#   the integral of e^{i theta x} g(x) (an exponential integral,
+#   elementary at theta = 0, where this is Euler-Maclaurin), the others
+#   are integrated by parts J times; R <= sum_{n != 0} |theta + 2 pi n|^-J
+#   int_a^inf |g^(J)|.
+# * otherwise, K-fold summation by parts against the geometric sum of q^m,
+#   q = e^{i theta}, with the differences of g exact from its partial
+#   fractions; R <= |1 - q|^-K sum_{m >= a} |Delta^K g(m)|.
 # ---------------------------------------------------------------------------
 
+EULER_MACLAURIN = "euler-maclaurin"
+SUMMATION_BY_PARTS = "summation-by-parts"
 
-def _reduce_angle(theta: float) -> float:
-    tr = math.fmod(theta, TWO_PI)
-    if tr < 0.0:
-        tr += TWO_PI
-    return min(tr, TWO_PI - tr)
-
-
-def _si(x: float) -> float:
-    s, _ = sici(x)
-    return float(s)
-
-
-def cosine_power_tail(theta: float, a: int, power: int) -> float:
-    """Euler-Maclaurin estimate of ``sum_{n >= a} cos(n theta) / n^power``.
-
-    ``theta`` is first reduced to [0, pi] (the sum only sees cos), which
-    keeps the Euler-Maclaurin correction series convergent.  Supported
-    powers are 2 and 4.
-    """
-    if a < 2:
-        raise InvalidParameter("tail start a must be >= 2")
-    if power not in (2, 4):
-        raise InvalidParameter("power must be 2 or 4")
-    th = _reduce_angle(theta)
-    av = float(a)
-    c, s = math.cos(th * av), math.sin(th * av)
-    i2 = c / av - th * (0.5 * math.pi - _si(th * av))
-    if power == 2:
-        # f = cos(th v)/v^2; f' and f''' evaluated at v = a.
-        f = c / av**2
-        fp = -th * s / av**2 - 2.0 * c / av**3
-        fppp = (
-            th**3 * s / av**2
-            + 6.0 * th**2 * c / av**3
-            - 18.0 * th * s / av**4
-            - 24.0 * c / av**5
-        )
-        return i2 + 0.5 * f - fp / 12.0 + fppp / 720.0
-    i4 = c / (3.0 * av**3) - th * s / (6.0 * av**2) - (th**2 / 6.0) * i2
-    f4 = c / av**4
-    f4p = -th * s / av**4 - 4.0 * c / av**5
-    return i4 + 0.5 * f4 - f4p / 12.0
+_EPS = 2.0**-52
+_EULER_GAMMA = 0.5772156649015329
+_SMALL_ANGLE = 0.1
+_ORDER = 8  # J: integrations by parts of the Poisson tail
+_ZETA_ORDER = math.pi**8 / 9450.0  # zeta(J)
+_MAX_FOLDS = 60  # cap on K for summation by parts
+# B_2, B_4, ..., B_24; |B_2m| / (2m)! = 2 zeta(2m) / (2 pi)^2m.
+_BERNOULLI_EVEN = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
+)
+_ZETA_RATIO = tuple(abs(b) / math.factorial(2 * i + 2) for i, b in enumerate(_BERNOULLI_EVEN))
 
 
-def lorentzian_cosine_tail(theta: float, c: float, a: int) -> tuple[float, float]:
-    """Tail ``sum_{n >= a} cos(n theta) / (n^2 + c^2)`` with an error bound.
-
-    Expands ``1/(n^2 + c^2) = n^-2 - c^2 n^-4 + O(c^4 n^-6)`` and applies
-    :func:`cosine_power_tail` termwise; valid for ``c <= a/10`` where the
-    dropped ``c^4`` term is below ``c^4 / (5 a^5)``.  Outside that range
-    the function returns (0, crude bound) so callers degrade gracefully.
-
-    The dominant error is the first Euler-Maclaurin term each power series
-    omits: B_6 f^(5)/6! for power 2 and B_4 f'''/4! for power 4, with the
-    derivatives bounded via Leibniz on cos(theta v) v^-p.  The enveloping
-    property of the correction series makes twice the first omitted term a
-    bound; small floating-point floors (Si evaluation, ~1e-16 theta^2 for
-    the power-4 branch) are added on top.
-
-    Returns
-    -------
-    (float, float)
-        (tail value, absolute error bound).
-    """
-    if a < 2:
-        raise InvalidParameter("tail start a must be >= 2")
-    if c < 0.0:
-        raise InvalidParameter("width c must be >= 0")
-    if c > 0.1 * a:
-        return 0.0, 1.0 / (a - 1.0)
-    s2 = cosine_power_tail(theta, a, 2)
-    s4 = cosine_power_tail(theta, a, 4)
-    value = s2 - c * c * s4
-    th = abs(math.remainder(theta, 2.0 * math.pi))
-    av = float(a)
-    f5 = (
-        th**5 / av**2
-        + 10.0 * th**4 / av**3
-        + 60.0 * th**3 / av**4
-        + 240.0 * th**2 / av**5
-        + 600.0 * th / av**6
-        + 720.0 / av**7
+# sigma_p(theta) = sum_{n != 0} (i (theta + 2 pi n))^{-p}, p = 1..J, expanded
+# for |theta| < 2 pi in the even zeta values (n summed symmetrically for
+# p = 1): theta^(p mod 2) times a series in theta^2 with these coefficients.
+_POISSON_SERIES = tuple(
+    tuple(
+        (-1j) ** p * (-1) ** r * math.comb(p + r - 1, r) * _ZETA_RATIO[(p + r) // 2 - 1]
+        for r in range(p % 2, 2 * len(_ZETA_RATIO) - p + 1, 2)
     )
-    f3 = th**3 / av**4 + 12.0 * th**2 / av**5 + 60.0 * th / av**6 + 120.0 / av**7
-    bound = (
-        f5 / 15120.0
-        + c * c * (f3 / 360.0 + 1e-16 * th * th + 1e-18)
-        + c**4 / (5.0 * av**5)
-        + 1e-14 * th
-        + 4e-16 / av
+    for p in range(1, _ORDER + 1)
+)
+
+
+def _poisson_weights(theta: float) -> tuple[complex, ...]:
+    t2 = theta * theta
+    out = []
+    for p, coefs in enumerate(_POISSON_SERIES, start=1):
+        acc = 0j
+        for coef in reversed(coefs):
+            acc = acc * t2 + coef
+        out.append(acc * theta if p % 2 else acc)
+    return tuple(out)
+
+
+_POISSON_AT_ZERO = _poisson_weights(0.0)
+
+
+def _unit(theta: float, m: int) -> float | complex:
+    """e^{i m theta}, exact at theta in {0, +-pi}."""
+    if theta == 0.0:
+        return 1.0
+    if abs(theta) == math.pi:
+        return -1.0 if m % 2 else 1.0
+    return complex(math.cos(theta * m), math.sin(theta * m))
+
+
+def _clog(u: complex) -> complex:
+    return complex(math.log(abs(u)), math.atan2(u.imag, u.real))
+
+
+def _expint_scaled(w: complex) -> tuple[complex, float]:
+    """e^w E_1(w) for w off the negative real axis, with an error allowance.
+
+    The power series loses about e^{|w| + Re w} to cancellation, so it
+    serves near the origin and along the negative real axis, where the
+    continued fraction E_1(w) = e^{-w} / (w + 1 - 1/(w + 3 - 4/(w + 5 - ...)))
+    converges slowly; the fraction serves everywhere else."""
+    if abs(w) > 700.0 and abs(w) + w.real <= 8.0:
+        raise NonConvergent(f"exponential integral at {w!r} is out of range")
+    if abs(w) + w.real <= 8.0:
+        series, power, size, n = 0j, 1.0 + 0j, 0.0, 0
+        while True:
+            n += 1
+            power *= -w / n
+            piece = power / n
+            series -= piece
+            size += abs(piece)
+            if n > 4 and abs(piece) <= 1e-18 * size:
+                break
+        log_w = _clog(w)
+        scale = math.exp(w.real) * complex(math.cos(w.imag), math.sin(w.imag))
+        value = scale * (-_EULER_GAMMA - log_w + series)
+        return value, 8.0 * _EPS * abs(scale) * (_EULER_GAMMA + abs(log_w) + size)
+    tiny = 1e-300
+    f = w + 1.0
+    big_c, big_d, delta = f, 0j, 0.0
+    for n in range(1, 2000):
+        a_n, b_n = -float(n * n), w + (2 * n + 1)
+        big_d = b_n + a_n * big_d
+        big_c = b_n + a_n / big_c
+        big_d = 1.0 / (big_d if big_d != 0 else tiny)
+        big_c = big_c if big_c != 0 else tiny
+        delta = big_c * big_d
+        f *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    value = 1.0 / f
+    return value, abs(value) * (16.0 * _EPS + 4.0 * abs(delta - 1.0))
+
+
+def _poisson_remainder(step: float, theta: float, k: int, z: float) -> float:
+    """2 zeta(J) (2 pi - |theta|)^-J (k)_J step^(J-1) z^-(k+J-1) / (k+J-1):
+    the bound on sum_{n != 0} |theta + 2 pi n|^-J int_a^inf |g^(J)|, z = Re(step a + c)."""
+    n = k + _ORDER - 1
+    return (
+        2.0 * _ZETA_ORDER * (TWO_PI - abs(theta)) ** -_ORDER
+        * math.prod(range(k, k + _ORDER)) * step ** (_ORDER - 1) / (n * z**n)
     )
-    return value, bound
+
+
+def _tail_poisson(step: float, c: complex, theta: float, k: int, a: int) -> tuple[complex, float, float]:
+    """sum_{m >= a} e^{i m theta} (step m + c)^{-k}, |theta| small, by
+    Poisson summation: (value, remainder bound, rounding allowance).
+
+    At theta = 0 and k = 1 the integral diverges; its regularized value
+    -log(u_a)/step is returned, and the divergences of the two tails of a
+    symmetric lattice sum cancel exactly."""
+    u = step * a + c
+    y = 1.0 / u
+    g = y**k
+    sigma = _POISSON_AT_ZERO if theta == 0.0 else _poisson_weights(theta)
+    corr, size, deriv = 0j, 0.0, g  # deriv = (k)_j step^j u^{-(k+j)}
+    for j in range(_ORDER):
+        piece = deriv * sigma[j]
+        corr += piece
+        size += abs(piece)
+        deriv *= (k + j) * step * y
+    if theta == 0.0:
+        integral, err = (-_clog(u) if k == 1 else y ** (k - 1) / (k - 1)), 0.0
+    else:
+        beta = theta / step
+        integral, err = _expint_scaled(-1j * beta * u)
+        for kk in range(2, k + 1):
+            integral = y ** (kk - 1) / (kk - 1) + (1j * beta / (kk - 1)) * integral
+            err *= abs(beta) / (kk - 1)
+    value = _unit(theta, a) * (0.5 * g + integral / step - corr)
+    remainder = _poisson_remainder(step, theta, k, step * a + c.real)
+    rounding = 8.0 * _EPS * (abs(g) + abs(integral) / step + size) + err / step
+    return value, remainder, rounding
+
+
+def _tail_by_parts(
+    step: float, c: complex, theta: float, k: int, a: int, goal: float
+) -> tuple[complex, float, float]:
+    """sum_{m >= a} q^m (step m + c)^{-k}, q = e^{i theta} != 1, by K-fold
+    summation by parts,
+
+        S = q^a/(1-q) sum_{j<K} (q/(1-q))^j Delta^j g(a) + R,
+
+    with Delta^j g(a) = (-step)^j j! h_{k-1}(y) prod y_i exactly
+    (y_i = 1/(step (a+i) + c), h the complete homogeneous polynomial).
+    K grows until the bound on R reaches ``goal`` or stops shrinking."""
+    q = _unit(theta, 1)
+    one_q = 1.0 - q
+    ratio = -step * q / one_q
+    inv = 1.0 / abs(one_q)
+    z = step * a + c.real
+    homog = [1.0 + 0j] + [0j] * (k - 1)
+    # growth = (step inv / z)^j j! z^{-k}; times C(j + k - 1, k - 1) it
+    # bounds |piece j|, and at j = K it gives the remainder bound.
+    total, size, amp, growth = 0j, 0.0, 0j, z**-k
+    shrink = inv * step / z
+    bound = math.inf
+    for j in range(_MAX_FOLDS):
+        y = 1.0 / (step * (a + j) + c)
+        amp = y if j == 0 else amp * (ratio * j * y)
+        for deg in range(1, k):
+            homog[deg] += y * homog[deg - 1]
+        piece, piece_size = amp * homog[k - 1], growth * math.comb(j + k - 1, k - 1)
+        folds = j + 1
+        growth *= shrink * folds
+        nxt = growth * math.comb(folds + k - 1, k - 1) * (1.0 + z / (step * (folds + k - 1)))
+        if nxt >= bound:
+            break
+        total += piece
+        size += piece_size
+        bound = nxt
+        if bound <= goal:
+            break
+    lead = _unit(theta, a) / one_q
+    return lead * total, bound, 4.0 * (_MAX_FOLDS + k) * _EPS * abs(lead) * size
+
+
+def _first_winding(step: float, d0: float, theta: float, k: int, tol: float, poisson: bool) -> float:
+    """W at which the remainder formula of the tails first meets ``tol``."""
+    if poisson:
+        # two tails, each at most tol / 2
+        z = (2.0 * _poisson_remainder(step, theta, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
+    else:
+        # The fold remainder ~ K! / rho^K, rho = |1 - q| z / step, reaches
+        # tol at K = rho = log(1/tol) at the latest.  Direct terms are far
+        # cheaper than folds: take rho = (6!/tol)^(1/6), where six folds
+        # do, as long as W stays near 150.
+        gap = 2.0 * math.sin(0.5 * abs(theta))
+        rho = max(math.log(1.0 / tol) + 4.0, min((720.0 / tol) ** (1.0 / 6.0), 150.0 * gap))
+        z = rho * step / gap
+    return (z + abs(d0)) / step - 1.0
+
+
+def _direct_sum(
+    step: float, c: complex, theta: float, k: int, w: int, skip: int | None, d_err: float
+) -> tuple[complex, float]:
+    """sum_{|m| <= w} e^{i m theta} (step m + c)^{-k} (the skipped term left
+    out) and its rounding allowance: pairwise summation, the rounding of
+    the phases m theta, and ``d_err``, the error of Re c."""
+    m = np.arange(-w, w + 1, dtype=float)
+    u = m * step + c
+    if skip is not None:
+        u[w + skip] = 1.0
+    g = 1.0 / u
+    if k > 1:
+        g **= k
+    mag = np.abs(g)
+    if skip is not None:
+        g[w + skip] = 0.0
+        mag[w + skip] = 0.0
+    size = float(mag.sum())
+    rounding = _EPS * (math.log2(2 * w + 1) + 16.0 + 4.0 * k) * size
+    if theta == 0.0:
+        total = g.sum()
+    elif abs(theta) == math.pi:
+        total = g[w % 2 :: 2].sum() - g[1 - w % 2 :: 2].sum()
+    else:
+        total = (g * np.exp(1j * theta * m)).sum()
+        rounding += _EPS * abs(theta) * float(np.abs(m) @ mag)
+    if d_err:
+        # |dg/dc| = k |g| / |u| = k |g|^{1 + 1/k}
+        rounding += d_err * k * float(mag @ mag ** (1.0 / k))
+    return complex(total), rounding
+
+
+def lattice_sum(
+    step: float,
+    d: float,
+    t: float,
+    theta: float = 0.0,
+    k: int = 1,
+    control: SeriesControl = SeriesControl(),
+    skip_zero: bool = False,
+) -> SeriesValue:
+    """Tail-completed lattice sum ``sum_{m in Z} e^{i m theta} (step m + d - i t)^{-k}``.
+
+    Every image and orbit series of the package is one of these: Im/pi of
+    the k = 1 sum at real weights (theta = 0: weight 1, theta = pi:
+    (-1)^m) is the Lorentzian lattice ``sum (t/pi)/((step m + d)^2 + t^2)``,
+    and Re of the k = 2 sum carries the twisted energy terms
+    ``(a^2 - t^2)/(a^2 + t^2)^2``.  Both tails are completed in closed
+    form (see the comment above).  W starts where the remainder formula
+    meets ``control.tol`` and doubles until the remainder is at most
+    max(tol, rounding) or W reaches ``control.max_terms``; at the cap the
+    value comes back with its larger bound and nothing is raised.
+
+    ``d`` is first reduced to |d| <= step/2 by shifting the lattice (a
+    phase); ``t`` may have either sign, and be 0 unless a lattice point
+    then sits on the pole; ``skip_zero`` leaves out the m = 0 term.  For
+    k = 1 at theta = 0 the sum converges only symmetrically, and the
+    symmetric limit is returned; it differs by i pi/step from the limit
+    theta -> 0+, and theta is reduced modulo the floating-point 2 pi, so
+    a float multiple of 2 pi counts as 0.
+
+    Returns a :class:`SeriesValue` with a complex ``value``; its
+    ``truncation_bound`` covers the tail remainders and the rounding,
+    ``terms_used`` counts the windings summed directly, and
+    ``method_tag`` is :data:`EULER_MACLAURIN` or :data:`SUMMATION_BY_PARTS`.
+    """
+    if not (step > 0.0 and math.isfinite(step)):
+        raise InvalidParameter("lattice step must be positive and finite")
+    if not (math.isfinite(d) and math.isfinite(t) and math.isfinite(theta)):
+        raise InvalidParameter("lattice displacement, offset and phase must be finite")
+    if int(k) != k or k < 1:
+        raise InvalidParameter("lattice power k must be a positive integer")
+    k = int(k)
+    th = math.remainder(theta, TWO_PI)
+    shift = round(d / step)
+    d0 = d - shift * step
+    if t == 0.0 and d0 == 0.0 and not (skip_zero and shift == 0):
+        raise InvalidParameter("a lattice point sits on the pole (t = 0)")
+    cap = int(control.max_terms)
+    skip = shift if skip_zero else None
+    if skip is not None and abs(skip) > cap:
+        raise InvalidParameter("skip_zero needs |d| <= step * max_terms")
+    poisson = abs(th) < _SMALL_ANGLE
+    c = complex(d0, -t)
+    first = _first_winding(step, d0, th, k, control.tol, poisson)
+    w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
+    # d0 = d - shift step is exact for |shift| <= 1 (Sterbenz)
+    d_err = _EPS * abs(d) if abs(shift) >= 2 else 0.0
+    total, rounding = _direct_sum(step, c, th, k, w, skip, d_err)
+    goal = max(control.tol, rounding)
+    first_w = w
+    while True:
+        if poisson:
+            plus = _tail_poisson(step, c, th, k, w + 1)
+            minus = _tail_poisson(step, -c, -th, k, w + 1)
+        else:
+            plus = _tail_by_parts(step, c, th, k, w + 1, 0.5 * goal)
+            minus = _tail_by_parts(step, -c, -th, k, w + 1, 0.5 * goal)
+        remainder = plus[1] + minus[1]
+        if remainder <= goal or w >= cap:
+            break
+        w = min(cap, 2 * w)
+    if w != first_w:
+        total, rounding = _direct_sum(step, c, th, k, w, skip, d_err)
+    unshifted = total + plus[0] + (-1) ** k * minus[0]
+    if th != 0.0 and abs(th) != math.pi:
+        rounding += _EPS * abs(th * shift) * abs(unshifted)  # the phase of the shift
+    return SeriesValue(
+        value=complex(_unit(th, -shift) * unshifted),
+        terms_used=2 * w + 1 - (skip is not None),
+        truncation_bound=remainder + rounding + plus[2] + minus[2],
+        method_tag=EULER_MACLAURIN if poisson else SUMMATION_BY_PARTS,
+    )

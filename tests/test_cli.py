@@ -174,6 +174,13 @@ def test_energy_far_past_the_length_scale(capsys):
     assert math.isfinite(total_reg) and math.isfinite(total_ren)
 
 
+def test_density_far_past_the_length_scale(capsys):
+    code, out, _ = run(capsys, "density", "--t", "200", "--grid-points", "5")
+    assert code == EXIT_OK
+    for row in parse_table(out).rows:
+        assert all(math.isfinite(v) for v in row)
+
+
 @pytest.mark.parametrize("error", [NonConvergent, IllConditionedFit])
 def test_numerical_errors_are_domain_errors(capsys, monkeypatch, error):
     def failing(args):
@@ -248,12 +255,30 @@ def test_kernel_three_routes_and_spread(capsys):
     code, out, _ = run(capsys, "kernel", "--t", "1")
     assert code == EXIT_OK
     table = parse_table(out)
-    assert table.columns == ("t", "x", "mode_sum", "image_sum", "closed_form", "max_deviation")
+    assert table.columns == (
+        "t", "x", "mode_sum", "image_sum", "closed_form", "max_deviation",
+        "mode_sum_terms", "mode_sum_bound", "image_sum_terms", "image_sum_bound",
+    )
     (row,) = table.rows
     assert row[1] == 0.5
     assert row[4] == pytest.approx(1.0 / math.sinh(PI), rel=1e-14)
     assert row[5] <= 1e-8 * (1.0 + abs(row[4]))
     assert row[5] >= max(abs(row[2] - row[4]), abs(row[3] - row[4]))
+
+
+def test_kernel_tol_sets_the_image_sum_target(capsys):
+    _, out, _ = run(capsys, "kernel", "--t", "0.1,1", "--format", "json")
+    default = json.loads(out)["rows"]
+    code, out, _ = run(capsys, "kernel", "--t", "0.1,1", "--tol", "1e-3", "--format", "json")
+    assert code == EXIT_OK
+    loose = json.loads(out)["rows"]
+    for a, b in zip(loose, default):
+        assert a["image_sum_bound"] <= 1e-3
+        assert b["image_sum_bound"] <= 1e-11
+        assert a["image_sum_terms"] < b["image_sum_terms"]
+        assert abs(a["image_sum"] - a["closed_form"]) <= a["image_sum_bound"]
+        # the mode sums stop on their own term floor
+        assert (a["mode_sum_terms"], a["mode_sum_bound"]) == (b["mode_sum_terms"], b["mode_sum_bound"])
 
 
 def test_kernel_default_grid(capsys):

@@ -286,6 +286,63 @@ def test_twisted_orbit_sum_converges_to_closed_form():
         assert abs(out2.value - target) < abs(out.value - target) / 10.0 + 1e-12
 
 
+def test_twisted_orbit_sum_bound_holds_at_every_angle():
+    # Undamped, the orbit sum is the Bernoulli parabola itself, and its
+    # tail-completed bound must cover the error at every holonomy angle.
+    for theta in np.linspace(0.0, 2.0 * PI, 201):
+        out = twisted_energy_orbit_sum(float(theta), 1.0)
+        err = abs(out.value - twisted_energy(float(theta), 1.0))
+        assert err <= out.truncation_bound, theta
+        assert out.truncation_bound <= 1e-12
+        assert out.terms_used < 1000
+
+
+# ---------------------------------------------------------------------------
+# Past the overflow point of sinh: exponent-scaled forms.
+# ---------------------------------------------------------------------------
+
+
+def _mp_interval_parts(geom, t, x):
+    """(periodic, boundary) of the xi = 1/4 regularized density in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        length = mpmath.mpf(geom.length)
+        z = mpmath.pi * t / (2 * length)
+        p = mpmath.pi * x / length
+        sh2, sp2 = mpmath.sinh(z) ** 2, mpmath.sin(p) ** 2
+        pref = (-1) ** geom.l * mpmath.pi / (8 * length**2)
+        if geom.like_ends:
+            per = 1 / sh2 - 1 / z**2
+            bdry = pref * (mpmath.cos(2 * p) * sh2 - sp2) / (sh2 + sp2) ** 2
+        else:
+            per = mpmath.cosh(z) / sh2 - 1 / z**2
+            bdry = pref * mpmath.cos(p) * mpmath.cosh(z) * (sh2 - sp2) / (sh2 + sp2) ** 2
+        return float(mpmath.pi / (8 * length**2) * per), float(bdry)
+
+
+@pytest.mark.parametrize(
+    "geom", [Interval(1.0, DIRICHLET, DIRICHLET), Interval(1.0, DIRICHLET, NEUMANN)], ids=str
+)
+@pytest.mark.parametrize("t", [114.0, 250.0, 460.0])
+def test_interval_density_far_past_the_length_scale(geom, t):
+    out = energy_density_regularized(geom, t, 0.5 if geom.like_ends else 0.3)
+    per, bdry = _mp_interval_parts(geom, t, 0.5 if geom.like_ends else 0.3)
+    assert out.periodic == pytest.approx(per, rel=1e-14)
+    assert out.boundary == pytest.approx(bdry, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "geom", [Interval(1.0, DIRICHLET, DIRICHLET), Interval(1.0, DIRICHLET, NEUMANN)], ids=str
+)
+def test_interval_energy_far_past_the_length_scale(geom):
+    # E(t) - Weyl -> -(pi/8L) (2L/pi t)^2 = -L/(2 pi t^2): the Weyl term cancels.
+    t = 460.0
+    out = total_energy_regularized(geom, t)
+    assert out.periodic == pytest.approx(-1.0 / (2.0 * PI * t * t), rel=1e-14)
+    assert out.weyl + out.periodic == pytest.approx(0.0, abs=1e-300)
+
+
 # ---------------------------------------------------------------------------
 # Per-orbit energies: regulator independence.
 # ---------------------------------------------------------------------------

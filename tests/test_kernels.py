@@ -84,8 +84,8 @@ def test_all_routes_hit_the_brute_mode_sum(geometry, t):
     for method in ROUTES:
         got = cylinder_kernel(geometry, t, x, method=method)
         # Each route must honour its own error claim; the image route's
-        # analytic tail completion carries an Euler-Maclaurin remainder
-        # (~1e-11 at the default depth), the others are at float rounding.
+        # tail completion carries its remainder and rounding bound
+        # (~1e-12 at the default tol), the others are at float rounding.
         budget = 2.0 * got.truncation_bound + 1e-12
         assert abs(got.value - ref) <= budget, (method, got.value - ref, budget)
 
@@ -139,6 +139,72 @@ def test_twisted_off_diagonal_matches_direct_mode_sum():
     ref = complex(np.sum(np.exp(1j * k * (x - y)) * np.exp(-np.abs(k) * t)) / length)
     got = cylinder_kernel(TwistedCircle(length, theta), t, x, y)
     assert got.value == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05, 2.2, PI])
+@pytest.mark.parametrize("t", [0.05, 0.4, 1.0])
+def test_twisted_off_diagonal_image_sum_meets_its_bound(theta, t):
+    # Same independent mode sum; the image lattice is tail-completed for
+    # every theta, including theta = 0 where its weights are real.
+    length, x, y = 1.0, 0.85, 0.37
+    j = np.arange(-20000, 20001)
+    k = (2.0 * PI * j + theta) / length
+    ref = complex(np.sum(np.exp(1j * k * (x - y)) * np.exp(-np.abs(k) * t)) / length)
+    got = cylinder_kernel(TwistedCircle(length, theta), t, x, y, method=IMAGE_SUM)
+    assert isinstance(got.value, complex)
+    assert abs(got.value - ref) <= got.truncation_bound + 1e-13
+    assert got.truncation_bound <= 1e-12
+    assert got.terms_used <= 1000
+
+
+def test_mixed_ends_image_sum_on_the_verify_grid():
+    # The D/N lattice alternates; both tails are completed, so the image
+    # route meets the closed form to rounding over the registry's grid.
+    geom = Interval(1.0, DIRICHLET, NEUMANN)
+    worst = 0.0
+    for t in np.geomspace(1e-2, 1.0, 20):
+        for x in np.linspace(0.05, 0.95, 20):
+            closed = cylinder_kernel(geom, float(t), float(x)).value
+            image = cylinder_kernel(geom, float(t), float(x), method=IMAGE_SUM)
+            err = abs(image.value - closed)
+            assert err <= image.truncation_bound
+            worst = max(worst, err / (1.0 + abs(closed)))
+    assert worst <= 1e-13
+
+
+def test_image_sum_cap_gives_a_larger_honest_bound():
+    geom = Interval(1.0, DIRICHLET, NEUMANN)
+    closed = cylinder_kernel(geom, 0.5, 0.3, 0.6).value
+    capped = cylinder_kernel(geom, 0.5, 0.3, 0.6, IMAGE_SUM, SeriesControl(max_terms=3))
+    assert capped.terms_used == 14
+    assert 1e-10 < capped.truncation_bound
+    assert abs(capped.value - closed) <= capped.truncation_bound
+
+
+@pytest.mark.parametrize(
+    "geometry", [Interval(1.0, DIRICHLET, DIRICHLET), Interval(1.0, NEUMANN, DIRICHLET)], ids=str
+)
+def test_interval_kernel_far_past_the_length_scale(geometry):
+    # Past t/L ~ 226 sinh(pi t/2L)^2 overflows; the scaled closed form
+    # returns the ground-state asymptote (2/L) e^{-omega_0 t} phi_0(x) phi_0(y).
+    t, x, y = 227.0, 0.5, 0.3
+    omega0 = PI if geometry.left is geometry.right else PI / 2.0
+    phi = math.sin if geometry.left is DIRICHLET else math.cos
+    want = 2.0 * math.exp(-omega0 * t) * phi(omega0 * x) * phi(omega0 * y)
+    got = cylinder_kernel(geometry, t, x, y)
+    assert got.value == pytest.approx(want, rel=1e-9)
+    image = cylinder_kernel(geometry, t, x, y, method=IMAGE_SUM)
+    assert math.isfinite(image.value)
+    assert abs(image.value - got.value) <= image.truncation_bound
+
+
+def test_interval_trace_far_past_the_length_scale():
+    t = 460.0
+    assert cylinder_trace(Interval(1.0, DIRICHLET, NEUMANN), t).value == pytest.approx(
+        math.exp(-PI * t / 2.0), rel=1e-6
+    )
+    assert cylinder_trace(Interval(1.0, DIRICHLET, DIRICHLET), t).value == 0.0
+    assert cylinder_trace(Interval(1.0, NEUMANN, NEUMANN), t).value == 1.0
 
 
 def test_cylinder_kernel_validates_input():

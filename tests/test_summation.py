@@ -16,13 +16,14 @@ from scipy.integrate import quad
 
 from vacuum1d.errors import InvalidParameter, NonConvergent
 from vacuum1d.summation import (
+    EULER_MACLAURIN,
     RAW,
+    SUMMATION_BY_PARTS,
     SeriesControl,
     abel_cos_integral,
     bernoulli_cos_sum,
     bernoulli_sin_sum,
-    cosine_power_tail,
-    lorentzian_cosine_tail,
+    lattice_sum,
     mittag_leffler_sum,
     poisson_check,
     riesz_cesaro2_energy_integrand,
@@ -258,46 +259,118 @@ def test_poisson_check_validates_domain():
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin cosine tails
+# Tail-completed lattice sums
 # ---------------------------------------------------------------------------
+
+
+def lattice_reference(step, d, t, theta, k):
+    """sum_m e^{i m theta} (step m + d - i t)^-k at 30 digits from the
+    partial fractions sum_m e^{i m theta}/(m + b) = pi e^{i (pi - theta) b}
+    / sin(pi b) (0 < theta < 2 pi; pi cot(pi b) at theta = 0, summed
+    symmetrically), differentiated k - 1 times in b."""
+    with mpmath.workdps(30):
+        b = (mpmath.mpf(d) - 1j * mpmath.mpf(t)) / step
+        th = mpmath.mpf(theta) % (2 * mpmath.pi)
+        if th == 0:
+            f = lambda v: mpmath.pi * mpmath.cot(mpmath.pi * v)  # noqa: E731
+        else:
+            f = lambda v: (  # noqa: E731
+                mpmath.pi * mpmath.exp(1j * (mpmath.pi - th) * v) / mpmath.sin(mpmath.pi * v)
+            )
+        total = (-1) ** (k - 1) / mpmath.factorial(k - 1) * mpmath.diff(f, b, k - 1)
+        return complex(total / mpmath.mpf(step) ** k)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 0.09, 0.11, 2.73496, PI])
+@pytest.mark.parametrize("k", [1, 2])
+def test_lattice_sum_meets_its_bound_against_mpmath(k, theta):
+    for step, d, t in [
+        (1.0, 0.0, 0.01), (1.0, 0.37, 1.0), (2.0, 0.3, 0.5), (2.0, -1.7, 1e-4),
+        (0.7, 2.6, 3.0), (2.0, 1.1, -0.2), (1.0, 0.25, 40.0),
+    ]:
+        got = lattice_sum(step, d, t, theta, k)
+        want = lattice_reference(step, d, t, theta, k)
+        assert abs(got.value - want) <= got.truncation_bound, (step, d, t)
+        assert got.truncation_bound <= 1e-12 * max(1.0, abs(want)) + 1e-11
+        assert got.method_tag == (EULER_MACLAURIN if theta < 0.1 else SUMMATION_BY_PARTS)
+        assert got.terms_used <= 1001
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, 1.7, PI])
 @pytest.mark.parametrize("power", [2, 4])
 def test_cosine_power_tail_matches_exact_remainder(theta, power):
-    a = 10001
-    n = np.arange(1, a, dtype=float)
-    head = float(np.sum(np.cos(n * theta) / n**power))
-    exact_tail = cos_power_total(theta, power) - head
-    # Documented remainder envelope of the correction ladder.
-    budget = 2.0 * PI**5 / (30240.0 * a**power) + 1e-13
-    assert cosine_power_tail(theta, a, power) == pytest.approx(exact_tail, abs=budget)
+    # sum_{m != 0} e^{i m theta} / m^p = 2 sum_{n >= 1} cos(n theta)/n^p;
+    # the completed tails carry it to the Bernoulli total.
+    got = lattice_sum(1.0, 0.0, 0.0, theta, power, skip_zero=True)
+    assert got.terms_used < 1000
+    assert abs(got.value - 2.0 * cos_power_total(theta, power)) <= got.truncation_bound
+    assert got.truncation_bound <= 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0, 3.0416, PI])
 @pytest.mark.parametrize("c,a", [(0.05, 4001), (0.3, 4001), (1.0, 10001)])
 def test_lorentzian_cosine_tail_error_bound_is_honest(theta, c, a):
     # Exact total from the Mittag-Leffler expansion of cosh((pi-theta)c):
-    # sum_{n>=1} cos(n theta)/(n^2+c^2)
-    #   = (pi/(2c)) cosh((pi-theta)c)/sinh(pi c) - 1/(2c^2).
+    # sum_{n in Z} cos(n theta)/(n^2+c^2) = (pi/c) cosh((pi-theta)c)/sinh(pi c),
+    # summed as [(n - ic)^-1 - (n + ic)^-1] / (2ic) with windings capped at a.
     with mpmath.workdps(40):
         cc = mpmath.mpf(c)
         total = float(
-            (mpmath.pi / (2 * cc))
-            * mpmath.cosh((mpmath.pi - theta) * cc)
-            / mpmath.sinh(mpmath.pi * cc)
-            - 1 / (2 * cc * cc)
+            (mpmath.pi / cc) * mpmath.cosh((mpmath.pi - theta) * cc) / mpmath.sinh(mpmath.pi * cc)
         )
-    head = math.fsum(math.cos(n * theta) / (n * n + c * c) for n in range(1, a))
-    value, bound = lorentzian_cosine_tail(theta, c, a)
-    assert abs(value - (total - head)) <= bound + 5e-15
+    control = SeriesControl(max_terms=a)
+    plus = lattice_sum(1.0, 0.0, c, theta, 1, control)
+    minus = lattice_sum(1.0, 0.0, -c, theta, 1, control)
+    value = (plus.value - minus.value) / (2j * c)
+    bound = (plus.truncation_bound + minus.truncation_bound) / (2.0 * c)
+    assert abs(value - total) <= bound
+    assert plus.terms_used < a
 
 
-def test_lorentzian_cosine_tail_degrades_outside_expansion_range():
-    # Width comparable to the start index: no expansion, crude honest bound.
-    value, bound = lorentzian_cosine_tail(1.0, 50.0, 100)
-    assert value == 0.0
-    assert bound >= sum(1.0 / (n * n + 2500.0) for n in range(100, 100000))
+def test_lattice_sum_at_a_tiny_cap_reports_a_larger_honest_bound():
+    want = lattice_reference(2.0, 0.3, 0.5, PI, 1)
+    full = lattice_sum(2.0, 0.3, 0.5, PI)
+    capped = lattice_sum(2.0, 0.3, 0.5, PI, control=SeriesControl(max_terms=8))
+    assert capped.terms_used == 17 < full.terms_used
+    assert capped.truncation_bound > 1e3 * full.truncation_bound
+    assert abs(capped.value - want) <= capped.truncation_bound
+
+
+def test_lattice_sum_near_the_pole_stops_on_rounding_not_the_cap():
+    # At t = 1e-6 the m = 0 term is 1e6 and the rounding of the direct sum
+    # alone exceeds tol; W must not be doubled to chase it.
+    got = lattice_sum(2.0, 0.0, 1e-6, 0.0)
+    want = lattice_reference(2.0, 0.0, 1e-6, 0.0, 1)
+    assert got.terms_used < 200
+    assert abs(got.value - want) <= got.truncation_bound
+    assert got.truncation_bound < 1e-8
+
+
+def test_lattice_sum_tol_sets_the_windings():
+    loose = lattice_sum(1.0, 0.3, 0.5, 2.0, control=SeriesControl(tol=1e-4))
+    tight = lattice_sum(1.0, 0.3, 0.5, 2.0)
+    assert loose.terms_used < tight.terms_used
+    assert loose.truncation_bound <= 1e-4
+    assert abs(loose.value - tight.value) <= loose.truncation_bound + tight.truncation_bound
+
+
+def test_lattice_sum_reduces_far_displacements():
+    # d = 40.3 steps away: the lattice is shifted and the phase restored.
+    got = lattice_sum(1.0, 40.3, 0.2, 2.0)
+    assert abs(got.value - lattice_reference(1.0, 40.3, 0.2, 2.0, 1)) <= got.truncation_bound
+
+
+def test_lattice_sum_rejects_bad_input():
+    with pytest.raises(InvalidParameter):
+        lattice_sum(0.0, 0.1, 0.1)
+    with pytest.raises(InvalidParameter):
+        lattice_sum(1.0, math.nan, 0.1)
+    with pytest.raises(InvalidParameter):
+        lattice_sum(1.0, 0.1, 0.1, k=0)
+    with pytest.raises(InvalidParameter):
+        lattice_sum(1.0, 2.0, 0.0)  # the m = -2 term is 1/0
+    with pytest.raises(InvalidParameter):
+        lattice_sum(1.0, 2.0, 0.0, skip_zero=True)
 
 
 def test_series_control_defaults():
