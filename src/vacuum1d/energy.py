@@ -106,19 +106,45 @@ def _g_odd(z: float) -> float:
     return math.cosh(z) / (s * s) - 1.0 / (z * z)
 
 
+# Small-t series of the twisted E(t) - Weyl (see below): row j - 1 holds
+# the coefficients (2j - 1)/(2j)! C(2j, 2i) B_2i(1/2) of beta^(2j - 2i),
+# i = 0..j, so B_2j(1/2 + beta) is a polynomial in beta^2, highest power
+# first; B_2i(1/2) = (2^(1 - 2i) - 1) B_2i, and j runs to 12.
+_BERNOULLI_HALF = (1.0,) + tuple(
+    (2.0 ** (1 - 2 * i) - 1.0) * b for i, b in enumerate(summation._BERNOULLI_EVEN, start=1)
+)
+_TWISTED_SERIES = tuple(
+    tuple(
+        (2 * j - 1) / math.factorial(2 * j) * math.comb(2 * j, 2 * i) * _BERNOULLI_HALF[i]
+        for i in range(j + 1)
+    )
+    for j in range(1, len(_BERNOULLI_HALF))
+)
+
+
 def _twisted_periodic_regularized(length: float, theta: float, t: float) -> float:
     """E(t) - Weyl for the twisted circle, stable at small and large t.
 
     E(t) = [b cosh(at) cosh(bt) - a sinh(at) sinh(bt)] / (2 sinh^2(bt))
     with a = (pi - theta)/L, b = pi/L (theta normalized to [0, 2 pi)).
+    Below bt = 0.6, where subtracting the Weyl part 1/(2 b t^2) would
+    cost more than 1e-14 relative, it is the series
+    -2b sum_j (2j - 1) B_2j(1/2 + beta) (2bt)^(2j - 2) / (2j)!,
+    beta = a / 2b, to j = 12: its terms shrink like (bt/pi)^2j, so the
+    truncation is below 1e-15 relative there.
     """
     a = (PI - theta) / length
     b = PI / length
     bt = b * t
-    if bt < 0.05:
-        c2 = b / 12.0 - a * a / (4.0 * b)
-        c4 = -(a**4) / 8.0 + a * a * b * b / 4.0 - 7.0 * b**4 / 120.0
-        return c2 + t * t * c4 / (2.0 * b)
+    if bt < 0.6:
+        beta2, tau2 = (0.5 * a / b) ** 2, (2.0 * bt) ** 2
+        total = 0.0
+        for row in reversed(_TWISTED_SERIES):
+            coef = 0.0
+            for c in row:
+                coef = coef * beta2 + c
+            total = total * tau2 + coef
+        return -2.0 * b * total
     if bt > 300.0:
         return 0.5 * (b - a) * math.exp((a - b) * t) - 1.0 / (2.0 * b * t * t)
     sh = math.sinh(bt)

@@ -53,6 +53,12 @@ CLOSED_FORM = "closed-form"
 
 # Drop mode-sum terms with e^{-t omega} (or e^{-t omega^2}) below this.
 _TERM_FLOOR = 1e-16
+_EPS = 2.0**-52
+# Mode sums bound their rounding by this many eps times the envelope
+# sum_j e^{-t omega_j} (1 + omega_j (t + |x| + |y|)) (see _mode_rounding);
+# the deviation from exact values, scanned over (t, x, y) grids of every
+# geometry, reaches 1.55 of these units.
+_MODE_ROUNDING = 4.0
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,21 @@ def _interval_mode_sum(
     # Geometric tail bound: remaining terms < (2/L) e^{-t omega} summed.
     last = om[-1] if om.size else 0.0
     tail = (2.0 / geom.length) * math.exp(-t * (last + step)) / (-math.expm1(-t * step))
-    return KernelValue(val, MODE_SUM, int(om.size), tail)
+    first = float(om[0]) if om.size else 0.0
+    rounding = (2.0 / geom.length) * _mode_rounding(t, first, step, t + x + y)
+    return KernelValue(val, MODE_SUM, int(om.size), tail + rounding)
+
+
+def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
+    """Rounding bound of a mode sum over the ladder omega_j = first + j step,
+    per unit mode amplitude.  Each term e^{-t omega} phi(x) phi(y)* is off
+    by a few eps of itself, and by eps of omega t, omega x and omega y in
+    its arguments, so the bound is _MODE_ROUNDING eps times
+    sum_{j>=0} e^{-t omega_j} (1 + omega_j reach), reach = t + |x| + |y|,
+    summed in closed form."""
+    q, gap = math.exp(-t * step), -math.expm1(-t * step)
+    envelope = (1.0 + first * reach) / gap + step * reach * q / (gap * gap)
+    return _MODE_ROUNDING * _EPS * math.exp(-t * first) * envelope
 
 
 def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> KernelValue:
@@ -169,10 +189,16 @@ def _twisted_mode_sum(
         + np.sum(np.exp(-t * np.abs(km)) * np.exp(1j * km * d))
     ) / length
     tail = (2.0 / length) * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
+    # Right movers start at |k| = theta/L, left movers at (2 pi - theta)/L.
+    reach = t + abs(x) + abs(y)
+    bound = tail + (
+        _mode_rounding(t, theta / length, step, reach)
+        + _mode_rounding(t, (TWO_PI - theta) / length, step, reach)
+    ) / length
     terms = int(n_plus + n_minus)
     if x == y:
-        return KernelValue(float(val.real), MODE_SUM, terms, tail)
-    return KernelValue(complex(val), MODE_SUM, terms, tail)
+        return KernelValue(float(val.real), MODE_SUM, terms, bound)
+    return KernelValue(complex(val), MODE_SUM, terms, bound)
 
 
 def _lorentzian(t: float, d: np.ndarray | float) -> np.ndarray | float:

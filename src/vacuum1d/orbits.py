@@ -13,7 +13,13 @@ from the reflection parities and, on the twisted circle, a holonomy phase
 
 Truncation at ``max_winding = W`` keeps periodic windings ``|n| <= W`` and
 the boundary-odd pairs ``n in [-W, W-1]`` (reflection counts ``|2n+1|``),
-which pairs the members whose tails cancel.
+which pairs the members whose tails cancel.  The spectral sums below take
+W = ``SeriesControl.max_terms``.  Along each family the orbit lengths
+step arithmetically (2nL, 2(x + nL), nL), so with the phase, the sign
+and the Abel factor ``e^{-s length}`` every truncated series is a finite
+geometric series, summed in closed form (:func:`_geometric_sum`).  Only
+``local_counting``, whose boundary images carry ``1/(x + nL)`` weights,
+sums its 2W terms one by one.
 
 Sign conventions (l, r the parity indices, Dirichlet = 1):
 
@@ -29,6 +35,7 @@ global density is a pure delta atom at omega = 0, kept as a tagged
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,7 +44,7 @@ import numpy as np
 from . import spectrum, summation
 from .errors import ContinuousSpectrum, InvalidParameter, OutOfDomain, UnsupportedGeometry
 from .spectrum import Geometry, HalfLine, Interval, TwistedCircle
-from .summation import ABEL, CLOSED_FORM, RAW, SeriesControl, SeriesValue
+from .summation import ABEL, CLOSED_FORM, RAW, TWO_PI, SeriesControl, SeriesValue
 
 DIRECT = "direct"
 PERIODIC = "periodic"
@@ -162,26 +169,94 @@ def enumerate_orbits(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized orbit arrays (no per-term objects) for the series below.
+# Orbit series in closed form.  The windings of each family have lengths in
+# arithmetic progression, so with the phase, the sign and the Abel factor
+# every truncated series is a finite geometric series.
 # ---------------------------------------------------------------------------
+
+# 2 pi minus the double nearest it.
+_TWO_PI_LO = 2.4492935982947064e-16
 
 
 def _interval_windings(control: SeriesControl) -> int:
     return int(control.max_terms)
 
 
-def _interval_periodic_arrays(
-    geom: Interval, w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positive windings n = 1..W: lengths 2nL and signs (the n and -n
-    members carry equal sign and cosine, so sums fold to twice these)."""
-    n = np.arange(1, w + 1, dtype=float)
-    lengths = 2.0 * n * geom.length
-    if (geom.l + geom.r) % 2 == 0:
-        signs = np.ones_like(n)
-    else:
-        signs = np.where(np.arange(1, w + 1) % 2 == 0, 1.0, -1.0)
-    return lengths, signs
+def _angle(*parts: float) -> float:
+    """The exact sum of ``parts`` reduced mod 2 pi to about [-pi, pi].
+
+    Each part is reduced exactly by ``math.remainder`` against the double
+    nearest 2 pi, the turns it took are charged the low part of 2 pi that
+    the double drops, and ``math.fsum`` adds the pieces.  The result is
+    good to an ulp or two of itself even next to a multiple of 2 pi, where
+    a W-term undamped sum moves by up to W^2/2 per radian of phase error.
+    """
+    reduced = [math.remainder(p, TWO_PI) for p in parts]
+    turns = sum(round((p - r) / TWO_PI) for p, r in zip(parts, reduced))
+    extra = round(math.fsum(reduced) / TWO_PI)
+    return math.fsum(reduced + [-extra * TWO_PI, -(turns + extra) * _TWO_PI_LO])
+
+
+def _one_minus_exp(decay: float, angle: float) -> complex:
+    """1 - e^{-decay + i angle} without cancellation as both go to 0."""
+    damp = math.exp(-decay)
+    return complex(
+        -math.expm1(-decay) + 2.0 * damp * math.sin(0.5 * angle) ** 2,
+        -damp * math.sin(angle),
+    )
+
+
+def _geometric_sum(phase: float, decay: float, first: int, count: int) -> complex:
+    """sum_{n=first}^{first+count-1} e^{n (i phase - decay)} in closed form,
+    q^first (1 - q^count) / (1 - q) with q = e^{-decay + i phase}."""
+    angle = _angle(phase)
+    if angle == 0.0 and decay == 0.0:
+        return complex(count)
+    head = cmath.exp(complex(-decay, angle)) ** first
+    tail = _one_minus_exp(count * decay, math.remainder(count * angle, TWO_PI))
+    return head * tail / _one_minus_exp(decay, angle)
+
+
+def _half_turn(phase: float) -> float:
+    """phase + pi, exactly reduced: the sign (-1)^n as a phase."""
+    return _angle(phase, math.pi, 0.5 * _TWO_PI_LO)
+
+
+def _interval_periodic_sum(geom: Interval, omega: float, s: float, w: int) -> float:
+    """sum_{n=1}^{W} sign_n cos(2 n omega L) e^{-2 n s L}: the windings
+    n > 0 (the n and -n members are equal, so sums fold to twice this)."""
+    phase = 2.0 * omega * geom.length
+    if not geom.like_ends:
+        phase = _half_turn(phase)
+    return _geometric_sum(phase, 2.0 * s * geom.length, 1, w).real
+
+
+def _interval_boundary_sum(
+    geom: Interval, omega: float, x: float, s: float, w: int
+) -> float:
+    """sum_{n=-W}^{W-1} sign_n cos(2 omega |x + nL|) e^{-2 s |x + nL|}.
+
+    Windings n = m >= 0 have |x + nL| = x + mL and n = -1 - m have
+    (L - x) + mL, so both halves are one geometric series in m, started
+    at x and at L - x (for mixed ends the second start carries (-1)^1).
+    """
+    length = geom.length
+    phase, parity = 2.0 * omega * length, 1.0
+    if not geom.like_ends:
+        phase, parity = _half_turn(phase), -1.0
+    k = complex(-2.0 * s, 2.0 * omega)
+    starts = cmath.exp(k * x) + parity * cmath.exp(k * (length - x))
+    series = _geometric_sum(phase, 2.0 * s * length, 0, w)
+    return (-1.0) ** geom.l * (starts * series).real
+
+
+def _twisted_periodic_sum(geom: TwistedCircle, omega: float, s: float, w: int) -> float:
+    """sum_{n=1}^{W} cos(n theta) cos(n omega L) e^{-n s L}, half the real
+    part of the two geometric series with steps omega L +/- theta."""
+    phase, decay = omega * geom.length, s * geom.length
+    plus = _geometric_sum(_angle(phase, geom.theta), decay, 1, w)
+    minus = _geometric_sum(_angle(phase, -geom.theta), decay, 1, w)
+    return 0.5 * (plus + minus).real
 
 
 def _interval_boundary_arrays(
@@ -212,8 +287,8 @@ def green_im_diag(
     the Cesaro envelope heuristic ``1/(2 omega N Lmin)`` with Lmin the
     shortest nonzero orbit length.
     """
-    if not (omega > 0.0):
-        raise InvalidParameter("omega must be positive")
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
     s = control.damping_t
     w = _interval_windings(control)
@@ -228,29 +303,28 @@ def green_im_diag(
             method_tag=ABEL if s > 0.0 else RAW,
         )
     if isinstance(geometry, Interval):
-        lengths_p, signs_p = _interval_periodic_arrays(geometry, w)
-        disp_b, signs_b = _interval_boundary_arrays(geometry, x, w)
-        terms_p = signs_p * np.cos(omega * lengths_p) * np.exp(-lengths_p * s)
-        lb = 2.0 * np.abs(disp_b)
-        terms_b = signs_b * np.cos(omega * lb) * np.exp(-lb * s)
-        val = (1.0 + 2.0 * float(np.sum(terms_p)) + float(np.sum(terms_b))) / (
-            2.0 * omega
-        )
-        last = 2.0 * abs(terms_p[-1]) + abs(terms_b[0]) + abs(terms_b[-1])
-        lmin = min(2.0 * geometry.length, float(np.min(lb)))
+        length = geometry.length
+        per = _interval_periodic_sum(geometry, omega, s, w)
+        bdry = _interval_boundary_sum(geometry, omega, x, s, w)
+        val = (1.0 + 2.0 * per + bdry) / (2.0 * omega)
+        if s > 0.0:
+            # The last members kept: periodic n = W, boundary n = -W and W - 1.
+            lp = 2.0 * w * length
+            last = 2.0 * abs(np.cos(omega * lp) * np.exp(-lp * s))
+            for n in (-w, w - 1):
+                lb = 2.0 * abs(x + n * length)
+                last += abs(np.cos(omega * lb) * np.exp(-lb * s))
+        lmin = min(2.0 * length, 2.0 * x, 2.0 * abs(x - length))
         nterms = 4 * w + 1
     else:
-        n = np.arange(1, w + 1, dtype=float)
-        lengths = n * geometry.length
-        terms_p = np.cos(n * geometry.theta) * np.cos(omega * lengths) * np.exp(
-            -lengths * s
-        )
-        val = (1.0 + 2.0 * float(np.sum(terms_p))) / (2.0 * omega)
-        last = 2.0 * abs(terms_p[-1])
+        val = (1.0 + 2.0 * _twisted_periodic_sum(geometry, omega, s, w)) / (2.0 * omega)
+        if s > 0.0:
+            lw = w * geometry.length
+            last = 2.0 * abs(np.cos(w * geometry.theta) * np.cos(omega * lw) * np.exp(-lw * s))
         lmin = geometry.length
         nterms = 2 * w + 1
     if s > 0.0:
-        return SeriesValue(val, nterms, last / (2.0 * omega), ABEL)
+        return SeriesValue(val, nterms, float(last / (2.0 * omega)), ABEL)
     return SeriesValue(val, nterms, 1.0 / (2.0 * omega * max(1, w) * lmin), RAW)
 
 
@@ -267,8 +341,8 @@ def local_spectral_density(
     ``exp(-s * length)``, equivalent to smoothing sigma in omega with a
     Lorentzian of width s.
     """
-    if not (omega > 0.0):
-        raise InvalidParameter("omega must be positive")
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
     s = control.damping_t
     w = _interval_windings(control)
@@ -283,15 +357,8 @@ def local_spectral_density(
             boundary=SeriesValue(b, 1, 0.0, tag),
         )
     if isinstance(geometry, Interval):
-        lengths_p, signs_p = _interval_periodic_arrays(geometry, w)
-        per = (2.0 / math.pi) * float(
-            np.sum(signs_p * np.cos(omega * lengths_p) * np.exp(-lengths_p * s))
-        )
-        disp_b, signs_b = _interval_boundary_arrays(geometry, x, w)
-        lb = 2.0 * np.abs(disp_b)
-        bdry = (1.0 / math.pi) * float(
-            np.sum(signs_b * np.cos(omega * lb) * np.exp(-lb * s))
-        )
+        per = (2.0 / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
+        bdry = (1.0 / math.pi) * _interval_boundary_sum(geometry, omega, x, s, w)
         pb = (
             math.exp(-s * 2.0 * w * geometry.length) / (math.pi * w)
             if s > 0.0
@@ -302,13 +369,7 @@ def local_spectral_density(
             periodic=SeriesValue(per, w, pb, tag),
             boundary=SeriesValue(bdry, 2 * w, pb, tag),
         )
-    n = np.arange(1, w + 1, dtype=float)
-    lengths = n * geometry.length
-    per = (2.0 / math.pi) * float(
-        np.sum(
-            np.cos(n * geometry.theta) * np.cos(omega * lengths) * np.exp(-lengths * s)
-        )
-    )
+    per = (2.0 / math.pi) * _twisted_periodic_sum(geometry, omega, s, w)
     pb = math.exp(-s * w * geometry.length) / (math.pi * w) if s > 0.0 else 2.0 / (math.pi * w)
     return LocalDensity(
         average=1.0 / math.pi,
@@ -336,8 +397,8 @@ def global_density_decomposition(
     single wall gives the atom ``(-1)^l/4 delta(omega)``, returned
     symbolically.
     """
-    if not (omega > 0.0):
-        raise InvalidParameter("omega must be positive")
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise InvalidParameter("omega must be positive and finite")
     s = control.damping_t
     w = _interval_windings(control)
     tag = ABEL if s > 0.0 else RAW
@@ -350,10 +411,7 @@ def global_density_decomposition(
         )
     if isinstance(geometry, Interval):
         length = geometry.length
-        lengths_p, signs_p = _interval_periodic_arrays(geometry, w)
-        per = (2.0 * length / math.pi) * float(
-            np.sum(signs_p * np.cos(omega * lengths_p) * np.exp(-lengths_p * s))
-        )
+        per = (2.0 * length / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
         pb = (
             (2.0 * length / math.pi) * math.exp(-s * 2.0 * w * length)
             if s > 0.0
@@ -378,11 +436,8 @@ def global_density_decomposition(
             boundary=bdry,
             boundary_atom=atom,
         )
-    length, theta = geometry.length, geometry.theta
-    n = np.arange(1, w + 1, dtype=float)
-    per = (2.0 * length / math.pi) * float(
-        np.sum(np.cos(n * theta) * np.cos(omega * n * length) * np.exp(-n * length * s))
-    )
+    length = geometry.length
+    per = (2.0 * length / math.pi) * _twisted_periodic_sum(geometry, omega, s, w)
     pb = (
         (2.0 * length / math.pi) * math.exp(-s * w * length)
         if s > 0.0
@@ -416,8 +471,8 @@ def local_counting(
 
     The two agree as the winding cutoff grows (Poisson summation).
     """
-    if not (omega > 0.0):
-        raise InvalidParameter("omega must be positive")
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
     if method == DIRICHLET_KERNEL:
         if not (

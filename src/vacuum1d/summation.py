@@ -45,10 +45,13 @@ class SeriesControl:
     ----------
     max_terms : int
         Cap on the retained terms: windings per side of a
-        :func:`lattice_sum` (image and orbit series), modes of a mode sum,
-        windings of the Abel-damped orbit sums.  Tail-completed lattice
-        sums rarely come near it; at the cap they return their larger
-        bound instead of raising.
+        :func:`lattice_sum` (image series and the energy orbit sum) and
+        modes of a mode sum.  Tail-completed lattice sums rarely come near
+        it; at the cap they return their larger bound instead of raising.
+        The spectral-density orbit series of :mod:`vacuum1d.orbits` are
+        not completed and keep exactly this many windings W: geometric
+        series summed in closed form, and the 2W boundary images of
+        ``local_counting`` summed term by term.
     tol : float
         Target absolute accuracy, read by :func:`lattice_sum`: its windings
         grow until the truncation bound is at most ``max(tol, rounding)``.

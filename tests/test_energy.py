@@ -165,6 +165,38 @@ def test_regularized_total_matches_brute_twisted(theta):
     assert total == pytest.approx(brute_total_twisted(1.0, theta, t), rel=1e-12)
 
 
+def _mp_twisted_regularized(length: float, theta: float, t: float) -> float:
+    """E(t) - Weyl for the twisted circle from its closed form, 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = (mpmath.pi - mpmath.mpf(theta)) / length
+        b = mpmath.pi / length
+        tm = mpmath.mpf(t)
+        num = b * mpmath.cosh(a * tm) * mpmath.cosh(b * tm) - a * mpmath.sinh(
+            a * tm
+        ) * mpmath.sinh(b * tm)
+        return float(num / (2 * mpmath.sinh(b * tm) ** 2) - 1 / (2 * b * tm * tm))
+
+
+@pytest.mark.parametrize("length", [1.0, 0.7])
+@pytest.mark.parametrize("theta", [0.5, PI, 2.7])
+@pytest.mark.parametrize(
+    "u",
+    # pi t / L: small t, both sides of 0.05, and both sides of 0.6, where
+    # the series hands over to the direct formula.
+    [PI * 1e-3, PI * 0.01, PI * 0.015, 0.05 * (1 - 1e-9), 0.05 * (1 + 1e-9),
+     0.6 * (1 - 1e-12), 0.6 * (1 + 1e-12)],
+)
+def test_twisted_regularized_energy_near_and_below_the_series_switch(length, theta, u):
+    t = u * length / PI
+    want = _mp_twisted_regularized(length, theta, t)
+    geom = TwistedCircle(length, theta)
+    assert total_energy_regularized(geom, t).periodic == pytest.approx(want, rel=1e-13)
+    density = energy_density_regularized(geom, t, 0.3)
+    assert density.periodic == pytest.approx(want / length, rel=1e-13)
+
+
 def test_regularized_weyl_term_is_exact():
     out = total_energy_regularized(Interval(2.0, DIRICHLET, DIRICHLET), 0.35)
     assert out.weyl == pytest.approx(2.0 / (2.0 * PI * 0.35**2), rel=1e-15)

@@ -8,6 +8,7 @@ tame) is probed through the fitted 1/t and constant coefficients.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -170,6 +171,60 @@ def test_mixed_ends_image_sum_on_the_verify_grid():
             assert err <= image.truncation_bound
             worst = max(worst, err / (1.0 + abs(closed)))
     assert worst <= 1e-13
+
+
+def mp_mode_sum(geometry, t: float, x: float, y: float) -> complex:
+    """The whole mode sum in closed form at 40 digits: geometric series in
+    the frequencies omega_j = (j + delta) pi/L (interval) or
+    k = (2 pi n + theta)/L (circle), from the exact float inputs."""
+    with mpmath.workdps(40):
+        length, t, x, y = (mpmath.mpf(v) for v in (geometry.length, t, x, y))
+        if isinstance(geometry, TwistedCircle):
+            theta, d = mpmath.mpf(geometry.theta), x - y
+            right = (t - 1j * d) / length  # k > 0: n >= 0
+            left = (t + 1j * d) / length  # k < 0: n >= 1
+            val = mpmath.exp(-right * theta) / (1 - mpmath.exp(-2 * mpmath.pi * right))
+            val += mpmath.exp(left * (theta - 2 * mpmath.pi)) / (
+                1 - mpmath.exp(-2 * mpmath.pi * left)
+            )
+            return complex(val / length)
+        # phi_j(x) phi_j(y) = (1/L)[cos(omega (x - y)) -/+ cos(omega (x + y))],
+        # minus for a Dirichlet left end; a like-ends j = 0 term counts half.
+        delta = 0 if geometry.like_ends else mpmath.mpf(1) / 2
+        half = mpmath.mpf(1) / 2 if geometry.like_ends else 0
+
+        def series(d):
+            z = mpmath.pi * (-t + 1j * d) / length
+            return mpmath.exp(z * delta) / (1 - mpmath.exp(z)) - half
+
+        sign = -1 if geometry.left is DIRICHLET else 1
+        return complex(mpmath.re(series(x - y) + sign * series(x + y)) / length)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        Interval(1.0, DIRICHLET, DIRICHLET),
+        Interval(0.6, DIRICHLET, NEUMANN),
+        Interval(2.5, NEUMANN, DIRICHLET),
+        Interval(1.0, NEUMANN, NEUMANN),
+        TwistedCircle(1.0, 0.0),
+        TwistedCircle(2.5, PI),
+        TwistedCircle(1.0, 2.2),
+    ],
+    ids=repr,
+)
+def test_mode_sum_bound_covers_its_rounding(geometry):
+    """|mode - exact| <= truncation_bound on a 20 x 20 (t, x) grid, on the
+    diagonal and off it (alternately in the bulk and next to a wall), with
+    no allowance outside the bound."""
+    length = geometry.length
+    for t in np.geomspace(1e-3, 10.0, 20) * length:
+        for i, x in enumerate(np.linspace(0.0, 1.0, 22)[1:-1] * length):
+            for y in (x, 0.37 * length if i % 2 else (1.0 - 1e-5) * length):
+                got = cylinder_kernel(geometry, t, x, y, method=MODE_SUM)
+                err = abs(got.value - mp_mode_sum(geometry, t, x, y))
+                assert err <= got.truncation_bound, (t, x, y, err, got.truncation_bound)
 
 
 def test_image_sum_cap_gives_a_larger_honest_bound():
