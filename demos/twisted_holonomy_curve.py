@@ -12,7 +12,6 @@ at theta/pi = 1 - 1/sqrt(3).
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from vacuum1d import SeriesControl, twisted_energy, twisted_energy_orbit_sum
 
@@ -34,7 +33,11 @@ print(f"E(pi)   = {twisted_energy(PI, 1.0):.8f}   (+pi/12 = {PI / 12:.8f})")
 # The energy changes sign once on (0, pi).  Root-find on the orbit sum
 # itself to show the resummed series, not just the closed form, knows
 # where the parabola crosses.
-root = brentq(lambda th: twisted_energy_orbit_sum(th, 1.0, CTRL).value, 1.0, 1.5)
+lo, hi = 1.0, 1.5  # negative at 1, positive at 1.5: bisect the sign change
+while hi - lo > 1e-12:
+    mid = 0.5 * (lo + hi)
+    lo, hi = (mid, hi) if twisted_energy_orbit_sum(mid, 1.0, CTRL).value < 0.0 else (lo, mid)
+root = 0.5 * (lo + hi)
 print(f"\nzero of the orbit-summed curve: theta/pi = {root / PI:.9f}")
 print(f"1 - 1/sqrt(3)                            = {1 - 1 / math.sqrt(3):.9f}")
 

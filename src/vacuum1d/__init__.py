@@ -88,7 +88,6 @@ from .summation import (
     riesz_cesaro2_energy_integrand,
     telescoping_check,
 )
-from .verify import CheckResult, run_checks
 
 __version__ = "1.0.0"
 
@@ -166,3 +165,13 @@ __all__ = [
     "twisted_energy",
     "twisted_energy_orbit_sum",
 ]
+
+
+def __getattr__(name: str):
+    # The check registry loads on first use, so importing the package (and
+    # every CLI command but ``vacuum verify``) does not pay for it.
+    if name in ("CheckResult", "run_checks"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,9 @@ Exit codes are a stable contract::
 ``--tol`` sets the series target of ``vacuum kernel`` (the image sums
 stop once their truncation bound is below it; the table reports each
 series route's term count and bound) and overrides every check's
-tolerance in ``vacuum verify``.  The environment variable ``VACUUM_TOL``
-supplies its default.
+tolerance in ``vacuum verify``; the other subcommands only record it in
+the metadata header.  The environment variable ``VACUUM_TOL`` supplies
+its default.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .spectrum import (
     eigenvalues,
 )
 from .summation import SeriesControl
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -369,6 +369,8 @@ def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[Table, int]:
+    from .verify import run_checks
+
     results = run_checks(tolerance_override=args.tol)
     rows = [(r.name, r.measured, r.tolerance, r.passed, r.detail) for r in results]
     n_pass = sum(1 for r in results if r.passed)
@@ -428,7 +430,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="number of points for default grids")
     sub.add_argument("--tol", type=float, default=None,
                      help="series target for 'kernel', tolerance override for 'verify' "
-                          "(default: env VACUUM_TOL, else 1e-12 / per-check)")
+                          "(default: env VACUUM_TOL, else 1e-12 / per-check); "
+                          "'energy', 'density', 'spectrum', 'figure' and 'compare' "
+                          "only record it in the metadata header")
     sub.add_argument("--max-terms", dest="max_terms", type=int, default=None,
                      help="series truncation cap for the summed routes")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,

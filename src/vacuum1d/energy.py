@@ -84,26 +84,39 @@ class EnergyBreakdown:
 _SCALED = 170.0
 
 
+def _sinh_excess(z: float) -> float:
+    """(sinh z - z) / z^3 for 0 < z <= _SCALED, free of cancellation: below
+    z = 2 its Taylor series sum_k z^(2k-2) / (2k+1)!, whose terms are all
+    positive; above, where sinh z > 1.8 z, the direct form."""
+    if z > 2.0:
+        return (math.sinh(z) - z) / (z * z * z)
+    z2, term, total, k = z * z, 1.0 / 6.0, 1.0 / 6.0, 1
+    while term > 1e-17 * total:
+        k += 1
+        term *= z2 / ((2 * k) * (2 * k + 1))
+        total += term
+    return total
+
+
 def _g_even(z: float) -> float:
-    """csch^2(z) - 1/z^2, stable for all z > 0."""
-    if z < 0.1:
-        z2 = z * z
-        return -1.0 / 3.0 + z2 * (1.0 / 15.0 + z2 * (-2.0 / 189.0 + z2 / 675.0))
+    """csch^2(z) - 1/z^2, stable for all z > 0.
+
+    With e = (sinh z - z)/z^3 it is -e (2 + z^2 e) / (1 + z^2 e)^2: a
+    product with no difference of nearly equal terms."""
     if z > _SCALED:
         return 4.0 * math.exp(-2.0 * z) - 1.0 / (z * z)
-    s = math.sinh(z)
-    return 1.0 / (s * s) - 1.0 / (z * z)
+    e = _sinh_excess(z)
+    ez = z * z * e
+    return -e * (2.0 + ez) / ((1.0 + ez) * (1.0 + ez))
 
 
 def _g_odd(z: float) -> float:
-    """csch(z) coth(z) - 1/z^2, stable for all z > 0."""
-    if z < 0.05:
-        z2 = z * z
-        return 1.0 / 6.0 + z2 * (-7.0 / 120.0 + z2 * (31.0 / 3024.0))
+    """csch(z) coth(z) - 1/z^2, stable for all z > 0: csch z coth z =
+    csch^2 z + sech^2(z/2)/2, so it is _g_even(z) + sech^2(z/2)/2, where
+    the two parts are -1/3 and 1/2 at z = 0."""
     if z > _SCALED:
         return 2.0 * math.exp(-z) - 1.0 / (z * z)
-    s = math.sinh(z)
-    return math.cosh(z) / (s * s) - 1.0 / (z * z)
+    return _g_even(z) + 0.5 / math.cosh(0.5 * z) ** 2
 
 
 # Small-t series of the twisted E(t) - Weyl (see below): row j - 1 holds

@@ -14,6 +14,10 @@ tails in closed form and stops once its bound meets ``SeriesControl.tol``
 (tens to a few hundred windings).  Geometric resummation of the lattice
 gives elementary closed forms; all three routes must agree, and the
 verify registry holds them to 1e-8 of each other (they agree to ~1e-14).
+The half-line has two routes: its image sum (two Lorentzians) is the
+closed form, and its continuous spectrum turns the mode sum into a
+Fourier integral, evaluated by double-exponential quadrature
+(:func:`vacuum1d.summation.de_quadrature`).
 
 The heat kernel is the same construction for ``e^{-t omega^2}`` with the
 Gaussian free kernel ``(4 pi t)^{-1/2} e^{-(x-y)^2/4t}``; its image sums
@@ -59,6 +63,11 @@ _EPS = 2.0**-52
 # the deviation from exact values, scanned over (t, x, y) grids of every
 # geometry, reaches 1.55 of these units.
 _MODE_ROUNDING = 4.0
+# Half-line mode legs int_0^inf e^{-u} cos(b u) du switch from exp-sinh to
+# the Ooura-Mori rule at this b.  Exp-sinh takes 287 nodes below it, twice
+# that just above and fails outright near b = 30; Ooura-Mori takes 295 from
+# b = 0.03 up, and more below.
+_FOURIER_SWITCH = 0.25
 
 
 @dataclass(frozen=True)
@@ -139,35 +148,30 @@ def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
 
 def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> KernelValue:
     """Continuum mode integral (1/pi) int_0^inf [cos(w(x-y)) -/+ cos(w(x+y))]
-    e^{-t w} dw by adaptive Fourier quadrature -- a numeric route genuinely
-    independent of the image algebra."""
-    from scipy.integrate import quad
+    e^{-t w} dw by double-exponential quadrature -- a numeric route
+    genuinely independent of the image algebra.
 
-    neval = 0
-
-    def fourier(a: float) -> float:
-        nonlocal neval
-        if a == 0.0:
-            out = quad(
-                lambda w: math.exp(-t * w), 0.0, np.inf, epsabs=1e-13, epsrel=1e-13,
-                full_output=1,
-            )
-        else:
-            out = quad(
-                lambda w: math.exp(-t * w),
-                0.0,
-                np.inf,
-                weight="cos",
-                wvar=abs(a),
-                epsabs=1e-12,
-                limlst=200,
-                full_output=1,
-            )
-        neval += out[2]["neval"]
-        return out[0]
-
-    val = (fourier(x - y) + (-1.0) ** geom.l * fourier(x + y)) / math.pi
-    return KernelValue(float(val), MODE_SUM, neval, 1e-11)
+    With u = t w it is (1/(pi t)) sum_i c_i int_0^inf e^{-u} cos(b_i u) du,
+    b_i = |x -/+ y| / t.  Legs with b_i >= _FOURIER_SWITCH take the
+    Ooura-Mori rule after v = b_i u, the others exp-sinh; legs of one kind
+    share one node set."""
+    b = np.array([abs(x - y) / t, (x + y) / t])  # an overflow to inf drops its leg
+    c = np.array([1.0, (-1.0) ** geom.l])
+    fast = b >= _FOURIER_SWITCH
+    parts = []
+    if not fast.all():
+        bs, cs = b[~fast, None], c[~fast, None]
+        parts.append(summation.de_quadrature(lambda u: cs * np.exp(-u) * np.cos(bs * u)))
+    if fast.any():
+        bf, cf = b[fast, None], c[fast, None]
+        parts.append(summation.de_quadrature(lambda v: cf / bf * np.exp(-v / bf), cosine=True))
+    scale = 1.0 / (math.pi * t)
+    return KernelValue(
+        scale * sum(p.value for p in parts),
+        MODE_SUM,
+        sum(p.terms_used for p in parts),
+        scale * sum(p.truncation_bound for p in parts),
+    )
 
 
 def _twisted_mode_sum(
@@ -343,7 +347,10 @@ def cylinder_kernel(
         ``mode-sum``, ``image-sum``, or ``closed-form``.  The twisted
         circle has an elementary closed form only on the diagonal;
         off-diagonal closed-form requests fall back to the mode sum and
-        the returned ``method`` says so.
+        the returned ``method`` says so.  The half-line has two routes:
+        ``closed-form`` returns its exact two-term image sum under that
+        label, and ``mode-sum`` is the continuum mode integral by
+        quadrature.
     control : SeriesControl
         Truncation policy for the series routes.
 
@@ -482,7 +489,15 @@ def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> Ker
     om, mult = _mode_arrays(geometry, omega_cut)
     val = float(np.sum(mult * np.exp(-t * om)))
     tail = 2.0 * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
-    return KernelValue(val, MODE_SUM, int(om.size), tail)
+    if isinstance(geometry, Interval):
+        rounding = _mode_rounding(t, float(om[0]) if om.size else 0.0, step, t)
+    else:
+        # right movers start at theta/L, left movers at (2 pi - theta)/L
+        theta, length = geometry.theta, geometry.length
+        rounding = _mode_rounding(t, theta / length, step, t) + _mode_rounding(
+            t, (TWO_PI - theta) / length, step, t
+        )
+    return KernelValue(val, MODE_SUM, int(om.size), tail + rounding)
 
 
 def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:

@@ -182,6 +182,14 @@ def _interval_windings(control: SeriesControl) -> int:
     return int(control.max_terms)
 
 
+# Windings per block of local_counting's boundary-image sum.  Its float
+# temporaries then stay at 64 KB, under glibc's default 128 KB threshold,
+# past which every array is mapped and unmapped afresh (a page fault per
+# 4 KB touched): with 20 000-winding arrays a call took 816 us instead of
+# 305 us (D/D, L = 1, omega = 3.3, x = 0.4).
+_IMAGE_BLOCK = 8192
+
+
 def _angle(*parts: float) -> float:
     """The exact sum of ``parts`` reduced mod 2 pi to about [-pi, pi].
 
@@ -259,19 +267,20 @@ def _twisted_periodic_sum(geom: TwistedCircle, omega: float, s: float, w: int) -
     return 0.5 * (plus + minus).real
 
 
-def _interval_boundary_arrays(
-    geom: Interval, x: float, w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Displacements x + nL (half the reflected displacement 2x + 2nL)
-    and signs for n = -W..W-1."""
-    n = np.arange(-w, w, dtype=int)
-    disp = x + n * geom.length
-    base = (-1.0) ** geom.l
-    if (geom.l + geom.r) % 2 == 0:
-        signs = np.full(n.shape, base)
-    else:
-        signs = base * np.where(n % 2 == 0, 1.0, -1.0)
-    return disp, signs
+def _interval_boundary_counting(geom: Interval, omega: float, x: float, w: int) -> float:
+    """sum_{n=-W}^{W-1} sign_n sin(2 omega (x + nL)) / (2 pi (x + nL)), the
+    boundary images of local_counting: sign_n = (-1)^l, times (-1)^n for
+    mixed ends.  Summed in blocks of _IMAGE_BLOCK windings."""
+    total = 0.0
+    for start in range(-w, w, _IMAGE_BLOCK):
+        disp = x + np.arange(start, min(start + _IMAGE_BLOCK, w), dtype=float) * geom.length
+        terms = np.sin(2.0 * omega * disp) / disp
+        if geom.like_ends:
+            total += float(terms.sum())
+        else:  # n = start + i is even where i has the parity of start
+            even = start % 2
+            total += float(terms[even::2].sum() - terms[1 - even :: 2].sum())
+    return (-1.0) ** geom.l * total / (2.0 * math.pi)
 
 
 def green_im_diag(
@@ -498,7 +507,5 @@ def local_counting(
     per = spectrum.periodic_counting_term(geometry, omega) / geometry.length
     if isinstance(geometry, TwistedCircle):
         return weyl + per
-    w = _interval_windings(control)
-    disp, signs = _interval_boundary_arrays(geometry, x, w)
-    bdry = float(np.sum(signs * np.sin(2.0 * omega * disp) / (2.0 * math.pi * disp)))
+    bdry = _interval_boundary_counting(geometry, omega, x, _interval_windings(control))
     return weyl + per + bdry

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import energy, kernels, orbits, spectrum, summation
 from .errors import AtEigenvalue
@@ -64,6 +62,11 @@ class CheckResult:
 
 def _interval(length: float = 1.0, left=DIRICHLET, right=DIRICHLET) -> Interval:
     return Interval(length, left, right)
+
+
+def _integral(func: Callable[[float], float], a: float, b: float) -> float:
+    """int_a^b of a scalar function by :func:`summation.de_quadrature`."""
+    return summation.de_quadrature(lambda xs: [func(float(x)) for x in xs], a, b).value
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +122,16 @@ def _check_twisted_energy_curve() -> tuple[float, str]:
         abs((vals[1] - vals[0]) / h - (0.5 - h / (4.0 * PI))),
         abs((vals[100] - vals[99]) / h + (0.5 - h / (4.0 * PI))),
     )
-    # zero crossing of the orbit-summed curve
-    root = brentq(
-        lambda th: energy.twisted_energy_orbit_sum(th, 1.0, ctrl).value,
-        1.0,
-        1.5,
-        xtol=1e-12,
-    )
+    # zero crossing of the orbit-summed curve, by bisection on its sign
+    # change in [1, 1.5] (negative at 1, positive at 1.5)
+    lo, hi = 1.0, 1.5
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if energy.twisted_energy_orbit_sum(mid, 1.0, ctrl).value < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
     root_dev = abs(root / PI - (1.0 - 1.0 / math.sqrt(3.0)))
     measured = max(curve_dev, 10.0 * root_dev, 1e7 * end_dev, 1e-2 * slope_dev)
     detail = (
@@ -181,18 +187,13 @@ def _check_boundary_energy_vanishing() -> tuple[float, str]:
             a = 2.0 * n / (t * t + 4.0 * n * n)
             pairs = (sign / (2.0 * PI)) * np.column_stack([a[1:], a[:-1]])
             dev = max(dev, abs(summation.telescoping_check(pairs, limit_hint=0.0).value))
-    # half-line: the regularized profile integrates to zero; cut at X and
-    # finish with the antiderivative x/(t^2 + 4x^2) -> tail -X/(t^2+4X^2)
-    t, big_x = 0.5, 50.0
-    body = quad(
+    # half-line: the regularized profile integrates to zero over (0, inf)
+    t = 0.5
+    integral = _integral(
         lambda x: energy.energy_density_regularized(HalfLine(DIRICHLET), t, x).boundary,
         0.0,
-        big_x,
-        limit=300,
-    )[0]
-    # antiderivative of the Dirichlet profile is -x/(2 pi (t^2 + 4 x^2))
-    tail = big_x / (2.0 * PI * (t * t + 4.0 * big_x * big_x))
-    integral = body + tail
+        math.inf,
+    )
     measured = max(dev, 1e-4 * abs(integral))
     return measured, f"interval_max={dev:.2e} halfline_integral={integral:.2e}"
 
@@ -314,13 +315,11 @@ def _check_xi_independence() -> tuple[float, str]:
     t = 0.3
     totals = []
     for xi in (0.0, 0.125, 0.25):
-        val = quad(
+        totals.append(_integral(
             lambda x: energy.energy_density_regularized(geom, t, x, xi=xi).total_renormalized,
             0.0,
             1.0,
-            limit=200,
-        )[0]
-        totals.append(val)
+        ))
     dev = max(totals) - min(totals)
     return dev, f"integrated density at xi=0, 1/8, 1/4: spread={dev:.2e}"
 
@@ -375,11 +374,11 @@ def _hurwitz_zeta(s: float, a: float) -> float:
                  + 2 int_0^inf sin(s atan(y/a)) (a^2 + y^2)^(-s/2) / (e^(2 pi y) - 1) dy
     """
 
-    def integrand(y: float) -> float:
-        bose = math.exp(-2.0 * PI * y) / -math.expm1(-2.0 * PI * y)
-        return math.sin(s * math.atan(y / a)) * (a * a + y * y) ** (-s / 2.0) * bose
+    def integrand(y: np.ndarray) -> np.ndarray:
+        bose = np.exp(-2.0 * PI * y) / -np.expm1(-2.0 * PI * y)
+        return np.sin(s * np.arctan(y / a)) * (a * a + y * y) ** (-s / 2.0) * bose
 
-    integral = quad(integrand, 0.0, math.inf)[0]
+    integral = summation.de_quadrature(integrand).value
     return a**-s / 2.0 + a ** (1.0 - s) / (s - 1.0) + 2.0 * integral
 
 

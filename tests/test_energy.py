@@ -197,6 +197,26 @@ def test_twisted_regularized_energy_near_and_below_the_series_switch(length, the
     assert density.periodic == pytest.approx(want / length, rel=1e-13)
 
 
+@pytest.mark.parametrize("even", [True, False], ids=["csch2", "csch-coth"])
+@pytest.mark.parametrize("switch", [0.05, 0.1, 0.5, 2.0, 170.0])
+def test_interval_small_z_forms_near_their_switches(even, switch):
+    """csch^2 z - 1/z^2 (like ends) and csch z coth z - 1/z^2 (mixed ends)
+    against 40 digits on both sides of each switch: 2 where the sinh
+    excess leaves its series, 170 where the exponent-scaled forms take
+    over, and 0.05, 0.1 and 0.5, where short series once lost 1e-10."""
+    import mpmath
+
+    from vacuum1d.energy import _g_even, _g_odd
+
+    func = _g_even if even else _g_odd
+    for z in switch * (1.0 + np.array([-1e-2, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-2])):
+        with mpmath.workdps(40):
+            zm = mpmath.mpf(float(z))
+            top = 1 if even else mpmath.cosh(zm)
+            want = float(top / mpmath.sinh(zm) ** 2 - 1 / zm**2)
+        assert func(float(z)) == pytest.approx(want, rel=1e-14), z
+
+
 def test_regularized_weyl_term_is_exact():
     out = total_energy_regularized(Interval(2.0, DIRICHLET, DIRICHLET), 0.35)
     assert out.weyl == pytest.approx(2.0 / (2.0 * PI * 0.35**2), rel=1e-15)

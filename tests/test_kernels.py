@@ -227,6 +227,24 @@ def test_mode_sum_bound_covers_its_rounding(geometry):
                 assert err <= got.truncation_bound, (t, x, y, err, got.truncation_bound)
 
 
+@pytest.mark.parametrize("condition", [DIRICHLET, NEUMANN], ids=str)
+def test_halfline_mode_route_meets_the_closed_form_within_its_bound(condition):
+    """The continuum mode integral against the two-Lorentzian closed form,
+    with no allowance outside its own bound, for t in [1e-8, 1e3] on
+    diagonal and off-diagonal points of (0, 3]."""
+    geom = HalfLine(condition)
+    points = [(x, y) for x in (1e-3, 0.05, 0.5, 0.75, 1.7, 3.0) for y in (x, 0.92, 2.2)]
+    cases = [(float(t), x, y) for t in np.geomspace(1e-8, 1e3, 34) for x, y in points]
+    cases += [(1e-6, 0.5, 0.5), (3.4e-7, 0.75, 0.92), (3e-6, 0.5, 0.5)]
+    for t, x, y in cases:
+        got = cylinder_kernel(geom, t, x, y, method=MODE_SUM)
+        want = cylinder_kernel(geom, t, x, y, method=CLOSED_FORM).value
+        assert abs(got.value - want) <= got.truncation_bound, (t, x, y, got, want)
+    # the diagonal point where the adaptive quadrature once returned -0.318
+    got = cylinder_kernel(HalfLine(DIRICHLET), 1e-6, 0.5, method=MODE_SUM)
+    assert got.value == pytest.approx(1.0 / (PI * 1e-6), rel=1e-12)
+
+
 def test_image_sum_cap_gives_a_larger_honest_bound():
     geom = Interval(1.0, DIRICHLET, NEUMANN)
     closed = cylinder_kernel(geom, 0.5, 0.3, 0.6).value
@@ -285,6 +303,45 @@ def test_trace_routes_agree_with_brute_sum(geometry, t):
         got = cylinder_trace(geometry, t, method=method)
         budget = 2.0 * got.truncation_bound + 1e-11
         assert abs(got.value - ref) <= budget, (method, got.value - ref, budget)
+
+
+def mp_closed_trace(geometry, t):
+    """The closed trace in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        if isinstance(geometry, Interval):
+            b = mpmath.pi * t / geometry.length
+            if geometry.left is geometry.right:
+                return float(1 / mpmath.expm1(b) + (geometry.left is NEUMANN))
+            return float(1 / (2 * mpmath.sinh(b / 2)))
+        theta = mpmath.mpf(geometry.theta)
+        return float(
+            mpmath.cosh((mpmath.pi - theta) * t / geometry.length)
+            / mpmath.sinh(mpmath.pi * t / geometry.length)
+        )
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        Interval(1.0, DIRICHLET, DIRICHLET),
+        Interval(2.5, DIRICHLET, NEUMANN),
+        Interval(1.0, NEUMANN, NEUMANN),
+        TwistedCircle(1.0, 0.0),
+        TwistedCircle(2.5, PI),
+        TwistedCircle(1.0, 2.2),
+    ],
+    ids=repr,
+)
+def test_trace_mode_sum_bound_covers_its_rounding(geometry):
+    """|mode - exact| <= truncation_bound at 60 t in [1e-3, 10] L, with no
+    allowance outside the bound (twisted theta = 0 at t = 0.148 L once
+    erred by 1.03e-15 against a bound of 3.3e-16)."""
+    ts = list(np.geomspace(1e-3, 10.0, 60) * geometry.length) + [0.148 * geometry.length]
+    for t in ts:
+        got = cylinder_trace(geometry, float(t), method=MODE_SUM)
+        err = abs(got.value - mp_closed_trace(geometry, float(t)))
+        assert err <= got.truncation_bound, (t, err, got.truncation_bound)
 
 
 def test_trace_closed_values():

@@ -17,12 +17,16 @@ from scipy.integrate import quad
 from vacuum1d.errors import InvalidParameter, NonConvergent
 from vacuum1d.summation import (
     EULER_MACLAURIN,
+    EXP_SINH,
+    OOURA_MORI,
     RAW,
+    TANH_SINH,
     SUMMATION_BY_PARTS,
     SeriesControl,
     abel_cos_integral,
     bernoulli_cos_sum,
     bernoulli_sin_sum,
+    de_quadrature,
     lattice_sum,
     mittag_leffler_sum,
     poisson_check,
@@ -378,3 +382,61 @@ def test_series_control_defaults():
     assert control.max_terms == 10_000
     assert control.tol == 1e-12
     assert control.damping_t == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Double-exponential quadrature
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f, a, b, cosine, exact, kind",
+    [
+        (lambda x: np.exp(-x * x), -3.0, 2.0, False,
+         float(mpmath.sqrt(mpmath.pi) / 2 * (mpmath.erf(2) + mpmath.erf(3))), TANH_SINH),
+        (lambda x: np.sqrt(x * (1.0 - x)), 0.0, 1.0, False, PI / 8.0, TANH_SINH),
+        (np.sin, 0.0, PI, False, 2.0, TANH_SINH),
+        (lambda x: 1.0 / x, 1.0, 1.001, False, math.log1p(1.001 - 1.0), TANH_SINH),
+        (lambda x: np.exp(-x), 0.0, math.inf, False, 1.0, EXP_SINH),
+        (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, False, PI / 2.0, EXP_SINH),
+        (lambda x: np.exp(-x * x), 2.0, math.inf, False,
+         float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.erfc(2)), EXP_SINH),
+        (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, True, PI / (2.0 * math.e), OOURA_MORI),
+        (lambda x: x * np.exp(-x), 0.0, math.inf, True, 0.0, OOURA_MORI),
+    ]
+    + [
+        (lambda v, b=b: np.exp(-v / b) / b, 0.0, math.inf, True, 1.0 / (1.0 + b * b), OOURA_MORI)
+        for b in (0.25, 1.0, 30.0, 1e6)
+    ],
+)
+def test_de_quadrature_meets_its_bound(f, a, b, cosine, exact, kind):
+    got = de_quadrature(f, a, b, cosine=cosine)
+    assert got.method_tag == kind
+    assert abs(got.value - exact) <= got.truncation_bound
+    assert got.truncation_bound <= 4e-14  # converged, not capped
+
+
+def test_de_quadrature_sums_integrands_sharing_one_node_set():
+    pair = de_quadrature(lambda u: np.stack([np.exp(-u), -np.exp(-2.0 * u)]))
+    assert pair.value == pytest.approx(0.5, abs=pair.truncation_bound)
+    alone = de_quadrature(lambda u: np.exp(-u))
+    assert pair.terms_used == alone.terms_used
+
+
+def test_de_quadrature_reports_an_unresolved_integral_in_its_bound():
+    # Exp-sinh cannot follow thirty oscillations over the decay length of
+    # e^{-u}; it gives up after its last halving with the level difference.
+    got = de_quadrature(lambda u: np.exp(-u) * np.cos(30.0 * u))
+    assert abs(got.value - 1.0 / 901.0) <= got.truncation_bound
+    assert got.truncation_bound > 1e-12
+
+
+def test_de_quadrature_rejects_bad_input():
+    with pytest.raises(InvalidParameter):
+        de_quadrature(np.exp, math.inf)
+    with pytest.raises(InvalidParameter):
+        de_quadrature(np.exp, 1.0, 1.0)
+    with pytest.raises(InvalidParameter):
+        de_quadrature(np.exp, 1.0, math.inf, cosine=True)
+    with pytest.raises(InvalidParameter):
+        de_quadrature(np.exp, 0.0, 1.0, cosine=True)
