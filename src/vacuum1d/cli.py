@@ -372,14 +372,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Table, int]:
     from .verify import run_checks
 
     results = run_checks(tolerance_override=args.tol)
-    rows = [(r.name, r.measured, r.tolerance, r.passed, r.detail) for r in results]
+    rows = [(r.name, r.measured, r.tolerance, r.margin, r.passed, r.elapsed_s, r.detail)
+            for r in results]
     n_pass = sum(1 for r in results if r.passed)
     meta = {"build": f"vacuum1d {__version__}", "command": "verify",
             "checks": len(results), "passed": n_pass}
     if args.tol is not None:
         meta["tolerance_override"] = args.tol
     print(f"{n_pass}/{len(results)} checks passed", file=sys.stderr)
-    table = Table(meta, ("name", "measured", "tolerance", "passed", "detail"), rows)
+    columns = ("name", "measured", "tolerance", "margin", "passed", "elapsed_s", "detail")
+    table = Table(meta, columns, rows)
     return table, EXIT_OK if n_pass == len(results) else EXIT_VERIFY
 
 

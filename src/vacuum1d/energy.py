@@ -36,6 +36,7 @@ dives to -1/(2 pi t^2) as x -> 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,10 +50,15 @@ from .errors import (
     OutOfDomain,
     UnsupportedGeometry,
 )
-from .spectrum import Geometry, HalfLine, Interval, TwistedCircle
+from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 
 PI = math.pi
+# Inputs inside (_TINY, _HUGE) keep every square and product of the direct
+# formulas a normal float; outside, scaled forms take over.
+_TINY, _HUGE = 1e-150, 1e150
+_ZERO_MODE = "zero mode present (omega = 0); it adds nothing to the energy sum"
+_isfinite = math.isfinite
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,9 @@ def _twisted_periodic_regularized(length: float, theta: float, t: float) -> floa
     cost more than 1e-14 relative, it is the series
     -2b sum_j (2j - 1) B_2j(1/2 + beta) (2bt)^(2j - 2) / (2j)!,
     beta = a / 2b, to j = 12: its terms shrink like (bt/pi)^2j, so the
-    truncation is below 1e-15 relative there.
+    truncation is below 1e-15 relative there.  Where the direct form
+    overflows (b cosh(at) cosh(bt) at L below ~1e-47) it is taken at unit
+    length, E_L(t) = E_1(t/L) / L.
     """
     a = (PI - theta) / length
     b = PI / length
@@ -162,7 +170,10 @@ def _twisted_periodic_regularized(length: float, theta: float, t: float) -> floa
         return 0.5 * (b - a) * math.exp((a - b) * t) - 1.0 / (2.0 * b * t * t)
     sh = math.sinh(bt)
     num = b * math.cosh(a * t) * math.cosh(bt) - a * math.sinh(a * t) * math.sinh(bt)
-    return num / (2.0 * sh * sh) - 1.0 / (2.0 * b * t * t)
+    val = num / (2.0 * sh * sh) - 1.0 / (2.0 * b * t * t)
+    if not _isfinite(val) and length != 1.0:
+        return _twisted_periodic_regularized(1.0, theta, t / length) / length
+    return val
 
 
 def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
@@ -185,13 +196,18 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
             "integrates to zero"
         )
     length = geometry.length
-    weyl = length / (2.0 * PI * t * t)
+    if _TINY < t < _HUGE:
+        weyl = length / (2.0 * PI * t * t)
+    else:
+        weyl = length / (2.0 * PI * t) / t
     if isinstance(geometry, Interval):
         z = PI * t / (2.0 * length)
         g = _g_even(z) if geometry.like_ends else _g_odd(z)
         per = (PI / (8.0 * length)) * g
     else:
         per = _twisted_periodic_regularized(length, geometry.theta, t)
+    if not (_isfinite(weyl) and _isfinite(per)):
+        raise InvalidParameter(f"E(t) overflows at t={t!r}: weyl={weyl!r}, periodic={per!r}")
     return EnergyBreakdown(
         weyl=weyl,
         periodic=per,
@@ -202,14 +218,10 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
     )
 
 
-def _zero_mode_note(geometry: Geometry) -> str:
+def _zero_mode_note(geometry: Interval | TwistedCircle) -> str:
     if isinstance(geometry, Interval):
-        if geometry.l == 0 and geometry.r == 0:
-            return "zero mode present (omega = 0); it adds nothing to the energy sum"
-        return ""
-    if isinstance(geometry, TwistedCircle) and geometry.theta == 0.0:
-        return "zero mode present (omega = 0); it adds nothing to the energy sum"
-    return ""
+        return _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
+    return _ZERO_MODE if geometry.theta == 0.0 else ""
 
 
 def total_energy_renormalized(geometry: Geometry) -> EnergyBreakdown:
@@ -332,42 +344,121 @@ def orbit_energy_contribution(
 
 # ---------------------------------------------------------------------------
 # Energy densities.
+#
+# Each density call is one pass over plain floats: a numpy call on a scalar
+# costs about a microsecond, as much as the whole formula.  The direct forms
+# stay normal floats while L, sinh^2 z + sin^2 p and the half-line scale
+# max(t, 2x) (to the fourth power) lie inside (_TINY, _HUGE).  Outside, or
+# when a direct form overflows, the scaled forms divide 1/L^2 and 1/t^2 out
+# one factor at a time, and a part whose true value overflows raises
+# InvalidParameter.
 # ---------------------------------------------------------------------------
 
 
-def _interval_boundary_density_regularized(
-    geom: Interval, t: float, x: float
-) -> float:
-    """Boundary energy density (xi = 1/4) at regulator t, closed form.
+def _breakdown(
+    weyl: float, periodic: float, boundary: float, total: float, t: float, note: str, xi: float
+) -> EnergyBreakdown:
+    """The density's EnergyBreakdown; total = periodic + boundary is finite
+    exactly when both parts are."""
+    if not (_isfinite(weyl) and _isfinite(total)):
+        if xi == 0.0 and _isfinite(weyl) and _isfinite(periodic):
+            # the wall profile overflows, but xi = 0 gives it no weight
+            return EnergyBreakdown(weyl, periodic, 0.0, periodic, t, note)
+        raise InvalidParameter(
+            f"energy density overflows at t={t!r}: weyl={weyl!r}, periodic={periodic!r}, "
+            f"boundary={boundary!r}"
+        )
+    return EnergyBreakdown(weyl, periodic, boundary, total, t, note)
 
-    With z = pi t / 2L and p = pi x / L:
 
-        like ends:  (-1)^l (pi/8L^2) [cos(2p) sinh^2 z - sin^2 p]
-                    / (sinh^2 z + sin^2 p)^2
-        mixed ends: (-1)^l (pi/8L^2) cos p cosh z [sinh^2 z - sin^2 p]
-                    / (sinh^2 z + sin^2 p)^2
+def _interval_density(geom: Interval, t: float, x: float) -> tuple[float, float]:
+    """(periodic, boundary) parts of the interval density at xi = 1/4.
 
-    both obtained by differentiating the closed-form kernel diagonal;
-    numerators and denominators are cancellation-free as written.
+    With z = pi t / 2L, p = pi x / L and c = pi / 8L^2, the periodic part is
+    c g(z), g = _g_even (like ends) or _g_odd (mixed ends), and the boundary
+    part, obtained by differentiating the closed-form kernel diagonal, is
+
+        like ends:  (-1)^l c [cos(2p) sinh^2 z - sin^2 p] / (sinh^2 z + sin^2 p)^2
+        mixed ends: (-1)^l c cos p cosh z [sinh^2 z - sin^2 p] / (sinh^2 z + sin^2 p)^2
+
+    whose numerators and denominators are cancellation-free as written.
+    Past z = _SCALED both are divided through by sinh^4 z, with
+    r = csch^2 z = 4 e^{-2z}.
     """
-    length, l = geom.length, geom.l
+    length = geom.length
+    like = geom.left is geom.right
     z = PI * t / (2.0 * length)
     p = PI * x / length
-    pref = (-1.0) ** l * PI / (8.0 * length**2)
-    if z > _SCALED:
-        # numerator and denominator divided by sinh^4 z; r = csch^2 z
-        r = 4.0 * math.exp(-2.0 * z)
-        sp2 = math.sin(p) ** 2
-        denom = (1.0 + sp2 * r) ** 2
-        if geom.like_ends:
-            return pref * (math.cos(2.0 * p) * r - sp2 * r * r) / denom
-        return pref * math.cos(p) * 2.0 * math.exp(-z) * (1.0 - sp2 * r) / denom
-    sh2 = math.sinh(z) ** 2
     sp2 = math.sin(p) ** 2
-    denom = (sh2 + sp2) ** 2
-    if geom.like_ends:
-        return pref * (math.cos(2.0 * p) * sh2 - sp2) / denom
-    return pref * math.cos(p) * math.cosh(z) * (sh2 - sp2) / denom
+    if _TINY < length < _HUGE:
+        c = PI / (8.0 * length**2)
+        pref = -c if geom.left is DIRICHLET else c
+        per = c * (_g_even(z) if like else _g_odd(z))
+        if z <= _SCALED:
+            sh2 = math.sinh(z) ** 2
+            if sh2 + sp2 > _TINY:
+                denom = (sh2 + sp2) ** 2
+                if like:
+                    b = pref * (math.cos(2.0 * p) * sh2 - sp2) / denom
+                else:
+                    b = pref * math.cos(p) * math.cosh(z) * (sh2 - sp2) / denom
+                if _isfinite(b):
+                    return per, b
+        elif length >= 1.0 or z < (354.0 if like else 708.0):
+            # (with L < 1, e^{-2z} or e^{-z} would leave the normal floats
+            # past these before 1/L^2 lifts it)
+            r = 4.0 * math.exp(-2.0 * z)
+            denom = (1.0 + sp2 * r) ** 2
+            if like:
+                return per, pref * (math.cos(2.0 * p) * r - sp2 * r * r) / denom
+            return per, pref * math.cos(p) * 2.0 * math.exp(-z) * (1.0 - sp2 * r) / denom
+        return per, _interval_density_scaled(geom, like, t, x, z, p, sp2)[1]
+    return _interval_density_scaled(geom, like, t, x, z, p, sp2)
+
+
+def _interval_density_scaled(
+    geom: Interval, like: bool, t: float, x: float, z: float, p: float, sp2: float
+) -> tuple[float, float]:
+    """_interval_density with 1/L^2 kept out of every intermediate.
+
+    Near the walls the boundary part is written in the lengths
+    H = L sinh z and S = L sin p, which tend to pi t/2 and pi x as z and p
+    underflow; dividing H and S by w = max(H, S) leaves
+    c L^2 (...) / (H^2 + S^2)^2 = (pi/8) (...) / ((h^2 + s^2)^2 w^2).
+    Past z = _SCALED the exponentials are e^{-2z}/L^2 = (h k)^2 and
+    e^{-z}/L^2 = k^2, with h = e^{-z/2} and k = h/L, which underflow only
+    where they do.
+    """
+    length = geom.length
+    c = 0.125 * PI
+    pref = -c if geom.left is DIRICHLET else c
+    weyl_t = 0.5 / PI / t / t
+    if z > _SCALED:
+        h = math.exp(-0.5 * z)
+        k = h / length
+        r = 4.0 * h * h * h * h
+        denom = (1.0 + sp2 * r) ** 2
+        if like:
+            # g = 4 e^{-2z} - 1/z^2, and c/z^2 = 1/(2 pi t^2) after scaling
+            e2 = h * k * (h * k)
+            return 4.0 * c * e2 - weyl_t, pref * 4.0 * e2 * (math.cos(2.0 * p) - sp2 * r) / denom
+        per = 2.0 * c * k * k - weyl_t
+        return per, pref * math.cos(p) * 2.0 * k * k * (1.0 - sp2 * r) / denom
+    per = c * (_g_even(z) if like else _g_odd(z)) / length / length
+    sh, sp = math.sinh(z), math.sin(p)
+    w = max(sh, sp)
+    if w > 1e-290:
+        h, s, q = sh / w, sp / w, length * w
+    else:
+        big_h, big_s = 0.5 * PI * t, PI * x
+        w = max(big_h, big_s)
+        h, s, q = big_h / w, big_s / w, w
+    m = h * h + s * s
+    if like:
+        b = pref * (math.cos(2.0 * p) * h * h - s * s) / (m * m) / q / q
+    else:
+        b = pref * math.cos(p) * math.cosh(z) * (h * h - s * s) / (m * m) / q / q
+    return per, b
 
 
 def energy_density_regularized(
@@ -379,53 +470,39 @@ def energy_density_regularized(
     bulk part; ``boundary`` is the wall profile scaled by 4 xi.  The
     xi-dependence is exactly that factor: xi = 1/4 reproduces the
     cylinder-kernel diagonal derivative, and xi = 0 removes the wall
-    profile altogether.  The bulk is xi-independent.
+    profile altogether.  The bulk is xi-independent.  A part too large
+    for a float raises :class:`InvalidParameter`.
     """
-    if not (t > 0.0) or not math.isfinite(t):
+    if not (t > 0.0) or not _isfinite(t):
         raise InvalidParameter("regulator t must be positive and finite")
-    if not math.isfinite(xi):
+    if not _isfinite(xi):
         raise InvalidParameter("xi must be finite")
-    weyl = 1.0 / (2.0 * PI * t * t)
+    weyl = 1.0 / (2.0 * PI * t * t) if _TINY < t < _HUGE else 0.5 / PI / t / t
+    if isinstance(geometry, Interval):
+        if not (0.0 < x < geometry.length):
+            raise OutOfDomain(f"x={x!r} not in (0, {geometry.length})")
+        per, b = _interval_density(geometry, t, x)
+        bdry = 4.0 * xi * b
+        note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
+        return _breakdown(weyl, per, bdry, per + bdry, t, note, xi)
     if isinstance(geometry, HalfLine):
         if not (x > 0.0):
             raise OutOfDomain(f"x={x!r} not in (0, inf)")
-        b = (
-            (-1.0) ** geometry.l
-            * (t * t - 4.0 * x * x)
-            / (2.0 * PI * (t * t + 4.0 * x * x) ** 2)
-        )
-        return EnergyBreakdown(
-            weyl=weyl,
-            periodic=0.0,
-            boundary=4.0 * xi * b,
-            total_renormalized=4.0 * xi * b,
-            regulator_t=t,
-        )
-    length = geometry.length
-    if isinstance(geometry, Interval):
-        if not (0.0 < x < length):
-            raise OutOfDomain(f"x={x!r} not in (0, {length})")
-        z = PI * t / (2.0 * length)
-        g = _g_even(z) if geometry.like_ends else _g_odd(z)
-        per = (PI / (8.0 * length**2)) * g
-        b = _interval_boundary_density_regularized(geometry, t, x)
-        return EnergyBreakdown(
-            weyl=weyl,
-            periodic=per,
-            boundary=4.0 * xi * b,
-            total_renormalized=per + 4.0 * xi * b,
-            regulator_t=t,
-            note=_zero_mode_note(geometry),
-        )
-    per = _twisted_periodic_regularized(length, geometry.theta, t) / length
-    return EnergyBreakdown(
-        weyl=weyl,
-        periodic=per,
-        boundary=0.0,
-        total_renormalized=per,
-        regulator_t=t,
-        note=_zero_mode_note(geometry),
-    )
+        # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2), in units of
+        # s = max(t, 2x) outside the direct window
+        sign = -1.0 if geometry.condition is DIRICHLET else 1.0
+        s = max(t, 2.0 * x)
+        if 1e-75 < s < 1e75:
+            b = sign * (t * t - 4.0 * x * x) / (2.0 * PI * (t * t + 4.0 * x * x) ** 2)
+        else:
+            ts, xs = t / s, 2.0 * x / s
+            m = ts * ts + xs * xs
+            b = sign * (ts * ts - xs * xs) / (m * m) / (2.0 * PI * s) / s
+        bdry = 4.0 * xi * b
+        return _breakdown(weyl, 0.0, bdry, bdry, t, "", xi)
+    length, theta = geometry.length, geometry.theta
+    per = _twisted_periodic_regularized(length, theta, t) / length
+    return _breakdown(weyl, per, 0.0, per, t, _ZERO_MODE if theta == 0.0 else "", xi)
 
 
 def energy_density_renormalized(
@@ -437,50 +514,53 @@ def energy_density_renormalized(
     to the nearest wall (sign set by the condition there); the closed
     forms are in the module docstring.  The profile integrates to the
     renormalized total for every xi: the boundary part has zero integral
-    by the cot*csc / csc^2 antiderivative identities.
+    by the cot*csc / csc^2 antiderivative identities.  A part too large
+    for a float raises :class:`InvalidParameter`.
     """
-    if not math.isfinite(xi):
+    if not _isfinite(xi):
         raise InvalidParameter("xi must be finite")
+    if isinstance(geometry, Interval):
+        length = geometry.length
+        if not (0.0 < x < length):
+            raise OutOfDomain(f"x={x!r} not in (0, {length})")
+        like = geometry.left is geometry.right
+        p = PI * x / length
+        sp = math.sin(p)
+        if _TINY < length < _HUGE and sp > _TINY:
+            pref = PI / (8.0 * length**2)
+            if geometry.left is NEUMANN:
+                pref = -pref
+            if like:
+                per = -PI / (24.0 * length**2)
+                b = pref / sp**2
+            else:
+                per = PI / (48.0 * length**2)
+                b = pref * math.cos(p) / sp**2
+        else:
+            # pi/8L^2 csc^2 p = (pi/8) / (L sin p)^2, with L sin p -> pi x
+            # once p underflows
+            q = length * sp if sp > 1e-290 else PI * x
+            pref = 0.125 * PI if geometry.left is DIRICHLET else -0.125 * PI
+            if like:
+                per = -PI / 24.0 / length / length
+                b = pref / q / q
+            else:
+                per = PI / 48.0 / length / length
+                b = pref * math.cos(p) / q / q
+        bdry = 4.0 * xi * b
+        note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
+        return _breakdown(0.0, per, bdry, per + bdry, 0.0, note, xi)
     if isinstance(geometry, HalfLine):
         if not (x > 0.0):
             raise OutOfDomain(f"x={x!r} not in (0, inf)")
-        b = (-1.0) ** (geometry.l + 1) / (8.0 * PI * x * x)
-        return EnergyBreakdown(
-            weyl=0.0,
-            periodic=0.0,
-            boundary=4.0 * xi * b,
-            total_renormalized=4.0 * xi * b,
-            regulator_t=0.0,
-        )
-    length = geometry.length
-    if isinstance(geometry, Interval):
-        if not (0.0 < x < length):
-            raise OutOfDomain(f"x={x!r} not in (0, {length})")
-        p = PI * x / length
-        pref = (-1.0) ** (geometry.l + 1) * PI / (8.0 * length**2)
-        if geometry.like_ends:
-            per = -PI / (24.0 * length**2)
-            b = pref / math.sin(p) ** 2
-        else:
-            per = PI / (48.0 * length**2)
-            b = pref * math.cos(p) / math.sin(p) ** 2
-        return EnergyBreakdown(
-            weyl=0.0,
-            periodic=per,
-            boundary=4.0 * xi * b,
-            total_renormalized=per + 4.0 * xi * b,
-            regulator_t=0.0,
-            note=_zero_mode_note(geometry),
-        )
-    per = twisted_energy(geometry.theta, length) / length
-    return EnergyBreakdown(
-        weyl=0.0,
-        periodic=per,
-        boundary=0.0,
-        total_renormalized=per,
-        regulator_t=0.0,
-        note=_zero_mode_note(geometry),
-    )
+        # (-1)^(l+1) / (8 pi x^2)
+        sign = 1.0 if geometry.condition is DIRICHLET else -1.0
+        b = sign / (8.0 * PI * x * x) if _TINY < x < _HUGE else sign / (8.0 * PI * x) / x
+        bdry = 4.0 * xi * b
+        return _breakdown(0.0, 0.0, bdry, bdry, 0.0, "", xi)
+    theta = geometry.theta
+    per = twisted_energy(theta, geometry.length) / geometry.length
+    return _breakdown(0.0, per, 0.0, per, 0.0, _ZERO_MODE if theta == 0.0 else "", xi)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +586,53 @@ class CylinderExpansion:
         return -0.5 * self.e[2]
 
 
+# The cylinder fit's basis powers of t.
+_CYLINDER_POWERS = (0, 1, 2, 3, 4, 6)
+
+
+def _least_squares_factor(design: np.ndarray) -> tuple[np.ndarray, int]:
+    """(pseudo-inverse, rank) of a design matrix, with the rank cut of
+    ``np.linalg.lstsq(..., rcond=None)``: singular values at or below
+    eps max(m, n) times the largest count as zero."""
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(design.shape) * sv[0]))
+    return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T, rank
+
+
+def _cylinder_factor(u: np.ndarray) -> tuple[np.ndarray, int]:
+    """For the scaled grid u = t / t[-1]: the matrix taking y to the fitted
+    coefficients followed by the fitted values, and the design rank."""
+    design = u[:, None] ** np.array(_CYLINDER_POWERS)[None, :]
+    pinv, rank = _least_squares_factor(design)
+    return np.vstack([pinv, design @ pinv]), rank
+
+
+# The default grids (in units of L for the cylinder fit, L^2 for the heat
+# fit) and their factors are built on first use, once per process, and
+# shared read-only by every fit.
+
+
+@functools.cache
+def _default_cylinder_fit() -> tuple[np.ndarray, np.ndarray, int]:
+    grid = np.geomspace(1e-3, 0.1, 25)
+    factor, rank = _cylinder_factor(grid / grid[-1])
+    grid.setflags(write=False)
+    factor.setflags(write=False)
+    return grid, factor, rank
+
+
+@functools.cache
+def _default_heat_fit() -> tuple[np.ndarray, np.ndarray, int]:
+    """The heat basis t^{-1/2, 0, 1/2, 1}, each column divided by its
+    largest entry, which leaves it free of L."""
+    g = np.geomspace(5e-4, 6e-3, 16)
+    design = np.column_stack([(g / g[0]) ** -0.5, np.ones_like(g), (g / g[-1]) ** 0.5, g / g[-1]])
+    pinv, rank = _least_squares_factor(design)
+    g.setflags(write=False)
+    pinv.setflags(write=False)
+    return g, pinv, rank
+
+
 def extract_cylinder_coefficients(
     geometry: Geometry,
     t_grid: np.ndarray | None = None,
@@ -515,8 +642,12 @@ def extract_cylinder_coefficients(
     ``t * Tr T(t)`` is polynomial in t up to exponentially small terms;
     the fit uses the basis ``t^{0,1,2,3,4,6}`` (the t^5 coefficient is
     absent for every geometry here, the t^6 column absorbs the next
-    correction so it cannot contaminate e_2), scaled to the unit
-    interval for conditioning.
+    correction so it cannot contaminate e_2), in the scaled variable
+    ``u = t / t[-1]`` for conditioning.  The design matrix depends on the
+    grid only through u, so the default grid's least-squares factor (the
+    pseudo-inverse, rank cut as in ``np.linalg.lstsq``) is built once per
+    process and each fit is one matrix-vector product over one array
+    evaluation of the closed-form trace.
 
     Parameters
     ----------
@@ -524,6 +655,7 @@ def extract_cylinder_coefficients(
     t_grid : array, optional
         Strictly increasing, at least 8 points, spanning at least a
         decade, inside (0, 0.1 L].  Default ``L * geomspace(1e-3, 0.1, 25)``.
+        A caller's grid is factored on each call.
 
     Raises
     ------
@@ -535,33 +667,33 @@ def extract_cylinder_coefficients(
         raise ContinuousSpectrum("half-line cylinder trace diverges")
     length = geometry.length
     if t_grid is None:
-        t_grid = length * np.geomspace(1e-3, 0.1, 25)
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 8:
-        raise InvalidParameter("t_grid needs at least 8 points")
-    if not (np.all(np.diff(t) > 0.0) and t[0] > 0.0):
-        raise InvalidParameter("t_grid must be strictly increasing and positive")
-    if t[-1] > 0.1 * length * (1.0 + 1e-12):
-        raise InvalidParameter("t_grid must stay inside (0, 0.1 L]")
-    if t[-1] / t[0] < 10.0:
-        raise InvalidParameter("t_grid must span at least a decade")
-    y = np.array(
-        [t_i * kernels.cylinder_trace(geometry, t_i, kernels.CLOSED_FORM).value for t_i in t]
-    )
-    powers = np.array([0, 1, 2, 3, 4, 6])
-    u = t / t[-1]
-    design = u[:, None] ** powers[None, :]
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < powers.size:
+        grid, factor, rank = _default_cylinder_fit()
+        t = length * grid
+    else:
+        t = np.asarray(t_grid, dtype=float)
+        if t.ndim != 1 or t.size < 8:
+            raise InvalidParameter("t_grid needs at least 8 points")
+        if not (np.all(np.diff(t) > 0.0) and t[0] > 0.0):
+            raise InvalidParameter("t_grid must be strictly increasing and positive")
+        if t[-1] > 0.1 * length * (1.0 + 1e-12):
+            raise InvalidParameter("t_grid must stay inside (0, 0.1 L]")
+        if t[-1] / t[0] < 10.0:
+            raise InvalidParameter("t_grid must span at least a decade")
+        factor, rank = _cylinder_factor(t / t[-1])
+    n = len(_CYLINDER_POWERS)
+    if rank < n:
         raise IllConditionedFit("rank-deficient design matrix")
-    resid = float(np.max(np.abs(design @ coef - y)))
+    y = t * kernels._closed_trace(geometry, t)
+    out = factor @ y
+    coef = out[:n]
+    resid = float(np.max(np.abs(out[n:] - y)))
     scale = max(1.0, float(np.max(np.abs(y))))
     if resid > 1e-9 * scale:
         raise IllConditionedFit(
             f"fit residual {resid:.3e} above {1e-9 * scale:.3e}; "
             "grid likely outside the asymptotic regime"
         )
-    e = {int(k): float(c / t[-1] ** k) for k, c in zip(powers, coef) if k <= 4}
+    e = {k: float(c / t[-1] ** k) for k, c in zip(_CYLINDER_POWERS, coef) if k <= 4}
     return CylinderExpansion(e=e, d=1, residual=resid)
 
 
@@ -591,38 +723,36 @@ def theorem1_check(geometry: Geometry) -> Theorem1Report:
     """Fit heat and cylinder expansions and compare where they must agree.
 
     Heat side: ``Tr K ~ b_0 t^{-1/2} + b_1`` fitted with two spurious
-    basis columns (t^{1/2}, t) on ``t in L^2 * [5e-4, 6e-3]``.  The grid
-    top is set by the shortest closed geodesic: for the circle that is L
-    itself, so the first image correction is exp(-L^2/4t) ~ 8e-19 at
-    t = 6e-3 L^2 (intervals, with shortest image 2L, are far cleaner).
-    Cylinder side: :func:`extract_cylinder_coefficients` on its default
-    grid.
+    basis columns (t^{1/2}, t) on 16 points ``t in L^2 * [5e-4, 6e-3]``.
+    The grid top is set by the shortest closed geodesic: for the circle
+    that is L itself, so the first image correction is exp(-L^2/4t) ~
+    8e-19 at t = 6e-3 L^2 (intervals, with shortest image 2L, are far
+    cleaner).  Each basis column divided by its largest entry is free of
+    L, so the fit is one product with a pseudo-inverse built once per
+    process, over one array evaluation of the heat trace.  Cylinder side:
+    :func:`extract_cylinder_coefficients` on its default grid.
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line traces diverge")
     length = geometry.length
-    tg = length**2 * np.geomspace(5e-4, 6e-3, 16)
-    yk = np.array([kernels.heat_trace(geometry, t_i) for t_i in tg])
-    basis = np.column_stack(
-        [tg ** (-0.5), np.ones_like(tg), tg**0.5, tg]
-    )
-    # Column scaling keeps the normal equations well-conditioned.
-    col = np.max(np.abs(basis), axis=0)
-    coef, _, rank, _ = np.linalg.lstsq(basis / col, yk, rcond=None)
+    grid, factor, rank = _default_heat_fit()
+    tg = length**2 * grid
     if rank < 4:
         raise IllConditionedFit("rank-deficient heat-trace design matrix")
-    b = coef / col
+    coef = factor @ kernels._heat_trace(geometry, tg, SeriesControl())
+    # undo the column scaling: t^{-1/2} peaks at the first point, 1 is 1
+    b0, b1 = float(coef[0]) * math.sqrt(tg[0]), float(coef[1])
     cyl = extract_cylinder_coefficients(geometry)
     e0, e1, e2 = cyl.e[0], cyl.e[1], cyl.e[2]
-    pred_e0 = 2.0 / math.sqrt(PI) * b[0]
+    pred_e0 = 2.0 / math.sqrt(PI) * b0
     return Theorem1Report(
-        b0=float(b[0]),
-        b1=float(b[1]),
+        b0=b0,
+        b1=b1,
         e0=e0,
         e1=e1,
         e2=e2,
         defect_e0=abs(e0 - pred_e0),
-        defect_e1=abs(e1 - float(b[1])),
+        defect_e1=abs(e1 - b1),
         note=(
             "e2 (hence the vacuum energy -e2/2) is invisible to the heat "
             "expansion: it sits in terms exponentially small in 1/t"

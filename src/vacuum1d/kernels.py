@@ -155,6 +155,9 @@ def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> K
     b_i = |x -/+ y| / t.  Legs with b_i >= _FOURIER_SWITCH take the
     Ooura-Mori rule after v = b_i u, the others exp-sinh; legs of one kind
     share one node set."""
+    scale = 1.0 / (math.pi * t)
+    if math.isinf(scale):
+        raise InvalidParameter(f"t={t!r} too small for the half-line mode integral")
     b = np.array([abs(x - y) / t, (x + y) / t])  # an overflow to inf drops its leg
     c = np.array([1.0, (-1.0) ** geom.l])
     fast = b >= _FOURIER_SWITCH
@@ -165,7 +168,6 @@ def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> K
     if fast.any():
         bf, cf = b[fast, None], c[fast, None]
         parts.append(summation.de_quadrature(lambda v: cf / bf * np.exp(-v / bf), cosine=True))
-    scale = 1.0 / (math.pi * t)
     return KernelValue(
         scale * sum(p.value for p in parts),
         MODE_SUM,
@@ -205,8 +207,12 @@ def _twisted_mode_sum(
     return KernelValue(complex(val), MODE_SUM, terms, bound)
 
 
-def _lorentzian(t: float, d: np.ndarray | float) -> np.ndarray | float:
-    return (t / math.pi) / (d * d + t * t)
+def _lorentzian(t: float, d: float) -> float:
+    """(t/pi)/(d^2 + t^2), scaled by s = max(|d|, t) so that neither square
+    underflows or overflows: (t/s)/(pi s ((d/s)^2 + (t/s)^2))."""
+    s = max(abs(d), t)
+    ds, ts = d / s, t / s
+    return (ts / math.pi) / (s * (ds * ds + ts * ts))
 
 
 def _lorentzian_lattice(
@@ -247,7 +253,9 @@ def _interval_image_sum(
 
 def _halfline_image_sum(geom: HalfLine, t: float, x: float, y: float) -> KernelValue:
     val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
-    return KernelValue(float(val), IMAGE_SUM, 2, 0.0)
+    if not math.isfinite(val):
+        raise InvalidParameter(f"half-line kernel overflows at t={t!r}, x={x!r}, y={y!r}")
+    return KernelValue(val, IMAGE_SUM, 2, 0.0)
 
 
 def _twisted_image_sum(
@@ -437,41 +445,24 @@ def cylinder_trace(
     if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
         raise InvalidParameter(f"unknown kernel method {method!r}")
 
-    if isinstance(geometry, Interval):
-        length, l = geometry.length, geometry.l
-        if method == CLOSED_FORM:
-            b = math.pi * t / length
-            if geometry.like_ends:
-                # 1/(e^b - 1) = e^{-b} to within e^{-700} past b = 700
-                val = (math.exp(-b) if b > 700.0 else 1.0 / math.expm1(b)) + (
-                    1.0 if l == 0 else 0.0
-                )
-            elif b > 1400.0:
-                val = math.exp(-0.5 * b)
-            else:
-                val = 0.5 / math.sinh(0.5 * b)
-            return KernelValue(val, CLOSED_FORM, 0, 0.0)
-        if method == MODE_SUM:
-            return _trace_mode_sum(geometry, t, control)
-        a = t / (2.0 * length)
-        if geometry.like_ends:
-            per = (length * t / math.pi) * summation.mittag_leffler_sum("coth", a) / (
-                4.0 * length**2
-            )
-            val = per + 0.5 * (-1.0) ** l
-        else:
-            per = (length * t / math.pi) * summation.mittag_leffler_sum("csch", a) / (
-                4.0 * length**2
-            )
-            val = per
-        return KernelValue(val, IMAGE_SUM, 0, 0.0)
-
-    length, theta = geometry.length, geometry.theta
     if method == CLOSED_FORM:
-        diag = _twisted_closed_form_diag(geometry, t)
-        return KernelValue(length * diag.value, CLOSED_FORM, 0, 0.0)
+        val = float(_closed_trace(geometry, t))
+        if math.isinf(val):
+            raise InvalidParameter(f"trace overflows at t={t!r}")
+        return KernelValue(val, CLOSED_FORM, 0, 0.0)
     if method == MODE_SUM:
         return _trace_mode_sum(geometry, t, control)
+    if isinstance(geometry, Interval):
+        # The periodic Lorentzians integrate to (L t/pi) / (4 L^2) = a/(2 pi)
+        # times the pole sum, a = t/2L: written in a, free of L^2.
+        a = t / (2.0 * geometry.length)
+        kind = "coth" if geometry.like_ends else "csch"
+        val = a * summation.mittag_leffler_sum(kind, a) / (2.0 * math.pi)
+        if geometry.like_ends:
+            val += 0.5 * (-1.0) ** geometry.l
+        return KernelValue(val, IMAGE_SUM, 0, 0.0)
+
+    length = geometry.length
     diag = _twisted_image_sum(geometry, t, 0.0, 0.0, control)
     return KernelValue(
         length * diag.value, IMAGE_SUM, diag.terms_used, length * diag.truncation_bound
@@ -562,13 +553,46 @@ def heat_trace(geometry: Geometry, t: float, control: SeriesControl = SeriesCont
         raise InvalidParameter("t must be positive and finite")
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line heat trace diverges")
+    return float(_heat_trace(geometry, t, control))
+
+
+def _closed_trace(geometry: Interval | TwistedCircle, t: np.ndarray | float) -> np.ndarray:
+    """Closed-form Tr T at every t of an array (t > 0), in one numpy pass.
+
+    The formulas are those of :func:`cylinder_trace`; past the switch points
+    each one is its leading exponential (exact to e^{-700} relative), and
+    the other branch is evaluated at the switch point so that nothing
+    overflows."""
+    t = np.asarray(t, dtype=float)
+    length = geometry.length
+    b = math.pi * t / length
+    if isinstance(geometry, TwistedCircle):
+        # cosh((pi - theta) t/L) / sinh(pi t/L), theta in [0, 2 pi)
+        a = (math.pi - geometry.theta) * t / length
+        near = b <= 350.0
+        a_near, b_near = np.where(near, a, 0.0), np.where(near, b, 1.0)
+        return np.where(near, np.cosh(a_near) / np.sinh(b_near), np.exp(a - b) + np.exp(-a - b))
+    if geometry.like_ends:
+        # 1/(e^b - 1), plus the Neumann zero mode
+        val = np.where(b > 700.0, np.exp(-b), 1.0 / np.expm1(np.minimum(b, 700.0)))
+        return val + 1.0 if geometry.left is NEUMANN else val
+    # 1 / (2 sinh(b/2))
+    return np.where(b > 1400.0, np.exp(-0.5 * b), 0.5 / np.sinh(0.5 * np.minimum(b, 1400.0)))
+
+
+def _heat_trace(
+    geometry: Interval | TwistedCircle, t: np.ndarray | float, control: SeriesControl
+) -> np.ndarray:
+    """Tr K(t) = sum_j e^{-t omega_j^2} at every t of an array (t > 0): one
+    mode ladder, cut where the smallest t drops its terms below _TERM_FLOOR."""
     from .spectrum import _mode_arrays
 
-    omega_cut = math.sqrt(-math.log(_TERM_FLOOR) / t) + 1.0
+    t = np.asarray(t, dtype=float)
+    omega_cut = math.sqrt(-math.log(_TERM_FLOOR) / float(t.min())) + 1.0
     if isinstance(geometry, Interval):
         step = math.pi / geometry.length
     else:
         step = TWO_PI / geometry.length
     omega_cut = min(omega_cut, (control.max_terms + 1.5) * step)
-    om, mult = _mode_arrays(geometry, omega_cut)
-    return float(np.sum(mult * np.exp(-t * om * om)))
+    om, _ = _mode_arrays(geometry, omega_cut)
+    return np.exp(-t[..., None] * om * om).sum(axis=-1)

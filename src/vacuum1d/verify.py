@@ -51,13 +51,23 @@ __all__ = ["CheckResult", "run_checks", "CHECKS"]
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one verification check."""
+    """Outcome of one verification check and the seconds it took."""
 
     name: str
     measured: float
     tolerance: float
     passed: bool
     detail: str
+    elapsed_s: float
+
+    @property
+    def margin(self) -> float:
+        """measured / tolerance: at most 1 for a pass, and how close to
+        failing the check runs (a zero tolerance gives inf unless the
+        measurement is zero too)."""
+        if self.tolerance > 0.0:
+            return self.measured / self.tolerance
+        return 0.0 if self.measured <= 0.0 else math.inf
 
 
 def _interval(length: float = 1.0, left=DIRICHLET, right=DIRICHLET) -> Interval:
@@ -298,6 +308,9 @@ def _check_approximation_hierarchy() -> tuple[float, str]:
 
 
 def _check_regularized_limit_slope() -> tuple[float, str]:
+    # Passes exactly when slope >= 1.9, as measured 1.9/slope <= 1; a slope
+    # at or below zero is inf, and one a rounding short of 1.9 whose
+    # quotient rounds to 1 is held just above it.
     geom = _interval()
     e_ren = energy.total_energy_renormalized(geom).total_renormalized
     ts = 10.0 ** np.arange(-1.0, -3.2, -0.2)
@@ -305,8 +318,10 @@ def _check_regularized_limit_slope() -> tuple[float, str]:
         [abs(energy.total_energy_regularized(geom, float(t)).total_renormalized - e_ren)
          for t in ts]
     )
-    slope = np.polyfit(np.log(ts), np.log(gaps), 1)[0]
-    measured = max(0.0, 1.9 - slope)
+    slope = float(np.polyfit(np.log(ts), np.log(gaps), 1)[0])
+    measured = 1.9 / slope if slope > 0.0 else math.inf
+    if slope < 1.9 and measured <= 1.0:
+        measured = math.nextafter(1.0, 2.0)
     return measured, f"log-log slope of |E(t) - E| = {slope:.3f} (need >= 1.9)"
 
 
@@ -417,7 +432,7 @@ CHECKS: tuple[tuple[str, float, Callable[[], tuple[float, str]]], ...] = (
     ("heat_cylinder_relations", 1e-6, _check_heat_cylinder_relations),
     ("per_orbit_energy_routes", 1e-12, _check_per_orbit_energy_routes),
     ("approximation_hierarchy", 1e-10, _check_approximation_hierarchy),
-    ("regularized_limit_slope", 0.0, _check_regularized_limit_slope),
+    ("regularized_limit_slope", 1.0, _check_regularized_limit_slope),
     ("xi_independence", 1e-8, _check_xi_independence),
     ("density_antisymmetry", 1e-13, _check_density_antisymmetry),
     ("reflection_symmetry", 1e-13, _check_reflection_symmetry),
@@ -439,12 +454,13 @@ def run_checks(tolerance_override: float | None = None) -> list[CheckResult]:
     for name, tol, func in CHECKS:
         if tolerance_override is not None:
             tol = tolerance_override
+        t0 = time.perf_counter()
         try:
             measured, detail = func()
+            passed = measured <= tol
         except Exception as exc:  # a crash is a failure, not an abort
-            results.append(
-                CheckResult(name, math.inf, tol, False, f"raised {type(exc).__name__}: {exc}")
-            )
-            continue
-        results.append(CheckResult(name, measured, tol, measured <= tol, detail))
+            measured, passed = math.inf, False
+            detail = f"raised {type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - t0
+        results.append(CheckResult(name, measured, tol, passed, detail, elapsed))
     return results

@@ -367,9 +367,13 @@ def test_verify_all_checks_pass(capsys):
     assert "three_way_kernel_agreement" in names
     assert all(row["passed"] for row in doc["rows"])
     assert all(
-        set(row) == {"name", "measured", "tolerance", "passed", "detail"}
+        set(row) == {"name", "measured", "tolerance", "margin", "passed", "elapsed_s", "detail"}
         for row in doc["rows"]
     )
+    for row in doc["rows"]:
+        assert row["margin"] == pytest.approx(row["measured"] / row["tolerance"])
+        assert row["margin"] <= 1.0
+        assert 0.0 <= row["elapsed_s"] < 60.0
     assert doc["meta"]["passed"] == doc["meta"]["checks"] == len(names)
     assert "checks passed" in err
 
@@ -406,6 +410,14 @@ def test_verify_csv_format_round_trips(capsys):
     table = parse_table(out)
     assert all(isinstance(passed, bool) for passed in column(table, "passed"))
     assert parse_table(emit_csv(table)) == table
+
+
+def test_halfline_kernel_at_the_smallest_t_is_a_usage_error(capsys):
+    # 1/(pi t) overflows at t = 5e-324: every route raises InvalidParameter
+    code, out, err = run(capsys, "kernel", "--geometry", "halfline", "--t", "5e-324")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "overflows" in err or "too small" in err
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from vacuum1d import (
     TwistedCircle,
     UnsupportedGeometry,
     approximation_report,
+    cylinder_trace,
     energy_density_regularized,
     energy_density_renormalized,
     extract_cylinder_coefficients,
+    heat_trace,
     orbit_energy_contribution,
     theorem1_check,
     total_energy_regularized,
@@ -682,6 +684,69 @@ def test_cylinder_coefficients_validate_grid():
         extract_cylinder_coefficients(geom, t_grid=np.geomspace(0.04, 0.1, 20))
     with pytest.raises(ContinuousSpectrum):
         extract_cylinder_coefficients(HalfLine(DIRICHLET))
+
+
+def _lstsq_fit(geometry, t):
+    """The fit as np.linalg.lstsq solves it, from scalar trace calls."""
+    y = np.array([ti * cylinder_trace(geometry, float(ti)).value for ti in t])
+    powers = np.array([0, 1, 2, 3, 4, 6])
+    design = (t / t[-1])[:, None] ** powers[None, :]
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = float(np.max(np.abs(design @ coef - y)))
+    return {k: c / t[-1] ** k for k, c in zip(powers, coef) if k <= 4}, rank, resid
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [Interval(1.0, DIRICHLET, DIRICHLET), Interval(2.3, DIRICHLET, NEUMANN),
+     TwistedCircle(0.7, 1.9)],
+    ids=str,
+)
+@pytest.mark.parametrize("grid", ["default", "linear", "short"])
+def test_cylinder_fit_matches_lstsq(geometry, grid):
+    length = geometry.length
+    t = {
+        "default": length * np.geomspace(1e-3, 0.1, 25),
+        "linear": length * np.linspace(0.004, 0.1, 40),
+        "short": length * np.geomspace(2e-3, 0.05, 9),
+    }[grid]
+    out = extract_cylinder_coefficients(geometry, None if grid == "default" else t)
+    want, rank, resid = _lstsq_fit(geometry, t)
+    assert rank == 6
+    # To 1e-12 of the data t Tr T ~ L/pi, coefficient by coefficient in
+    # the scaled variable u = t/t[-1]: the solvers round differently, and
+    # the small high-order coefficients (e_3 is ~1e-10 in u) carry that
+    # rounding at full relative size (lstsq itself is 2e-12 off the exact
+    # least-squares e_2 on the default grid).
+    scale = 1e-12 * length / PI
+    for k in range(5):
+        assert abs(out.e[k] - want[k]) * t[-1] ** k <= scale, k
+    assert out.residual == pytest.approx(resid, abs=1e-13)
+
+
+def test_cylinder_fit_rejects_a_rank_deficient_grid():
+    # Two clusters of points a few ulps apart: valid by every grid rule,
+    # but only two distinct abscissae for six basis columns.
+    lo, hi = [1e-3], [0.1]
+    for _ in range(3):
+        lo.append(float(np.nextafter(lo[-1], 1.0)))
+        hi.insert(0, float(np.nextafter(hi[0], 0.0)))
+    t = np.array(lo + hi)
+    assert _lstsq_fit(Interval(1.0), t)[1] < 6
+    with pytest.raises(IllConditionedFit):
+        extract_cylinder_coefficients(Interval(1.0), t_grid=t)
+
+
+def test_theorem1_heat_fit_matches_lstsq():
+    geometry = TwistedCircle(1.7, 0.4)
+    tg = 1.7**2 * np.geomspace(5e-4, 6e-3, 16)
+    yk = np.array([heat_trace(geometry, float(t)) for t in tg])
+    basis = np.column_stack([tg**-0.5, np.ones_like(tg), tg**0.5, tg])
+    col = np.max(np.abs(basis), axis=0)
+    coef = np.linalg.lstsq(basis / col, yk, rcond=None)[0] / col
+    report = theorem1_check(geometry)
+    assert report.b0 == pytest.approx(coef[0], rel=1e-12)
+    assert report.b1 == pytest.approx(coef[1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from vacuum1d import kernels
 from vacuum1d.errors import ContinuousSpectrum, InvalidParameter, OutOfDomain
 from vacuum1d.kernels import (
     CLOSED_FORM,
@@ -106,6 +107,31 @@ def test_halfline_diagonal_closed_form():
         for method in ROUTES:
             got = cylinder_kernel(HalfLine(condition), t, x, method=method)
             assert got.value == pytest.approx(ref, rel=1e-9), method
+
+
+@pytest.mark.parametrize("condition", [DIRICHLET, NEUMANN], ids=str)
+def test_halfline_closed_form_keeps_relative_accuracy_at_tiny_t(condition):
+    # (t/pi)/(d^2 + t^2) is evaluated in units of max(|d|, t): t*t no
+    # longer goes subnormal (1e-5 off at t = 1e-160) or underflows.
+    sign = -1 if condition is DIRICHLET else 1
+    for t, x, y in ((1e-160, 0.5, 0.5), (1e-200, 0.5, 0.5), (1e-160, 0.3, 0.7), (3e-300, 0.0, 1e-300)):
+        with mpmath.workdps(40):
+            tm, xm, ym = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(y)
+            want = float(tm / mpmath.pi * (1 / ((xm - ym) ** 2 + tm**2)
+                                           + sign / ((xm + ym) ** 2 + tm**2)))
+        for method in (IMAGE_SUM, CLOSED_FORM):
+            got = cylinder_kernel(HalfLine(condition), t, x, y, method=method).value
+            assert got == pytest.approx(want, rel=4 * 2.0**-52), (t, x, y, method)
+
+
+def test_halfline_kernel_at_the_smallest_t_raises_on_every_route():
+    # The diagonal 1/(pi t) overflows at t = 5e-324; the mode route cannot
+    # scale its integral by 1/(pi t) there even off the diagonal.
+    for method in ROUTES:
+        with pytest.raises(InvalidParameter):
+            cylinder_kernel(HalfLine(DIRICHLET), 5e-324, 0.5, method=method)
+    with pytest.raises(InvalidParameter):
+        cylinder_kernel(HalfLine(DIRICHLET), 5e-324, 0.5, 0.7, method=MODE_SUM)
 
 
 def test_dirichlet_wall_value_is_zero():
@@ -372,6 +398,32 @@ def test_trace_small_t_structure():
         tr = cylinder_trace(geometry, t).value
         assert t * tr == pytest.approx(geometry.length / PI, abs=1e-3)
         assert tr - geometry.length / (PI * t) == pytest.approx(e1, abs=1e-3)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+def test_array_trace_helpers_match_the_scalar_calls(geometry):
+    """The one-pass array helpers behind the coefficient fits give the
+    scalar calls' values at every t: the closed trace to the last bit, the
+    heat trace (whose ladder is cut for the smallest t) to rounding."""
+    ts = geometry.length * np.geomspace(1e-3, 500.0, 40)
+    closed = kernels._closed_trace(geometry, ts)
+    for t, got in zip(ts, closed):
+        assert got == cylinder_trace(geometry, float(t)).value
+    heat_ts = ts[:25] ** 2 / geometry.length
+    heat = kernels._heat_trace(geometry, heat_ts, SeriesControl())
+    for t, got in zip(heat_ts, heat):
+        assert got == pytest.approx(heat_trace(geometry, float(t)), rel=4e-16)
+
+
+def test_interval_image_trace_is_scale_safe():
+    # t = L for L = 1e-300 ... 1e300: the trace is free of L, and the
+    # image route no longer overflows in L^2 or underflows in L t
+    for condition in (DIRICHLET, NEUMANN):
+        ref = cylinder_trace(Interval(1.0, DIRICHLET, condition), 1.0, method=IMAGE_SUM).value
+        for k in range(-300, 301, 20):
+            length = 10.0**k
+            got = cylinder_trace(Interval(length, DIRICHLET, condition), length, method=IMAGE_SUM)
+            assert got.value == pytest.approx(ref, rel=1e-15)
 
 
 def test_halfline_trace_diverges():
