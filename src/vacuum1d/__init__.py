@@ -83,7 +83,6 @@ from .summation import (
     bernoulli_cos_sum,
     bernoulli_sin_sum,
     lattice_sum,
-    mittag_leffler_sum,
     poisson_check,
     riesz_cesaro2_energy_integrand,
     telescoping_check,
@@ -153,7 +152,6 @@ __all__ = [
     "lattice_sum",
     "local_counting",
     "local_spectral_density",
-    "mittag_leffler_sum",
     "orbit_energy_contribution",
     "poisson_check",
     "riesz_cesaro2_energy_integrand",

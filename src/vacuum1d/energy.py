@@ -144,36 +144,36 @@ _TWISTED_SERIES = tuple(
 def _twisted_periodic_regularized(length: float, theta: float, t: float) -> float:
     """E(t) - Weyl for the twisted circle, stable at small and large t.
 
-    E(t) = [b cosh(at) cosh(bt) - a sinh(at) sinh(bt)] / (2 sinh^2(bt))
-    with a = (pi - theta)/L, b = pi/L (theta normalized to [0, 2 pi)).
-    Below bt = 0.6, where subtracting the Weyl part 1/(2 b t^2) would
-    cost more than 1e-14 relative, it is the series
-    -2b sum_j (2j - 1) B_2j(1/2 + beta) (2bt)^(2j - 2) / (2j)!,
-    beta = a / 2b, to j = 12: its terms shrink like (bt/pi)^2j, so the
-    truncation is below 1e-15 relative there.  Where the direct form
-    overflows (b cosh(at) cosh(bt) at L below ~1e-47) it is taken at unit
-    length, E_L(t) = E_1(t/L) / L.
+    E(t) = -1/2 d/dt Tr T with Tr T = (e^{-alpha t} + e^{-beta t}) / (1 - e^{-2bt}),
+    alpha = theta/L, beta = (2 pi - theta)/L, b = pi/L (theta normalized
+    to [0, 2 pi)), is
+    [alpha (e^{-alpha t} + e^{-(alpha + 2 beta) t}) + beta (e^{-beta t}
+    + e^{-(2 alpha + beta) t})] / (2 (1 - e^{-2bt})^2): even under
+    theta -> 2 pi - theta, every term non-negative and no exponential
+    growing, so it neither cancels nor overflows.  Below bt = 0.6, where
+    subtracting the Weyl part 1/(2 b t^2) would cost more than 1e-14
+    relative, it is the series
+    -2b sum_j (2j - 1) B_2j(1/2 + c) (2bt)^(2j - 2) / (2j)!,
+    c = (pi - theta) / 2 pi, to j = 12: its terms shrink like
+    (bt/pi)^2j, so the truncation is below 1e-15 relative there.
     """
-    a = (PI - theta) / length
     b = PI / length
     bt = b * t
     if bt < 0.6:
-        beta2, tau2 = (0.5 * a / b) ** 2, (2.0 * bt) ** 2
+        c2, tau2 = (0.5 * (PI - theta) / PI) ** 2, (2.0 * bt) ** 2
         total = 0.0
         for row in reversed(_TWISTED_SERIES):
             coef = 0.0
             for c in row:
-                coef = coef * beta2 + c
+                coef = coef * c2 + c
             total = total * tau2 + coef
         return -2.0 * b * total
-    if bt > 300.0:
-        return 0.5 * (b - a) * math.exp((a - b) * t) - 1.0 / (2.0 * b * t * t)
-    sh = math.sinh(bt)
-    num = b * math.cosh(a * t) * math.cosh(bt) - a * math.sinh(a * t) * math.sinh(bt)
-    val = num / (2.0 * sh * sh) - 1.0 / (2.0 * b * t * t)
-    if not _isfinite(val) and length != 1.0:
-        return _twisted_periodic_regularized(1.0, theta, t / length) / length
-    return val
+    alpha, beta = theta / length, (2.0 * PI - theta) / length
+    top = alpha * (math.exp(-alpha * t) + math.exp(-(alpha + 2.0 * beta) * t)) + beta * (
+        math.exp(-beta * t) + math.exp(-(2.0 * alpha + beta) * t)
+    )
+    gap = -math.expm1(-2.0 * bt)
+    return top / (2.0 * gap * gap) - 1.0 / (2.0 * b * t * t)
 
 
 def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:

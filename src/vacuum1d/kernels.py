@@ -23,15 +23,18 @@ The heat kernel is the same construction for ``e^{-t omega^2}`` with the
 Gaussian free kernel ``(4 pi t)^{-1/2} e^{-(x-y)^2/4t}``; its image sums
 converge so fast that a closed form is never needed.
 
-Small-t and near-diagonal evaluations use cancellation-free forms
-throughout, e.g. ``cosh a - cos b = 2 sinh^2(a/2) + 2 sin^2(b/2)``, and
-the interval closed forms switch to exponent-scaled ones past
-``pi t / 2L = 350``, before ``sinh^2`` overflows.
+Each closed form is written once, in exponentials that decay, e.g.
+``sinh(2z) / (cosh 2z - cos 2h) = (1 - q^2) / ((1 - q)^2 + 4 q sin^2 h)``
+with ``q = e^{-2z}``: nothing overflows at any t, and differences of
+nearly equal terms are worked out by hand (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002), so the forms keep their
+relative accuracy from t << L to the ground-state asymptote at t >> L.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,68 +272,45 @@ def _twisted_image_sum(
 
 
 def _interval_closed_form(geom: Interval, t: float, x: float, y: float) -> KernelValue:
-    length, l = geom.length, geom.l
-    z = math.pi * t / (2.0 * length)  # half the cylinder aspect angle
-    if z > 350.0:
-        return _interval_closed_form_far(geom, z, x, y)
-    sh2 = math.sinh(z) ** 2
-
-    if geom.like_ends:
-        # (1/2L) [ S(x-y) + (-1)^l S(x+y) ],
-        # S(d) = sinh(2z) / (2 sinh^2 z + 2 sin^2(pi d / 2L)).
-        def s(d: float) -> float:
-            return math.sinh(2.0 * z) / (
-                2.0 * sh2 + 2.0 * math.sin(math.pi * d / (2.0 * length)) ** 2
-            )
-
-        val = (s(x - y) + (-1.0) ** l * s(x + y)) / (2.0 * length)
-        return KernelValue(val, CLOSED_FORM, 0, 0.0)
-
-    # Mixed ends: (1/L) sinh(z) [ C(x-y) + (-1)^l C(x+y) ],
-    # C(d) = cos(pi d / 2L) / (2 sinh^2 z + 2 sin^2(pi d / 2L)).
-    def c(d: float) -> float:
-        half = math.pi * d / (2.0 * length)
-        return math.cos(half) / (2.0 * sh2 + 2.0 * math.sin(half) ** 2)
-
-    val = math.sinh(z) * (c(x - y) + (-1.0) ** l * c(x + y)) / length
-    return KernelValue(val, CLOSED_FORM, 0, 0.0)
-
-
-def _interval_closed_form_far(geom: Interval, z: float, x: float, y: float) -> KernelValue:
-    """The closed forms past z = 350, scaled by sinh z before sinh(z)^2
-    overflows: with r = csch^2 z = 4 e^{-2z} and s_pm = sin^2(pi (x -/+ y)/2L),
-    S(d) = 1/(1 + s r) and sinh(z) C(d) = e^{-z} cos(pi d/2L)/(1 + s r)."""
-    length, l = geom.length, geom.l
-    r = 4.0 * math.exp(-2.0 * z)
-    h_minus = math.pi * (x - y) / (2.0 * length)
-    h_plus = math.pi * (x + y) / (2.0 * length)
-    den_minus = 1.0 + math.sin(h_minus) ** 2 * r
-    den_plus = 1.0 + math.sin(h_plus) ** 2 * r
-    if geom.like_ends:
-        if l == 0:
-            val = (1.0 / den_minus + 1.0 / den_plus) / (2.0 * length)
-        else:
-            # S(x-y) - S(x+y) = (s_plus - s_minus) r / (den_minus den_plus),
-            # s_plus - s_minus = sin(pi x/L) sin(pi y/L): no cancellation.
-            lead = math.sin(math.pi * x / length) * math.sin(math.pi * y / length)
-            val = lead * r / (den_minus * den_plus) / (2.0 * length)
+    """The interval closed forms of :func:`cylinder_kernel` in q = e^{-2z}
+    and g = 1 - q, z = pi t/2L: every exponential decays and no difference
+    of nearly equal terms is formed, so they keep their relative accuracy
+    from t/L near the float range up to the ground-state asymptote."""
+    length = geom.length
+    z = math.pi * t / (2.0 * length)
+    q = math.exp(-2.0 * z)
+    g = -math.expm1(-2.0 * z)
+    if g < 4.0 / sys.float_info.max:  # 4 q/g would overflow
+        raise InvalidParameter(f"t={t!r} is below the float range at L={length!r}")
+    # S(x -/+ y) = (1 + q)/den_-/+, den_pm = D_pm / g, and
+    # gap = 1/den_- - 1/den_+ = 4 q sin(pi x/L) sin(pi y/L) / (den_+ g den_-),
+    # divided in this order so that no intermediate leaves the float range
+    h_minus, h_plus = math.pi * (x - y) / (2.0 * length), math.pi * (x + y) / (2.0 * length)
+    den_minus = g + 4.0 * q * math.sin(h_minus) ** 2 / g
+    den_plus = g + 4.0 * q * math.sin(h_plus) ** 2 / g
+    cross = math.sin(math.pi * x / length) * math.sin(math.pi * y / length)
+    gap = 4.0 * q * cross / den_plus / g / den_minus
+    if geom.left is NEUMANN is geom.right:  # (1/2L)[S(x - y) + S(x + y)]
+        val = (1.0 + q) * (1.0 / den_minus + 1.0 / den_plus) / (2.0 * length)
+    elif geom.left is DIRICHLET is geom.right:  # (1/2L)[S(x - y) - S(x + y)]
+        val = (1.0 + q) * gap / (2.0 * length)
     else:
-        val = math.exp(-z) * (
-            math.cos(h_minus) / den_minus + (-1.0) ** l * math.cos(h_plus) / den_plus
-        ) / length
+        # (1/L) e^{-z} [cos h_-/den_- -/+ cos h_+/den_+], h_pm = pi (x -/+ y)/2L,
+        # = (1/L) e^{-z} [cos h_- gap + (cos h_- -/+ cos h_+)/den_+], where
+        # cos h_- -/+ cos h_+ = 2 sin sin (D/N) or 2 cos cos (N/D) of pi x/2L, pi y/2L
+        wave = math.sin if geom.left is DIRICHLET else math.cos
+        wall = 2.0 * wave(math.pi * x / (2.0 * length)) * wave(math.pi * y / (2.0 * length))
+        val = math.exp(-z) * (math.cos(h_minus) * gap + wall / den_plus) / length
+    if not math.isfinite(val):
+        raise InvalidParameter(f"interval kernel overflows at t={t!r}")
     return KernelValue(val, CLOSED_FORM, 0, 0.0)
 
 
 def _twisted_closed_form_diag(geom: TwistedCircle, t: float) -> KernelValue:
-    # T(t; x, x) = cosh((pi - theta) t / L) / (L sinh(pi t / L)),
-    # theta normalized to [0, 2 pi); even under theta -> 2 pi - theta.
-    length, theta = geom.length, geom.theta
-    a = (math.pi - theta) * t / length
-    b = math.pi * t / length
-    if b > 350.0:
-        val = (math.exp(a - b) + math.exp(-a - b)) / length
-    else:
-        val = math.cosh(a) / (length * math.sinh(b))
+    # T(t; x, x) = Tr T(t) / L
+    val = float(_closed_trace(geom, t)) / geom.length
+    if not math.isfinite(val):
+        raise InvalidParameter(f"twisted kernel overflows at t={t!r}")
     return KernelValue(val, CLOSED_FORM, 0, 0.0)
 
 
@@ -370,15 +350,20 @@ def cylinder_kernel(
 
     Notes
     -----
-    Closed forms, with z = pi t / 2L and the stable denominator
-    ``cosh a - cos b = 2 sinh^2(a/2) + 2 sin^2(b/2)``:
+    Closed forms, with z = pi t / 2L, q = e^{-2z}, g = 1 - q,
+    s_pm = sin^2(pi (x -/+ y)/2L) and D_pm = g^2 + 4 q s_pm, in which
+    every exponential decays and every term is non-negative:
 
-    * like ends:  ``(1/2L)[S(x-y) + (-1)^l S(x+y)]``,
-      ``S(d) = sinh(pi t/L) / (cosh(pi t/L) - cos(pi d/L))``
-    * mixed ends: ``(1/L) sinh(z) [C(x-y) + (-1)^l C(x+y)]``,
-      ``C(d) = cos(pi d/2L) / (cosh(pi t/L) - cos(pi d/L))``
+    * Neumann-Neumann:  ``(1/2L)[S(x-y) + S(x+y)]``, ``S(x -/+ y) = g (1+q) / D_-/+``
+    * Dirichlet-Dirichlet: ``(1/2L)[S(x-y) - S(x+y)]
+      = (1/2L) g (1+q) 4q sin(pi x/L) sin(pi y/L) / (D_- D_+)``
+    * Dirichlet-Neumann: ``(1/L) e^{-z} g [2 sin(pi x/2L) sin(pi y/2L) D_-
+      + cos(pi (x-y)/2L) 4q sin(pi x/L) sin(pi y/L)] / (D_- D_+)``;
+      Neumann-Dirichlet, its mirror image at ``(L - x, L - y)``, has cos
+      for sin in the first term
     * half-line:  direct + reflected Lorentzian (the image sum is exact)
-    * twisted diagonal: ``cosh((pi-theta) t/L) / (L sinh(pi t/L))``.
+    * twisted diagonal: ``cosh((pi-theta) t/L) / (L sinh(pi t/L))``
+      ``= (e^{-theta t/L} + e^{-(2 pi-theta) t/L}) / (L (1 - e^{-2 pi t/L}))``.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidParameter("t must be positive and finite")
@@ -431,9 +416,12 @@ def cylinder_trace(
 
     The image-sum route integrates each image family over the domain
     analytically: periodic Lorentzians give the two-sided pole sum
-    (Mittag-Leffler), boundary ones telescope to ``(-1)^l/2`` for like
-    ends and to zero for mixed ends.  This route is numerically
-    independent of the geometric-series closed form.
+    ``(1/2 pi) sum_n w_n a/(n^2 + a^2)``, a = t/2L, w_n = 1 (like ends)
+    or (-1)^n (mixed ends), summed by
+    :func:`vacuum1d.summation.lattice_sum` with its terms and bound;
+    boundary ones telescope to ``(-1)^l/2`` for like ends and to zero for
+    mixed ends.  This route is numerically independent of the
+    geometric-series closed form.
 
     The half-line trace diverges (continuous spectrum);
     :class:`ContinuousSpectrum` is raised.
@@ -453,14 +441,15 @@ def cylinder_trace(
     if method == MODE_SUM:
         return _trace_mode_sum(geometry, t, control)
     if isinstance(geometry, Interval):
-        # The periodic Lorentzians integrate to (L t/pi) / (4 L^2) = a/(2 pi)
-        # times the pole sum, a = t/2L: written in a, free of L^2.
-        a = t / (2.0 * geometry.length)
-        kind = "coth" if geometry.like_ends else "csch"
-        val = a * summation.mittag_leffler_sum(kind, a) / (2.0 * math.pi)
+        # The periodic Lorentzians integrate to (1/2 pi) sum_n w_n a/(n^2 + a^2),
+        # a = t/2L, w_n = 1 (like ends) or (-1)^n (mixed): half the unit
+        # lattice of Lorentzians of width a, free of L^2.
+        a, theta = t / (2.0 * geometry.length), 0.0 if geometry.like_ends else math.pi
+        per, terms, bound = _lorentzian_lattice(1.0, 0.0, a, theta, control)
+        val = 0.5 * per.real
         if geometry.like_ends:
             val += 0.5 * (-1.0) ** geometry.l
-        return KernelValue(val, IMAGE_SUM, 0, 0.0)
+        return KernelValue(val, IMAGE_SUM, terms, 0.5 * bound)
 
     length = geometry.length
     diag = _twisted_image_sum(geometry, t, 0.0, 0.0, control)
@@ -557,27 +546,24 @@ def heat_trace(geometry: Geometry, t: float, control: SeriesControl = SeriesCont
 
 
 def _closed_trace(geometry: Interval | TwistedCircle, t: np.ndarray | float) -> np.ndarray:
-    """Closed-form Tr T at every t of an array (t > 0), in one numpy pass.
+    """Closed-form Tr T at a float t or at every t of an array (t > 0), in
+    one numpy pass; a float stays a numpy scalar, which costs a third of a
+    0-d array.
 
-    The formulas are those of :func:`cylinder_trace`; past the switch points
-    each one is its leading exponential (exact to e^{-700} relative), and
-    the other branch is evaluated at the switch point so that nothing
-    overflows."""
-    t = np.asarray(t, dtype=float)
+    The formulas are those of :func:`cylinder_trace`, written in decaying
+    exponentials over 1 - e^{-b}, b = pi t/L, so that nothing overflows:
+    like ends e^{-b}/(1 - e^{-b}), mixed ends e^{-b/2}/(1 - e^{-b}), and
+    the twisted circle (e^{-theta t/L} + e^{-(2 pi - theta) t/L})/(1 - e^{-2b})."""
     length = geometry.length
     b = math.pi * t / length
     if isinstance(geometry, TwistedCircle):
-        # cosh((pi - theta) t/L) / sinh(pi t/L), theta in [0, 2 pi)
-        a = (math.pi - geometry.theta) * t / length
-        near = b <= 350.0
-        a_near, b_near = np.where(near, a, 0.0), np.where(near, b, 1.0)
-        return np.where(near, np.cosh(a_near) / np.sinh(b_near), np.exp(a - b) + np.exp(-a - b))
+        theta = geometry.theta
+        top = np.exp(-theta * t / length) + np.exp(-(TWO_PI - theta) * t / length)
+        return top / -np.expm1(-2.0 * b)
     if geometry.like_ends:
-        # 1/(e^b - 1), plus the Neumann zero mode
-        val = np.where(b > 700.0, np.exp(-b), 1.0 / np.expm1(np.minimum(b, 700.0)))
+        val = np.exp(-b) / -np.expm1(-b)
         return val + 1.0 if geometry.left is NEUMANN else val
-    # 1 / (2 sinh(b/2))
-    return np.where(b > 1400.0, np.exp(-0.5 * b), 0.5 / np.sinh(0.5 * np.minimum(b, 1400.0)))
+    return np.exp(-0.5 * b) / -np.expm1(-b)
 
 
 def _heat_trace(

@@ -7,13 +7,13 @@ only in the sense of distributions:
 * Riesz--Cesaro means ``int_0^Omega (1 - w/Omega)^2 cos(a w + b) w dw``,
 * the Fourier closed forms ``sum sin(n z)/n`` and ``sum cos(n z)/n**2``
   (sawtooth and periodic Bernoulli polynomial),
-* two-sided pole sums ``sum_n 1/((n+b)^2 + a^2)`` and its alternating
-  partner (Mittag-Leffler expansions of coth and csch),
 * telescoping pole-pair series whose limit is checked by Richardson
   extrapolation,
 * tail-completed lattice sums ``sum_m e^{i m theta} (step m + d - i t)^-k``
   (:func:`lattice_sum`), the one primitive behind every image and orbit
-  series of the kernels and energies,
+  series of the kernels and energies, two-sided pole sums
+  ``sum_n w_n/(n^2 + a^2)`` (w_n = 1 or (-1)^n, the Mittag-Leffler
+  expansions of coth and csch) among them,
 * double-exponential quadrature on finite and half-infinite intervals and
   of Fourier integrals ``int_0^inf f(x) cos(x) dx`` (:func:`de_quadrature`),
   behind the half-line mode route and the integrals of the verify registry.
@@ -213,47 +213,6 @@ def bernoulli_cos_sum(theta: float) -> float:
         tr += TWO_PI
     u = tr / TWO_PI
     return math.pi**2 * (u * u - u + 1.0 / 6.0)
-
-
-def mittag_leffler_sum(kind: str, a: float, b: float = 0.0) -> float:
-    """Two-sided lattice pole sums in purely real arithmetic.
-
-    ``kind='coth'``::
-
-        sum_{n in Z} 1/((n+b)^2 + a^2)
-            = (pi/a) sinh(2 pi a) / (cosh(2 pi a) - cos(2 pi b))
-
-    ``kind='csch'``::
-
-        sum_{n in Z} (-1)^n /((n+b)^2 + a^2)
-            = (2 pi/a) sinh(pi a) cos(pi b) / (cosh(2 pi a) - cos(2 pi b))
-
-    These are the partial-fraction expansions of coth and csch evaluated
-    at ``pi (a + i b)`` and recombined with their conjugates, so no complex
-    intermediate appears.  Finite for all real b when a > 0.  For
-    ``2 pi a`` beyond the overflow range of cosh the asymptotic forms
-    ``pi/a`` and ``(4 pi/a) cos(pi b) e^{-pi a}`` are used (corrections
-    below 1e-290).
-    """
-    if not (a > 0.0):
-        raise InvalidParameter("pole offset a must be positive")
-    if kind not in ("coth", "csch"):
-        raise InvalidParameter(f"unknown Mittag-Leffler kind {kind!r}")
-    if a > 100.0:
-        if kind == "coth":
-            return math.pi / a
-        return (4.0 * math.pi / a) * math.cos(math.pi * b) * math.exp(-math.pi * a)
-    # cosh(2 pi a) - cos(2 pi b) = 2 sinh^2(pi a) + 2 sin^2(pi b), which is
-    # free of cancellation for small a as well.
-    denom = 2.0 * math.sinh(math.pi * a) ** 2 + 2.0 * math.sin(math.pi * b) ** 2
-    if kind == "coth":
-        return (math.pi / a) * math.sinh(2.0 * math.pi * a) / denom
-    return (
-        (2.0 * math.pi / a)
-        * math.sinh(math.pi * a)
-        * math.cos(math.pi * b)
-        / denom
-    )
 
 
 def telescoping_check(

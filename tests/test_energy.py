@@ -168,10 +168,11 @@ def test_regularized_total_matches_brute_twisted(theta):
 
 
 def _mp_twisted_regularized(length: float, theta: float, t: float) -> float:
-    """E(t) - Weyl for the twisted circle from its closed form, 40 digits."""
+    """E(t) - Weyl for the twisted circle from its closed form, at 40 + 3t/L
+    digits: b cosh(at) cosh(bt) - a sinh(at) sinh(bt) cancels as a -> b."""
     import mpmath
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(int(40 + 3 * t / length)):
         a = (mpmath.pi - mpmath.mpf(theta)) / length
         b = mpmath.pi / length
         tm = mpmath.mpf(t)
@@ -182,21 +183,35 @@ def _mp_twisted_regularized(length: float, theta: float, t: float) -> float:
 
 
 @pytest.mark.parametrize("length", [1.0, 0.7])
-@pytest.mark.parametrize("theta", [0.5, PI, 2.7])
+@pytest.mark.parametrize("theta", [0.5, PI, 2.7, 2.0 * PI - 0.01, 1e-5])
 @pytest.mark.parametrize(
     "u",
-    # pi t / L: small t, both sides of 0.05, and both sides of 0.6, where
-    # the series hands over to the direct formula.
+    # pi t / L: small t, both sides of 0.05, both sides of 0.6, where the
+    # series hands over to the direct formula, and far past it: near
+    # theta = 0 the direct form once lost digits as u grew (1.9e-13 of
+    # |E| + Weyl at 40), and past 300 it kept only e^{(a - b) t}, which is
+    # -Weyl alone near theta = 2 pi.
     [PI * 1e-3, PI * 0.01, PI * 0.015, 0.05 * (1 - 1e-9), 0.05 * (1 + 1e-9),
-     0.6 * (1 - 1e-12), 0.6 * (1 + 1e-12)],
+     0.6 * (1 - 1e-12), 0.6 * (1 + 1e-12), 18.0, 40.0, 350.0],
 )
 def test_twisted_regularized_energy_near_and_below_the_series_switch(length, theta, u):
+    """E(t) - Weyl against 40 + 3t/L digits, relative to itself and within
+    1e-13 of |E| + Weyl, at theta and at the mirror angle 2 pi - theta,
+    under which E(t) is even (each against its own float angle).  The
+    mirror of theta = 1e-5 is left out: within a few ulps of 2 pi, the
+    float angle itself moves E by 1e-11 of |E| + Weyl."""
     t = u * length / PI
-    want = _mp_twisted_regularized(length, theta, t)
-    geom = TwistedCircle(length, theta)
-    assert total_energy_regularized(geom, t).periodic == pytest.approx(want, rel=1e-13)
-    density = energy_density_regularized(geom, t, 0.3)
-    assert density.periodic == pytest.approx(want / length, rel=1e-13)
+    weyl = length / (2.0 * PI * t * t)
+    for angle in (theta, 2.0 * PI - theta) if theta >= 0.01 else (theta,):
+        geom = TwistedCircle(length, angle)
+        want = _mp_twisted_regularized(length, geom.theta, t)
+        tol = 1e-13 * (abs(want + weyl) + weyl)
+        got = total_energy_regularized(geom, t).periodic
+        assert got == pytest.approx(want, rel=1e-13)
+        assert abs(got - want) <= tol, (angle, got, want)
+        density = energy_density_regularized(geom, t, 0.3).periodic
+        assert density == pytest.approx(want / length, rel=1e-13)
+        assert abs(density - want / length) <= tol / length, (angle, density, want)
 
 
 @pytest.mark.parametrize("even", [True, False], ids=["csch2", "csch-coth"])

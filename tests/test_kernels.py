@@ -280,18 +280,55 @@ def test_image_sum_cap_gives_a_larger_honest_bound():
     assert abs(capped.value - closed) <= capped.truncation_bound
 
 
+def mp_interval_kernel(geometry, t, x, y):
+    """The interval closed form in sinh/cosh, at 40 + 3t/L digits: the
+    like-ends difference S(x - y) - S(x + y) cancels to e^{-pi t/L}."""
+    with mpmath.workdps(int(40 + 3 * t / geometry.length)):
+        length, t, x, y = (mpmath.mpf(v) for v in (geometry.length, t, x, y))
+        z = mpmath.pi * t / (2 * length)
+        sign = -1 if geometry.left is DIRICHLET else 1
+
+        def den(d):
+            return mpmath.cosh(2 * z) - mpmath.cos(mpmath.pi * d / length)
+
+        if geometry.left is geometry.right:
+            val = mpmath.sinh(2 * z) * (1 / den(x - y) + sign / den(x + y)) / (2 * length)
+        else:
+            val = mpmath.sinh(z) * (
+                mpmath.cos(mpmath.pi * (x - y) / (2 * length)) / den(x - y)
+                + sign * mpmath.cos(mpmath.pi * (x + y) / (2 * length)) / den(x + y)
+            ) / length
+        return float(val)
+
+
 @pytest.mark.parametrize(
-    "geometry", [Interval(1.0, DIRICHLET, DIRICHLET), Interval(1.0, NEUMANN, DIRICHLET)], ids=str
+    "geometry",
+    [
+        Interval(1.0, DIRICHLET, DIRICHLET),
+        Interval(1.0, NEUMANN, DIRICHLET),
+        Interval(1.0, DIRICHLET, NEUMANN),
+    ],
+    ids=str,
 )
-def test_interval_kernel_far_past_the_length_scale(geometry):
-    # Past t/L ~ 226 sinh(pi t/2L)^2 overflows; the scaled closed form
-    # returns the ground-state asymptote (2/L) e^{-omega_0 t} phi_0(x) phi_0(y).
-    t, x, y = 227.0, 0.5, 0.3
+@pytest.mark.parametrize(
+    "t, x, y",
+    # Up to t/L = 175 the D/D closed form once returned S(x - y) - S(x + y)
+    # as two terms near 1 (2.5e-3 off at t = 10, 0.0 at t = 20), and D/N lost
+    # 1.8e-11 next to its Dirichlet wall at t = 23; 227 is where sinh(z)^2
+    # once overflowed.
+    [(10.0, 0.3, 0.6), (20.0, 0.3, 0.6), (100.0, 0.3, 0.6), (23.0, 0.001, 0.001),
+     (227.0, 0.5, 0.3)],
+)
+def test_interval_kernel_far_past_the_length_scale(geometry, t, x, y):
+    got = cylinder_kernel(geometry, t, x, y)
+    want = mp_interval_kernel(geometry, t, x, y)
+    assert got.value == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the ground-state asymptote (2/L) e^{-omega_0 t} phi_0(x) phi_0(y) is
+    # exact to e^{-pi t/L} relative
     omega0 = PI if geometry.left is geometry.right else PI / 2.0
     phi = math.sin if geometry.left is DIRICHLET else math.cos
-    want = 2.0 * math.exp(-omega0 * t) * phi(omega0 * x) * phi(omega0 * y)
-    got = cylinder_kernel(geometry, t, x, y)
-    assert got.value == pytest.approx(want, rel=1e-9)
+    ground = 2.0 * math.exp(-omega0 * t) * phi(omega0 * x) * phi(omega0 * y)
+    assert got.value == pytest.approx(ground, rel=1e-9, abs=0.0)
     image = cylinder_kernel(geometry, t, x, y, method=IMAGE_SUM)
     assert math.isfinite(image.value)
     assert abs(image.value - got.value) <= image.truncation_bound
@@ -300,7 +337,7 @@ def test_interval_kernel_far_past_the_length_scale(geometry):
 def test_interval_trace_far_past_the_length_scale():
     t = 460.0
     assert cylinder_trace(Interval(1.0, DIRICHLET, NEUMANN), t).value == pytest.approx(
-        math.exp(-PI * t / 2.0), rel=1e-6
+        math.exp(-PI * t / 2.0), rel=1e-6, abs=0.0
     )
     assert cylinder_trace(Interval(1.0, DIRICHLET, DIRICHLET), t).value == 0.0
     assert cylinder_trace(Interval(1.0, NEUMANN, NEUMANN), t).value == 1.0
@@ -347,6 +384,7 @@ def mp_closed_trace(geometry, t):
         )
 
 
+@pytest.mark.parametrize("method", [MODE_SUM, IMAGE_SUM])
 @pytest.mark.parametrize(
     "geometry",
     [
@@ -359,13 +397,17 @@ def mp_closed_trace(geometry, t):
     ],
     ids=repr,
 )
-def test_trace_mode_sum_bound_covers_its_rounding(geometry):
-    """|mode - exact| <= truncation_bound at 60 t in [1e-3, 10] L, with no
-    allowance outside the bound (twisted theta = 0 at t = 0.148 L once
-    erred by 1.03e-15 against a bound of 3.3e-16)."""
+def test_trace_mode_sum_bound_covers_its_rounding(geometry, method):
+    """|series - exact| <= truncation_bound at 60 t in [1e-3, 10] L, with no
+    allowance outside the bound (the twisted mode sum at theta = 0,
+    t = 0.148 L once erred by 1.03e-15 against a bound of 3.3e-16); the
+    interval image route also down to t = 1e-150 L, where its pole sum
+    once overflowed."""
     ts = list(np.geomspace(1e-3, 10.0, 60) * geometry.length) + [0.148 * geometry.length]
+    if method == IMAGE_SUM and isinstance(geometry, Interval):
+        ts += list(np.geomspace(1e-150, 1e-3, 16) * geometry.length)
     for t in ts:
-        got = cylinder_trace(geometry, float(t), method=MODE_SUM)
+        got = cylinder_trace(geometry, float(t), method=method)
         err = abs(got.value - mp_closed_trace(geometry, float(t)))
         assert err <= got.truncation_bound, (t, err, got.truncation_bound)
 

@@ -28,7 +28,6 @@ from vacuum1d.summation import (
     bernoulli_sin_sum,
     de_quadrature,
     lattice_sum,
-    mittag_leffler_sum,
     poisson_check,
     riesz_cesaro2_energy_integrand,
     telescoping_check,
@@ -175,39 +174,6 @@ def test_bernoulli_cos_sum_matches_brute_force():
     brute = float(np.sum(np.cos(n * theta) / n**2))
     # Raw tail is O(1/N): bound via the integral envelope.
     assert bernoulli_cos_sum(theta) == pytest.approx(brute, abs=1e-4)
-
-
-# ---------------------------------------------------------------------------
-# Mittag-Leffler lattice sums
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("a,b", [(0.3, 0.0), (1.7, 0.25), (0.05, 0.9), (4.0, -0.4)])
-def test_mittag_leffler_coth_matches_mpmath(a, b):
-    ref = float(mpmath.nsum(lambda n: 1.0 / ((n + b) ** 2 + a * a), [-mpmath.inf, mpmath.inf]))
-    assert mittag_leffler_sum("coth", a, b) == pytest.approx(ref, rel=1e-12)
-
-
-@pytest.mark.parametrize("a,b", [(0.3, 0.0), (1.7, 0.25), (0.6, 0.5)])
-def test_mittag_leffler_csch_matches_mpmath(a, b):
-    ref = float(
-        mpmath.nsum(
-            lambda n: (-1.0) ** n / ((n + b) ** 2 + a * a), [-mpmath.inf, mpmath.inf]
-        )
-    )
-    assert mittag_leffler_sum("csch", a, b) == pytest.approx(ref, rel=1e-12)
-
-
-def test_mittag_leffler_large_a_asymptotics():
-    # Overflow guard region: coth side collapses to pi/a.
-    assert mittag_leffler_sum("coth", 500.0, 0.3) == pytest.approx(PI / 500.0, rel=1e-12)
-
-
-def test_mittag_leffler_rejects_bad_input():
-    with pytest.raises(InvalidParameter):
-        mittag_leffler_sum("coth", 0.0)
-    with pytest.raises(InvalidParameter):
-        mittag_leffler_sum("tanh", 1.0)
 
 
 # ---------------------------------------------------------------------------
