@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +55,8 @@ from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedC
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 
 PI = math.pi
-# Inputs inside (_TINY, _HUGE) keep every square and product of the direct
-# formulas a normal float; outside, scaled forms take over.
-_TINY, _HUGE = 1e-150, 1e150
+# Below this an angle pi t/2L or pi x/L has lost bits to underflow.
+_NORMAL = sys.float_info.min
 _ZERO_MODE = "zero mode present (omega = 0); it adds nothing to the energy sum"
 _isfinite = math.isfinite
 
@@ -80,22 +80,19 @@ class EnergyBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Cancellation-free small-argument forms, and exponent-scaled large ones.
+# The interval's periodic part is c g(z), z = pi t/2L, with
+# g = csch^2 z - 1/z^2 (like ends) or csch z coth z - 1/z^2 (mixed ends) and
+# c/z^2 the Weyl part.  Up to z = 2, g is a product free of cancellation
+# (_g_even, _g_odd).  Above, with q = e^{-2z}, the hyperbolic parts are
+# 4q/(1 - q)^2 and 2 e^{-z} (1 + q)/(1 - q)^2, in which no exponential
+# grows, and the Weyl part is subtracted as the caller computed it, so the
+# periodic part is exactly minus the Weyl part once they underflow.
 # ---------------------------------------------------------------------------
-
-# Past z = 170 every hyperbolic factor is one exponential to within e^{-340}
-# relative: csch^2 z = 4 e^{-2z}, csch z coth z = 2 e^{-z}.  The scaled
-# forms take over well before sinh(z)^2 (z ~ 355) or sinh(z) (z ~ 710)
-# overflows.
-_SCALED = 170.0
 
 
 def _sinh_excess(z: float) -> float:
-    """(sinh z - z) / z^3 for 0 < z <= _SCALED, free of cancellation: below
-    z = 2 its Taylor series sum_k z^(2k-2) / (2k+1)!, whose terms are all
-    positive; above, where sinh z > 1.8 z, the direct form."""
-    if z > 2.0:
-        return (math.sinh(z) - z) / (z * z * z)
+    """(sinh z - z) / z^3 by its Taylor series sum_k z^(2k-2) / (2k+1)!,
+    whose terms are all positive (about z + 10 of them)."""
     z2, term, total, k = z * z, 1.0 / 6.0, 1.0 / 6.0, 1
     while term > 1e-17 * total:
         k += 1
@@ -105,23 +102,19 @@ def _sinh_excess(z: float) -> float:
 
 
 def _g_even(z: float) -> float:
-    """csch^2(z) - 1/z^2, stable for all z > 0.
+    """csch^2(z) - 1/z^2 for 0 <= z < 350 (the callers stop at z = 2).
 
     With e = (sinh z - z)/z^3 it is -e (2 + z^2 e) / (1 + z^2 e)^2: a
     product with no difference of nearly equal terms."""
-    if z > _SCALED:
-        return 4.0 * math.exp(-2.0 * z) - 1.0 / (z * z)
     e = _sinh_excess(z)
     ez = z * z * e
     return -e * (2.0 + ez) / ((1.0 + ez) * (1.0 + ez))
 
 
 def _g_odd(z: float) -> float:
-    """csch(z) coth(z) - 1/z^2, stable for all z > 0: csch z coth z =
+    """csch(z) coth(z) - 1/z^2 for 0 <= z < 350: csch z coth z =
     csch^2 z + sech^2(z/2)/2, so it is _g_even(z) + sech^2(z/2)/2, where
     the two parts are -1/3 and 1/2 at z = 0."""
-    if z > _SCALED:
-        return 2.0 * math.exp(-z) - 1.0 / (z * z)
     return _g_even(z) + 0.5 / math.cosh(0.5 * z) ** 2
 
 
@@ -196,14 +189,15 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
             "integrates to zero"
         )
     length = geometry.length
-    if _TINY < t < _HUGE:
-        weyl = length / (2.0 * PI * t * t)
-    else:
-        weyl = length / (2.0 * PI * t) / t
+    weyl = length / (2.0 * PI * t) / t
     if isinstance(geometry, Interval):
         z = PI * t / (2.0 * length)
-        g = _g_even(z) if geometry.like_ends else _g_odd(z)
-        per = (PI / (8.0 * length)) * g
+        if z <= 2.0:
+            per = (PI / (8.0 * length)) * (_g_even(z) if geometry.like_ends else _g_odd(z))
+        else:
+            q = math.exp(-2.0 * z)
+            hyperbolic = 4.0 * q if geometry.like_ends else 2.0 * math.exp(-z) * (1.0 + q)
+            per = (PI / (8.0 * length)) * hyperbolic / ((1.0 - q) * (1.0 - q)) - weyl
     else:
         per = _twisted_periodic_regularized(length, geometry.theta, t)
     if not (_isfinite(weyl) and _isfinite(per)):
@@ -346,12 +340,12 @@ def orbit_energy_contribution(
 # Energy densities.
 #
 # Each density call is one pass over plain floats: a numpy call on a scalar
-# costs about a microsecond, as much as the whole formula.  The direct forms
-# stay normal floats while L, sinh^2 z + sin^2 p and the half-line scale
-# max(t, 2x) (to the fourth power) lie inside (_TINY, _HUGE).  Outside, or
-# when a direct form overflows, the scaled forms divide 1/L^2 and 1/t^2 out
-# one factor at a time, and a part whose true value overflows raises
-# InvalidParameter.
+# costs about a microsecond, as much as the whole formula.  Each part is
+# written once, in quantities that leave the float range only where the
+# part does: lengths and their ratios in place of squares and fourth
+# powers (L sin p, max(t, 2x)), 1/L^2 and 1/t^2 divided out one factor at
+# a time, and e^{-z}/L^2 carried as a square.  A part whose true value
+# overflows raises InvalidParameter.
 # ---------------------------------------------------------------------------
 
 
@@ -371,94 +365,58 @@ def _breakdown(
     return EnergyBreakdown(weyl, periodic, boundary, total, t, note)
 
 
-def _interval_density(geom: Interval, t: float, x: float) -> tuple[float, float]:
-    """(periodic, boundary) parts of the interval density at xi = 1/4.
+def _sine_length(length: float, x: float, p: float) -> float:
+    """L sin p, p = pi x/L, which is pi x once p has lost bits to underflow."""
+    return length * math.sin(p) if p >= _NORMAL else PI * x
 
-    With z = pi t / 2L, p = pi x / L and c = pi / 8L^2, the periodic part is
+
+def _interval_density(geom: Interval, t: float, x: float, weyl: float) -> tuple[float, float]:
+    """(periodic, boundary) parts of the interval density at xi = 1/4, given
+    the Weyl part 1/(2 pi t^2).
+
+    With z = pi t/2L, p = pi x/L and c = pi/8L^2, the periodic part is
     c g(z), g = _g_even (like ends) or _g_odd (mixed ends), and the boundary
     part, obtained by differentiating the closed-form kernel diagonal, is
 
         like ends:  (-1)^l c [cos(2p) sinh^2 z - sin^2 p] / (sinh^2 z + sin^2 p)^2
-        mixed ends: (-1)^l c cos p cosh z [sinh^2 z - sin^2 p] / (sinh^2 z + sin^2 p)^2
+        mixed ends: (-1)^l c cos p cosh z [sinh^2 z - sin^2 p] / (sinh^2 z + sin^2 p)^2.
 
-    whose numerators and denominators are cancellation-free as written.
-    Past z = _SCALED both are divided through by sinh^4 z, with
-    r = csch^2 z = 4 e^{-2z}.
+    In the lengths G = L (1 - q), q = e^{-2z}, and S = 2 e^{-z} L sin p,
+    which tend to pi t and 2 pi x as z and p underflow, sinh^2 z + sin^2 p
+    = e^{2z} (G^2 + S^2) / 4L^2 and the boundary part is
+
+        like ends:  (-1)^l (pi/2) e^{-2z} [cos(2p) G^2 - S^2] / (G^2 + S^2)^2
+        mixed ends: (-1)^l (pi/4) e^{-z} (1 + q) cos p [G^2 - S^2] / (G^2 + S^2)^2,
+
+    free of L.  G and S are divided by w = max(G, S), and e^{-z}/w^2 is
+    carried as k^2, k = e^{-z/2}/w, which underflows only where the part
+    does.  Above z = 2, where w = G, the periodic part c g(z) is
+    (pi/2) (e^{-z/2} k)^2 (like ends) or (pi/4) (1 + q) k^2 (mixed ends)
+    minus the Weyl part c/z^2; up to z = 2 it is c g(z), whose product
+    forms stay near 1.
     """
     length = geom.length
-    like = geom.left is geom.right
     z = PI * t / (2.0 * length)
     p = PI * x / length
-    sp2 = math.sin(p) ** 2
-    if _TINY < length < _HUGE:
-        c = PI / (8.0 * length**2)
-        pref = -c if geom.left is DIRICHLET else c
-        per = c * (_g_even(z) if like else _g_odd(z))
-        if z <= _SCALED:
-            sh2 = math.sinh(z) ** 2
-            if sh2 + sp2 > _TINY:
-                denom = (sh2 + sp2) ** 2
-                if like:
-                    b = pref * (math.cos(2.0 * p) * sh2 - sp2) / denom
-                else:
-                    b = pref * math.cos(p) * math.cosh(z) * (sh2 - sp2) / denom
-                if _isfinite(b):
-                    return per, b
-        elif length >= 1.0 or z < (354.0 if like else 708.0):
-            # (with L < 1, e^{-2z} or e^{-z} would leave the normal floats
-            # past these before 1/L^2 lifts it)
-            r = 4.0 * math.exp(-2.0 * z)
-            denom = (1.0 + sp2 * r) ** 2
-            if like:
-                return per, pref * (math.cos(2.0 * p) * r - sp2 * r * r) / denom
-            return per, pref * math.cos(p) * 2.0 * math.exp(-z) * (1.0 - sp2 * r) / denom
-        return per, _interval_density_scaled(geom, like, t, x, z, p, sp2)[1]
-    return _interval_density_scaled(geom, like, t, x, z, p, sp2)
-
-
-def _interval_density_scaled(
-    geom: Interval, like: bool, t: float, x: float, z: float, p: float, sp2: float
-) -> tuple[float, float]:
-    """_interval_density with 1/L^2 kept out of every intermediate.
-
-    Near the walls the boundary part is written in the lengths
-    H = L sinh z and S = L sin p, which tend to pi t/2 and pi x as z and p
-    underflow; dividing H and S by w = max(H, S) leaves
-    c L^2 (...) / (H^2 + S^2)^2 = (pi/8) (...) / ((h^2 + s^2)^2 w^2).
-    Past z = _SCALED the exponentials are e^{-2z}/L^2 = (h k)^2 and
-    e^{-z}/L^2 = k^2, with h = e^{-z/2} and k = h/L, which underflow only
-    where they do.
-    """
-    length = geom.length
-    c = 0.125 * PI
-    pref = -c if geom.left is DIRICHLET else c
-    weyl_t = 0.5 / PI / t / t
-    if z > _SCALED:
-        h = math.exp(-0.5 * z)
-        k = h / length
-        r = 4.0 * h * h * h * h
-        denom = (1.0 + sp2 * r) ** 2
-        if like:
-            # g = 4 e^{-2z} - 1/z^2, and c/z^2 = 1/(2 pi t^2) after scaling
-            e2 = h * k * (h * k)
-            return 4.0 * c * e2 - weyl_t, pref * 4.0 * e2 * (math.cos(2.0 * p) - sp2 * r) / denom
-        per = 2.0 * c * k * k - weyl_t
-        return per, pref * math.cos(p) * 2.0 * k * k * (1.0 - sp2 * r) / denom
-    per = c * (_g_even(z) if like else _g_odd(z)) / length / length
-    sh, sp = math.sinh(z), math.sin(p)
-    w = max(sh, sp)
-    if w > 1e-290:
-        h, s, q = sh / w, sp / w, length * w
-    else:
-        big_h, big_s = 0.5 * PI * t, PI * x
-        w = max(big_h, big_s)
-        h, s, q = big_h / w, big_s / w, w
+    half = math.exp(-0.5 * z)
+    big_g = length * -math.expm1(-2.0 * z) if z >= _NORMAL else PI * t
+    big_s = 2.0 * math.exp(-z) * _sine_length(length, x, p)
+    w = max(big_g, big_s)
+    h, s = big_g / w, big_s / w
     m = h * h + s * s
-    if like:
-        b = pref * (math.cos(2.0 * p) * h * h - s * s) / (m * m) / q / q
-    else:
-        b = pref * math.cos(p) * math.cosh(z) * (h * h - s * s) / (m * m) / q / q
-    return per, b
+    k = half / w
+    sign = -1.0 if geom.left is DIRICHLET else 1.0
+    if geom.left is geom.right:
+        r = half * k
+        b = sign * 0.5 * PI * (math.cos(2.0 * p) * h * h - s * s) / (m * m) * r * r
+        if z <= 2.0:
+            return 0.125 * PI * _g_even(z) / length / length, b
+        return 0.5 * PI * r * r - weyl, b
+    one_plus_q = 1.0 + (half * half) ** 2
+    b = sign * 0.25 * PI * one_plus_q * math.cos(p) * (h * h - s * s) / (m * m) * k * k
+    if z <= 2.0:
+        return 0.125 * PI * _g_odd(z) / length / length, b
+    return 0.25 * PI * one_plus_q * k * k - weyl, b
 
 
 def energy_density_regularized(
@@ -477,27 +435,24 @@ def energy_density_regularized(
         raise InvalidParameter("regulator t must be positive and finite")
     if not _isfinite(xi):
         raise InvalidParameter("xi must be finite")
-    weyl = 1.0 / (2.0 * PI * t * t) if _TINY < t < _HUGE else 0.5 / PI / t / t
+    weyl = 0.5 / PI / t / t
     if isinstance(geometry, Interval):
         if not (0.0 < x < geometry.length):
             raise OutOfDomain(f"x={x!r} not in (0, {geometry.length})")
-        per, b = _interval_density(geometry, t, x)
+        per, b = _interval_density(geometry, t, x, weyl)
         bdry = 4.0 * xi * b
         note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
         return _breakdown(weyl, per, bdry, per + bdry, t, note, xi)
     if isinstance(geometry, HalfLine):
         if not (x > 0.0):
             raise OutOfDomain(f"x={x!r} not in (0, inf)")
-        # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2), in units of
-        # s = max(t, 2x) outside the direct window
+        # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2) in units of the power of
+        # two s just above max(t, 2x): scaling by s is exact, so this rounds
+        # as the unscaled form does wherever that one stays normal
         sign = -1.0 if geometry.condition is DIRICHLET else 1.0
-        s = max(t, 2.0 * x)
-        if 1e-75 < s < 1e75:
-            b = sign * (t * t - 4.0 * x * x) / (2.0 * PI * (t * t + 4.0 * x * x) ** 2)
-        else:
-            ts, xs = t / s, 2.0 * x / s
-            m = ts * ts + xs * xs
-            b = sign * (ts * ts - xs * xs) / (m * m) / (2.0 * PI * s) / s
+        s = math.ldexp(1.0, math.frexp(max(t, 2.0 * x))[1])
+        ts, xs = t / s, 2.0 * x / s
+        b = sign * (ts * ts - xs * xs) / (2.0 * PI * (ts * ts + xs * xs) ** 2) / s / s
         bdry = 4.0 * xi * b
         return _breakdown(weyl, 0.0, bdry, bdry, t, "", xi)
     length, theta = geometry.length, geometry.theta
@@ -523,30 +478,16 @@ def energy_density_renormalized(
         length = geometry.length
         if not (0.0 < x < length):
             raise OutOfDomain(f"x={x!r} not in (0, {length})")
-        like = geometry.left is geometry.right
+        # pi/8L^2 csc^2 p = (pi/8) / (L sin p)^2, p = pi x/L
         p = PI * x / length
-        sp = math.sin(p)
-        if _TINY < length < _HUGE and sp > _TINY:
-            pref = PI / (8.0 * length**2)
-            if geometry.left is NEUMANN:
-                pref = -pref
-            if like:
-                per = -PI / (24.0 * length**2)
-                b = pref / sp**2
-            else:
-                per = PI / (48.0 * length**2)
-                b = pref * math.cos(p) / sp**2
+        wall = _sine_length(length, x, p)
+        pref = 0.125 * PI if geometry.left is DIRICHLET else -0.125 * PI
+        if geometry.left is geometry.right:
+            per = -PI / 24.0 / length / length
+            b = pref / wall / wall
         else:
-            # pi/8L^2 csc^2 p = (pi/8) / (L sin p)^2, with L sin p -> pi x
-            # once p underflows
-            q = length * sp if sp > 1e-290 else PI * x
-            pref = 0.125 * PI if geometry.left is DIRICHLET else -0.125 * PI
-            if like:
-                per = -PI / 24.0 / length / length
-                b = pref / q / q
-            else:
-                per = PI / 48.0 / length / length
-                b = pref * math.cos(p) / q / q
+            per = PI / 48.0 / length / length
+            b = pref * math.cos(p) / wall / wall
         bdry = 4.0 * xi * b
         note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
         return _breakdown(0.0, per, bdry, per + bdry, 0.0, note, xi)
@@ -555,7 +496,7 @@ def energy_density_renormalized(
             raise OutOfDomain(f"x={x!r} not in (0, inf)")
         # (-1)^(l+1) / (8 pi x^2)
         sign = 1.0 if geometry.condition is DIRICHLET else -1.0
-        b = sign / (8.0 * PI * x * x) if _TINY < x < _HUGE else sign / (8.0 * PI * x) / x
+        b = sign / (8.0 * PI * x) / x
         bdry = 4.0 * xi * b
         return _breakdown(0.0, 0.0, bdry, bdry, 0.0, "", xi)
     theta = geometry.theta

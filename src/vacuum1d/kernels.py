@@ -129,11 +129,11 @@ def _interval_mode_sum(
             * _interval_mode_phi(geom, om, y)
         )
     )
+    first = float(om[0]) if om.size else 0.0
+    rounding = (2.0 / geom.length) * _mode_rounding(t, first, step, t + x + y)
     # Geometric tail bound: remaining terms < (2/L) e^{-t omega} summed.
     last = om[-1] if om.size else 0.0
     tail = (2.0 / geom.length) * math.exp(-t * (last + step)) / (-math.expm1(-t * step))
-    first = float(om[0]) if om.size else 0.0
-    rounding = (2.0 / geom.length) * _mode_rounding(t, first, step, t + x + y)
     return KernelValue(val, MODE_SUM, int(om.size), tail + rounding)
 
 
@@ -143,9 +143,14 @@ def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
     by a few eps of itself, and by eps of omega t, omega x and omega y in
     its arguments, so the bound is _MODE_ROUNDING eps times
     sum_{j>=0} e^{-t omega_j} (1 + omega_j reach), reach = t + |x| + |y|,
-    summed in closed form."""
+    summed in closed form.  Where the envelope leaves the float range (t
+    step below about 1e-154), the mode sum cannot bound itself and
+    InvalidParameter is raised, so the callers take this before their
+    tail bounds, which divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
-    envelope = (1.0 + first * reach) / gap + step * reach * q / (gap * gap)
+    envelope = (1.0 + first * reach) / gap + step * reach * q / gap / gap if gap else math.inf
+    if math.isinf(envelope):
+        raise InvalidParameter(f"t={t!r} is too small for a mode sum with spacing {step!r}")
     return _MODE_ROUNDING * _EPS * math.exp(-t * first) * envelope
 
 
@@ -197,13 +202,14 @@ def _twisted_mode_sum(
         np.sum(np.exp(-t * np.abs(kp)) * np.exp(1j * kp * d))
         + np.sum(np.exp(-t * np.abs(km)) * np.exp(1j * km * d))
     ) / length
-    tail = (2.0 / length) * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
     # Right movers start at |k| = theta/L, left movers at (2 pi - theta)/L.
     reach = t + abs(x) + abs(y)
-    bound = tail + (
+    rounding = (
         _mode_rounding(t, theta / length, step, reach)
         + _mode_rounding(t, (TWO_PI - theta) / length, step, reach)
     ) / length
+    tail = (2.0 / length) * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
+    bound = tail + rounding
     terms = int(n_plus + n_minus)
     if x == y:
         return KernelValue(float(val.real), MODE_SUM, terms, bound)
@@ -420,8 +426,10 @@ def cylinder_trace(
     or (-1)^n (mixed ends), summed by
     :func:`vacuum1d.summation.lattice_sum` with its terms and bound;
     boundary ones telescope to ``(-1)^l/2`` for like ends and to zero for
-    mixed ends.  This route is numerically independent of the
-    geometric-series closed form.
+    mixed ends.  On the twisted circle it is
+    ``sum_n e^{i n theta} (a/pi)/(n^2 + a^2)``, a = t/L.  Both are unit
+    lattices in a, free of L.  This route is numerically independent of
+    the geometric-series closed form.
 
     The half-line trace diverges (continuous spectrum);
     :class:`ContinuousSpectrum` is raised.
@@ -450,12 +458,10 @@ def cylinder_trace(
         if geometry.like_ends:
             val += 0.5 * (-1.0) ** geometry.l
         return KernelValue(val, IMAGE_SUM, terms, 0.5 * bound)
-
-    length = geometry.length
-    diag = _twisted_image_sum(geometry, t, 0.0, 0.0, control)
-    return KernelValue(
-        length * diag.value, IMAGE_SUM, diag.terms_used, length * diag.truncation_bound
-    )
+    # L T(t; x, x) = sum_n e^{i n theta} (a/pi)/(n^2 + a^2), a = t/L: the unit
+    # lattice of Lorentzians of width a
+    per, terms, bound = _lorentzian_lattice(1.0, 0.0, t / geometry.length, geometry.theta, control)
+    return KernelValue(per.real, IMAGE_SUM, terms, bound)
 
 
 def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> KernelValue:
@@ -468,7 +474,6 @@ def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> Ker
     omega_cut = min(-math.log(_TERM_FLOOR) / t, (control.max_terms + 1.5) * step)
     om, mult = _mode_arrays(geometry, omega_cut)
     val = float(np.sum(mult * np.exp(-t * om)))
-    tail = 2.0 * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
     if isinstance(geometry, Interval):
         rounding = _mode_rounding(t, float(om[0]) if om.size else 0.0, step, t)
     else:
@@ -477,6 +482,7 @@ def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> Ker
         rounding = _mode_rounding(t, theta / length, step, t) + _mode_rounding(
             t, (TWO_PI - theta) / length, step, t
         )
+    tail = 2.0 * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
     return KernelValue(val, MODE_SUM, int(om.size), tail + rounding)
 
 

@@ -24,8 +24,10 @@ and kernel code can share one audited implementation of each.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,9 +352,12 @@ def poisson_check(
 # ---------------------------------------------------------------------------
 # Tail-completed lattice sums S = sum_m e^{i m theta} (step m + d - i t)^{-k}.
 #
-# Windings |m| <= W are summed directly.  Each one-sided tail (m < -W maps
-# onto m > W under m -> -m) is completed in closed form with a remainder
-# bound that needs no sign condition on g(x) = (step x + c)^{-k}:
+# S = step^-k sum_m e^{i m theta} (m + c)^{-k}, c = (d - i t)/step, so the
+# helpers below sum the unit lattice only, and lattice_sum scales the
+# target on entry and the value and bound on exit.  Windings |m| <= W are
+# summed directly.  Each one-sided tail (m < -W maps onto m > W under
+# m -> -m) is completed in closed form with a remainder bound that needs no
+# sign condition on g(x) = (x + c)^{-k}:
 #
 # * |theta| < 0.1 (mod 2 pi), Poisson summation: the n = 0 frequency is
 #   the integral of e^{i theta x} g(x) (an exponential integral,
@@ -460,78 +465,77 @@ def _expint_scaled(w: complex) -> tuple[complex, float]:
     return value, abs(value) * (16.0 * _EPS + 4.0 * abs(delta - 1.0))
 
 
-def _poisson_remainder(step: float, theta: float, k: int, z: float) -> float:
-    """2 zeta(J) (2 pi - |theta|)^-J (k)_J step^(J-1) z^-(k+J-1) / (k+J-1):
-    the bound on sum_{n != 0} |theta + 2 pi n|^-J int_a^inf |g^(J)|, z = Re(step a + c)."""
+def _poisson_remainder(theta: float, k: int, z: float) -> float:
+    """2 zeta(J) (2 pi - |theta|)^-J (k)_J z^-(k+J-1) / (k+J-1): the bound
+    on sum_{n != 0} |theta + 2 pi n|^-J int_a^inf |g^(J)|, z = Re(a + c)."""
     n = k + _ORDER - 1
     return (
         2.0 * _ZETA_ORDER * (TWO_PI - abs(theta)) ** -_ORDER
-        * math.prod(range(k, k + _ORDER)) * step ** (_ORDER - 1) / (n * z**n)
+        * math.prod(range(k, k + _ORDER)) / (n * z**n)
     )
 
 
-def _tail_poisson(step: float, c: complex, theta: float, k: int, a: int) -> tuple[complex, float, float]:
-    """sum_{m >= a} e^{i m theta} (step m + c)^{-k}, |theta| small, by
-    Poisson summation: (value, remainder bound, rounding allowance).
+def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, float, float]:
+    """sum_{m >= a} e^{i m theta} (m + c)^{-k}, |theta| small, by Poisson
+    summation: (value, remainder bound, rounding allowance).
 
     At theta = 0 and k = 1 the integral diverges; its regularized value
-    -log(u_a)/step is returned, and the divergences of the two tails of a
+    -log(u_a) is returned, and the divergences of the two tails of a
     symmetric lattice sum cancel exactly."""
-    u = step * a + c
+    u = a + c
     y = 1.0 / u
     g = y**k
     sigma = _POISSON_AT_ZERO if theta == 0.0 else _poisson_weights(theta)
-    corr, size, deriv = 0j, 0.0, g  # deriv = (k)_j step^j u^{-(k+j)}
+    corr, size, deriv = 0j, 0.0, g  # deriv = (k)_j u^{-(k+j)}
     for j in range(_ORDER):
         piece = deriv * sigma[j]
         corr += piece
         size += abs(piece)
-        deriv *= (k + j) * step * y
+        deriv *= (k + j) * y
     if theta == 0.0:
         integral, err = (-_clog(u) if k == 1 else y ** (k - 1) / (k - 1)), 0.0
     else:
-        beta = theta / step
-        integral, err = _expint_scaled(-1j * beta * u)
+        integral, err = _expint_scaled(-1j * theta * u)
         for kk in range(2, k + 1):
-            integral = y ** (kk - 1) / (kk - 1) + (1j * beta / (kk - 1)) * integral
-            err *= abs(beta) / (kk - 1)
-    value = _unit(theta, a) * (0.5 * g + integral / step - corr)
-    remainder = _poisson_remainder(step, theta, k, step * a + c.real)
-    rounding = 8.0 * _EPS * (abs(g) + abs(integral) / step + size) + err / step
+            integral = y ** (kk - 1) / (kk - 1) + (1j * theta / (kk - 1)) * integral
+            err *= abs(theta) / (kk - 1)
+    value = _unit(theta, a) * (0.5 * g + integral - corr)
+    remainder = _poisson_remainder(theta, k, a + c.real)
+    rounding = 8.0 * _EPS * (abs(g) + abs(integral) + size) + err
     return value, remainder, rounding
 
 
 def _tail_by_parts(
-    step: float, c: complex, theta: float, k: int, a: int, goal: float
+    c: complex, theta: float, k: int, a: int, goal: float
 ) -> tuple[complex, float, float]:
-    """sum_{m >= a} q^m (step m + c)^{-k}, q = e^{i theta} != 1, by K-fold
+    """sum_{m >= a} q^m (m + c)^{-k}, q = e^{i theta} != 1, by K-fold
     summation by parts,
 
         S = q^a/(1-q) sum_{j<K} (q/(1-q))^j Delta^j g(a) + R,
 
-    with Delta^j g(a) = (-step)^j j! h_{k-1}(y) prod y_i exactly
-    (y_i = 1/(step (a+i) + c), h the complete homogeneous polynomial).
+    with Delta^j g(a) = (-1)^j j! h_{k-1}(y) prod y_i exactly
+    (y_i = 1/(a + i + c), h the complete homogeneous polynomial).
     K grows until the bound on R reaches ``goal`` or stops shrinking."""
     q = _unit(theta, 1)
     one_q = 1.0 - q
-    ratio = -step * q / one_q
+    ratio = -q / one_q
     inv = 1.0 / abs(one_q)
-    z = step * a + c.real
+    z = a + c.real
     homog = [1.0 + 0j] + [0j] * (k - 1)
-    # growth = (step inv / z)^j j! z^{-k}; times C(j + k - 1, k - 1) it
-    # bounds |piece j|, and at j = K it gives the remainder bound.
+    # growth = (inv / z)^j j! z^{-k}; times C(j + k - 1, k - 1) it bounds
+    # |piece j|, and at j = K it gives the remainder bound.
     total, size, amp, growth = 0j, 0.0, 0j, z**-k
-    shrink = inv * step / z
+    shrink = inv / z
     bound = math.inf
     for j in range(_MAX_FOLDS):
-        y = 1.0 / (step * (a + j) + c)
+        y = 1.0 / (a + j + c)
         amp = y if j == 0 else amp * (ratio * j * y)
         for deg in range(1, k):
             homog[deg] += y * homog[deg - 1]
         piece, piece_size = amp * homog[k - 1], growth * math.comb(j + k - 1, k - 1)
         folds = j + 1
         growth *= shrink * folds
-        nxt = growth * math.comb(folds + k - 1, k - 1) * (1.0 + z / (step * (folds + k - 1)))
+        nxt = growth * math.comb(folds + k - 1, k - 1) * (1.0 + z / (folds + k - 1))
         if nxt >= bound:
             break
         total += piece
@@ -543,30 +547,30 @@ def _tail_by_parts(
     return lead * total, bound, 4.0 * (_MAX_FOLDS + k) * _EPS * abs(lead) * size
 
 
-def _first_winding(step: float, d0: float, theta: float, k: int, tol: float, poisson: bool) -> float:
+def _first_winding(d0: float, theta: float, k: int, tol: float, poisson: bool) -> float:
     """W at which the remainder formula of the tails first meets ``tol``."""
     if poisson:
         # two tails, each at most tol / 2
-        z = (2.0 * _poisson_remainder(step, theta, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
+        z = (2.0 * _poisson_remainder(theta, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
     else:
-        # The fold remainder ~ K! / rho^K, rho = |1 - q| z / step, reaches
-        # tol at K = rho = log(1/tol) at the latest.  Direct terms are far
-        # cheaper than folds: take rho = (6!/tol)^(1/6), where six folds
-        # do, as long as W stays near 150.
+        # The fold remainder ~ K! / rho^K, rho = |1 - q| z, reaches tol at
+        # K = rho = log(1/tol) at the latest.  Direct terms are far cheaper
+        # than folds: take rho = (6!/tol)^(1/6), where six folds do, as
+        # long as W stays near 150.
         gap = 2.0 * math.sin(0.5 * abs(theta))
         rho = max(math.log(1.0 / tol) + 4.0, min((720.0 / tol) ** (1.0 / 6.0), 150.0 * gap))
-        z = rho * step / gap
-    return (z + abs(d0)) / step - 1.0
+        z = rho / gap
+    return z + abs(d0) - 1.0
 
 
 def _direct_sum(
-    step: float, c: complex, theta: float, k: int, w: int, skip: int | None, d_err: float
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float
 ) -> tuple[complex, float]:
-    """sum_{|m| <= w} e^{i m theta} (step m + c)^{-k} (the skipped term left
-    out) and its rounding allowance: pairwise summation, the rounding of
-    the phases m theta, and ``d_err``, the error of Re c."""
+    """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
+    and its rounding allowance: pairwise summation, the rounding of the
+    phases m theta, and ``c_err``, the error of c."""
     m = np.arange(-w, w + 1, dtype=float)
-    u = m * step + c
+    u = m + c
     if skip is not None:
         u[w + skip] = 1.0
     g = 1.0 / u
@@ -585,9 +589,9 @@ def _direct_sum(
     else:
         total = (g * np.exp(1j * theta * m)).sum()
         rounding += _EPS * abs(theta) * float(np.abs(m) @ mag)
-    if d_err:
-        # |dg/dc| = k |g| / |u| = k |g|^{1 + 1/k}
-        rounding += d_err * k * float(mag @ mag ** (1.0 / k))
+    if c_err:
+        # |dg/dc| = k |g| / |u| = k |g|^{1 + 1/k} <= k |g| max|g|^{1/k}
+        rounding += c_err * k * size * float(mag.max()) ** (1.0 / k)
     return complex(total), rounding
 
 
@@ -620,6 +624,12 @@ def lattice_sum(
     theta -> 0+, and theta is reduced modulo the floating-point 2 pi, so
     a float multiple of 2 pi counts as 0.
 
+    The sum runs on the unit lattice in (d - i t)/step, to the target
+    ``tol step^k`` (kept inside the normal floats), and the value and bound
+    are divided by step^k at the end, so no intermediate depends on the
+    scale of step.  A value or bound past the float range raises
+    :class:`InvalidParameter`.
+
     Returns a :class:`SeriesValue` with a complex ``value``; its
     ``truncation_bound`` covers the tail remainders and the rounding,
     ``terms_used`` counts the windings summed directly, and
@@ -633,43 +643,63 @@ def lattice_sum(
         raise InvalidParameter("lattice power k must be a positive integer")
     k = int(k)
     th = math.remainder(theta, TWO_PI)
-    shift = round(d / step)
-    d0 = d - shift * step
-    if t == 0.0 and d0 == 0.0 and not (skip_zero and shift == 0):
+    du, tu = d / step, t / step
+    if not (math.isfinite(du) and math.isfinite(tu)):
+        raise InvalidParameter(f"d={d!r} or t={t!r} leaves the float range in steps of {step!r}")
+    shift = round(du)
+    d0 = du - shift  # exact (Sterbenz)
+    if tu == 0.0 and d0 == 0.0 and not (skip_zero and shift == 0):
         raise InvalidParameter("a lattice point sits on the pole (t = 0)")
     cap = int(control.max_terms)
     skip = shift if skip_zero else None
     if skip is not None and abs(skip) > cap:
         raise InvalidParameter("skip_zero needs |d| <= step * max_terms")
     poisson = abs(th) < _SMALL_ANGLE
-    c = complex(d0, -t)
-    first = _first_winding(step, d0, th, k, control.tol, poisson)
+    c = complex(d0, -tu)
+    # tol step^k, one factor at a time so that it saturates instead of
+    # raising; below eps times the largest term, at least (1 + |c|)^-k,
+    # it is below the rounding and cannot be met
+    tol = control.tol
+    for _ in range(k):
+        tol *= step
+    tol = min(max(tol, _EPS * (1.0 + abs(c)) ** -k, sys.float_info.min), sys.float_info.max)
+    first = _first_winding(d0, th, k, tol, poisson)
     w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
-    # d0 = d - shift step is exact for |shift| <= 1 (Sterbenz)
-    d_err = _EPS * abs(d) if abs(shift) >= 2 else 0.0
-    total, rounding = _direct_sum(step, c, th, k, w, skip, d_err)
-    goal = max(control.tol, rounding)
+    # dividing by a power of two is exact; otherwise d/step and t/step are
+    # each rounded once
+    c_err = 0.0 if math.frexp(step)[0] == 0.5 else _EPS * (abs(du) + abs(tu))
+    total, rounding = _direct_sum(c, th, k, w, skip, c_err)
+    goal = max(tol, rounding)
     first_w = w
     while True:
         if poisson:
-            plus = _tail_poisson(step, c, th, k, w + 1)
-            minus = _tail_poisson(step, -c, -th, k, w + 1)
+            plus = _tail_poisson(c, th, k, w + 1)
+            minus = _tail_poisson(-c, -th, k, w + 1)
         else:
-            plus = _tail_by_parts(step, c, th, k, w + 1, 0.5 * goal)
-            minus = _tail_by_parts(step, -c, -th, k, w + 1, 0.5 * goal)
+            plus = _tail_by_parts(c, th, k, w + 1, 0.5 * goal)
+            minus = _tail_by_parts(-c, -th, k, w + 1, 0.5 * goal)
         remainder = plus[1] + minus[1]
         if remainder <= goal or w >= cap:
             break
         w = min(cap, 2 * w)
     if w != first_w:
-        total, rounding = _direct_sum(step, c, th, k, w, skip, d_err)
+        total, rounding = _direct_sum(c, th, k, w, skip, c_err)
     unshifted = total + plus[0] + (-1) ** k * minus[0]
     if th != 0.0 and abs(th) != math.pi:
         rounding += _EPS * abs(th * shift) * abs(unshifted)  # the phase of the shift
+    value = _unit(th, -shift) * unshifted
+    bound = remainder + rounding + plus[2] + minus[2]
+    if c_err:
+        bound += k * _EPS * abs(value)  # the divisions by step below
+    for _ in range(k):
+        value /= step
+        bound /= step
+    if not (cmath.isfinite(value) and math.isfinite(bound)):
+        raise InvalidParameter(f"lattice sum overflows at step={step!r}, d={d!r}, t={t!r}")
     return SeriesValue(
-        value=complex(_unit(th, -shift) * unshifted),
+        value=complex(value),
         terms_used=2 * w + 1 - (skip is not None),
-        truncation_bound=remainder + rounding + plus[2] + minus[2],
+        truncation_bound=bound,
         method_tag=EULER_MACLAURIN if poisson else SUMMATION_BY_PARTS,
     )
 

@@ -420,6 +420,17 @@ def test_halfline_kernel_at_the_smallest_t_is_a_usage_error(capsys):
     assert "overflows" in err or "too small" in err
 
 
+@pytest.mark.parametrize("argv", [("--t", "1e-200"), ("--geometry", "twisted", "--t", "5e-324")])
+def test_kernel_below_the_mode_sum_float_range_is_a_usage_error(capsys, argv):
+    # the mode sums' rounding bound is not finite there; they once exited 1
+    # with a ZeroDivisionError traceback
+    code, out, err = run(capsys, "kernel", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "too small for a mode sum" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

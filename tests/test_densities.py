@@ -2,10 +2,13 @@
 
 The references evaluate the closed forms of the ``vacuum1d.energy`` module
 docstring (and of ``_interval_density``) in mpmath, with no switch points,
-scaled forms or float intermediates, so they check every branch of the
-float code: both sides of the z = 170 exponent-scaled switch, the small-z
-switch points of ``_g_even``/``_g_odd``, and the scaled forms outside the
-direct window.  They start from the same rounded angles the library uses,
+rescaling or float intermediates.  The float code writes each part once:
+the interval wall profile in the lengths G = L (1 - e^{-2z}) and
+S = 2 e^{-z} L sin p, normalised by max(G, S), and the periodic part as a
+product up to z = 2 and in q = e^{-2z} above it.  So the points check
+both sides of z = 2, the range where e^{-2z} itself underflows, angles
+that underflow, and lengths from 1e-300 to 1e300.  They start from the
+same rounded angles the library uses,
 z = fl(pi t / 2L) and p = fl(pi x / L): an exponentially small wall term
 e^{-2z} would otherwise inherit the 2z-fold amplification of the rounding
 of z, and cos p at x = L/2 the rounding of pi/2.
@@ -181,9 +184,11 @@ XIS = (0.0, 0.25, 0.7)
 @pytest.mark.parametrize("name", BOUNDED)
 @pytest.mark.parametrize(
     "t_over_l",
-    # z = pi t / 2L: small; both sides of the z = 2 switch inside _g_even
-    # and _g_odd (t/L = 1.273); both sides of the z = 170 switch to the
-    # exponent-scaled forms (t/L = 108.23); and far past it
+    # z = pi t / 2L: small; both sides of z = 2 (t/L = 1.273), where the
+    # periodic part leaves its product form for the q = e^{-2z} form; near
+    # z = 170 (t/L = 108.23), where the wall profile is e^{-340} of the
+    # bulk; and z = 471, where e^{-2z} underflows and only the products of
+    # e^{-z/2} carry the wall profile
     [0.0318, 0.3, 1.27, 1.28, 108.0, 108.5, 300.0],
 )
 @pytest.mark.parametrize("x_frac", [0.013, 0.31, 0.5, 0.77])
@@ -240,7 +245,7 @@ def test_densities_and_energies_are_scale_safe(name):
         if isinstance(geom, HalfLine):
             continue
         br = total_energy_regularized(geom, t)
-        assert br.weyl == pytest.approx(1.0 / (2.0 * PI * length), rel=4 * EPS)
+        assert br.weyl == pytest.approx(1.0 / (2.0 * PI * length), rel=4 * EPS, abs=0.0)
         unit = total_energy_regularized(GEOMETRIES[name](1.0), 1.0).periodic
         assert br.periodic * length == pytest.approx(unit, rel=2 * _rel(name))
 

@@ -217,10 +217,12 @@ def test_twisted_regularized_energy_near_and_below_the_series_switch(length, the
 @pytest.mark.parametrize("even", [True, False], ids=["csch2", "csch-coth"])
 @pytest.mark.parametrize("switch", [0.05, 0.1, 0.5, 2.0, 170.0])
 def test_interval_small_z_forms_near_their_switches(even, switch):
-    """csch^2 z - 1/z^2 (like ends) and csch z coth z - 1/z^2 (mixed ends)
-    against 40 digits on both sides of each switch: 2 where the sinh
-    excess leaves its series, 170 where the exponent-scaled forms take
-    over, and 0.05, 0.1 and 0.5, where short series once lost 1e-10."""
+    """The product forms of csch^2 z - 1/z^2 (like ends) and
+    csch z coth z - 1/z^2 (mixed ends) against 40 digits: around z = 2,
+    where E(t) and the densities leave them for the q = e^{-2z} forms;
+    around 170, far past that switch, where the sinh-excess series still
+    sums all its positive terms; and around 0.05, 0.1 and 0.5, where short
+    series once lost 1e-10."""
     import mpmath
 
     from vacuum1d.energy import _g_even, _g_odd

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vacuum1d import kernels
-from vacuum1d.errors import ContinuousSpectrum, InvalidParameter, OutOfDomain
+from vacuum1d.errors import ContinuousSpectrum, InvalidParameter, OutOfDomain, VacuumError
 from vacuum1d.kernels import (
     CLOSED_FORM,
     IMAGE_SUM,
@@ -121,7 +121,7 @@ def test_halfline_closed_form_keeps_relative_accuracy_at_tiny_t(condition):
                                            + sign / ((xm + ym) ** 2 + tm**2)))
         for method in (IMAGE_SUM, CLOSED_FORM):
             got = cylinder_kernel(HalfLine(condition), t, x, y, method=method).value
-            assert got == pytest.approx(want, rel=4 * 2.0**-52), (t, x, y, method)
+            assert got == pytest.approx(want, rel=4 * 2.0**-52, abs=0.0), (t, x, y, method)
 
 
 def test_halfline_kernel_at_the_smallest_t_raises_on_every_route():
@@ -446,7 +446,9 @@ def test_trace_small_t_structure():
 def test_array_trace_helpers_match_the_scalar_calls(geometry):
     """The one-pass array helpers behind the coefficient fits give the
     scalar calls' values at every t: the closed trace to the last bit, the
-    heat trace (whose ladder is cut for the smallest t) to rounding."""
+    heat trace (whose ladder is cut for the smallest t) to rounding, with an
+    absolute floor of 1e-14 for the last bits of its O(1) sums and for the
+    terms below 1e-16 that the scalar ladder drops."""
     ts = geometry.length * np.geomspace(1e-3, 500.0, 40)
     closed = kernels._closed_trace(geometry, ts)
     for t, got in zip(ts, closed):
@@ -454,18 +456,65 @@ def test_array_trace_helpers_match_the_scalar_calls(geometry):
     heat_ts = ts[:25] ** 2 / geometry.length
     heat = kernels._heat_trace(geometry, heat_ts, SeriesControl())
     for t, got in zip(heat_ts, heat):
-        assert got == pytest.approx(heat_trace(geometry, float(t)), rel=4e-16)
+        assert got == pytest.approx(heat_trace(geometry, float(t)), rel=4e-16, abs=1e-14)
 
 
-def test_interval_image_trace_is_scale_safe():
+SCALED_GEOMETRIES = {
+    "D/D": lambda length: Interval(length, DIRICHLET, DIRICHLET),
+    "N/N": lambda length: Interval(length, NEUMANN, NEUMANN),
+    "D/N": lambda length: Interval(length, DIRICHLET, NEUMANN),
+    "N/D": lambda length: Interval(length, NEUMANN, DIRICHLET),
+    "twisted 0": lambda length: TwistedCircle(length, 0.0),
+    "twisted 2": lambda length: TwistedCircle(length, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", ["D/D", "D/N", "twisted 0", "twisted 2"])
+def test_interval_image_trace_is_scale_safe(name):
     # t = L for L = 1e-300 ... 1e300: the trace is free of L, and the
-    # image route no longer overflows in L^2 or underflows in L t
-    for condition in (DIRICHLET, NEUMANN):
-        ref = cylinder_trace(Interval(1.0, DIRICHLET, condition), 1.0, method=IMAGE_SUM).value
-        for k in range(-300, 301, 20):
-            length = 10.0**k
-            got = cylinder_trace(Interval(length, DIRICHLET, condition), length, method=IMAGE_SUM)
-            assert got.value == pytest.approx(ref, rel=1e-15)
+    # image route, a unit lattice in t/2L (interval) or t/L (twisted
+    # circle), neither overflows in L^2 nor underflows in L t; the twisted
+    # route at theta = 0 once raised outside 1e-45 < L < 1e39
+    make = SCALED_GEOMETRIES[name]
+    ref = cylinder_trace(make(1.0), 1.0, method=IMAGE_SUM).value
+    for k in range(-300, 301, 20):
+        length = 10.0**k
+        got = cylinder_trace(make(length), length, method=IMAGE_SUM)
+        assert got.value == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", list(SCALED_GEOMETRIES))
+def test_image_route_kernels_are_scale_safe(name):
+    """t = L, x = 0.3 L, y = 0.6 L for L = 1e-300 ... 1e300: the image
+    route is finite and within its bound (plus 16 eps) of the closed form,
+    or the mode sum where the twisted closed form falls back to it, or it
+    raises a VacuumError.  The interval lattices once raised OverflowError
+    from L = 1e38 and ZeroDivisionError below L = 1e-46."""
+    for k in range(-300, 301, 20):
+        length = 10.0**k
+        geom = SCALED_GEOMETRIES[name](length)
+        t, x, y = length, 0.3 * length, 0.6 * length
+        try:
+            closed = cylinder_kernel(geom, t, x, y)
+            image = cylinder_kernel(geom, t, x, y, method=IMAGE_SUM)
+        except VacuumError:
+            continue
+        err = abs(image.value - closed.value)
+        allowed = image.truncation_bound + closed.truncation_bound + 16 * 2.0**-52 * abs(closed.value)
+        assert math.isfinite(abs(image.value)) and err <= allowed, (k, image, closed)
+
+
+def test_mode_sums_below_their_float_range_raise():
+    # The rounding envelope divides twice by 1 - e^{-t step}; it once did so
+    # through gap * gap, which underflowed to a ZeroDivisionError at t step
+    # below ~1e-154.  Where the bound is not finite, the route raises.
+    with pytest.raises(InvalidParameter):
+        cylinder_kernel(Interval(1.0, DIRICHLET, DIRICHLET), 1e-200, 0.5, method=MODE_SUM)
+    for geometry in (Interval(1.0, DIRICHLET, NEUMANN), TwistedCircle(1.0, 2.0)):
+        with pytest.raises(InvalidParameter):
+            cylinder_kernel(geometry, 5e-324, 0.5, method=MODE_SUM)
+        with pytest.raises(InvalidParameter):
+            cylinder_trace(geometry, 5e-324, method=MODE_SUM)
 
 
 def test_halfline_trace_diverges():

@@ -7,6 +7,7 @@ polynomial definitions, and tails by subtracting explicit partial sums
 from exact totals.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -254,12 +255,19 @@ def lattice_reference(step, d, t, theta, k):
 @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.09, 0.11, 2.73496, PI])
 @pytest.mark.parametrize("k", [1, 2])
 def test_lattice_sum_meets_its_bound_against_mpmath(k, theta):
+    # the last two steps are far from 1: the sum runs on the unit lattice,
+    # and a value past the float range (1e400 at step 1e-200, k = 2) raises
     for step, d, t in [
         (1.0, 0.0, 0.01), (1.0, 0.37, 1.0), (2.0, 0.3, 0.5), (2.0, -1.7, 1e-4),
         (0.7, 2.6, 3.0), (2.0, 1.1, -0.2), (1.0, 0.25, 40.0),
+        (1e200, 3.7e199, 1e200), (1e-200, -1.7e-200, 3e-201),
     ]:
-        got = lattice_sum(step, d, t, theta, k)
         want = lattice_reference(step, d, t, theta, k)
+        if not cmath.isfinite(want):
+            with pytest.raises(InvalidParameter):
+                lattice_sum(step, d, t, theta, k)
+            continue
+        got = lattice_sum(step, d, t, theta, k)
         assert abs(got.value - want) <= got.truncation_bound, (step, d, t)
         assert got.truncation_bound <= 1e-12 * max(1.0, abs(want)) + 1e-11
         assert got.method_tag == (EULER_MACLAURIN if theta < 0.1 else SUMMATION_BY_PARTS)
