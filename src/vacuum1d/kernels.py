@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +49,8 @@ from .spectrum import (
     HalfLine,
     Interval,
     TwistedCircle,
-    _count_leq,
+    _ladders,
+    _rungs,
 )
 from .summation import SeriesControl
 
@@ -58,7 +60,9 @@ MODE_SUM = "mode-sum"
 IMAGE_SUM = "image-sum"
 CLOSED_FORM = "closed-form"
 
-# Drop mode-sum terms with e^{-t omega} (or e^{-t omega^2}) below this.
+# Mode sums drop the terms below this fraction of their largest term:
+# e^{-t omega} (or e^{-t omega^2}) relative to its value at the lowest
+# frequency, so they keep their relative accuracy at any t/L.
 _TERM_FLOOR = 1e-16
 _EPS = 2.0**-52
 # Mode sums bound their rounding by this many eps times the envelope
@@ -100,41 +104,80 @@ def _check_closed_point(geometry: Geometry, x: float) -> None:
 
 
 def _interval_mode_phi(geom: Interval, omegas: np.ndarray, x: float) -> np.ndarray:
-    """Normalized eigenfunctions at x for the frequency array."""
+    """Normalized eigenfunctions at x for the frequency array: sqrt(2/L)
+    sin(omega x) rooted Dirichlet at 0, sqrt(2/L) cos(omega x) rooted
+    Neumann, and sqrt(1/L) for the zero mode."""
     length = geom.length
-    if geom.left is NEUMANN and geom.right is NEUMANN:
-        out = np.sqrt(2.0 / length) * np.cos(omegas * x)
-        if omegas.size and omegas[0] == 0.0:
-            out[0] = math.sqrt(1.0 / length)
-        return out
     if geom.left is DIRICHLET:
         return np.sqrt(2.0 / length) * np.sin(omegas * x)
-    return np.sqrt(2.0 / length) * np.cos(omegas * x)
+    out = np.sqrt(2.0 / length) * np.cos(omegas * x)
+    if omegas.size and omegas[0] == 0.0:
+        out[0] = math.sqrt(1.0 / length)
+    return out
+
+
+def _kept_rungs(
+    geometry: Interval | TwistedCircle, control: SeriesControl, cut: Callable[[float], float]
+) -> Iterator[tuple[float, float, np.ndarray]]:
+    """(step, first frequency, kept frequencies) of each ladder: the rungs
+    up to cut(omega_min), omega_min the lowest frequency of the geometry,
+    and at most max_terms + 1 of them."""
+    ladders = _ladders(geometry)
+    omega_cut = cut(min(offset + j_min * step for step, offset, j_min in ladders))
+    for ladder in ladders:
+        step, offset, j_min = ladder
+        yield step, offset + j_min * step, _rungs(ladder, omega_cut, control.max_terms + 1)
+
+
+def _mode_sum(
+    geometry: Interval | TwistedCircle,
+    t: float,
+    reach: float,
+    control: SeriesControl,
+    amplitude: Callable[[np.ndarray, float], np.ndarray | float],
+    size: float,
+) -> tuple[float | complex, int, float]:
+    """sum_j e^{-t omega_j} amplitude(omega_j, sign) over every frequency
+    ladder of the geometry, sign +1 on the first ladder and -1 on the
+    second (the twisted circle's left movers), with |amplitude| <= size.
+
+    Each ladder keeps its rungs up to omega_min + (-ln _TERM_FLOOR)/t,
+    omega_min the lowest frequency, and at most max_terms + 1 of them.  The
+    bound adds, per ladder, its rounding envelope (_mode_rounding, with
+    reach = t + |x| + |y|) and the geometric tail past its last rung.
+    Returns (value, terms, bound)."""
+    span = -math.log(_TERM_FLOOR) / t
+    total, terms, bound = 0.0, 0, 0.0
+    ladders = _kept_rungs(geometry, control, lambda w: w + span)
+    for sign, (step, first, om) in zip((1.0, -1.0), ladders):
+        bound += _mode_rounding(t, first, step, reach)
+        total += np.sum(np.exp(-t * om) * amplitude(om, sign))
+        bound += math.exp(-t * (first + om.size * step)) / -math.expm1(-t * step)
+        terms += om.size
+    return total, terms, size * bound
 
 
 def _interval_mode_sum(
     geom: Interval, t: float, x: float, y: float, control: SeriesControl
 ) -> KernelValue:
-    omega_cut = -math.log(_TERM_FLOOR) / t
-    step = math.pi / geom.length
-    cap = int(control.max_terms)
-    omega_cut = min(omega_cut, (cap + 1.5) * step)
-    from .spectrum import _mode_arrays
+    def amplitude(om: np.ndarray, sign: float) -> np.ndarray:
+        return _interval_mode_phi(geom, om, x) * _interval_mode_phi(geom, om, y)
 
-    om, _ = _mode_arrays(geom, omega_cut)
-    val = float(
-        np.sum(
-            np.exp(-t * om)
-            * _interval_mode_phi(geom, om, x)
-            * _interval_mode_phi(geom, om, y)
-        )
-    )
-    first = float(om[0]) if om.size else 0.0
-    rounding = (2.0 / geom.length) * _mode_rounding(t, first, step, t + x + y)
-    # Geometric tail bound: remaining terms < (2/L) e^{-t omega} summed.
-    last = om[-1] if om.size else 0.0
-    tail = (2.0 / geom.length) * math.exp(-t * (last + step)) / (-math.expm1(-t * step))
-    return KernelValue(val, MODE_SUM, int(om.size), tail + rounding)
+    val, terms, bound = _mode_sum(geom, t, t + x + y, control, amplitude, 2.0 / geom.length)
+    return KernelValue(float(val), MODE_SUM, terms, bound)
+
+
+def _twisted_mode_sum(
+    geom: TwistedCircle, t: float, x: float, y: float, control: SeriesControl
+) -> KernelValue:
+    # phi_k(x) phi_k(y)* = e^{i k (x - y)}/L, and left movers carry k < 0
+    d, length = x - y, geom.length
+
+    def amplitude(om: np.ndarray, sign: float) -> np.ndarray | float:
+        return np.exp(1j * sign * d * om) / length if d else 1.0 / length
+
+    val, terms, bound = _mode_sum(geom, t, t + abs(x) + abs(y), control, amplitude, 1.0 / length)
+    return KernelValue(complex(val) if d else float(val), MODE_SUM, terms, bound)
 
 
 def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
@@ -182,38 +225,6 @@ def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> K
         sum(p.terms_used for p in parts),
         scale * sum(p.truncation_bound for p in parts),
     )
-
-
-def _twisted_mode_sum(
-    geom: TwistedCircle, t: float, x: float, y: float, control: SeriesControl
-) -> KernelValue:
-    length, theta = geom.length, geom.theta
-    omega_cut = -math.log(_TERM_FLOOR) / t
-    step = TWO_PI / length
-    omega_cut = min(omega_cut, (control.max_terms + 1.5) * step)
-    n_plus = _count_leq(step, theta / length, 0, omega_cut)
-    n_minus = _count_leq(step, -theta / length, 1, omega_cut)
-    jp = np.arange(0, n_plus, dtype=float)
-    jm = np.arange(1, n_minus + 1, dtype=float)
-    kp = (TWO_PI * jp + theta) / length
-    km = -(TWO_PI * jm - theta) / length  # left-movers carry k < 0
-    d = x - y
-    val = (
-        np.sum(np.exp(-t * np.abs(kp)) * np.exp(1j * kp * d))
-        + np.sum(np.exp(-t * np.abs(km)) * np.exp(1j * km * d))
-    ) / length
-    # Right movers start at |k| = theta/L, left movers at (2 pi - theta)/L.
-    reach = t + abs(x) + abs(y)
-    rounding = (
-        _mode_rounding(t, theta / length, step, reach)
-        + _mode_rounding(t, (TWO_PI - theta) / length, step, reach)
-    ) / length
-    tail = (2.0 / length) * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
-    bound = tail + rounding
-    terms = int(n_plus + n_minus)
-    if x == y:
-        return KernelValue(float(val.real), MODE_SUM, terms, bound)
-    return KernelValue(complex(val), MODE_SUM, terms, bound)
 
 
 def _lorentzian(t: float, d: float) -> float:
@@ -465,25 +476,8 @@ def cylinder_trace(
 
 
 def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> KernelValue:
-    from .spectrum import _mode_arrays
-
-    if isinstance(geometry, Interval):
-        step = math.pi / geometry.length
-    else:
-        step = TWO_PI / geometry.length
-    omega_cut = min(-math.log(_TERM_FLOOR) / t, (control.max_terms + 1.5) * step)
-    om, mult = _mode_arrays(geometry, omega_cut)
-    val = float(np.sum(mult * np.exp(-t * om)))
-    if isinstance(geometry, Interval):
-        rounding = _mode_rounding(t, float(om[0]) if om.size else 0.0, step, t)
-    else:
-        # right movers start at theta/L, left movers at (2 pi - theta)/L
-        theta, length = geometry.theta, geometry.length
-        rounding = _mode_rounding(t, theta / length, step, t) + _mode_rounding(
-            t, (TWO_PI - theta) / length, step, t
-        )
-    tail = 2.0 * math.exp(-t * omega_cut) / (-math.expm1(-t * step))
-    return KernelValue(val, MODE_SUM, int(om.size), tail + rounding)
+    val, terms, bound = _mode_sum(geometry, t, t, control, lambda om, sign: 1.0, 1.0)
+    return KernelValue(float(val), MODE_SUM, terms, bound)
 
 
 def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
@@ -575,16 +569,13 @@ def _closed_trace(geometry: Interval | TwistedCircle, t: np.ndarray | float) -> 
 def _heat_trace(
     geometry: Interval | TwistedCircle, t: np.ndarray | float, control: SeriesControl
 ) -> np.ndarray:
-    """Tr K(t) = sum_j e^{-t omega_j^2} at every t of an array (t > 0): one
-    mode ladder, cut where the smallest t drops its terms below _TERM_FLOOR."""
-    from .spectrum import _mode_arrays
-
+    """Tr K(t) = sum_j e^{-t omega_j^2} at every t of an array (t > 0): each
+    ladder is cut where omega^2 passes omega_min^2 + (-ln _TERM_FLOOR)/t_min,
+    so at the smallest t every dropped term is below _TERM_FLOOR times the
+    largest."""
     t = np.asarray(t, dtype=float)
-    omega_cut = math.sqrt(-math.log(_TERM_FLOOR) / float(t.min())) + 1.0
-    if isinstance(geometry, Interval):
-        step = math.pi / geometry.length
-    else:
-        step = TWO_PI / geometry.length
-    omega_cut = min(omega_cut, (control.max_terms + 1.5) * step)
-    om, _ = _mode_arrays(geometry, omega_cut)
-    return np.exp(-t[..., None] * om * om).sum(axis=-1)
+    span = -math.log(_TERM_FLOOR) / float(t.min())
+    total = 0.0
+    for _, _, om in _kept_rungs(geometry, control, lambda w: math.sqrt(w * w + span)):
+        total = total + np.exp(-t[..., None] * om * om).sum(axis=-1)
+    return total

@@ -178,10 +178,6 @@ def enumerate_orbits(
 _TWO_PI_LO = 2.4492935982947064e-16
 
 
-def _interval_windings(control: SeriesControl) -> int:
-    return int(control.max_terms)
-
-
 # Windings per block of local_counting's boundary-image sum.  Its float
 # temporaries then stay at 64 KB, under glibc's default 128 KB threshold,
 # past which every array is mapped and unmapped afresh (a page fault per
@@ -300,7 +296,7 @@ def green_im_diag(
         raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
     s = control.damping_t
-    w = _interval_windings(control)
+    w = int(control.max_terms)
     if isinstance(geometry, HalfLine):
         val = 1.0 + (-1.0) ** geometry.l * math.cos(2.0 * omega * x) * math.exp(
             -2.0 * x * s
@@ -354,7 +350,7 @@ def local_spectral_density(
         raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
     s = control.damping_t
-    w = _interval_windings(control)
+    w = int(control.max_terms)
     tag = ABEL if s > 0.0 else RAW
     if isinstance(geometry, HalfLine):
         b = (-1.0) ** geometry.l / math.pi * math.cos(2.0 * omega * x) * math.exp(
@@ -409,7 +405,7 @@ def global_density_decomposition(
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
     s = control.damping_t
-    w = _interval_windings(control)
+    w = int(control.max_terms)
     tag = ABEL if s > 0.0 else RAW
     if isinstance(geometry, HalfLine):
         return GlobalDensity(
@@ -507,5 +503,5 @@ def local_counting(
     per = spectrum.periodic_counting_term(geometry, omega) / geometry.length
     if isinstance(geometry, TwistedCircle):
         return weyl + per
-    bdry = _interval_boundary_counting(geometry, omega, x, _interval_windings(control))
+    bdry = _interval_boundary_counting(geometry, omega, x, int(control.max_terms))
     return weyl + per + bdry

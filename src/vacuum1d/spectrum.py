@@ -123,34 +123,62 @@ Geometry = Union[Interval, HalfLine, TwistedCircle]
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue enumeration.
+# Eigenvalue ladders.
 #
-# All index arithmetic is exact: a floor() candidate is corrected by
-# direct float comparison of the candidate frequency against omega, with
-# the frequency computed by the same expression the generator uses, so
-# counting and enumeration can never disagree at the margins.
+# Every discrete spectrum here is a union of arithmetic ladders
+# omega_j = offset + j*step, j >= j_min, and _ladders is the one place
+# that writes them down.  Enumeration, counting and the mode sums of
+# :mod:`vacuum1d.kernels` all read that table and form each frequency by
+# the same expression offset + j*step, and a floor() count is corrected
+# by direct float comparison against that expression, so counting and
+# enumeration can never disagree at the margins.
 # ---------------------------------------------------------------------------
 
 
+def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, int], ...]:
+    """(step, offset, j_min) of each ladder omega_j = offset + j*step.
+
+    One ladder on the interval.  Two on the twisted circle: right movers
+    theta/L + j 2 pi/L, then left movers (2 pi - theta)/L + j 2 pi/L from
+    j = 0, or from j = 1 at theta = 0.  At theta = 0 and pi both ladders
+    have the same offset to the bit, so their common levels are equal
+    floats and merge into multiplicity 2."""
+    if isinstance(geometry, Interval):
+        step = math.pi / geometry.length
+        if geometry.like_ends:
+            return ((step, 0.0, 1 if geometry.left is DIRICHLET else 0),)
+        return ((step, 0.5 * step, 0),)
+    length, theta = geometry.length, geometry.theta
+    step = TWO_PI / length
+    if theta == 0.0:
+        return ((step, 0.0, 0), (step, 0.0, 1))
+    return ((step, theta / length, 0), (step, (TWO_PI - theta) / length, 0))
+
+
 def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:
-    """Number of j >= j_min with offset + j*step <= omega (exact)."""
+    """Number of j >= j_min with offset + j*step <= omega (exact below
+    2^52 rungs; past that, neighbouring rungs round to one float, the
+    comparisons cannot tell them apart, and the floor() count stands)."""
     if omega < offset + j_min * step:
         return 0
     j = int(math.floor((omega - offset) / step))
-    while offset + (j + 1) * step <= omega:
-        j += 1
-    while j >= j_min and offset + j * step > omega:
-        j -= 1
+    if j < 2**52:
+        while offset + (j + 1) * step <= omega:
+            j += 1
+        while j >= j_min and offset + j * step > omega:
+            j -= 1
     return max(0, j - j_min + 1)
 
 
-def _interval_ladder(geom: Interval) -> tuple[float, float, int]:
-    """(step, offset, j_min) describing omega_j = offset + j*step."""
-    step = math.pi / geom.length
-    if geom.left is geom.right:
-        j_min = 1 if geom.left is DIRICHLET else 0
-        return step, 0.0, j_min
-    return step, 0.5 * step, 0
+def _rungs(
+    ladder: tuple[float, float, int], omega_max: float, cap: float = math.inf
+) -> np.ndarray:
+    """The frequencies offset + j*step <= omega_max of one ladder, at most
+    ``cap`` of them; omega_max may be inf when a cap is given."""
+    step, offset, j_min = ladder
+    above = (omega_max - offset) / step - j_min  # rungs past the first
+    n = cap if above >= cap else min(cap, _count_leq(step, offset, j_min, omega_max))
+    return offset + np.arange(j_min, j_min + n, dtype=float) * step
 
 
 def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]:
@@ -175,26 +203,9 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         raise ContinuousSpectrum("half-line has no discrete eigenvalues")
     if not (omega_max > 0.0) or not math.isfinite(omega_max):
         raise InvalidParameter("omega_max must be positive and finite")
-    if isinstance(geometry, Interval):
-        step, offset, j_min = _interval_ladder(geometry)
-        n = _count_leq(step, offset, j_min, omega_max)
-        return [(offset + j * step, 1) for j in range(j_min, j_min + n)]
-    # Twisted circle: branches (2 pi j + theta)/L, j >= 0 and
-    # (2 pi j - theta)/L, j >= 1.
-    length, theta = geometry.length, geometry.theta
-    if theta == 0.0:
-        n = _count_leq(TWO_PI / length, 0.0, 1, omega_max)
-        return [(0.0, 1)] + [(j * TWO_PI / length, 2) for j in range(1, n + 1)]
-    if theta == math.pi:
-        n = _count_leq(TWO_PI / length, math.pi / length, 0, omega_max)
-        return [((TWO_PI * j + math.pi) / length, 2) for j in range(n)]
-    out: list[tuple[float, int]] = []
-    n_plus = _count_leq(TWO_PI / length, theta / length, 0, omega_max)
-    out.extend(((TWO_PI * j + theta) / length, 1) for j in range(n_plus))
-    n_minus = _count_leq(TWO_PI / length, -theta / length, 1, omega_max)
-    out.extend(((TWO_PI * j - theta) / length, 1) for j in range(1, n_minus + 1))
-    out.sort(key=lambda pair: pair[0])
-    return out
+    levels = np.concatenate([_rungs(ladder, omega_max) for ladder in _ladders(geometry)])
+    omegas, mults = np.unique(levels, return_counts=True)
+    return list(zip(omegas.tolist(), mults.tolist()))
 
 
 def counting_function(geometry: Geometry, omega: float) -> int:
@@ -209,13 +220,7 @@ def counting_function(geometry: Geometry, omega: float) -> int:
         raise InvalidParameter("omega must be finite")
     if omega < 0.0:
         return 0
-    if isinstance(geometry, Interval):
-        step, offset, j_min = _interval_ladder(geometry)
-        return _count_leq(step, offset, j_min, omega)
-    length, theta = geometry.length, geometry.theta
-    n_plus = _count_leq(TWO_PI / length, theta / length, 0, omega)
-    n_minus = _count_leq(TWO_PI / length, -theta / length, 1, omega)
-    return n_plus + n_minus
+    return sum(_count_leq(*ladder, omega) for ladder in _ladders(geometry))
 
 
 @dataclass(frozen=True)
@@ -234,16 +239,8 @@ class CountingDecomposition:
 
 def _nearest_eigen_distance(geometry: Geometry, omega: float) -> float:
     """Distance from omega to the nearest eigenfrequency (closed form)."""
-    if isinstance(geometry, Interval):
-        ladders = [_interval_ladder(geometry)]
-    else:
-        step = TWO_PI / geometry.length
-        ladders = [
-            (step, geometry.theta / geometry.length, 0),
-            (step, -geometry.theta / geometry.length, 1),
-        ]
     best = math.inf
-    for step, offset, j_min in ladders:
+    for step, offset, j_min in _ladders(geometry):
         j = max(j_min, round((omega - offset) / step))
         for jj in (j - 1, j, j + 1):
             if jj >= j_min:
@@ -343,7 +340,7 @@ def eigenfunction_density(geometry: Geometry, j: int, x: float) -> float:
     length = geometry.length
     if not (0.0 < x < length):
         raise OutOfDomain(f"x={x!r} not in (0, {length})")
-    step, offset, j_min = _interval_ladder(geometry)
+    ((step, offset, j_min),) = _ladders(geometry)
     if j < j_min:
         raise InvalidParameter(f"mode index {j} below first index {j_min}")
     omega = offset + j * step
@@ -352,25 +349,3 @@ def eigenfunction_density(geometry: Geometry, j: int, x: float) -> float:
     if geometry.left is DIRICHLET:
         return 2.0 / length * math.sin(omega * x) ** 2
     return 2.0 / length * math.cos(omega * x) ** 2
-
-
-def _mode_arrays(
-    geometry: Geometry, omega_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, multiplicity) arrays up to omega_max, vectorized."""
-    if isinstance(geometry, HalfLine):
-        raise ContinuousSpectrum("half-line has no discrete eigenvalues")
-    if isinstance(geometry, Interval):
-        step, offset, j_min = _interval_ladder(geometry)
-        n = _count_leq(step, offset, j_min, omega_max)
-        j = np.arange(j_min, j_min + n, dtype=float)
-        return offset + j * step, np.ones_like(j)
-    length, theta = geometry.length, geometry.theta
-    step = TWO_PI / length
-    n_plus = _count_leq(step, theta / length, 0, omega_max)
-    n_minus = _count_leq(step, -theta / length, 1, omega_max)
-    jp = np.arange(0, n_plus, dtype=float)
-    jm = np.arange(1, n_minus + 1, dtype=float)
-    om = np.concatenate([(TWO_PI * jp + theta) / length, (TWO_PI * jm - theta) / length])
-    order = np.argsort(om, kind="stable")
-    return om[order], np.ones_like(om)

@@ -61,7 +61,8 @@ class SeriesControl:
     tol : float
         Target absolute accuracy, read by :func:`lattice_sum`: its windings
         grow until the truncation bound is at most ``max(tol, rounding)``.
-        Mode sums stop on their own term floor and do not read it.
+        Mode sums stop on their own term floor, relative to their largest
+        term, and do not read it.
     damping_t : float
         Abel damping parameter.  Each term acquires ``exp(-damping_t * len)``
         with ``len`` the orbit length, i.e. a Lorentzian smoothing of

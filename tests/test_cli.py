@@ -7,6 +7,7 @@ against the library or against independently derived numbers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -83,6 +84,20 @@ def test_spectrum_twisted_merged_multiplicities(capsys):
     table = parse_table(out)
     assert column(table, "omega") == pytest.approx([0.0, 2 * PI, 4 * PI], abs=1e-14)
     assert column(table, "mult") == [1, 2, 2]
+
+
+def test_spectrum_counts_every_listed_level(capsys):
+    # N is the running sum of mult; at this length the twisted counting
+    # function once read 37 on the last two rows, below the 39 levels listed
+    code, out, _ = run(
+        capsys,
+        "spectrum", "--geometry", "twisted", "--length", "0.006400080914317202",
+        "--theta", "0", "--omega-max", "19000",
+    )
+    assert code == EXIT_OK
+    table = parse_table(out)
+    assert column(table, "N") == list(itertools.accumulate(column(table, "mult")))
+    assert column(table, "N")[-1] == 39
 
 
 def test_spectrum_halfline_is_a_domain_error(capsys):

@@ -343,6 +343,27 @@ def test_interval_trace_far_past_the_length_scale():
     assert cylinder_trace(Interval(1.0, NEUMANN, NEUMANN), t).value == 1.0
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        Interval(1.0, DIRICHLET, DIRICHLET),
+        Interval(1.0, DIRICHLET, NEUMANN),
+        TwistedCircle(1.0, 0.0),
+        TwistedCircle(1.0, 2.0),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("t_over_l", [20.0, 50.0, 100.0])
+def test_mode_sum_far_past_the_length_scale(geometry, t_over_l):
+    # The mode route keeps its relative accuracy where every term but the
+    # first is dropped; its ladder was once cut at an absolute term floor,
+    # and it returned 0.0 against 1.03e-27 for D/D at t = 20 L.
+    t, x = t_over_l * geometry.length, 0.5 * geometry.length
+    closed = cylinder_kernel(geometry, t, x).value
+    mode = cylinder_kernel(geometry, t, x, method=MODE_SUM)
+    assert abs(mode.value - closed) <= mode.truncation_bound <= 1e-12 * abs(closed), (mode, closed)
+
+
 def test_cylinder_kernel_validates_input():
     geom = Interval(1.0, DIRICHLET, DIRICHLET)
     with pytest.raises(InvalidParameter):
@@ -402,14 +423,21 @@ def test_trace_mode_sum_bound_covers_its_rounding(geometry, method):
     allowance outside the bound (the twisted mode sum at theta = 0,
     t = 0.148 L once erred by 1.03e-15 against a bound of 3.3e-16); the
     interval image route also down to t = 1e-150 L, where its pole sum
-    once overflowed."""
+    once overflowed.  The mode route runs on to t = 100 L with a bound
+    within 1e-12 of the trace: it once cut its ladder at an absolute term
+    floor and returned 0.0 past t omega_1 = 36.8."""
     ts = list(np.geomspace(1e-3, 10.0, 60) * geometry.length) + [0.148 * geometry.length]
     if method == IMAGE_SUM and isinstance(geometry, Interval):
         ts += list(np.geomspace(1e-150, 1e-3, 16) * geometry.length)
+    if method == MODE_SUM:
+        ts += list(np.geomspace(10.0, 100.0, 13)[1:] * geometry.length)
     for t in ts:
         got = cylinder_trace(geometry, float(t), method=method)
-        err = abs(got.value - mp_closed_trace(geometry, float(t)))
+        exact = mp_closed_trace(geometry, float(t))
+        err = abs(got.value - exact)
         assert err <= got.truncation_bound, (t, err, got.truncation_bound)
+        if method == MODE_SUM:
+            assert got.truncation_bound <= 1e-12 * exact, (t, got.truncation_bound, exact)
 
 
 def test_trace_closed_values():
@@ -446,9 +474,10 @@ def test_trace_small_t_structure():
 def test_array_trace_helpers_match_the_scalar_calls(geometry):
     """The one-pass array helpers behind the coefficient fits give the
     scalar calls' values at every t: the closed trace to the last bit, the
-    heat trace (whose ladder is cut for the smallest t) to rounding, with an
-    absolute floor of 1e-14 for the last bits of its O(1) sums and for the
-    terms below 1e-16 that the scalar ladder drops."""
+    heat trace (whose ladder is cut for the smallest t, so it keeps terms
+    that the scalar call at a larger t drops below 1e-16 of its largest)
+    to rounding, with an absolute floor of 1e-14 for the last bits of its
+    O(1) sums."""
     ts = geometry.length * np.geomspace(1e-3, 500.0, 40)
     closed = kernels._closed_trace(geometry, ts)
     for t, got in zip(ts, closed):
@@ -556,6 +585,14 @@ def test_heat_trace_matches_brute_sum(geometry):
         assert heat_trace(geometry, t) == pytest.approx(
             brute_trace(geometry, t, heat=True), abs=1e-12
         )
+    # far past the length scale, relative to the trace itself: the ladder
+    # was once cut at an absolute term floor and gave 0.0 against
+    # e^{-10 pi^2} = 1.37e-43 for D/D at t = 10 L^2
+    for scaled in (1.0, 10.0, 100.0):
+        t = scaled * geometry.length**2 / PI**2
+        assert heat_trace(geometry, t) == pytest.approx(
+            brute_trace(geometry, t, heat=True), rel=1e-14, abs=0.0
+        ), t
 
 
 def test_heat_trace_small_t_coefficients():

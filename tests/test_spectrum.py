@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from vacuum1d.errors import (
@@ -169,6 +171,46 @@ def test_counting_function_matches_ladder_everywhere():
         for omega in rng.uniform(0.05, 55.0, size=50):
             expected = sum(mult for ev, mult in ladder if ev <= omega)
             assert counting_function(geom, float(omega)) == expected
+
+
+END_PAIRS = [(DIRICHLET, DIRICHLET), (DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET), (NEUMANN, NEUMANN)]
+# Generic angles keep clear of 0 and pi, next to which the two twisted
+# ladders meet within rounding and merge in float arithmetic.
+GENERIC_THETA = st.floats(0.0, 2.0 * PI).filter(lambda theta: abs(math.remainder(theta, PI)) > 1e-6)
+LOG_LENGTH = st.floats(-3.0, 3.0)
+DISCRETE_SPECTRA = st.one_of(
+    st.builds(lambda u, ends: Interval(10.0**u, *ends), LOG_LENGTH, st.sampled_from(END_PAIRS)),
+    st.builds(
+        lambda u, theta: TwistedCircle(10.0**u, theta),
+        LOG_LENGTH,
+        st.sampled_from([0.0, PI]) | GENERIC_THETA,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(DISCRETE_SPECTRA)
+def test_counting_agrees_with_enumeration_at_every_level(geom):
+    """N(omega_j) is the running multiplicity at every level up to 400 pi/L,
+    and levels double only on the circle at theta = 0 and pi.  Twisted
+    counting once formed its levels by another float expression than
+    enumeration and disagreed at a quarter of them."""
+    levels = eigenvalues(geom, 400.0 * PI / geom.length)
+    running = 0
+    for omega, mult in levels:
+        running += mult
+        assert counting_function(geom, omega) == running, (omega, mult)
+    mults = {mult for _, mult in levels}
+    degenerate = isinstance(geom, TwistedCircle) and geom.theta in (0.0, PI)
+    assert mults <= {1, 2} and (2 in mults) == degenerate, mults
+
+
+def test_counting_function_past_the_float_resolution_of_the_ladder():
+    # Past 2^52 rungs neighbouring levels round to one float and N is the
+    # floor() count; its refinement loops once spun forever there (D/D,
+    # L = 1, at omega = 1e25 and 1e300).
+    for omega in (1e25, 1e300):
+        assert counting_function(Interval(1.0, DIRICHLET, DIRICHLET), omega) == math.floor(omega / PI)
 
 
 def test_counting_function_halfline_raises():
