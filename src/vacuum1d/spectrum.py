@@ -139,10 +139,10 @@ def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, in
     """(step, offset, j_min) of each ladder omega_j = offset + j*step.
 
     One ladder on the interval.  Two on the twisted circle: right movers
-    theta/L + j 2 pi/L, then left movers (2 pi - theta)/L + j 2 pi/L from
-    j = 0, or from j = 1 at theta = 0.  At theta = 0 and pi both ladders
-    have the same offset to the bit, so their common levels are equal
-    floats and merge into multiplicity 2."""
+    theta/L + j 2 pi/L from j = 0, then left movers -theta/L + j 2 pi/L
+    from j = 1.  At theta = pi the left movers are written as the right
+    movers' ladder, so there, as at theta = 0, the common levels of the two
+    ladders are equal floats and merge into multiplicity 2."""
     if isinstance(geometry, Interval):
         step = math.pi / geometry.length
         if geometry.like_ends:
@@ -150,9 +150,10 @@ def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, in
         return ((step, 0.5 * step, 0),)
     length, theta = geometry.length, geometry.theta
     step = TWO_PI / length
-    if theta == 0.0:
-        return ((step, 0.0, 0), (step, 0.0, 1))
-    return ((step, theta / length, 0), (step, (TWO_PI - theta) / length, 0))
+    right = (step, theta / length, 0)
+    if theta == math.pi:
+        return (right, right)
+    return (right, (step, -theta / length, 1))
 
 
 def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:

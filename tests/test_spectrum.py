@@ -205,6 +205,29 @@ def test_counting_agrees_with_enumeration_at_every_level(geom):
     assert mults <= {1, 2} and (2 in mults) == degenerate, mults
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(LOG_LENGTH, st.floats(0.0, 2.0 * PI).filter(lambda theta: theta != PI))
+def test_twisted_levels_are_the_two_mover_ladders_to_the_bit(u, theta):
+    """Away from theta = pi the twisted levels are the floats theta/L + j 2 pi/L
+    (j >= 0) and -theta/L + j 2 pi/L (j >= 1), and N counts them at every
+    level.  Left movers written from (2 pi - theta)/L once differed in the
+    last bit at a quarter of the levels, so N disagreed with a count of
+    these floats."""
+    geom = TwistedCircle(10.0**u, theta)
+    length, step = geom.length, 2.0 * PI / geom.length
+    omega_max = 60.0 / length
+    want = []
+    for offset, j in ((geom.theta / length, 0), (-geom.theta / length, 1)):
+        while offset + j * step <= omega_max:
+            want.append(offset + j * step)
+            j += 1
+    want.sort()
+    levels = eigenvalues(geom, omega_max)
+    assert [omega for omega, mult in levels for _ in range(mult)] == want
+    for omega, _ in levels:
+        assert counting_function(geom, omega) == sum(w <= omega for w in want), omega
+
+
 def test_counting_function_past_the_float_resolution_of_the_ladder():
     # Past 2^52 rungs neighbouring levels round to one float and N is the
     # floor() count; its refinement loops once spun forever there (D/D,
