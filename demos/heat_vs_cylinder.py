@@ -7,6 +7,10 @@ don't.  The heat trace's b_0 and b_1 fix the cylinder trace's e_0 and
 e_1 outright, but e_2, the coefficient carrying the vacuum energy,
 is invisible to the heat expansion: geometries with identical heat
 coefficients can disagree about E = -e_2/2.
+
+The cylinder coefficients are exact (a Cauchy integral of the analytic
+t Tr T(t)); the heat coefficients are a least-squares fit, because the
+heat trace's corrections e^{-L^2/s} have no power series to read off.
 """
 
 import math
@@ -25,9 +29,9 @@ geom = Interval(1.0, DIRICHLET, DIRICHLET)
 
 rep = theorem1_check(geom)
 print("interval D/D, L = 1")
-print(f"  heat trace:      b0 = {rep.b0:.10f}   (L/(2 sqrt(pi)) = "
+print(f"  heat trace, fit: b0 = {rep.b0:.10f}   (L/(2 sqrt(pi)) = "
       f"{1 / (2 * math.sqrt(PI)):.10f})")
-print(f"  heat trace:      b1 = {rep.b1:+.10f}")
+print(f"  heat trace, fit: b1 = {rep.b1:+.10f}")
 print(f"  cylinder trace:  e0 = {rep.e0:.10f}   e1 = {rep.e1:+.10f}")
 print(f"  relations:       |e0 - (2/sqrt(pi)) b0| = {rep.defect_e0:.2e}")
 print(f"                   |e1 - b1|              = {rep.defect_e1:.2e}")

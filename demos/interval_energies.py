@@ -3,9 +3,9 @@ Interval vacuum energies three ways
 ===================================
 
 The renormalized energy of a string pinned (D) or free (N) at each end,
-computed by the closed form, by fitting the small-t cylinder-trace
-expansion, and by watching the regularized energy converge as the
-cutoff comes off.
+computed by the closed form, by reading the t^1 coefficient of the
+cylinder trace off a Cauchy integral (E = -e_2/2), and by watching the
+regularized energy converge as the cutoff comes off.
 """
 
 import math
@@ -29,12 +29,12 @@ GEOMETRIES = {
     "D/N": Interval(1.0, DIRICHLET, NEUMANN),
 }
 
-print(f"{'ends':>4} {'closed form':>14} {'from trace fit':>14} {'target':>12}")
+print(f"{'ends':>4} {'closed form':>14} {'-e2/2':>14} {'target':>12}")
 for tag, geom in GEOMETRIES.items():
     closed = total_energy_renormalized(geom).total_renormalized
-    fit = extract_cylinder_coefficients(geom).energy
+    cauchy = extract_cylinder_coefficients(geom).energy
     target = PI / 48.0 if tag == "D/N" else -PI / 24.0
-    print(f"{tag:>4} {closed:14.10f} {fit:14.10f} {target:12.8f}")
+    print(f"{tag:>4} {closed:14.10f} {cauchy:14.10f} {target:12.8f}")
 
 # Like ends agree (-pi/24); the mixed pair flips sign and quarters:
 # repulsive +pi/48.  Now watch the regulator come off for D/D.  The

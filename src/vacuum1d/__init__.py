@@ -9,7 +9,6 @@ to every number, kept honest against each other.
 from .errors import (
     AtEigenvalue,
     ContinuousSpectrum,
-    IllConditionedFit,
     InvalidParameter,
     NonConvergent,
     OutOfDomain,
@@ -111,7 +110,6 @@ __all__ = [
     "GlobalDensity",
     "HalfLine",
     "IMAGE_SUM",
-    "IllConditionedFit",
     "Interval",
     "InvalidParameter",
     "KernelValue",

@@ -13,14 +13,15 @@ Exit codes are a stable contract::
     1   verification failure (``vacuum verify``)
     2   usage or configuration error (including ``InvalidParameter``)
     3   any other library error: continuous spectrum, point outside the
-        domain, a series or fit that did not converge, ...
+        domain, a series that did not converge, ...
 
 ``--tol`` sets the series target of ``vacuum kernel`` (the image sums
 stop once their truncation bound is below it; the table reports each
 series route's term count and bound) and overrides every check's
-tolerance in ``vacuum verify``; the other subcommands only record it in
-the metadata header.  The environment variable ``VACUUM_TOL`` supplies
-its default.
+tolerance in ``vacuum verify``; ``--max-terms`` caps the series of
+``vacuum kernel``.  No other subcommand sums a series, so none takes
+either flag.  The environment variable ``VACUUM_TOL`` supplies the
+default of ``--tol``.
 """
 
 from __future__ import annotations
@@ -198,20 +199,7 @@ def _meta(args: argparse.Namespace, geometry: Geometry | None = None) -> dict:
     meta = {"build": f"vacuum1d {__version__}", "command": args.command}
     if geometry is not None:
         meta["geometry"] = describe(geometry)
-    if args.tol is not None:
-        meta["tol"] = args.tol
-    if args.max_terms is not None:
-        meta["max_terms"] = args.max_terms
     return meta
-
-
-def _control(args: argparse.Namespace) -> SeriesControl:
-    kwargs = {}
-    if args.max_terms is not None:
-        kwargs["max_terms"] = args.max_terms
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    return SeriesControl(**kwargs)
 
 
 def _grid_points(args: argparse.Namespace, default: int) -> int:
@@ -320,7 +308,11 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
     geometry = build_geometry(args)
     ts = args.t or [0.05, 0.1, 0.5, 1.0]
     xs = args.x or [_default_kernel_point(geometry)]
-    control = _control(args)
+    meta = _meta(args, geometry)
+    pairs = (("tol", args.tol), ("max_terms", args.max_terms))
+    settings = {key: value for key, value in pairs if value is not None}
+    meta.update(settings)
+    control = SeriesControl(**settings)
     rows = []
     for t in ts:
         for x in xs:
@@ -334,7 +326,7 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
                          image.terms_used, image.truncation_bound))
     columns = ("t", "x", "mode_sum", "image_sum", "closed_form", "max_deviation",
                "mode_sum_terms", "mode_sum_bound", "image_sum_terms", "image_sum_bound")
-    return Table(_meta(args, geometry), columns, rows), EXIT_OK
+    return Table(meta, columns, rows), EXIT_OK
 
 
 def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
@@ -430,13 +422,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="curvature coupling weighting the wall profile (default: 1/4)")
     sub.add_argument("--grid-points", dest="grid_points", type=int, default=None,
                      help="number of points for default grids")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="series target for 'kernel', tolerance override for 'verify' "
-                          "(default: env VACUUM_TOL, else 1e-12 / per-check); "
-                          "'energy', 'density', 'spectrum', 'figure' and 'compare' "
-                          "only record it in the metadata header")
-    sub.add_argument("--max-terms", dest="max_terms", type=int, default=None,
-                     help="series truncation cap for the summed routes")
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
                      help="output format (default: csv; verify defaults to json)")
     sub.add_argument("--output", default=None, metavar="PATH",
@@ -471,13 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--which", choices=("fig1", "fig2"), required=True,
                              help="fig1: interval D/D renormalized density; "
                                   "fig2: half-line Dirichlet wall profile at small t")
+        if name in ("kernel", "verify"):
+            sub.add_argument("--tol", type=float, default=None,
+                             help="series target for 'kernel', tolerance override for "
+                                  "'verify' (default: env VACUUM_TOL, else 1e-12 / per check)")
+        if name == "kernel":
+            sub.add_argument("--max-terms", dest="max_terms", type=int, default=None,
+                             help="series truncation cap for the summed routes")
         sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is None:
+    if "tol" in vars(args) and args.tol is None:
         env_tol = os.environ.get("VACUUM_TOL")
         if env_tol is not None:
             try:

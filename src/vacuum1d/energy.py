@@ -46,7 +46,6 @@ import numpy as np
 from . import kernels, summation
 from .errors import (
     ContinuousSpectrum,
-    IllConditionedFit,
     InvalidParameter,
     OutOfDomain,
     UnsupportedGeometry,
@@ -511,15 +510,18 @@ def energy_density_renormalized(
 
 @dataclass(frozen=True)
 class CylinderExpansion:
-    """Fitted small-t expansion Tr T ~ sum_s e_s t^{s-d}.
+    """Small-t expansion ``t Tr T(t) = sum_k e_k t^k``, k = 0..4, read off
+    the closed-form trace by a Cauchy integral.
 
     In one dimension the expansion has no logarithmic terms, which is
     what makes the e_2 energy coefficient well-defined.
+    ``truncation_bound`` is keyed like ``e`` and bounds each coefficient's
+    error (see :func:`extract_cylinder_coefficients`).
     """
 
     e: dict[int, float]
     d: int
-    residual: float
+    truncation_bound: dict[int, float]
 
     @property
     def energy(self) -> float:
@@ -527,115 +529,110 @@ class CylinderExpansion:
         return -0.5 * self.e[2]
 
 
-# The cylinder fit's basis powers of t.
-_CYLINDER_POWERS = (0, 1, 2, 3, 4, 6)
+def _unit_length(geometry: Interval | TwistedCircle) -> Interval | TwistedCircle:
+    """The same geometry at L = 1: its traces at t/L (cylinder) and t/L^2
+    (heat) are those of ``geometry`` at t."""
+    if isinstance(geometry, Interval):
+        return Interval(1.0, geometry.left, geometry.right)
+    return TwistedCircle(1.0, geometry.theta)
 
 
-def _least_squares_factor(design: np.ndarray) -> tuple[np.ndarray, int]:
-    """(pseudo-inverse, rank) of a design matrix, with the rank cut of
-    ``np.linalg.lstsq(..., rcond=None)``: singular values at or below
-    eps max(m, n) times the largest count as zero."""
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(design.shape) * sv[0]))
-    return (vt[:rank].T / sv[:rank]) @ u[:, :rank].T, rank
-
-
-def _cylinder_factor(u: np.ndarray) -> tuple[np.ndarray, int]:
-    """For the scaled grid u = t / t[-1]: the matrix taking y to the fitted
-    coefficients followed by the fitted values, and the design rank."""
-    design = u[:, None] ** np.array(_CYLINDER_POWERS)[None, :]
-    pinv, rank = _least_squares_factor(design)
-    return np.vstack([pinv, design @ pinv]), rank
-
-
-# The default grids (in units of L for the cylinder fit, L^2 for the heat
-# fit) and their factors are built on first use, once per process, and
-# shared read-only by every fit.
+# N nodes on |u| = r = R/2, aliasing bounded on |u| = rho = 0.95 R, so
+# q = (r/rho)^N = 1.9^-64.  Against 40-digit Taylor coefficients of every
+# interval and six twists the rounding reaches 0.92 eps max|h| r^-k; the
+# bound allows _CAUCHY_ROUNDING of these.
+_CAUCHY_NODES = 64
+_ALIASING = 1.9**-_CAUCHY_NODES / (1.0 - 1.9**-_CAUCHY_NODES)
+_CAUCHY_ROUNDING = 4.0
 
 
 @functools.cache
-def _default_cylinder_fit() -> tuple[np.ndarray, np.ndarray, int]:
-    grid = np.geomspace(1e-3, 0.1, 25)
-    factor, rank = _cylinder_factor(grid / grid[-1])
-    grid.setflags(write=False)
-    factor.setflags(write=False)
-    return grid, factor, rank
+def _cauchy_rule(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_m = r e^{2 pi i m/N}, m = 0..N/2, and the matrix taking h(u_m)
+    to h_0..h_4 (real part), built once per radius.  h is real on the real
+    axis, so the lower half circle adds the conjugate of the upper: weights
+    1/N at u = +-r and 2/N between."""
+    m = np.arange(_CAUCHY_NODES // 2 + 1)
+    k = np.arange(5)[:, None]
+    nodes = r * np.exp(2j * PI / _CAUCHY_NODES * m)
+    weight = np.where((m == 0) | (m == _CAUCHY_NODES // 2), 1.0, 2.0) / _CAUCHY_NODES
+    rule = weight * np.exp(-2j * PI / _CAUCHY_NODES * k * m) / r**k
+    nodes.setflags(write=False)
+    rule.setflags(write=False)
+    return nodes, rule
 
 
-@functools.cache
-def _default_heat_fit() -> tuple[np.ndarray, np.ndarray, int]:
-    """The heat basis t^{-1/2, 0, 1/2, 1}, each column divided by its
-    largest entry, which leaves it free of L."""
-    g = np.geomspace(5e-4, 6e-3, 16)
-    design = np.column_stack([(g / g[0]) ** -0.5, np.ones_like(g), (g / g[-1]) ** 0.5, g / g[-1]])
-    pinv, rank = _least_squares_factor(design)
-    g.setflags(write=False)
-    pinv.setflags(write=False)
-    return g, pinv, rank
+def _trace_envelope(unit: Interval | TwistedCircle, rho: float) -> float:
+    """A bound of |Tr T(u)| on |u| = rho < R for the unit-length geometry.
+
+    The traces are e^{-pi u/2} / 2 sinh(pi u/2) (+1 for Neumann ends),
+    1 / 2 sinh(pi u/2) (mixed ends) and cosh((pi - theta) u) / sinh(pi u);
+    |e^{-a u}| <= e^{a rho}, |cosh(a u)| <= cosh(a rho), and |sinh z| >= sin|z|
+    for |z| < pi, factor by factor in sinh z = z prod_n (1 + z^2/(n pi)^2)."""
+    if isinstance(unit, TwistedCircle):
+        return math.cosh((PI - unit.theta) * rho) / math.sin(PI * rho)
+    half = 0.5 * PI * rho
+    if not unit.like_ends:
+        return 0.5 / math.sin(half)
+    return 0.5 * math.exp(half) / math.sin(half) + (1.0 if unit.left is NEUMANN else 0.0)
 
 
-def extract_cylinder_coefficients(
-    geometry: Geometry,
-    t_grid: np.ndarray | None = None,
-) -> CylinderExpansion:
-    """Fit e_0 / t + e_1 + e_2 t + e_3 t^2 + e_4 t^3 to the exact trace.
+def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
+    """Taylor coefficients e_0..e_4 of ``t Tr T(t)`` by one Cauchy integral.
 
-    ``t * Tr T(t)`` is polynomial in t up to exponentially small terms;
-    the fit uses the basis ``t^{0,1,2,3,4,6}`` (the t^5 coefficient is
-    absent for every geometry here, the t^6 column absorbs the next
-    correction so it cannot contaminate e_2), in the scaled variable
-    ``u = t / t[-1]`` for conditioning.  The design matrix depends on the
-    grid only through u, so the default grid's least-squares factor (the
-    pseudo-inverse, rank cut as in ``np.linalg.lstsq``) is built once per
-    process and each fit is one matrix-vector product over one array
-    evaluation of the closed-form trace.
+    In u = t/L, h(u) = u Tr T of the unit-length geometry is free of L and
+    e_k = h_k L^{1-k}.  h is analytic in |u| < R, R = 2 on the interval and
+    1 on the circle (poles at t = +-2iL, +-iL).  The trapezoidal rule on
+    N = 64 nodes u_m of |u| = r = R/2, one array call of the closed form,
+    gives r^-k (1/N) sum_m h(u_m) e^{-2 pi i mk/N} = h_k + sum_{j>=1}
+    h_{k+jN} r^{jN}.  With M(s) = s _trace_envelope(s) >= max_{|u|=s} |h|,
+    Cauchy's estimate |h_n| <= M(rho) rho^-n on |u| = rho = 0.95 R bounds
+    the aliased sum by M(rho) q/(1 - q) rho^-k, q = (r/rho)^N ~ 1.4e-18.
+    ``truncation_bound[k]`` adds the rounding, 4 eps M(r) r^-k, and scales
+    both by L^{1-k}.  The rule converges geometrically (Trefethen &
+    Weideman, SIAM Rev. 56, 2014) and keeps its rounding at a few eps on a
+    circle of radius comparable to R (Bornemann, Found. Comput. Math. 11,
+    2011).  Coefficient and bound are scaled by L one factor at a time, so
+    no power of L over- or underflows on the way.
 
-    Parameters
-    ----------
-    geometry : Interval or TwistedCircle
-    t_grid : array, optional
-        Strictly increasing, at least 8 points, spanning at least a
-        decade, inside (0, 0.1 L].  Default ``L * geomspace(1e-3, 0.1, 25)``.
-        A caller's grid is factored on each call.
-
-    Raises
-    ------
-    IllConditionedFit
-        If the fit residual exceeds 1e-9 * max(1, |y|) or the design
-        matrix is rank-deficient.
+    Raises :class:`ContinuousSpectrum` for the half-line, and
+    :class:`InvalidParameter` where a coefficient or its bound leaves the
+    float range (e_3, e_4 carry L^-2, L^-3: below about L = 1e-100).
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line cylinder trace diverges")
+    unit = _unit_length(geometry)
+    pole = 1.0 if isinstance(geometry, TwistedCircle) else 2.0
+    r, rho = 0.5 * pole, 0.95 * pole
+    nodes, rule = _cauchy_rule(r)
+    coef = (rule @ (nodes * kernels._closed_trace(unit, nodes))).real.tolist()
+    aliasing = rho * _trace_envelope(unit, rho) * _ALIASING
+    rounding = _CAUCHY_ROUNDING * sys.float_info.epsilon * r * _trace_envelope(unit, r)
     length = geometry.length
-    if t_grid is None:
-        grid, factor, rank = _default_cylinder_fit()
-        t = length * grid
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        if t.ndim != 1 or t.size < 8:
-            raise InvalidParameter("t_grid needs at least 8 points")
-        if not (np.all(np.diff(t) > 0.0) and t[0] > 0.0):
-            raise InvalidParameter("t_grid must be strictly increasing and positive")
-        if t[-1] > 0.1 * length * (1.0 + 1e-12):
-            raise InvalidParameter("t_grid must stay inside (0, 0.1 L]")
-        if t[-1] / t[0] < 10.0:
-            raise InvalidParameter("t_grid must span at least a decade")
-        factor, rank = _cylinder_factor(t / t[-1])
-    n = len(_CYLINDER_POWERS)
-    if rank < n:
-        raise IllConditionedFit("rank-deficient design matrix")
-    y = t * kernels._closed_trace(geometry, t)
-    out = factor @ y
-    coef = out[:n]
-    resid = float(np.max(np.abs(out[n:] - y)))
-    scale = max(1.0, float(np.max(np.abs(y))))
-    if resid > 1e-9 * scale:
-        raise IllConditionedFit(
-            f"fit residual {resid:.3e} above {1e-9 * scale:.3e}; "
-            "grid likely outside the asymptotic regime"
-        )
-    e = {k: float(c / t[-1] ** k) for k, c in zip(_CYLINDER_POWERS, coef) if k <= 4}
-    return CylinderExpansion(e=e, d=1, residual=resid)
+    e, bound = {}, {}
+    for k, value in enumerate(coef):
+        err = aliasing / rho**k + rounding / r**k
+        if k == 0:
+            value, err = value * length, err * length
+        for _ in range(k - 1):
+            value, err = value / length, err / length
+        if not (_isfinite(value) and _isfinite(err)):
+            raise InvalidParameter(f"e_{k} leaves the float range at L = {length!r}")
+        e[k], bound[k] = value, err
+    return CylinderExpansion(e=e, d=1, truncation_bound=bound)
+
+
+@functools.cache
+def _default_heat_fit() -> tuple[np.ndarray, np.ndarray]:
+    """The heat fit's grid, in units of L^2, and the pseudo-inverse of its
+    basis t^{-1/2, 0, 1/2, 1} with each column divided by its largest entry;
+    built once per process and shared read-only."""
+    g = np.geomspace(5e-4, 6e-3, 16)
+    design = np.column_stack([(g / g[0]) ** -0.5, np.ones_like(g), (g / g[-1]) ** 0.5, g / g[-1]])
+    pinv = np.linalg.pinv(design)
+    g.setflags(write=False)
+    pinv.setflags(write=False)
+    return g, pinv
 
 
 @dataclass(frozen=True)
@@ -661,28 +658,24 @@ class Theorem1Report:
 
 
 def theorem1_check(geometry: Geometry) -> Theorem1Report:
-    """Fit heat and cylinder expansions and compare where they must agree.
+    """Heat and cylinder coefficients, compared where they must agree.
 
     Heat side: ``Tr K ~ b_0 t^{-1/2} + b_1`` fitted with two spurious
-    basis columns (t^{1/2}, t) on 16 points ``t in L^2 * [5e-4, 6e-3]``.
-    The grid top is set by the shortest closed geodesic: for the circle
-    that is L itself, so the first image correction is exp(-L^2/4t) ~
-    8e-19 at t = 6e-3 L^2 (intervals, with shortest image 2L, are far
-    cleaner).  Each basis column divided by its largest entry is free of
-    L, so the fit is one product with a pseudo-inverse built once per
-    process, over one array evaluation of the heat trace.  Cylinder side:
-    :func:`extract_cylinder_coefficients` on its default grid.
+    basis columns (t^{1/2}, t) on 16 points ``t in L^2 * [5e-4, 6e-3]``; a
+    fit, since the heat trace carries e^{-L^2/t}, which has no Laurent
+    series at t = 0.  The grid top is set by the shortest closed geodesic:
+    for the circle that is L, so the first image correction is
+    exp(-L^2/4t) ~ 8e-19 at t = 6e-3 L^2 (intervals are far cleaner).  The
+    trace depends only on t/L^2, so the fit (a pseudo-inverse built once
+    per process) runs at L = 1 and scales b_0 by L.  Cylinder side:
+    :func:`extract_cylinder_coefficients`.
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line traces diverge")
-    length = geometry.length
-    grid, factor, rank = _default_heat_fit()
-    tg = length**2 * grid
-    if rank < 4:
-        raise IllConditionedFit("rank-deficient heat-trace design matrix")
-    coef = factor @ kernels._heat_trace(geometry, tg, SeriesControl())
+    grid, pinv = _default_heat_fit()
+    coef = pinv @ kernels._heat_trace(_unit_length(geometry), grid, SeriesControl())
     # undo the column scaling: t^{-1/2} peaks at the first point, 1 is 1
-    b0, b1 = float(coef[0]) * math.sqrt(tg[0]), float(coef[1])
+    b0, b1 = float(coef[0]) * math.sqrt(grid[0]) * geometry.length, float(coef[1])
     cyl = extract_cylinder_coefficients(geometry)
     e0, e1, e2 = cyl.e[0], cyl.e[1], cyl.e[2]
     pred_e0 = 2.0 / math.sqrt(PI) * b0
@@ -695,8 +688,9 @@ def theorem1_check(geometry: Geometry) -> Theorem1Report:
         defect_e0=abs(e0 - pred_e0),
         defect_e1=abs(e1 - b1),
         note=(
-            "e2 (hence the vacuum energy -e2/2) is invisible to the heat "
-            "expansion: it sits in terms exponentially small in 1/t"
+            "e2 (hence the vacuum energy -e2/2) is invisible to the heat expansion: it "
+            "sits in terms like e^(-L^2/t), exponentially small in 1/t and with no "
+            "power series at t = 0, which is why the heat side can only be fitted"
         ),
     )
 

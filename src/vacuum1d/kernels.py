@@ -44,6 +44,7 @@ from . import summation
 from .errors import ContinuousSpectrum, InvalidParameter, OutOfDomain, UnsupportedGeometry
 from .spectrum import (
     DIRICHLET,
+    MAX_RUNGS,
     NEUMANN,
     Geometry,
     HalfLine,
@@ -489,7 +490,9 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     * twisted:   ``(4 pi t)^{-1/2} sum_n cos(n theta) e^{-(nL)^2/4t}``
 
     Images beyond ``e^{-700}`` are dropped; the result is exact to
-    rounding for every t of practical interest.
+    rounding for every t of practical interest.  Past
+    :data:`~vacuum1d.spectrum.MAX_RUNGS` images per array (t/L^2 of order
+    1e9) it raises :class:`InvalidParameter`.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidParameter("t must be positive and finite")
@@ -498,10 +501,14 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     if isinstance(geometry, HalfLine):
         return pref * (1.0 + (-1.0) ** geometry.l * math.exp(-x * x / t))
     length = geometry.length
+    # images out to e^{-700}: nL <= sqrt(700 t), on the circle sqrt(2800 t)
+    reach = math.sqrt((700.0 if isinstance(geometry, Interval) else 2800.0) * t) / length
+    if not reach <= MAX_RUNGS:
+        raise InvalidParameter(f"more than {MAX_RUNGS} images at t = {t!r}, L = {length!r}")
+    nmax = int(math.ceil(reach)) + 1
     if isinstance(geometry, Interval):
         l, r = geometry.l, geometry.r
         # Periodic images: displacement 2nL -> e^{-(nL)^2/t}.
-        nmax = int(math.ceil(math.sqrt(700.0 * t) / length)) + 1
         n = np.arange(1, nmax + 1, dtype=float)
         sg = (
             np.ones_like(n)
@@ -522,7 +529,6 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
         bdry = float(np.sum(sgb * np.exp(-db * db / t)))
         return pref * (per + bdry)
     theta = geometry.theta
-    nmax = int(math.ceil(math.sqrt(4.0 * 700.0 * t) / length)) + 1
     n = np.arange(1, nmax + 1, dtype=float)
     series = 1.0 + 2.0 * float(
         np.sum(np.cos(n * theta) * np.exp(-((n * length) ** 2) / (4.0 * t)))

@@ -134,6 +134,10 @@ Geometry = Union[Interval, HalfLine, TwistedCircle]
 # enumeration can never disagree at the margins.
 # ---------------------------------------------------------------------------
 
+# The most levels eigenvalues() lists, and images heat_kernel_diag sums per
+# array; past it they raise InvalidParameter instead of asking numpy for it.
+MAX_RUNGS = 1_000_000
+
 
 def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, int], ...]:
     """(step, offset, j_min) of each ladder omega_j = offset + j*step.
@@ -162,7 +166,10 @@ def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:
     comparisons cannot tell them apart, and the floor() count stands)."""
     if omega < offset + j_min * step:
         return 0
-    j = int(math.floor((omega - offset) / step))
+    position = (omega - offset) / step
+    if not math.isfinite(position):
+        raise InvalidParameter(f"omega = {omega!r} is past the float range of its ladder")
+    j = int(math.floor(position))
     if j < 2**52:
         while offset + (j + 1) * step <= omega:
             j += 1
@@ -192,7 +199,8 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         :class:`ContinuousSpectrum`.
     omega_max : float
         Upper frequency cutoff, positive and finite; the list contains every
-        omega_j <= omega_max (including a zero mode where one exists).
+        omega_j <= omega_max (including a zero mode where one exists).  Past
+        :data:`MAX_RUNGS` levels it raises :class:`InvalidParameter`.
 
     Returns
     -------
@@ -204,6 +212,8 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         raise ContinuousSpectrum("half-line has no discrete eigenvalues")
     if not (omega_max > 0.0) or not math.isfinite(omega_max):
         raise InvalidParameter("omega_max must be positive and finite")
+    if counting_function(geometry, omega_max) > MAX_RUNGS:
+        raise InvalidParameter(f"more than {MAX_RUNGS} levels up to omega_max = {omega_max!r}")
     levels = np.concatenate([_rungs(ladder, omega_max) for ladder in _ladders(geometry)])
     omegas, mults = np.unique(levels, return_counts=True)
     return list(zip(omegas.tolist(), mults.tolist()))
@@ -263,7 +273,7 @@ def periodic_counting_term(geometry: Geometry, omega: float) -> float:
     if isinstance(geometry, HalfLine):
         return 0.0
     if isinstance(geometry, Interval):
-        z = 2.0 * omega * geometry.length
+        z = 2.0 * (omega * geometry.length)
         if geometry.like_ends:
             return summation.bernoulli_sin_sum(z) / math.pi
         # (-1)^n sin(n z) = sin(n (z + pi)).
@@ -294,7 +304,8 @@ def counting_decomposition(
     omega : float
         Frequency, > 0, finite, and not within ``tol_eigen`` of an eigenvalue
         (where the sawtooth sits on a jump and the split is ambiguous);
-        raises :class:`AtEigenvalue` there.
+        raises :class:`AtEigenvalue` there, and :class:`InvalidParameter`
+        where 2 omega L over- or underflows.
     tol_eigen : float, optional
         Guard distance; default ``1e-9 * pi / L``.
 
@@ -308,6 +319,8 @@ def counting_decomposition(
         raise ContinuousSpectrum("half-line counting function is not defined")
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
+    if not 0.0 < 2.0 * (omega * geometry.length) < math.inf:
+        raise InvalidParameter(f"2 omega L is past the float range at omega = {omega!r}")
     if tol_eigen is None:
         tol_eigen = 1e-9 * math.pi / geometry.length
     dist = _nearest_eigen_distance(geometry, omega)

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from vacuum1d import IllConditionedFit, NonConvergent, cli
+from vacuum1d import NonConvergent, cli
 from vacuum1d.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -113,6 +113,17 @@ def test_spectrum_requires_a_cutoff(capsys):
     assert "omega-max" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("--omega-max", "1e300"), ("--length", "1e300", "--omega-max", "1e300")]
+)
+def test_spectrum_past_the_level_cap_is_a_usage_error(capsys, argv):
+    # these once exited 1 with numpy's "Maximum allowed size exceeded"
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------
@@ -196,7 +207,7 @@ def test_density_far_past_the_length_scale(capsys):
         assert all(math.isfinite(v) for v in row)
 
 
-@pytest.mark.parametrize("error", [NonConvergent, IllConditionedFit])
+@pytest.mark.parametrize("error", [NonConvergent])
 def test_numerical_errors_are_domain_errors(capsys, monkeypatch, error):
     def failing(args):
         raise error("did not settle")
@@ -411,6 +422,37 @@ def test_verify_reads_tolerance_from_environment(capsys, monkeypatch):
     code, _, err = run(capsys, "verify")
     assert code == EXIT_USAGE
     assert "VACUUM_TOL" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("energy", "--tol", "1e-3"), ("density", "--tol", "1e-3"),
+     ("spectrum", "--omega-max", "5", "--tol", "1e-3"),
+     ("figure", "--which", "fig1", "--tol", "1e-3"), ("compare", "--tol", "1e-3"),
+     ("energy", "--max-terms", "50"), ("verify", "--max-terms", "50"),
+     ("spectrum", "--omega-max", "5", "--max-terms", "50")],
+)
+def test_series_flags_exist_only_where_a_series_reads_them(capsys, argv):
+    # --tol is read by kernel and verify, --max-terms by kernel; elsewhere
+    # they were once only copied into the metadata
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_environment_tolerance_is_ignored_where_there_is_no_tol(capsys, monkeypatch):
+    monkeypatch.setenv("VACUUM_TOL", "not-a-number")
+    code, out, _ = run(capsys, "energy")
+    assert code == EXIT_OK
+    assert "tol" not in parse_table(out).meta
+
+
+def test_kernel_records_its_series_settings(capsys):
+    code, out, _ = run(capsys, "kernel", "--t", "0.5", "--tol", "1e-6", "--max-terms", "500")
+    assert code == EXIT_OK
+    meta = parse_table(out).meta
+    assert (meta["tol"], meta["max_terms"]) == (1e-6, 500)
 
 
 def test_verify_explicit_tol_beats_environment(capsys, monkeypatch):

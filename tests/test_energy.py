@@ -23,7 +23,6 @@ from vacuum1d import (
     ContinuousSpectrum,
     EnergyBreakdown,
     HalfLine,
-    IllConditionedFit,
     Interval,
     InvalidParameter,
     OutOfDomain,
@@ -31,7 +30,6 @@ from vacuum1d import (
     TwistedCircle,
     UnsupportedGeometry,
     approximation_report,
-    cylinder_trace,
     energy_density_regularized,
     energy_density_renormalized,
     extract_cylinder_coefficients,
@@ -654,7 +652,8 @@ def test_cylinder_coefficients_dirichlet():
     assert out.e[2] == pytest.approx(PI / 12.0, abs=1e-7)
     assert out.energy == pytest.approx(-PI / 24.0, abs=1e-7)
     assert out.d == 1
-    assert out.residual < 1e-9
+    assert out.truncation_bound.keys() == out.e.keys()
+    assert max(out.truncation_bound.values()) < 1e-14
 
 
 def test_cylinder_coefficients_neumann_and_mixed():
@@ -674,8 +673,7 @@ def test_cylinder_coefficients_twisted(theta):
     # 1/(pi t) + ((pi-theta)^2/2 - pi^2/6) t/pi + O(t^3).
     e2 = ((PI - theta) ** 2 / 2.0 - PI * PI / 6.0) / PI
     assert out.e[0] == pytest.approx(1.0 / PI, abs=1e-10)
-    # t Tr T is even in t for the circle, so the t^8 term the t^6 basis
-    # column cannot absorb leaks ~3e-9 into the odd coefficients.
+    # t Tr T is even in t for the circle: its odd coefficients vanish.
     assert out.e[1] == pytest.approx(0.0, abs=1e-8)
     assert out.e[2] == pytest.approx(e2, abs=1e-6)
     assert out.energy == pytest.approx(twisted_energy(theta, 1.0), abs=1e-6)
@@ -689,69 +687,102 @@ def test_cylinder_coefficients_length_scaling():
     assert two.e[2] == pytest.approx(one.e[2] / 2.0, rel=1e-5)
 
 
-def test_cylinder_coefficients_validate_grid():
-    geom = Interval(1.0, DIRICHLET, DIRICHLET)
-    with pytest.raises(InvalidParameter):
-        extract_cylinder_coefficients(geom, t_grid=np.geomspace(1e-3, 0.05, 5))
-    with pytest.raises(InvalidParameter):
-        extract_cylinder_coefficients(geom, t_grid=np.linspace(0.05, 1e-3, 20))
-    with pytest.raises(InvalidParameter):
-        extract_cylinder_coefficients(geom, t_grid=np.geomspace(1e-3, 0.5, 20))
-    with pytest.raises(InvalidParameter):
-        extract_cylinder_coefficients(geom, t_grid=np.geomspace(0.04, 0.1, 20))
+def test_cylinder_coefficients_reject_the_half_line():
     with pytest.raises(ContinuousSpectrum):
         extract_cylinder_coefficients(HalfLine(DIRICHLET))
 
 
-def _lstsq_fit(geometry, t):
-    """The fit as np.linalg.lstsq solves it, from scalar trace calls."""
-    y = np.array([ti * cylinder_trace(geometry, float(ti)).value for ti in t])
-    powers = np.array([0, 1, 2, 3, 4, 6])
-    design = (t / t[-1])[:, None] ** powers[None, :]
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.max(np.abs(design @ coef - y)))
-    return {k: c / t[-1] ** k for k, c in zip(powers, coef) if k <= 4}, rank, resid
+def _taylor_reference(kind, theta=0.0):
+    """Taylor coefficients h_0..h_4 of h(u) = u Tr T(u) at L = 1, to 40 digits,
+    from the mode-sum closed forms of the trace."""
+    import mpmath
+
+    def trace(u):
+        pi = mpmath.pi
+        if kind == "twisted":
+            th = mpmath.mpf(theta)
+            top = mpmath.exp(-th * u) + mpmath.exp((th - 2 * pi) * u)
+            return top / (1 - mpmath.exp(-2 * pi * u))
+        if kind == "mixed":
+            return mpmath.exp(-pi * u / 2) / (1 - mpmath.exp(-pi * u))
+        return mpmath.exp(-pi * u) / (1 - mpmath.exp(-pi * u)) + (1 if kind == "N/N" else 0)
+
+    with mpmath.workdps(40):
+        # a Cauchy integral of radius 1/4 in 40-digit arithmetic: it never
+        # evaluates the removable 0/0 at u = 0
+        return mpmath.taylor(lambda u: u * trace(u), 0, 4, method="quad", radius=0.25)
+
+
+TAYLOR_CASES = [
+    (lambda L: Interval(L, DIRICHLET, DIRICHLET), ("D/D",)),
+    (lambda L: Interval(L, NEUMANN, NEUMANN), ("N/N",)),
+    (lambda L: Interval(L, DIRICHLET, NEUMANN), ("mixed",)),
+    (lambda L: Interval(L, NEUMANN, DIRICHLET), ("mixed",)),
+    (lambda L: TwistedCircle(L, 0.0), ("twisted", 0.0)),
+    (lambda L: TwistedCircle(L, PI), ("twisted", PI)),
+    (lambda L: TwistedCircle(L, 1.9), ("twisted", 1.9)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TAYLOR_CASES)),
+                         ids=["DD", "NN", "DN", "ND", "circle0", "circle_pi", "circle1.9"])
+def test_cylinder_coefficients_match_40_digit_taylor(case):
+    """Each e_k lies within its truncation bound of the 40-digit Taylor
+    coefficient, and the bound is at most 1e-13 of the coefficient's scale.
+
+    That scale is 1 + |e_k| where it can be: e_k = h_k L^{1-k} carries the
+    rounding of h_k times L^{1-k}, so the scale also holds L^{1-k}.  At
+    L < 1 it matters for e_3, which is 0 for every geometry here and so
+    carries rounding alone."""
+    import mpmath
+
+    make, key = TAYLOR_CASES[case]
+    h = _taylor_reference(*key)
+    for length in (1e-3, 0.05, 1.0, 7.3, 1e3):
+        out = extract_cylinder_coefficients(make(length))
+        with mpmath.workdps(40):
+            want = [float(h[k] * mpmath.mpf(length) ** (1 - k)) for k in range(5)]
+        for k in range(5):
+            err, bound = abs(out.e[k] - want[k]), out.truncation_bound[k]
+            assert err <= bound, (length, k, err, bound)
+            assert bound <= 1e-13 * (max(1.0, length ** (1 - k)) + abs(want[k])), (length, k)
 
 
 @pytest.mark.parametrize(
     "geometry",
-    [Interval(1.0, DIRICHLET, DIRICHLET), Interval(2.3, DIRICHLET, NEUMANN),
-     TwistedCircle(0.7, 1.9)],
+    [Interval(1.0, DIRICHLET, DIRICHLET), Interval(1.0, NEUMANN, NEUMANN),
+     Interval(1.0, DIRICHLET, NEUMANN), TwistedCircle(1.0, 0.0), TwistedCircle(1.0, 1.9)],
     ids=str,
 )
-@pytest.mark.parametrize("grid", ["default", "linear", "short"])
-def test_cylinder_fit_matches_lstsq(geometry, grid):
-    length = geometry.length
-    t = {
-        "default": length * np.geomspace(1e-3, 0.1, 25),
-        "linear": length * np.linspace(0.004, 0.1, 40),
-        "short": length * np.geomspace(2e-3, 0.05, 9),
-    }[grid]
-    out = extract_cylinder_coefficients(geometry, None if grid == "default" else t)
-    want, rank, resid = _lstsq_fit(geometry, t)
-    assert rank == 6
-    # To 1e-12 of the data t Tr T ~ L/pi, coefficient by coefficient in
-    # the scaled variable u = t/t[-1]: the solvers round differently, and
-    # the small high-order coefficients (e_3 is ~1e-10 in u) carry that
-    # rounding at full relative size (lstsq itself is 2e-12 off the exact
-    # least-squares e_2 on the default grid).
-    scale = 1e-12 * length / PI
-    for k in range(5):
-        assert abs(out.e[k] - want[k]) * t[-1] ** k <= scale, k
-    assert out.residual == pytest.approx(resid, abs=1e-13)
-
-
-def test_cylinder_fit_rejects_a_rank_deficient_grid():
-    # Two clusters of points a few ulps apart: valid by every grid rule,
-    # but only two distinct abscissae for six basis columns.
-    lo, hi = [1e-3], [0.1]
-    for _ in range(3):
-        lo.append(float(np.nextafter(lo[-1], 1.0)))
-        hi.insert(0, float(np.nextafter(hi[0], 0.0)))
-    t = np.array(lo + hi)
-    assert _lstsq_fit(Interval(1.0), t)[1] < 6
-    with pytest.raises(IllConditionedFit):
-        extract_cylinder_coefficients(Interval(1.0), t_grid=t)
+def test_coefficients_from_tiny_to_huge_lengths(geometry):
+    """L = 1e-300 .. 1e300 every 20 decades: each call returns finite values
+    that scale as L^{1-k} (heat b_0 as L), or raises InvalidParameter; from
+    L = 1e-100 up every call returns.  No overflow, zero division or numpy
+    warning escapes (RuntimeWarning is an error in this suite)."""
+    unit_cyl = extract_cylinder_coefficients(geometry)
+    unit_rep = theorem1_check(geometry)
+    for p in range(-300, 301, 20):
+        length = 10.0**p
+        scaled = (
+            Interval(length, geometry.left, geometry.right)
+            if isinstance(geometry, Interval)
+            else TwistedCircle(length, geometry.theta)
+        )
+        try:
+            cyl = extract_cylinder_coefficients(scaled)
+            rep = theorem1_check(scaled)
+        except InvalidParameter:
+            assert p < -100, p
+            continue
+        values = [*cyl.e.values(), *cyl.truncation_bound.values()]
+        values += [rep.b0, rep.b1, rep.e0, rep.e1, rep.e2, rep.defect_e0, rep.defect_e1]
+        assert all(math.isfinite(v) for v in values), p
+        assert cyl.e[0] == pytest.approx(unit_cyl.e[0] * length, rel=1e-15)
+        assert cyl.e[1] == unit_cyl.e[1]
+        assert cyl.e[2] * length == pytest.approx(unit_cyl.e[2], rel=1e-15)
+        assert rep.b0 == pytest.approx(unit_rep.b0 * length, rel=1e-15)
+        assert rep.b1 == unit_rep.b1
+        assert rep.defect_e0 <= 1e-12 * length
 
 
 def test_theorem1_heat_fit_matches_lstsq():

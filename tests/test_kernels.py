@@ -618,3 +618,15 @@ def test_heat_trace_halfline_diverges():
 def test_heat_kernel_validates_t():
     with pytest.raises(InvalidParameter):
         heat_kernel_diag(Interval(1.0, DIRICHLET, DIRICHLET), -0.1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "geometry,x",
+    [(Interval(1e-300, DIRICHLET, NEUMANN), 5e-301), (TwistedCircle(1e-300, 1.0), 0.0)],
+    ids=str,
+)
+def test_heat_kernel_refuses_more_images_than_the_cap(geometry, x):
+    # sqrt(700 t)/L ~ 1e301 images: numpy once raised "Maximum allowed size
+    # exceeded", and t/L^2 ~ 1e12..1e15 would have asked for gigabytes
+    with pytest.raises(InvalidParameter, match="images"):
+        heat_kernel_diag(geometry, 1.0, x)

@@ -21,6 +21,7 @@ from vacuum1d.errors import (
 )
 from vacuum1d.spectrum import (
     DIRICHLET,
+    MAX_RUNGS,
     NEUMANN,
     BoundaryCondition,
     HalfLine,
@@ -117,6 +118,45 @@ def test_eigenvalues_rejects_bad_cutoff():
 def test_eigenvalues_rejects_non_finite_cutoff(omega_max):
     with pytest.raises(InvalidParameter):
         eigenvalues(TwistedCircle(1.0, 0.7), omega_max)
+
+
+def test_eigenvalues_refuse_more_levels_than_the_cap():
+    # every probe is above the cap, so nothing is allocated
+    with pytest.raises(InvalidParameter, match="levels"):
+        eigenvalues(Interval(1.0, DIRICHLET, DIRICHLET), 1.01 * MAX_RUNGS * PI)
+    with pytest.raises(InvalidParameter, match="levels"):
+        eigenvalues(Interval(1.0, DIRICHLET, DIRICHLET), 1e300)
+    # two twisted ladders of 0.6 cap each
+    with pytest.raises(InvalidParameter, match="levels"):
+        eigenvalues(TwistedCircle(2.0 * PI, 0.7), 0.6 * MAX_RUNGS)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [Interval(1e300, DIRICHLET, DIRICHLET), Interval(1e300, DIRICHLET, NEUMANN),
+     TwistedCircle(1e300, 1.0)],
+    ids=str,
+)
+def test_counting_past_the_float_range_is_invalid(geometry):
+    # (omega - offset) / step = omega L / pi overflows; these once leaked
+    # OverflowError from floor() and round()
+    for call in (eigenvalues, counting_function, counting_decomposition):
+        with pytest.raises(InvalidParameter):
+            call(geometry, 1e300)
+
+
+@pytest.mark.parametrize(
+    "geometry,omega",
+    [(Interval(1.0, DIRICHLET, DIRICHLET), 1.7e308),  # 2 omega L overflows
+     (Interval(1e-300, DIRICHLET, DIRICHLET), 1e-300),  # omega L underflows to 0
+     (TwistedCircle(1e-300, 0.0), 1e-300)],
+    ids=str,
+)
+def test_counting_decomposition_outside_the_sawtooth_range_is_invalid(geometry, omega):
+    # the overflow once leaked ValueError from fmod, the underflow put the
+    # sawtooth on its jump and returned -1/2 against N = 0
+    with pytest.raises(InvalidParameter):
+        counting_decomposition(geometry, omega)
 
 
 def test_geometry_validation():
