@@ -9,6 +9,7 @@ to every number, kept honest against each other.
 from .errors import (
     AtEigenvalue,
     ContinuousSpectrum,
+    IllConditionedFit,
     InvalidParameter,
     NonConvergent,
     OutOfDomain,
@@ -110,6 +111,7 @@ __all__ = [
     "GlobalDensity",
     "HalfLine",
     "IMAGE_SUM",
+    "IllConditionedFit",
     "Interval",
     "InvalidParameter",
     "KernelValue",

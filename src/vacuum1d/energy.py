@@ -39,13 +39,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels, summation
 from .errors import (
     ContinuousSpectrum,
+    IllConditionedFit,
     InvalidParameter,
     OutOfDomain,
     UnsupportedGeometry,
@@ -529,14 +530,6 @@ class CylinderExpansion:
         return -0.5 * self.e[2]
 
 
-def _unit_length(geometry: Interval | TwistedCircle) -> Interval | TwistedCircle:
-    """The same geometry at L = 1: its traces at t/L (cylinder) and t/L^2
-    (heat) are those of ``geometry`` at t."""
-    if isinstance(geometry, Interval):
-        return Interval(1.0, geometry.left, geometry.right)
-    return TwistedCircle(1.0, geometry.theta)
-
-
 # N nodes on |u| = r = R/2, aliasing bounded on |u| = rho = 0.95 R, so
 # q = (r/rho)^N = 1.9^-64.  Against 40-digit Taylor coefficients of every
 # interval and six twists the rounding reaches 0.92 eps max|h| r^-k; the
@@ -601,7 +594,7 @@ def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line cylinder trace diverges")
-    unit = _unit_length(geometry)
+    unit = replace(geometry, length=1.0)
     pole = 1.0 if isinstance(geometry, TwistedCircle) else 2.0
     r, rho = 0.5 * pole, 0.95 * pole
     nodes, rule = _cauchy_rule(r)
@@ -626,10 +619,15 @@ def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
 def _default_heat_fit() -> tuple[np.ndarray, np.ndarray]:
     """The heat fit's grid, in units of L^2, and the pseudo-inverse of its
     basis t^{-1/2, 0, 1/2, 1} with each column divided by its largest entry;
-    built once per process and shared read-only."""
+    built once per process and shared read-only.  Raises
+    :class:`IllConditionedFit` if the basis is rank-deficient by the rank cut
+    of ``np.linalg.lstsq(..., rcond=None)``."""
     g = np.geomspace(5e-4, 6e-3, 16)
     design = np.column_stack([(g / g[0]) ** -0.5, np.ones_like(g), (g / g[-1]) ** 0.5, g / g[-1]])
-    pinv = np.linalg.pinv(design)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    if sv[-1] <= np.finfo(float).eps * max(design.shape) * sv[0]:
+        raise IllConditionedFit("rank-deficient heat-trace design matrix")
+    pinv = (vt.T / sv) @ u.T
     g.setflags(write=False)
     pinv.setflags(write=False)
     return g, pinv
@@ -673,7 +671,7 @@ def theorem1_check(geometry: Geometry) -> Theorem1Report:
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line traces diverge")
     grid, pinv = _default_heat_fit()
-    coef = pinv @ kernels._heat_trace(_unit_length(geometry), grid, SeriesControl())
+    coef = pinv @ kernels._heat_trace(replace(geometry, length=1.0), grid, SeriesControl())
     # undo the column scaling: t^{-1/2} peaks at the first point, 1 is 1
     b0, b1 = float(coef[0]) * math.sqrt(grid[0]) * geometry.length, float(coef[1])
     cyl = extract_cylinder_coefficients(geometry)

@@ -37,3 +37,8 @@ class UnsupportedGeometry(VacuumError):
 class NonConvergent(VacuumError):
     """A series or extrapolation ladder failed to settle to the requested
     tolerance."""
+
+
+class IllConditionedFit(VacuumError):
+    """A coefficient fit left a residual too large for its output to be
+    trusted."""

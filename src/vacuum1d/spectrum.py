@@ -269,19 +269,22 @@ def periodic_counting_term(geometry: Geometry, omega: float) -> float:
         twisted circle:        [saw(omega L + theta) + saw(omega L - theta)] / (2 pi)
 
     where saw is the sawtooth summed by :func:`summation.bernoulli_sin_sum`.
+    Raises :class:`InvalidParameter` where the phase 2 omega L (omega L on
+    the circle) overflows, or underflows to 0 onto the sawtooth's jump.
     """
     if isinstance(geometry, HalfLine):
         return 0.0
+    z = (2.0 if isinstance(geometry, Interval) else 1.0) * (omega * geometry.length)
+    if not 0.0 < z < math.inf:
+        raise InvalidParameter(f"the sawtooth phase is past the float range at omega = {omega!r}")
     if isinstance(geometry, Interval):
-        z = 2.0 * (omega * geometry.length)
         if geometry.like_ends:
             return summation.bernoulli_sin_sum(z) / math.pi
         # (-1)^n sin(n z) = sin(n (z + pi)).
         return summation.bernoulli_sin_sum(z + math.pi) / math.pi
-    zl = omega * geometry.length
     return (
-        summation.bernoulli_sin_sum(zl + geometry.theta)
-        + summation.bernoulli_sin_sum(zl - geometry.theta)
+        summation.bernoulli_sin_sum(z + geometry.theta)
+        + summation.bernoulli_sin_sum(z - geometry.theta)
     ) / math.pi
 
 
@@ -305,7 +308,7 @@ def counting_decomposition(
         Frequency, > 0, finite, and not within ``tol_eigen`` of an eigenvalue
         (where the sawtooth sits on a jump and the split is ambiguous);
         raises :class:`AtEigenvalue` there, and :class:`InvalidParameter`
-        where 2 omega L over- or underflows.
+        where :func:`periodic_counting_term` does.
     tol_eigen : float, optional
         Guard distance; default ``1e-9 * pi / L``.
 
@@ -319,8 +322,8 @@ def counting_decomposition(
         raise ContinuousSpectrum("half-line counting function is not defined")
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
-    if not 0.0 < 2.0 * (omega * geometry.length) < math.inf:
-        raise InvalidParameter(f"2 omega L is past the float range at omega = {omega!r}")
+    # first: past the float range, an eigenvalue lies within an ulp of omega
+    periodic = periodic_counting_term(geometry, omega)
     if tol_eigen is None:
         tol_eigen = 1e-9 * math.pi / geometry.length
     dist = _nearest_eigen_distance(geometry, omega)
@@ -333,7 +336,7 @@ def counting_decomposition(
     return CountingDecomposition(
         omega=omega,
         weyl=weyl,
-        periodic=periodic_counting_term(geometry, omega),
+        periodic=periodic,
         boundary=boundary_counting_term(geometry),
     )
 

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from vacuum1d import NonConvergent, cli
+from vacuum1d import IllConditionedFit, NonConvergent, cli
 from vacuum1d.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -207,7 +207,7 @@ def test_density_far_past_the_length_scale(capsys):
         assert all(math.isfinite(v) for v in row)
 
 
-@pytest.mark.parametrize("error", [NonConvergent])
+@pytest.mark.parametrize("error", [NonConvergent, IllConditionedFit])
 def test_numerical_errors_are_domain_errors(capsys, monkeypatch, error):
     def failing(args):
         raise error("did not settle")

@@ -19,6 +19,7 @@ from vacuum1d.errors import (
     ContinuousSpectrum,
     InvalidParameter,
 )
+from vacuum1d.orbits import local_counting
 from vacuum1d.spectrum import (
     DIRICHLET,
     MAX_RUNGS,
@@ -154,9 +155,12 @@ def test_counting_past_the_float_range_is_invalid(geometry):
 )
 def test_counting_decomposition_outside_the_sawtooth_range_is_invalid(geometry, omega):
     # the overflow once leaked ValueError from fmod, the underflow put the
-    # sawtooth on its jump and returned -1/2 against N = 0
+    # sawtooth on its jump and returned -1/2 against N = 0; local_counting
+    # reaches the same sawtooth without counting_decomposition
     with pytest.raises(InvalidParameter):
         counting_decomposition(geometry, omega)
+    with pytest.raises(InvalidParameter):
+        local_counting(geometry, omega, 0.5 * geometry.length)
 
 
 def test_geometry_validation():
