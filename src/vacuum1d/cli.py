@@ -15,13 +15,13 @@ Exit codes are a stable contract::
     3   any other library error: continuous spectrum, point outside the
         domain, a series that did not converge, ...
 
-``--tol`` sets the series target of ``vacuum kernel`` (the image sums
-stop once their truncation bound is below it; the table reports each
-series route's term count and bound) and overrides every check's
-tolerance in ``vacuum verify``; ``--max-terms`` caps the series of
-``vacuum kernel``.  No other subcommand sums a series, so none takes
-either flag.  The environment variable ``VACUUM_TOL`` supplies the
-default of ``--tol``.
+Each subcommand takes only the flags it reads, unabbreviated; any other
+flag exits 2.  ``--tol`` sets the series target of ``vacuum kernel`` (the
+image sums stop once their truncation bound is below it; the table
+reports each series route's term count and bound) and overrides every
+check's tolerance in ``vacuum verify``; ``--max-terms`` caps the series
+of ``vacuum kernel``.  ``VACUUM_TOL`` supplies the default of ``--tol``
+wherever that flag exists.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ def describe(geometry: Geometry) -> str:
     return f"twisted L={geometry.length:g} theta={geometry.theta:.17g}"
 
 
-def _meta(args: argparse.Namespace, geometry: Geometry | None = None) -> dict:
+def _meta(args: argparse.Namespace, geometry: Geometry | None = None, **extra) -> dict:
     meta = {"build": f"vacuum1d {__version__}", "command": args.command}
     if geometry is not None:
         meta["geometry"] = describe(geometry)
-    return meta
+    return meta | extra
 
 
 def _grid_points(args: argparse.Namespace, default: int) -> int:
@@ -220,15 +220,11 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[Table, int]:
     geometry = build_geometry(args)
     if args.omega_max is None and not isinstance(geometry, HalfLine):
         raise InvalidParameter("spectrum requires --omega-max")
-    # The half-line raises ContinuousSpectrum at any cutoff; the placeholder
-    # only keeps the call well-formed when --omega-max was omitted.
-    omega_max = 1.0 if args.omega_max is None else args.omega_max
     rows = [
         (omega, mult, counting_function(geometry, omega))
-        for omega, mult in eigenvalues(geometry, omega_max)
+        for omega, mult in eigenvalues(geometry, args.omega_max)
     ]
-    meta = _meta(args, geometry)
-    meta["omega_max"] = omega_max
+    meta = _meta(args, geometry, omega_max=args.omega_max)
     return Table(meta, ("omega", "mult", "N"), rows), EXIT_OK
 
 
@@ -277,8 +273,7 @@ def _default_x_grid(geometry: Geometry, n: int) -> list[float]:
 def cmd_density(args: argparse.Namespace) -> tuple[Table, int]:
     geometry = build_geometry(args)
     xs = args.x if args.x else _default_x_grid(geometry, _grid_points(args, 101))
-    meta = _meta(args, geometry)
-    meta["xi"] = args.xi
+    meta = _meta(args, geometry, xi=args.xi)
     if args.t:
         rows = []
         for t in args.t:
@@ -331,6 +326,8 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
 
 def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
     if args.which == "fig1":
+        if args.t:
+            raise InvalidParameter("fig1 is the t -> 0 profile and takes no --t")
         # Renormalized interval D/D density on a wall-clipped linear grid.
         n = _grid_points(args, 500)
         geometry = Interval(1.0, DIRICHLET, DIRICHLET)
@@ -339,12 +336,12 @@ def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
              energy_density_renormalized(geometry, float(x), args.xi).total_renormalized)
             for x in np.linspace(0.02, 0.98, n)
         ]
-        meta = _meta(args, geometry)
-        meta["which"] = "fig1"
-        meta["xi"] = args.xi
+        meta = _meta(args, geometry, which="fig1", xi=args.xi)
         return Table(meta, ("x", "energy_density"), rows), EXIT_OK
     # Half-line Dirichlet wall profile at fixed small t, log-spaced x:
     # the negative spike inside x < t/2 and the 1/(8 pi x^2) tail beyond.
+    if args.t and len(args.t) > 1:
+        raise InvalidParameter("fig2 takes one --t")
     n = _grid_points(args, 1000)
     t = args.t[0] if args.t else 1e-3
     geometry = HalfLine(DIRICHLET)
@@ -353,10 +350,7 @@ def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
          energy_density_regularized(geometry, t, float(x), args.xi).boundary)
         for x in np.geomspace(1e-4, 1.0, n)
     ]
-    meta = _meta(args, geometry)
-    meta["which"] = "fig2"
-    meta["t"] = t
-    meta["xi"] = args.xi
+    meta = _meta(args, geometry, which="fig2", t=t, xi=args.xi)
     return Table(meta, ("x", "energy_density"), rows), EXIT_OK
 
 
@@ -367,8 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Table, int]:
     rows = [(r.name, r.measured, r.tolerance, r.margin, r.passed, r.elapsed_s, r.detail)
             for r in results]
     n_pass = sum(1 for r in results if r.passed)
-    meta = {"build": f"vacuum1d {__version__}", "command": "verify",
-            "checks": len(results), "passed": n_pass}
+    meta = _meta(args, checks=len(results), passed=n_pass)
     if args.tol is not None:
         meta["tolerance_override"] = args.tol
     print(f"{n_pass}/{len(results)} checks passed", file=sys.stderr)
@@ -378,9 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Table, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[Table, int]:
-    if args.geometry != "interval":
-        raise InvalidParameter("compare is defined for interval geometry")
-    geometry = build_geometry(args)
+    geometry = Interval(args.length, _BC[args.bc_left], _BC[args.bc_right])
     report = approximation_report(
         geometry,
         x_points=tuple(args.x) if args.x else None,
@@ -390,8 +381,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[Table, int]:
         (row.quantity, row.exact, row.stationary_phase, row.short_orbit)
         for row in report.rows
     ]
-    meta = _meta(args, geometry)
-    meta["xi"] = args.xi
+    meta = _meta(args, geometry, xi=args.xi)
     columns = ("quantity", "exact", "stationary_phase", "short_orbit")
     return Table(meta, columns, rows), EXIT_OK
 
@@ -401,31 +391,34 @@ def cmd_compare(args: argparse.Namespace) -> tuple[Table, int]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--geometry", choices=("interval", "halfline", "twisted"),
-                     default="interval", help="domain (default: interval)")
-    sub.add_argument("--length", type=float, default=1.0,
-                     help="interval length or circle circumference (default: 1)")
-    sub.add_argument("--bc-left", dest="bc_left", choices=("D", "N"), default="D",
-                     help="condition at x=0 (also the half-line wall)")
-    sub.add_argument("--bc-right", dest="bc_right", choices=("D", "N"), default="D",
-                     help="condition at x=L")
-    sub.add_argument("--theta", type=float, default=None,
-                     help="twist angle; omit with 'energy' to sweep [0, 2pi]")
-    sub.add_argument("--t", type=_grid, default=None, metavar="T[,T...]",
-                     help="regulator grid (comma-separated, increasing)")
-    sub.add_argument("--x", type=_grid, default=None, metavar="X[,X...]",
-                     help="position grid (comma-separated, increasing)")
-    sub.add_argument("--omega-max", dest="omega_max", type=float, default=None,
-                     help="frequency cutoff for the spectrum table")
-    sub.add_argument("--xi", type=float, default=0.25,
-                     help="curvature coupling weighting the wall profile (default: 1/4)")
-    sub.add_argument("--grid-points", dest="grid_points", type=int, default=None,
-                     help="number of points for default grids")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
-                     help="output format (default: csv; verify defaults to json)")
-    sub.add_argument("--output", default=None, metavar="PATH",
-                     help="write to PATH instead of stdout")
+_FLAGS = {
+    "--geometry": dict(choices=("interval", "halfline", "twisted"), default="interval",
+                       help="domain (default: interval)"),
+    "--length": dict(type=float, default=1.0,
+                     help="interval length or circle circumference (default: 1)"),
+    "--bc-left": dict(choices=("D", "N"), default="D",
+                      help="condition at x=0 (also the half-line wall)"),
+    "--bc-right": dict(choices=("D", "N"), default="D", help="condition at x=L"),
+    "--theta": dict(type=float, help="twist angle; omit with 'energy' to sweep [0, 2pi]"),
+    "--t": dict(type=_grid, metavar="T[,T...]",
+                help="regulator grid (comma-separated, increasing)"),
+    "--x": dict(type=_grid, metavar="X[,X...]",
+                help="position grid (comma-separated, increasing)"),
+    "--omega-max": dict(type=float, help="frequency cutoff for the spectrum table"),
+    "--xi": dict(type=float, default=0.25,
+                 help="curvature coupling weighting the wall profile (default: 1/4)"),
+    "--grid-points": dict(type=int, help="number of points for default grids"),
+    "--tol": dict(type=float, help="series target for 'kernel', tolerance override for 'verify' "
+                                   "(default: env VACUUM_TOL, else 1e-12 / per check)"),
+    "--max-terms": dict(type=int, help="series truncation cap for the summed routes"),
+    "--which": dict(choices=("fig1", "fig2"), required=True,
+                    help="fig1: interval D/D renormalized density; "
+                         "fig2: half-line Dirichlet wall profile at small t"),
+    "--format": dict(dest="fmt", choices=("csv", "json"),
+                     help="output format (default: csv; verify defaults to json)"),
+    "--output": dict(metavar="PATH", help="write to PATH instead of stdout"),
+}
+_GEOMETRY_FLAGS = ("--geometry", "--length", "--bc-left", "--bc-right", "--theta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,31 +431,26 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"vacuum1d {__version__}")
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="command")
-    for name, help_text, func in (
-        ("spectrum", "eigenfrequencies, multiplicities, counting function",
-         cmd_spectrum),
+    # each subcommand with the flags it reads besides --format and --output
+    for name, help_text, func, flags in (
+        ("spectrum", "eigenfrequencies, multiplicities, counting function", cmd_spectrum,
+         _GEOMETRY_FLAGS + ("--omega-max",)),
         ("energy", "vacuum energy breakdown (renormalized, or regularized on a t grid)",
-         cmd_energy),
-        ("density", "local energy density profile", cmd_density),
-        ("kernel", "cylinder kernel diagonal by all three routes", cmd_kernel),
-        ("figure", "figure data: interval density profile or half-line spike",
-         cmd_figure),
-        ("verify", "run the full verification suite", cmd_verify),
-        ("compare", "exact vs stationary-phase vs short-orbit report", cmd_compare),
+         cmd_energy, _GEOMETRY_FLAGS + ("--t", "--grid-points")),
+        ("density", "local energy density profile", cmd_density,
+         _GEOMETRY_FLAGS + ("--t", "--x", "--xi", "--grid-points")),
+        ("kernel", "cylinder kernel diagonal by all three routes", cmd_kernel,
+         _GEOMETRY_FLAGS + ("--t", "--x", "--tol", "--max-terms")),
+        ("figure", "figure data: interval density profile or half-line spike", cmd_figure,
+         ("--which", "--t", "--xi", "--grid-points")),
+        ("verify", "run the full verification suite", cmd_verify, ("--tol",)),
+        ("compare", "exact vs stationary-phase vs short-orbit report (interval only)",
+         cmd_compare, ("--length", "--bc-left", "--bc-right", "--x", "--xi")),
     ):
-        sub = commands.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "figure":
-            sub.add_argument("--which", choices=("fig1", "fig2"), required=True,
-                             help="fig1: interval D/D renormalized density; "
-                                  "fig2: half-line Dirichlet wall profile at small t")
-        if name in ("kernel", "verify"):
-            sub.add_argument("--tol", type=float, default=None,
-                             help="series target for 'kernel', tolerance override for "
-                                  "'verify' (default: env VACUUM_TOL, else 1e-12 / per check)")
-        if name == "kernel":
-            sub.add_argument("--max-terms", dest="max_terms", type=int, default=None,
-                             help="series truncation cap for the summed routes")
+        # no prefix matching: --t on verify would set --tol, --x on figure --xi
+        sub = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags + ("--format", "--output"):
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(func=func)
     return parser
 

@@ -738,7 +738,7 @@ def approximation_report(
     ``(-1)^l/(4 pi L)`` for like ends, 0 for mixed), added to the exact
     periodic resummation for the total row; densities keep the exact
     bulk and replace the wall profile by the two nearest single
-    reflections.
+    reflections, which are the two half-line wall densities.
     """
     if not isinstance(geometry, Interval):
         raise UnsupportedGeometry("approximation report is defined for intervals")
@@ -756,9 +756,9 @@ def approximation_report(
     for x in x_points:
         full = energy_density_renormalized(geometry, x, xi)
         bulk_exact = full.periodic
-        wall = 4.0 * xi * (
-            (-1.0) ** (l + 1) / (8.0 * PI * x * x)
-            + (-1.0) ** (r + 1) / (8.0 * PI * (length - x) ** 2)
+        wall = (
+            energy_density_renormalized(HalfLine(geometry.left), x, xi).boundary
+            + energy_density_renormalized(HalfLine(geometry.right), length - x, xi).boundary
         )
         rows.append(
             ApproximationRow(

@@ -143,14 +143,17 @@ def _mode_sum(
     second (the twisted circle's left movers), with |amplitude| <= size.
 
     Each ladder keeps its rungs up to omega_min + (-ln _TERM_FLOOR)/t,
-    omega_min the lowest frequency, and at most max_terms + 1 of them.  The
-    bound adds, per ladder, its rounding envelope (_mode_rounding, with
-    reach = t + |x| + |y|) and the geometric tail past its last rung.
+    omega_min the lowest frequency, and at most max_terms + 1 of them; a
+    ladder whose t omega_0 overflows adds nothing.  The bound adds, per
+    ladder, its rounding envelope (_mode_rounding, with reach = t + |x| +
+    |y|) and the geometric tail past its last rung.
     Returns (value, terms, bound)."""
     span = -math.log(_TERM_FLOOR) / t
     total, terms, bound = 0.0, 0, 0.0
     ladders = _kept_rungs(geometry, control, lambda w: w + span)
     for sign, (step, first, om) in zip((1.0, -1.0), ladders):
+        if math.isinf(t * first):
+            continue  # every term of the ladder is exactly 0.0
         bound += _mode_rounding(t, first, step, reach)
         total += np.sum(np.exp(-t * om) * amplitude(om, sign))
         bound += math.exp(-t * (first + om.size * step)) / -math.expm1(-t * step)
@@ -192,7 +195,9 @@ def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
     InvalidParameter is raised, so the callers take this before their
     tail bounds, which divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
-    envelope = (1.0 + first * reach) / gap + step * reach * q / gap / gap if gap else math.inf
+    # once q underflows, step reach q is 0 even where step reach overflows
+    rungs = step * reach * q if q else 0.0
+    envelope = (1.0 + first * reach) / gap + rungs / gap / gap if gap else math.inf
     if math.isinf(envelope):
         raise InvalidParameter(f"t={t!r} is too small for a mode sum with spacing {step!r}")
     return _MODE_ROUNDING * _EPS * math.exp(-t * first) * envelope

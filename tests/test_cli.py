@@ -7,11 +7,15 @@ against the library or against independently derived numbers.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vacuum1d import IllConditionedFit, NonConvergent, cli
 from vacuum1d.cli import (
@@ -424,21 +428,119 @@ def test_verify_reads_tolerance_from_environment(capsys, monkeypatch):
     assert "VACUUM_TOL" in err
 
 
+def exit_code(argv) -> int:
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+UNREAD = "unrecognized arguments"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [("energy", "--tol", "1e-3"), ("density", "--tol", "1e-3"),
-     ("spectrum", "--omega-max", "5", "--tol", "1e-3"),
-     ("figure", "--which", "fig1", "--tol", "1e-3"), ("compare", "--tol", "1e-3"),
-     ("energy", "--max-terms", "50"), ("verify", "--max-terms", "50"),
-     ("spectrum", "--omega-max", "5", "--max-terms", "50")],
+    "argv,message",
+    [(("energy", "--tol", "1e-3"), UNREAD), (("density", "--tol", "1e-3"), UNREAD),
+     (("spectrum", "--omega-max", "5", "--tol", "1e-3"), UNREAD),
+     (("figure", "--which", "fig1", "--tol", "1e-3"), UNREAD), (("compare", "--tol", "1e-3"), UNREAD),
+     (("energy", "--max-terms", "50"), UNREAD), (("verify", "--max-terms", "50"), UNREAD),
+     (("spectrum", "--omega-max", "5", "--max-terms", "50"), UNREAD),
+     # one flag of the former shared set per subcommand
+     (("spectrum", "--omega-max", "5", "--t", "0.1"), UNREAD),
+     (("energy", "--x", "0.5"), UNREAD),
+     (("density", "--omega-max", "5"), UNREAD),
+     (("kernel", "--xi", "0"), UNREAD),
+     (("figure", "--which", "fig1", "--length", "5"), UNREAD),
+     (("verify", "--geometry", "twisted"), UNREAD),
+     (("compare", "--geometry", "twisted"), UNREAD),
+     # figure reads one t, and only for fig2
+     (("figure", "--which", "fig1", "--t", "0.1"), "fig1"),
+     (("figure", "--which", "fig2", "--t", "0.001,0.5", "--grid-points", "2"), "one --t")],
 )
-def test_series_flags_exist_only_where_a_series_reads_them(capsys, argv):
-    # --tol is read by kernel and verify, --max-terms by kernel; elsewhere
-    # they were once only copied into the metadata
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(argv))
-    assert exc.value.code == EXIT_USAGE
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_flags_exist_only_where_a_subcommand_reads_them(capsys, argv, message):
+    # every subcommand once took all twelve shared flags, and most of them
+    # were ignored: verify --length 5 --geometry twisted ran the default
+    # registry
+    assert exit_code(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def subcommand_actions() -> dict[str, list]:
+    """Each subcommand's settable actions, -h excluded, by walking the parser."""
+    (commands,) = (
+        action for action in cli.build_parser()._actions if action.choices and action.dest == "command"
+    )
+    return {
+        name: [action for action in sub._actions if action.dest != "help"]
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_each_subcommand_offers_the_flags_it_reads():
+    geometry = {"--geometry", "--length", "--bc-left", "--bc-right", "--theta"}
+    expected = {
+        "spectrum": geometry | {"--omega-max"},
+        "energy": geometry | {"--t", "--grid-points"},
+        "density": geometry | {"--t", "--x", "--xi", "--grid-points"},
+        "kernel": geometry | {"--t", "--x", "--tol", "--max-terms"},
+        "figure": {"--which", "--t", "--xi", "--grid-points"},
+        "verify": {"--tol"},
+        "compare": {"--length", "--bc-left", "--bc-right", "--x", "--xi"},
+    }
+    offered = {
+        name: {action.option_strings[0] for action in actions}
+        for name, actions in subcommand_actions().items()
+    }
+    assert offered == {name: flags | {"--format", "--output"} for name, flags in expected.items()}
+    assert sum(map(len, offered.values())) == 55
+
+
+_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "0.5", "2")
+
+
+def _flag_value(action) -> st.SearchStrategy[str]:
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.sampled_from(("-1", "0", "1", "3"))
+    if action.type is cli._grid:
+        return st.lists(st.sampled_from(_VALUES), min_size=1, max_size=2).map(",".join)
+    return st.sampled_from(_VALUES)
+
+
+@st.composite
+def invocations(draw) -> list[str]:
+    actions = subcommand_actions()
+    name = draw(st.sampled_from(sorted(set(actions) - {"verify"})))
+    argv = [name]
+    for action in actions[name]:
+        if action.dest != "output" and draw(st.booleans()):
+            argv.append(f"{action.option_strings[0]}={draw(_flag_value(action))}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(invocations())
+# these once raised ZeroDivisionError, OverflowError, and a numpy overflow
+# on the way to a nan mode-sum bound
+@example(["compare", "--x=1e-200", "--xi=0"])
+@example(["compare", "--length=1e300", "--x=0.5"])
+@example(["kernel", "--length=1e-300", "--t=1e300"])
+def test_every_flag_grid_keeps_the_exit_code_contract(argv):
+    # each subcommand on edge values of its own flags: a finite table, a
+    # usage error or a domain error, never an escaped exception or a
+    # traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK and "--format=json" not in argv:
+        for row in parse_table(out.getvalue()).rows:
+            assert all(math.isfinite(v) for v in row if isinstance(v, float)), (argv, row)
 
 
 def test_environment_tolerance_is_ignored_where_there_is_no_tol(capsys, monkeypatch):
@@ -517,12 +619,6 @@ def test_compare_mixed_boundary_columns_vanish(capsys):
     assert rows["boundary_energy"][1:] == (0.0, 0.0, 0.0)
     total = rows["total_energy"]
     assert total[1] == total[2] == total[3]
-
-
-def test_compare_rejects_non_interval(capsys):
-    code, _, err = run(capsys, "compare", "--geometry", "twisted")
-    assert code == EXIT_USAGE
-    assert "interval" in err
 
 
 # ---------------------------------------------------------------------------

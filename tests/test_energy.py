@@ -887,6 +887,28 @@ def test_approximation_report_defaults_and_validation():
         approximation_report(TwistedCircle(1.0, 0.5))
 
 
+@pytest.mark.parametrize("exponent", range(-300, 301, 20))
+def test_approximation_report_from_tiny_to_huge_lengths(exponent):
+    # the hand-written wall term once raised OverflowError from (L - x)^2
+    # at L = 1e160
+    for left, right in ((DIRICHLET, DIRICHLET), (DIRICHLET, NEUMANN), (NEUMANN, NEUMANN)):
+        try:
+            report = approximation_report(Interval(10.0**exponent, left, right))
+        except InvalidParameter:
+            continue
+        for row in report.rows:
+            assert all(math.isfinite(v) for v in (row.exact, row.stationary_phase, row.short_orbit))
+
+
+def test_approximation_report_next_to_a_wall():
+    # x = 1e-200 once raised ZeroDivisionError; at xi = 0 the walls carry
+    # no weight, and at xi = 1/4 their profile overflows
+    (*_, row) = approximation_report(Interval(1.0), x_points=(1e-200,), xi=0.0).rows
+    assert row.short_orbit == row.stationary_phase == row.exact == pytest.approx(-PI / 24.0)
+    with pytest.raises(InvalidParameter):
+        approximation_report(Interval(1.0), x_points=(1e-200,))
+
+
 def test_breakdown_is_frozen():
     out = total_energy_renormalized(Interval(1.0, DIRICHLET, DIRICHLET))
     assert isinstance(out, EnergyBreakdown)

@@ -546,6 +546,31 @@ def test_mode_sums_below_their_float_range_raise():
             cylinder_trace(geometry, 5e-324, method=MODE_SUM)
 
 
+@pytest.mark.parametrize(
+    "geometry,t",
+    [
+        (Interval(1.0, DIRICHLET, DIRICHLET), 1e308),
+        (Interval(1.0, NEUMANN, NEUMANN), 1e308),
+        (TwistedCircle(1.0, 0.0), 1e308),
+        (TwistedCircle(1.0, 2.0), 1e308),
+        (TwistedCircle(1e-300, 1.0), 1e300),
+        (TwistedCircle(1e-300, 0.0), 1e300),
+    ],
+    ids=repr,
+)
+def test_mode_sums_above_their_float_range_are_exact(geometry, t):
+    # Once t omega overflows every term is 0.0 (the zero mode aside); the
+    # rounding envelope once took step reach e^{-t step} as inf * 0 and
+    # returned a nan bound, and e^{-t omega} raised a numpy overflow warning.
+    x = 0.5 * geometry.length
+    for mode, closed in (
+        (cylinder_kernel(geometry, t, x, method=MODE_SUM), cylinder_kernel(geometry, t, x)),
+        (cylinder_trace(geometry, t, method=MODE_SUM), cylinder_trace(geometry, t)),
+    ):
+        assert math.isfinite(mode.truncation_bound)
+        assert abs(mode.value - closed.value) <= mode.truncation_bound, (mode, closed)
+
+
 def test_halfline_trace_diverges():
     with pytest.raises(ContinuousSpectrum):
         cylinder_trace(HalfLine(DIRICHLET), 0.5)
