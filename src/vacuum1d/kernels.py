@@ -195,9 +195,8 @@ def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
     InvalidParameter is raised, so the callers take this before their
     tail bounds, which divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
-    # once q underflows, step reach q is 0 even where step reach overflows
-    rungs = step * reach * q if q else 0.0
-    envelope = (1.0 + first * reach) / gap + rungs / gap / gap if gap else math.inf
+    # q first: once it underflows, q reach step is 0 where step reach is inf
+    envelope = (1.0 + first * reach) / gap + q * reach * step / gap / gap if gap else math.inf
     if math.isinf(envelope):
         raise InvalidParameter(f"t={t!r} is too small for a mode sum with spacing {step!r}")
     return _MODE_ROUNDING * _EPS * math.exp(-t * first) * envelope

@@ -443,7 +443,8 @@ UNREAD = "unrecognized arguments"
     "argv,message",
     [(("energy", "--tol", "1e-3"), UNREAD), (("density", "--tol", "1e-3"), UNREAD),
      (("spectrum", "--omega-max", "5", "--tol", "1e-3"), UNREAD),
-     (("figure", "--which", "fig1", "--tol", "1e-3"), UNREAD), (("compare", "--tol", "1e-3"), UNREAD),
+     (("figure", "--which", "fig1", "--tol", "1e-3"), UNREAD),
+     (("compare", "--tol", "1e-3"), UNREAD),
      (("energy", "--max-terms", "50"), UNREAD), (("verify", "--max-terms", "50"), UNREAD),
      (("spectrum", "--omega-max", "5", "--max-terms", "50"), UNREAD),
      # one flag of the former shared set per subcommand
@@ -454,6 +455,9 @@ UNREAD = "unrecognized arguments"
      (("figure", "--which", "fig1", "--length", "5"), UNREAD),
      (("verify", "--geometry", "twisted"), UNREAD),
      (("compare", "--geometry", "twisted"), UNREAD),
+     # prefixes of flags the subcommand has: --tol, --xi
+     (("verify", "--t", "1"), UNREAD),
+     (("figure", "--which", "fig1", "--x", "0.5"), UNREAD),
      # figure reads one t, and only for fig2
      (("figure", "--which", "fig1", "--t", "0.1"), "fig1"),
      (("figure", "--which", "fig2", "--t", "0.001,0.5", "--grid-points", "2"), "one --t")],
@@ -471,7 +475,8 @@ def test_flags_exist_only_where_a_subcommand_reads_them(capsys, argv, message):
 def subcommand_actions() -> dict[str, list]:
     """Each subcommand's settable actions, -h excluded, by walking the parser."""
     (commands,) = (
-        action for action in cli.build_parser()._actions if action.choices and action.dest == "command"
+        action for action in cli.build_parser()._actions
+        if action.choices and action.dest == "command"
     )
     return {
         name: [action for action in sub._actions if action.dest != "help"]
