@@ -22,6 +22,13 @@ reports each series route's term count and bound) and overrides every
 check's tolerance in ``vacuum verify``; ``--max-terms`` caps the series
 of ``vacuum kernel``.  ``VACUUM_TOL`` supplies the default of ``--tol``
 wherever that flag exists.
+
+Cold start: the closed forms run on plain floats, so ``--version``,
+``--help``, ``energy``, ``density``, ``compare`` and ``figure --which
+fig1`` never import numpy, which is most of the start-up time.  numpy
+loads where an array is built: the series of ``kernel``, the level list
+of ``spectrum``, the log-spaced grids of ``figure --which fig2`` and of
+``density --geometry halfline`` without ``--x``, and ``verify``.
 """
 
 from __future__ import annotations
@@ -35,8 +42,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .energy import (
     approximation_report,
@@ -46,7 +51,6 @@ from .energy import (
     total_energy_renormalized,
 )
 from .errors import ContinuousSpectrum, InvalidParameter, VacuumError
-from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM, cylinder_kernel
 from .spectrum import (
     DIRICHLET,
     NEUMANN,
@@ -83,14 +87,9 @@ class Table:
 
 
 def _py(value):
-    """Collapse numpy scalars so emitters see plain Python types."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+    """Collapse numpy scalars so emitters see plain Python types; known by
+    their type's module, so nothing here imports numpy."""
+    return value.item() if type(value).__module__ == "numpy" else value
 
 
 def _fmt_cell(value) -> str:
@@ -202,6 +201,20 @@ def _meta(args: argparse.Namespace, geometry: Geometry | None = None, **extra) -
     return meta | extra
 
 
+def _linspace(start: float, stop: float, n: int, endpoint: bool = True) -> list[float]:
+    """``numpy.linspace(start, stop, n, endpoint)`` in plain floats, bit for
+    bit: point i is i * step + start, and the last one stop itself."""
+    div = n - 1 if endpoint else n
+    step = (stop - start) / div if div else 0.0
+    if step:
+        points = [i * step + start for i in range(n)]
+    else:  # numpy's form for a step that underflows to 0
+        points = [i / max(div, 1) * (stop - start) + start for i in range(n)]
+    if endpoint and n > 1:
+        points[-1] = stop
+    return points
+
+
 def _grid_points(args: argparse.Namespace, default: int) -> int:
     n = args.grid_points
     if n is None:
@@ -233,9 +246,9 @@ def cmd_energy(args: argparse.Namespace) -> tuple[Table, int]:
         # No angle given: sweep the full holonomy circle instead.
         n = _grid_points(args, 101)
         rows = []
-        for theta in np.linspace(0.0, 2.0 * math.pi, n):
-            br = total_energy_renormalized(TwistedCircle(args.length, float(theta)))
-            rows.append((float(theta), br.weyl, br.periodic, br.boundary, br.total_renormalized))
+        for theta in _linspace(0.0, 2.0 * math.pi, n):
+            br = total_energy_renormalized(TwistedCircle(args.length, theta))
+            rows.append((theta, br.weyl, br.periodic, br.boundary, br.total_renormalized))
         meta = _meta(args)
         meta["geometry"] = f"twisted L={args.length:g} theta in [0, 2pi]"
         columns = ("theta", "weyl", "periodic", "boundary", "total_renormalized")
@@ -264,10 +277,13 @@ def cmd_energy(args: argparse.Namespace) -> tuple[Table, int]:
 def _default_x_grid(geometry: Geometry, n: int) -> list[float]:
     if isinstance(geometry, Interval):
         # Clip away the walls: the renormalized profile is csc^2-divergent.
-        return [float(x) for x in np.linspace(0.02, 0.98, n) * geometry.length]
+        return [x * geometry.length for x in _linspace(0.02, 0.98, n)]
     if isinstance(geometry, HalfLine):
-        return [float(x) for x in np.geomspace(1e-2, 2.0, n)]
-    return [float(x) for x in np.linspace(0.0, geometry.length, n, endpoint=False)]
+        # numpy's power, which a Python 10.0 ** v misses in the last bit
+        import numpy as np
+
+        return np.geomspace(1e-2, 2.0, n).tolist()
+    return _linspace(0.0, geometry.length, n, endpoint=False)
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[Table, int]:
@@ -300,6 +316,8 @@ def _default_kernel_point(geometry: Geometry) -> float:
 
 
 def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
+    from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM, cylinder_kernel
+
     geometry = build_geometry(args)
     ts = args.t or [0.05, 0.1, 0.5, 1.0]
     xs = args.x or [_default_kernel_point(geometry)]
@@ -332,9 +350,8 @@ def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
         n = _grid_points(args, 500)
         geometry = Interval(1.0, DIRICHLET, DIRICHLET)
         rows = [
-            (float(x),
-             energy_density_renormalized(geometry, float(x), args.xi).total_renormalized)
-            for x in np.linspace(0.02, 0.98, n)
+            (x, energy_density_renormalized(geometry, x, args.xi).total_renormalized)
+            for x in _linspace(0.02, 0.98, n)
         ]
         meta = _meta(args, geometry, which="fig1", xi=args.xi)
         return Table(meta, ("x", "energy_density"), rows), EXIT_OK
@@ -342,13 +359,14 @@ def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
     # the negative spike inside x < t/2 and the 1/(8 pi x^2) tail beyond.
     if args.t and len(args.t) > 1:
         raise InvalidParameter("fig2 takes one --t")
+    import numpy as np
+
     n = _grid_points(args, 1000)
     t = args.t[0] if args.t else 1e-3
     geometry = HalfLine(DIRICHLET)
     rows = [
-        (float(x),
-         energy_density_regularized(geometry, t, float(x), args.xi).boundary)
-        for x in np.geomspace(1e-4, 1.0, n)
+        (x, energy_density_regularized(geometry, t, x, args.xi).boundary)
+        for x in np.geomspace(1e-4, 1.0, n).tolist()
     ]
     meta = _meta(args, geometry, which="fig2", t=t, xi=args.xi)
     return Table(meta, ("x", "energy_density"), rows), EXIT_OK

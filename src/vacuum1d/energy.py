@@ -40,10 +40,9 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import kernels, summation
+from . import summation
 from .errors import (
     ContinuousSpectrum,
     IllConditionedFit,
@@ -53,6 +52,9 @@ from .errors import (
 )
 from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI = math.pi
 # Below this an angle pi t/2L or pi x/L has lost bits to underflow.
@@ -365,6 +367,13 @@ def _breakdown(
     return EnergyBreakdown(weyl, periodic, boundary, total, t, note)
 
 
+def _phase(x: float, length: float) -> float:
+    """p = pi x/L, formed as pi (x/L) once pi x overflows (x above about
+    5.7e307); 0 < x < L puts p in (0, pi), so only that overflow gives inf."""
+    p = PI * x / length
+    return p if p < math.inf else PI * (x / length)
+
+
 def _sine_length(length: float, x: float, p: float) -> float:
     """L sin p, p = pi x/L, which is pi x once p has lost bits to underflow."""
     return length * math.sin(p) if p >= _NORMAL else PI * x
@@ -397,7 +406,7 @@ def _interval_density(geom: Interval, t: float, x: float, weyl: float) -> tuple[
     """
     length = geom.length
     z = PI * t / (2.0 * length)
-    p = PI * x / length
+    p = _phase(x, length)
     half = math.exp(-0.5 * z)
     big_g = length * -math.expm1(-2.0 * z) if z >= _NORMAL else PI * t
     big_s = 2.0 * math.exp(-z) * _sine_length(length, x, p)
@@ -479,7 +488,7 @@ def energy_density_renormalized(
         if not (0.0 < x < length):
             raise OutOfDomain(f"x={x!r} not in (0, {length})")
         # pi/8L^2 csc^2 p = (pi/8) / (L sin p)^2, p = pi x/L
-        p = PI * x / length
+        p = _phase(x, length)
         wall = _sine_length(length, x, p)
         pref = 0.125 * PI if geometry.left is DIRICHLET else -0.125 * PI
         if geometry.left is geometry.right:
@@ -545,6 +554,8 @@ def _cauchy_rule(r: float) -> tuple[np.ndarray, np.ndarray]:
     to h_0..h_4 (real part), built once per radius.  h is real on the real
     axis, so the lower half circle adds the conjugate of the upper: weights
     1/N at u = +-r and 2/N between."""
+    import numpy as np
+
     m = np.arange(_CAUCHY_NODES // 2 + 1)
     k = np.arange(5)[:, None]
     nodes = r * np.exp(2j * PI / _CAUCHY_NODES * m)
@@ -592,6 +603,8 @@ def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
     :class:`InvalidParameter` where a coefficient or its bound leaves the
     float range (e_3, e_4 carry L^-2, L^-3: below about L = 1e-100).
     """
+    from . import kernels
+
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line cylinder trace diverges")
     unit = replace(geometry, length=1.0)
@@ -622,6 +635,8 @@ def _default_heat_fit() -> tuple[np.ndarray, np.ndarray]:
     built once per process and shared read-only.  Raises
     :class:`IllConditionedFit` if the basis is rank-deficient by the rank cut
     of ``np.linalg.lstsq(..., rcond=None)``."""
+    import numpy as np
+
     g = np.geomspace(5e-4, 6e-3, 16)
     design = np.column_stack([(g / g[0]) ** -0.5, np.ones_like(g), (g / g[-1]) ** 0.5, g / g[-1]])
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
@@ -668,6 +683,8 @@ def theorem1_check(geometry: Geometry) -> Theorem1Report:
     per process) runs at L = 1 and scales b_0 by L.  Cylinder side:
     :func:`extract_cylinder_coefficients`.
     """
+    from . import kernels
+
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line traces diverge")
     grid, pinv = _default_heat_fit()

@@ -30,9 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from . import summation
 from .errors import (
@@ -41,6 +39,9 @@ from .errors import (
     InvalidParameter,
     OutOfDomain,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,6 +184,8 @@ def _rungs(
 ) -> np.ndarray:
     """The frequencies offset + j*step <= omega_max of one ladder, at most
     ``cap`` of them; omega_max may be inf when a cap is given."""
+    import numpy as np
+
     step, offset, j_min = ladder
     above = (omega_max - offset) / step - j_min  # rungs past the first
     n = cap if above >= cap else min(cap, _count_leq(step, offset, j_min, omega_max))
@@ -208,6 +211,8 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         Sorted ascending.  Twisted-circle levels at theta = 0 or pi merge
         into multiplicity-2 entries.
     """
+    import numpy as np
+
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line has no discrete eigenvalues")
     if not (omega_max > 0.0) or not math.isfinite(omega_max):

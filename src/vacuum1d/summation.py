@@ -29,10 +29,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter, NonConvergent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,6 +248,8 @@ def telescoping_check(
     SeriesValue
         Accelerated limit, with ``terms_used`` the pair count.
     """
+    import numpy as np
+
     pairs = np.asarray(list(terms), dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 16:
         raise InvalidParameter("need at least 16 (plus, minus) pairs")
@@ -329,6 +333,8 @@ def poisson_check(
     (float, float)
         (scaled Dirichlet kernel, truncated image sum).
     """
+    import numpy as np
+
     if not (length > 0.0):
         raise InvalidParameter("length must be positive")
     if not (0.0 < x < length):
@@ -570,6 +576,8 @@ def _direct_sum(
     """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
     and its rounding allowance: pairwise summation, the rounding of the
     phases m theta, and ``c_err``, the error of c."""
+    import numpy as np
+
     m = np.arange(-w, w + 1, dtype=float)
     u = m + c
     if skip is not None:
@@ -742,6 +750,8 @@ def _de_table(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (times h) of one level, on the canonical interval
     ([0, 1] as signed distance from the near end for tanh-sinh, [0, inf)
     otherwise); for tanh-sinh and exp-sinh above level 0 only the new nodes."""
+    import numpy as np
+
     h = _DE_STEP[kind] * 2.0**-level
     if kind == OOURA_MORI:
         m = math.pi / h
@@ -781,6 +791,8 @@ def _de_table(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
 def _de_start(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Levels 0 and 1 as one node array and a 2 x n weight matrix whose
     rows give the two estimates."""
+    import numpy as np
+
     (x0, w0), (x1, w1) = _de_table(kind, 0), _de_table(kind, 1)
     weights = np.zeros((2, x0.size + x1.size))
     weights[0, : x0.size] = w0
@@ -808,6 +820,8 @@ def de_quadrature(f, a: float = 0.0, b: float = math.inf, cosine: bool = False) 
     evaluated, and ``method_tag`` is :data:`TANH_SINH`, :data:`EXP_SINH`
     or :data:`OOURA_MORI`.
     """
+    import numpy as np
+
     if not (math.isfinite(a) and b > a):
         raise InvalidParameter("quadrature needs a finite a < b")
     if cosine and not (a == 0.0 and math.isinf(b)):

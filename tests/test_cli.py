@@ -534,6 +534,8 @@ def invocations(draw) -> list[str]:
 @example(["compare", "--x=1e-200", "--xi=0"])
 @example(["compare", "--length=1e300", "--x=0.5"])
 @example(["kernel", "--length=1e-300", "--t=1e300"])
+# and this one a ValueError from math.sin(inf), pi x having overflowed
+@example(["density", "--length=1e308", "--x=0.99e308"])
 def test_every_flag_grid_keeps_the_exit_code_contract(argv):
     # each subcommand on edge values of its own flags: a finite table, a
     # usage error or a domain error, never an escaped exception or a
@@ -653,6 +655,36 @@ def test_json_matches_csv_values(capsys):
         row[3] for row in table.rows
     ]
     assert doc["meta"]["geometry"] == table.meta["geometry"]
+
+
+def test_numpy_scalars_emit_as_plain_python_types():
+    import numpy as np
+
+    table = Table({"passed": np.bool_(True)}, ("x", "n", "ok"),
+                  [(np.float64(0.1), np.int64(3), np.bool_(False))])
+    doc = json.loads(emit_json(table))
+    row = doc["rows"][0]
+    assert doc["meta"]["passed"] is True and row["ok"] is False
+    assert type(row["x"]) is float and row["x"] == 0.1
+    assert type(row["n"]) is int and row["n"] == 3
+    assert [type(cli._py(v)) for v in table.rows[0]] == [float, int, bool]
+    assert emit_csv(table).splitlines()[-1] == "0.10000000000000001,3,false"
+
+
+@pytest.mark.parametrize("n", [1, 2, 101, 500])
+@pytest.mark.parametrize("endpoint", [True, False])
+@pytest.mark.parametrize(
+    "start, stop",
+    # the default grids of energy, density and figure, and a step that
+    # underflows to zero
+    [(0.0, 2.0 * PI), (0.02, 0.98), (0.0, 0.521103), (0.0, 5e-324)],
+)
+def test_linear_grid_is_numpy_linspace_bit_for_bit(n, endpoint, start, stop):
+    import numpy as np
+
+    want = np.linspace(start, stop, n, endpoint=endpoint).tolist()
+    got = cli._linspace(start, stop, n, endpoint)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_output_file_instead_of_stdout(capsys, tmp_path):

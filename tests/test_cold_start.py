@@ -1,7 +1,8 @@
-"""Cold start: the package and its commands load numpy and nothing heavier.
+"""Cold start: the package and the closed-form commands load no numpy, and
+no command loads scipy.
 
 Each case runs in a fresh interpreter, since this process has long since
-imported scipy for other tests' oracles.
+imported numpy and scipy for other tests' oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 NO_SCIPY = "assert not [m for m in sys.modules if m.startswith('scipy')], sorted(sys.modules)"
+NO_NUMPY = "assert 'numpy' not in sys.modules, sorted(sys.modules)"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -27,29 +29,62 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_import_loads_no_scipy_and_defers_the_registry():
+def test_import_loads_no_numpy_and_no_submodule():
     proc = run_fresh(
         "import sys, vacuum1d\n"
-        f"{NO_SCIPY}\n"
-        "assert 'vacuum1d.verify' not in sys.modules\n"
+        f"{NO_NUMPY}\n"
+        "assert [m for m in sys.modules if m.startswith('vacuum1d')] == ['vacuum1d']\n"
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def run_command(argv: list[str], check: str) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a fresh interpreter, then the ``check`` statement."""
+    return run_fresh(
+        "import sys, io, contextlib\n"
+        "from vacuum1d.cli import main\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "assert code == 0, (code, sink.getvalue())\n"
+        f"{check}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["--help"], ["energy"], ["energy", "--t", "0.1,0.5"],
+     ["energy", "--geometry", "twisted"], ["density"], ["density", "--t", "0.1"],
+     ["compare"], ["figure", "--which", "fig1"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_closed_form_commands_load_no_numpy(argv):
+    proc = run_command(argv, NO_NUMPY)
     assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["energy"], ["kernel", "--geometry", "halfline"], ["verify"]],
+    [["kernel", "--geometry", "halfline"], ["verify"]],
     ids=lambda argv: " ".join(argv),
 )
 def test_commands_load_no_scipy(argv):
+    proc = run_command(argv, NO_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_namespace_lists_and_resolves_its_names():
     proc = run_fresh(
-        "import sys, io, contextlib\n"
-        "from vacuum1d.cli import main\n"
-        "sink = io.StringIO()\n"
-        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
-        f"    code = main({argv!r})\n"
-        "assert code == 0, code\n"
-        f"{NO_SCIPY}\n"
+        "import vacuum1d\n"
+        "assert set(vacuum1d.__all__) <= set(dir(vacuum1d))\n"
+        "assert {'kernels', 'energy', 'verify', 'cli'} <= set(dir(vacuum1d))\n"
+        "kernel = vacuum1d.kernels.cylinder_kernel\n"
+        "from vacuum1d.kernels import cylinder_kernel\n"
+        "assert kernel is cylinder_kernel and vacuum1d.cylinder_kernel is cylinder_kernel\n"
+        "assert 'cylinder_kernel' in vars(vacuum1d)\n"
     )
     assert proc.returncode == 0, proc.stderr
 

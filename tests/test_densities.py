@@ -9,7 +9,8 @@ product up to z = 2 and in q = e^{-2z} above it.  So the points check
 both sides of z = 2, the range where e^{-2z} itself underflows, angles
 that underflow, and lengths from 1e-300 to 1e300.  They start from the
 same rounded angles the library uses,
-z = fl(pi t / 2L) and p = fl(pi x / L): an exponentially small wall term
+z = fl(pi t / 2L) and p = fl(pi x / L) (fl(pi fl(x / L)) once pi x
+overflows): an exponentially small wall term
 e^{-2z} would otherwise inherit the 2z-fold amplification of the rounding
 of z, and cos p at x = L/2 the rounding of pi/2.
 
@@ -81,6 +82,11 @@ def _angle(value: float, exact: mpmath.mpf) -> mpmath.mpf:
     return mpmath.mpf(value) if abs(value) > 1e-300 else exact
 
 
+def _phase(x: float, length: float) -> float:
+    """The library's rounded p: pi x / L, or pi (x / L) once pi x overflows."""
+    return PI * x / length if PI * x < math.inf else PI * (x / length)
+
+
 def mp_regularized(geom, t: float, x: float, xi: float) -> tuple[tuple, tuple]:
     """(weyl, periodic, boundary, total) of the regularized density and
     the scale of each part."""
@@ -111,7 +117,7 @@ def mp_regularized(geom, t: float, x: float, xi: float) -> tuple[tuple, tuple]:
             per_scale = terms / length if bb * tm > 0.6 else abs(per)
             return (weyl, per, 0, per), (weyl, per_scale, 0, per_scale)
     z = _angle(PI * t / (2.0 * geom.length), mpmath.pi * tm / (2 * length))
-    p = _angle(PI * x / geom.length, mpmath.pi * xm / length)
+    p = _angle(_phase(x, geom.length), mpmath.pi * xm / length)
     with mpmath.workdps(_digits(z)):
         sh2, sp2 = mpmath.sinh(z) ** 2, mpmath.sin(p) ** 2
         c = mpmath.pi / (8 * length**2)
@@ -148,7 +154,7 @@ def mp_renormalized(geom, x: float, xi: float) -> tuple[tuple, tuple]:
             u = mpmath.mpf(geom.theta) / (2 * mpmath.pi)
             per = -mpmath.pi * (u * u - u + mpmath.mpf(1) / 6) / length**2
             return (0, per, 0, per), (0, abs(per), 0, abs(per))
-        p = _angle(PI * x / geom.length, mpmath.pi * xm / length)
+        p = _angle(_phase(x, geom.length), mpmath.pi * xm / length)
         c = -_sign(geom) * mpmath.pi / (8 * length**2)
         if geom.left is geom.right:
             per, b = -mpmath.pi / (24 * length**2), c / mpmath.sin(p) ** 2
@@ -271,4 +277,26 @@ def test_scaled_density_forms_near_the_walls(name, length, t, x):
         check_or_overflow(
             lambda: energy_density_renormalized(geom, x, xi),
             mp_renormalized(geom, x, xi), 16 * EPS, f"{name} x={x} xi={xi}",
+        )
+
+
+@pytest.mark.parametrize("name", [n for n in BOUNDED if not n.startswith("twisted")])
+@pytest.mark.parametrize("length", [1e308, 1.7e308])
+@pytest.mark.parametrize("x_frac", [0.6, 0.95, 0.99])
+def test_densities_past_the_overflow_of_pi_x(name, length, x_frac):
+    """x above about 5.7e307, where pi x overflows to inf and math.sin(inf)
+    once raised ValueError: the phase is pi (x/L) there, and each part is
+    the closed form (here all of them underflow to zero)."""
+    geom = GEOMETRIES[name](length)
+    x = x_frac * length
+    assert PI * x == math.inf
+    for xi in XIS:
+        check_or_overflow(
+            lambda: energy_density_renormalized(geom, x, xi),
+            mp_renormalized(geom, x, xi), 8 * EPS, f"{name} L={length} x={x} xi={xi}",
+        )
+    if x_frac > 0.9:  # nearer the middle, S = 2 L sin p itself overflows
+        check_or_overflow(
+            lambda: energy_density_regularized(geom, 1.0, x),
+            mp_regularized(geom, 1.0, x, 0.25), _rel(name), f"{name} L={length} x={x} t=1",
         )
