@@ -23,12 +23,13 @@ check's tolerance in ``vacuum verify``; ``--max-terms`` caps the series
 of ``vacuum kernel``.  ``VACUUM_TOL`` supplies the default of ``--tol``
 wherever that flag exists.
 
-Cold start: the closed forms run on plain floats, so ``--version``,
-``--help``, ``energy``, ``density``, ``compare`` and ``figure --which
-fig1`` never import numpy, which is most of the start-up time.  numpy
-loads where an array is built: the series of ``kernel``, the level list
-of ``spectrum``, the log-spaced grids of ``figure --which fig2`` and of
-``density --geometry halfline`` without ``--x``, and ``verify``.
+Cold start: the closed forms and the level list run on plain floats, so
+``--version``, ``--help``, ``energy``, ``density``, ``spectrum``,
+``compare`` and ``figure --which fig1`` never import numpy, which is most
+of the start-up time.  numpy loads where an array is built: the series of
+``kernel`` (one call per height and route, over every ``--x``), the
+log-spaced grids of ``figure --which fig2`` and of ``density --geometry
+halfline`` without ``--x``, and ``verify``.
 """
 
 from __future__ import annotations
@@ -316,6 +317,8 @@ def _default_kernel_point(geometry: Geometry) -> float:
 
 
 def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
+    import numpy as np
+
     from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM, cylinder_kernel
 
     geometry = build_geometry(args)
@@ -327,16 +330,15 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
     meta.update(settings)
     control = SeriesControl(**settings)
     rows = []
-    for t in ts:
-        for x in xs:
-            mode, image, closed = (
-                cylinder_kernel(geometry, t, x, method=method, control=control)
-                for method in (MODE_SUM, IMAGE_SUM, CLOSED_FORM)
-            )
-            spread = max(abs(mode.value - closed.value), abs(image.value - closed.value))
-            rows.append((t, x, mode.value, image.value, closed.value, spread,
-                         mode.terms_used, mode.truncation_bound,
-                         image.terms_used, image.truncation_bound))
+    for t in ts:  # one call per route at each t, over every x
+        mode, image, closed = (
+            cylinder_kernel(geometry, t, xs, method=method, control=control)
+            for method in (MODE_SUM, IMAGE_SUM, CLOSED_FORM)
+        )
+        spread = np.maximum(abs(mode.value - closed.value), abs(image.value - closed.value))
+        columns = (mode.value, image.value, closed.value, spread, mode.terms_used,
+                   mode.truncation_bound, image.terms_used, image.truncation_bound)
+        rows += [(t, *row) for row in zip(xs, *(column.tolist() for column in columns))]
     columns = ("t", "x", "mode_sum", "image_sum", "closed_form", "max_deviation",
                "mode_sum_terms", "mode_sum_bound", "image_sum_terms", "image_sum_bound")
     return Table(meta, columns, rows), EXIT_OK

@@ -50,7 +50,7 @@ from .errors import (
     OutOfDomain,
     UnsupportedGeometry,
 )
-from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle
+from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle, _phase
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 
 if TYPE_CHECKING:
@@ -193,7 +193,7 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
     length = geometry.length
     weyl = length / (2.0 * PI * t) / t
     if isinstance(geometry, Interval):
-        z = PI * t / (2.0 * length)
+        z = _phase(0.5 * t, length)
         if z <= 2.0:
             per = (PI / (8.0 * length)) * (_g_even(z) if geometry.like_ends else _g_odd(z))
         else:
@@ -367,13 +367,6 @@ def _breakdown(
     return EnergyBreakdown(weyl, periodic, boundary, total, t, note)
 
 
-def _phase(x: float, length: float) -> float:
-    """p = pi x/L, formed as pi (x/L) once pi x overflows (x above about
-    5.7e307); 0 < x < L puts p in (0, pi), so only that overflow gives inf."""
-    p = PI * x / length
-    return p if p < math.inf else PI * (x / length)
-
-
 def _sine_length(length: float, x: float, p: float) -> float:
     """L sin p, p = pi x/L, which is pi x once p has lost bits to underflow."""
     return length * math.sin(p) if p >= _NORMAL else PI * x
@@ -405,15 +398,16 @@ def _interval_density(geom: Interval, t: float, x: float, weyl: float) -> tuple[
     forms stay near 1.
     """
     length = geom.length
-    z = PI * t / (2.0 * length)
+    z = _phase(0.5 * t, length)
     p = _phase(x, length)
     half = math.exp(-0.5 * z)
-    big_g = length * -math.expm1(-2.0 * z) if z >= _NORMAL else PI * t
-    big_s = 2.0 * math.exp(-z) * _sine_length(length, x, p)
-    w = max(big_g, big_s)
-    h, s = big_g / w, big_s / w
+    # G/2 and S/2, which stay finite where G and S pass 8.99e307
+    g_half = 0.5 * length * -math.expm1(-2.0 * z) if z >= _NORMAL else 0.5 * PI * t
+    s_half = math.exp(-z) * _sine_length(length, x, p)
+    w = max(g_half, s_half)
+    h, s = g_half / w, s_half / w
     m = h * h + s * s
-    k = half / w
+    k = 0.5 * (half / w)
     sign = -1.0 if geom.left is DIRICHLET else 1.0
     if geom.left is geom.right:
         r = half * k

@@ -19,6 +19,10 @@ closed form, and its continuous spectrum turns the mode sum into a
 Fourier integral, evaluated by double-exponential quadrature
 (:func:`vacuum1d.summation.de_quadrature`).
 
+:func:`cylinder_kernel` takes floats or arrays of points at one height t
+and evaluates an array in one pass per route (see its docstring); floats
+keep the plain-float form of each route.
+
 The heat kernel is the same construction for ``e^{-t omega^2}`` with the
 Gaussian free kernel ``(4 pi t)^{-1/2} e^{-(x-y)^2/4t}``; its image sums
 converge so fast that a closed form is never needed.
@@ -35,8 +39,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -51,9 +56,15 @@ from .spectrum import (
     Interval,
     TwistedCircle,
     _ladders,
+    _phase,
     _rungs,
 )
 from .summation import SeriesControl
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+    from ._arrays import TermCounts
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,12 +97,31 @@ class KernelValue:
     e.g. closed-form twisted off-diagonal, report the fallback here).
     ``value`` is complex only for twisted-circle off-diagonal points;
     every other case is real.
+
+    For point arrays ``value`` and ``truncation_bound`` are float arrays
+    of the broadcast shape of x and y (``value`` is complex on the twisted
+    circle when any point is off the diagonal), and ``terms_used`` is a
+    ``TermCounts`` int array of that shape, whose ``int()`` is the total
+    term count of the call.  ``method`` is one for the
+    whole call: a twisted closed-form request with any off-diagonal point
+    is a mode sum at every point and says so.
     """
 
-    value: float | complex
+    value: float | complex | np.ndarray
     method: str
-    terms_used: int
-    truncation_bound: float
+    terms_used: int | TermCounts
+    truncation_bound: float | np.ndarray
+
+
+def _all(cond: bool | np.ndarray) -> bool:
+    """A comparison of floats or of point arrays: true where it holds at
+    every point."""
+    return cond if isinstance(cond, bool) else bool(cond.all())
+
+
+def _column(v: float | np.ndarray) -> float | np.ndarray:
+    """A point array as a column against a row of frequencies."""
+    return v[:, None] if isinstance(v, np.ndarray) else v
 
 
 def _check_closed_point(geometry: Geometry, x: float) -> None:
@@ -104,6 +134,17 @@ def _check_closed_point(geometry: Geometry, x: float) -> None:
             raise OutOfDomain(f"x={x!r} not in [0, inf)")
 
 
+def _check_closed_points(geometry: Geometry, x: np.ndarray) -> None:
+    """:func:`_check_closed_point` for a point array: one point outside
+    the domain fails the whole array."""
+    if isinstance(geometry, (Interval, HalfLine)):
+        inside = x >= 0.0
+        if isinstance(geometry, Interval):
+            inside &= x <= geometry.length
+        if not inside.all():
+            _check_closed_point(geometry, float(x[~inside][0]))
+
+
 def _interval_mode_phi(geom: Interval, omegas: np.ndarray, x: float) -> np.ndarray:
     """Normalized eigenfunctions at x for the frequency array: sqrt(2/L)
     sin(omega x) rooted Dirichlet at 0, sqrt(2/L) cos(omega x) rooted
@@ -113,7 +154,7 @@ def _interval_mode_phi(geom: Interval, omegas: np.ndarray, x: float) -> np.ndarr
         return np.sqrt(2.0 / length) * np.sin(omegas * x)
     out = np.sqrt(2.0 / length) * np.cos(omegas * x)
     if omegas.size and omegas[0] == 0.0:
-        out[0] = math.sqrt(1.0 / length)
+        out[..., 0] = math.sqrt(1.0 / length)
     return out
 
 
@@ -133,20 +174,27 @@ def _kept_rungs(
 def _mode_sum(
     geometry: Interval | TwistedCircle,
     t: float,
-    reach: float,
+    half_reach: float | np.ndarray,
     control: SeriesControl,
     amplitude: Callable[[np.ndarray, float], np.ndarray | float],
     size: float,
+    norm: float = 1.0,
 ) -> tuple[float | complex, int, float]:
-    """sum_j e^{-t omega_j} amplitude(omega_j, sign) over every frequency
-    ladder of the geometry, sign +1 on the first ladder and -1 on the
-    second (the twisted circle's left movers), with |amplitude| <= size.
+    """sum_j norm e^{-t omega_j} amplitude(omega_j, sign) over every
+    frequency ladder of the geometry, sign +1 on the first ladder and -1 on
+    the second (the twisted circle's left movers), with |norm amplitude| <=
+    size.  A constant norm goes into the real e^{-t omega} row, not into
+    every entry of a complex grid.
 
     Each ladder keeps its rungs up to omega_min + (-ln _TERM_FLOOR)/t,
     omega_min the lowest frequency, and at most max_terms + 1 of them; a
     ladder whose t omega_0 overflows adds nothing.  The bound adds, per
-    ladder, its rounding envelope (_mode_rounding, with reach = t + |x| +
-    |y|) and the geometric tail past its last rung.
+    ladder, its rounding envelope (_mode_rounding, with half_reach =
+    (t + |x| + |y|)/2) and the geometric tail past its last rung.
+
+    For a point array, amplitude returns one row of rungs per point and
+    half_reach is an array: each row is multiplied by the e^{-t omega} row
+    and summed along it, as the one-point sum is.
     Returns (value, terms, bound)."""
     span = -math.log(_TERM_FLOOR) / t
     total, terms, bound = 0.0, 0, 0.0
@@ -154,55 +202,83 @@ def _mode_sum(
     for sign, (step, first, om) in zip((1.0, -1.0), ladders):
         if math.isinf(t * first):
             continue  # every term of the ladder is exactly 0.0
-        bound += _mode_rounding(t, first, step, reach)
-        total += np.sum(np.exp(-t * om) * amplitude(om, sign))
+        bound += _mode_rounding(t, first, step, half_reach)
+        decay = np.exp(-t * om) if norm == 1.0 else norm * np.exp(-t * om)
+        # a product and row sum: a complex (20 x 1173)(1173) matrix-vector
+        # product takes 8.4 ms on a 2-core machine, this 83 us
+        total += (decay * amplitude(om, sign)).sum(axis=-1)
         bound += math.exp(-t * (first + om.size * step)) / -math.expm1(-t * step)
         terms += om.size
     return total, terms, size * bound
 
 
 def _interval_mode_sum(
-    geom: Interval, t: float, x: float, y: float, control: SeriesControl
+    geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray, control: SeriesControl
 ) -> KernelValue:
-    def amplitude(om: np.ndarray, sign: float) -> np.ndarray:
-        return _interval_mode_phi(geom, om, x) * _interval_mode_phi(geom, om, y)
+    xc, yc = _column(x), _column(y)
+    diagonal = _all(x == y)
 
-    val, terms, bound = _mode_sum(geom, t, t + x + y, control, amplitude, 2.0 / geom.length)
-    return KernelValue(float(val), MODE_SUM, terms, bound)
+    def amplitude(om: np.ndarray, sign: float) -> np.ndarray:
+        phi = _interval_mode_phi(geom, om, xc)
+        return phi * (phi if diagonal else _interval_mode_phi(geom, om, yc))
+
+    half_reach = 0.5 * t + 0.5 * x + 0.5 * y
+    val, terms, bound = _mode_sum(geom, t, half_reach, control, amplitude, 2.0 / geom.length)
+    return KernelValue(val if isinstance(x, np.ndarray) else float(val), MODE_SUM, terms, bound)
 
 
 def _twisted_mode_sum(
-    geom: TwistedCircle, t: float, x: float, y: float, control: SeriesControl
+    geom: TwistedCircle, t: float, x: float | np.ndarray, y: float | np.ndarray,
+    control: SeriesControl,
 ) -> KernelValue:
     # phi_k(x) phi_k(y)* = e^{i k (x - y)}/L, and left movers carry k < 0
     d, length = x - y, geom.length
+    off = not _all(d == 0.0)
+    dc = _column(d)
 
     def amplitude(om: np.ndarray, sign: float) -> np.ndarray | float:
-        return np.exp(1j * sign * d * om) / length if d else 1.0 / length
+        return np.exp(1j * sign * dc * om) if off else 1.0 / length
 
-    val, terms, bound = _mode_sum(geom, t, t + abs(x) + abs(y), control, amplitude, 1.0 / length)
-    return KernelValue(complex(val) if d else float(val), MODE_SUM, terms, bound)
+    half_reach = 0.5 * t + 0.5 * abs(x) + 0.5 * abs(y)
+    norm = 1.0 / length if off else 1.0
+    val, terms, bound = _mode_sum(geom, t, half_reach, control, amplitude, 1.0 / length, norm)
+    if isinstance(x, np.ndarray):
+        val = val if off or val.shape == x.shape else np.full(x.shape, val)
+    else:
+        val = complex(val) if off else float(val)
+    return KernelValue(val, MODE_SUM, terms, bound)
 
 
-def _mode_rounding(t: float, first: float, step: float, reach: float) -> float:
+def _mode_rounding(
+    t: float, first: float, step: float, half_reach: float | np.ndarray
+) -> float | np.ndarray:
     """Rounding bound of a mode sum over the ladder omega_j = first + j step,
     per unit mode amplitude.  Each term e^{-t omega} phi(x) phi(y)* is off
     by a few eps of itself, and by eps of omega t, omega x and omega y in
     its arguments, so the bound is _MODE_ROUNDING eps times
     sum_{j>=0} e^{-t omega_j} (1 + omega_j reach), reach = t + |x| + |y|,
-    summed in closed form.  Where the envelope leaves the float range (t
-    step below about 1e-154), the mode sum cannot bound itself and
-    InvalidParameter is raised, so the callers take this before their
-    tail bounds, which divide by the same gap once."""
+    summed in closed form; reach enters as half_reach = reach/2, formed
+    from halves, so that it stays finite.  Where the envelope leaves the
+    float range (t step below about 1e-154), the mode sum cannot bound
+    itself and InvalidParameter is raised, so the callers take this before
+    their tail bounds, which divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
     # q first: once it underflows, q reach step is 0 where step reach is inf
-    envelope = (1.0 + first * reach) / gap + q * reach * step / gap / gap if gap else math.inf
-    if math.isinf(envelope):
+    with np.errstate(over="ignore") if isinstance(half_reach, np.ndarray) else nullcontext():
+        if gap:
+            envelope = (
+                (1.0 + 2.0 * first * half_reach) / gap + 2.0 * q * half_reach * step / gap / gap
+            )
+        else:
+            envelope = math.inf
+    if not _all(envelope < math.inf):
         raise InvalidParameter(f"t={t!r} is too small for a mode sum with spacing {step!r}")
     return _MODE_ROUNDING * _EPS * math.exp(-t * first) * envelope
 
 
-def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> KernelValue:
+def _halfline_mode_quadrature(
+    geom: HalfLine, t: float, x: float | np.ndarray, y: float | np.ndarray
+) -> KernelValue:
     """Continuum mode integral (1/pi) int_0^inf [cos(w(x-y)) -/+ cos(w(x+y))]
     e^{-t w} dw by double-exponential quadrature -- a numeric route
     genuinely independent of the image algebra.
@@ -210,10 +286,13 @@ def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> K
     With u = t w it is (1/(pi t)) sum_i c_i int_0^inf e^{-u} cos(b_i u) du,
     b_i = |x -/+ y| / t.  Legs with b_i >= _FOURIER_SWITCH take the
     Ooura-Mori rule after v = b_i u, the others exp-sinh; legs of one kind
-    share one node set."""
+    share one node set.  For a point array every leg of every point is one
+    row of the one quadrature of its kind, and each point adds its legs."""
     scale = 1.0 / (math.pi * t)
     if math.isinf(scale):
         raise InvalidParameter(f"t={t!r} too small for the half-line mode integral")
+    if isinstance(x, np.ndarray):
+        return _halfline_mode_rows(geom, t, x, y, scale)
     b = np.array([abs(x - y) / t, (x + y) / t])  # an overflow to inf drops its leg
     c = np.array([1.0, (-1.0) ** geom.l])
     fast = b >= _FOURIER_SWITCH
@@ -232,29 +311,67 @@ def _halfline_mode_quadrature(geom: HalfLine, t: float, x: float, y: float) -> K
     )
 
 
-def _lorentzian(t: float, d: float) -> float:
+def _halfline_mode_rows(
+    geom: HalfLine, t: float, x: np.ndarray, y: np.ndarray, scale: float
+) -> KernelValue:
+    """The half-line mode route at a point array: rows 0..n-1 are the
+    direct legs, n..2n-1 the reflected ones."""
+    n = x.size
+    with np.errstate(over="ignore"):  # an overflow to inf drops its leg
+        b = np.concatenate([np.abs(x - y) / t, (x + y) / t])
+    c = np.repeat([1.0, (-1.0) ** geom.l], n)
+    point = np.tile(np.arange(n), 2)
+    value, bound, terms = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    for cosine in (False, True):
+        legs = (b >= _FOURIER_SWITCH) == cosine
+        if not legs.any():
+            continue
+        bs, cs = b[legs, None], c[legs, None]
+        if cosine:
+            part = summation.de_quadrature(
+                lambda v: cs / bs * np.exp(-v / bs), cosine=True, rows=True
+            )
+        else:
+            part = summation.de_quadrature(lambda u: cs * np.exp(-u) * np.cos(bs * u), rows=True)
+        value += np.bincount(point[legs], part.value, n)
+        bound += np.bincount(point[legs], part.truncation_bound, n)
+        terms[point[legs]] = terms[point[legs]] + part.terms_used
+    return KernelValue(scale * value, MODE_SUM, terms, scale * bound)
+
+
+def _lorentzian(t: float, d: float | np.ndarray) -> float | np.ndarray:
     """(t/pi)/(d^2 + t^2), scaled by s = max(|d|, t) so that neither square
     underflows or overflows: (t/s)/(pi s ((d/s)^2 + (t/s)^2))."""
-    s = max(abs(d), t)
+    s = np.maximum(np.abs(d), t) if isinstance(d, np.ndarray) else max(abs(d), t)
     ds, ts = d / s, t / s
     return (ts / math.pi) / (s * (ds * ds + ts * ts))
 
 
 def _lorentzian_lattice(
-    step: float, d: float, t: float, theta: float, control: SeriesControl
-) -> tuple[complex, int, float]:
-    """sum_m e^{i m theta} (t/pi)/((step m + d)^2 + t^2) with its bound.
+    step: float, d: float | np.ndarray, t: float, theta: float, control: SeriesControl
+) -> tuple[complex | np.ndarray, int | np.ndarray, float | np.ndarray]:
+    """sum_m e^{i m theta} (t/pi)/((step m + d)^2 + t^2) with its bound, at
+    a float d or at every d of an array, in one lattice sum.
 
     (t/pi)/(z^2 + t^2) = [(z - i t)^-1 - (z + i t)^-1] / (2 pi i), so the
     sum is two tail-completed lattice sums; at real weights (theta a
-    multiple of pi) the second is the conjugate of the first."""
-    plus = summation.lattice_sum(step, d, t, theta, 1, control)
+    multiple of pi) the second is the conjugate of the first.  For an
+    array both are one lattice sum over (d, t) and (d, -t)."""
     if math.remainder(theta, math.pi) == 0.0:
-        return (
-            complex(plus.value.imag / math.pi),
-            plus.terms_used,
-            plus.truncation_bound / math.pi,
+        plus = summation.lattice_sum(step, d, t, theta, 1, control)
+        return plus.value.imag / math.pi + 0j, plus.terms_used, plus.truncation_bound / math.pi
+    if isinstance(d, np.ndarray):
+        n = d.size
+        both = summation.lattice_sum(
+            step, np.concatenate([d, d]), np.repeat([t, -t], n), theta, 1, control
         )
+        terms, bounds = both.terms_used, both.truncation_bound
+        return (
+            (both.value[:n] - both.value[n:]) / (2j * math.pi),
+            terms[:n] + terms[n:],
+            (bounds[:n] + bounds[n:]) / (2.0 * math.pi),
+        )
+    plus = summation.lattice_sum(step, d, t, theta, 1, control)
     minus = summation.lattice_sum(step, d, -t, theta, 1, control)
     return (
         (plus.value - minus.value) / (2j * math.pi),
@@ -264,19 +381,54 @@ def _lorentzian_lattice(
 
 
 def _interval_image_sum(
-    geom: Interval, t: float, x: float, y: float, control: SeriesControl
+    geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray, control: SeriesControl
 ) -> KernelValue:
     # Periodic images at x - y + 2nL and boundary images at x + y + 2nL,
     # the latter signed (-1)^l; mixed ends alternate (-1)^n in both.
     theta = 0.0 if geom.like_ends else math.pi
     step = 2.0 * geom.length
+    if isinstance(x, np.ndarray) or step == math.inf:
+        return _interval_image_grid(geom, t, x, y, theta, control)
     per, n_per, b_per = _lorentzian_lattice(step, x - y, t, theta, control)
     bdry, n_bdry, b_bdry = _lorentzian_lattice(step, x + y, t, theta, control)
     val = per.real + (-1.0) ** geom.l * bdry.real
     return KernelValue(val, IMAGE_SUM, n_per + n_bdry, b_per + b_bdry)
 
 
-def _halfline_image_sum(geom: HalfLine, t: float, x: float, y: float) -> KernelValue:
+def _interval_image_grid(
+    geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray, theta: float,
+    control: SeriesControl,
+) -> KernelValue:
+    """The interval image sum with both families of every point in one
+    lattice sum; on the diagonal every periodic family is the one lattice
+    at d = 0.  Past L = 8.99e307, where 2L overflows, floats come here too,
+    and the lattice is summed in half units: half the lattice of step L at
+    half the displacements and height."""
+    scalar = not isinstance(x, np.ndarray)
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    half = 0.5 if 2.0 * geom.length == math.inf else 1.0
+    minus, plus = half * x - half * y, half * x + half * y
+    n = 1 if (minus == 0.0).all() else x.size
+    both = np.concatenate([minus[:n], plus])
+    step = half * 2.0 * geom.length
+    val, terms, bound = _lorentzian_lattice(step, both, half * t, theta, control)
+    val, bound = half * val.real, half * bound
+    val = val[:n] + (-1.0) ** geom.l * val[n:]
+    terms, bound = terms[:n] + terms[n:], bound[:n] + bound[n:]
+    if scalar:
+        return KernelValue(float(val[0]), IMAGE_SUM, int(terms[0]), float(bound[0]))
+    return KernelValue(val, IMAGE_SUM, terms, bound)
+
+
+def _halfline_image_sum(
+    geom: HalfLine, t: float, x: float | np.ndarray, y: float | np.ndarray
+) -> KernelValue:
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
+        if not np.isfinite(val).all():
+            raise InvalidParameter(f"half-line kernel overflows at t={t!r}")
+        return KernelValue(val, IMAGE_SUM, 2, 0.0)
     val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
     if not math.isfinite(val):
         raise InvalidParameter(f"half-line kernel overflows at t={t!r}, x={x!r}, y={y!r}")
@@ -284,22 +436,39 @@ def _halfline_image_sum(geom: HalfLine, t: float, x: float, y: float) -> KernelV
 
 
 def _twisted_image_sum(
-    geom: TwistedCircle, t: float, x: float, y: float, control: SeriesControl
+    geom: TwistedCircle, t: float, x: float | np.ndarray, y: float | np.ndarray,
+    control: SeriesControl,
 ) -> KernelValue:
-    # sum_n e^{i n theta} (t/pi)/((x - y - nL)^2 + t^2)
-    val, terms, bound = _lorentzian_lattice(geom.length, y - x, t, geom.theta, control)
-    if x == y:
+    # sum_n e^{i n theta} (t/pi)/((x - y - nL)^2 + t^2); on the diagonal
+    # every point has the one lattice at d = 0
+    diagonal = _all(x == y)
+    d = y - x
+    if diagonal and isinstance(d, np.ndarray):
+        d = d[:1]
+    val, terms, bound = _lorentzian_lattice(geom.length, d, t, geom.theta, control)
+    if diagonal:
         return KernelValue(val.real, IMAGE_SUM, terms, bound)
     return KernelValue(val, IMAGE_SUM, terms, bound)
 
 
-def _interval_closed_form(geom: Interval, t: float, x: float, y: float) -> KernelValue:
+def _phase_array(v: np.ndarray, length: float) -> np.ndarray:
+    """:func:`_phase` at every element."""
+    with np.errstate(over="ignore"):
+        p = math.pi * v / length
+    return np.where(p < math.inf, p, math.pi * (v / length))
+
+
+def _interval_closed_form(
+    geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray
+) -> KernelValue:
     """The interval closed forms of :func:`cylinder_kernel` in q = e^{-2z}
     and g = 1 - q, z = pi t/2L: every exponential decays and no difference
     of nearly equal terms is formed, so they keep their relative accuracy
-    from t/L near the float range up to the ground-state asymptote."""
+    from t/L near the float range up to the ground-state asymptote.  One
+    formula serves floats (math) and point arrays (numpy, elementwise)."""
+    xp, phase = (np, _phase_array) if isinstance(x, np.ndarray) else (math, _phase)
     length = geom.length
-    z = math.pi * t / (2.0 * length)
+    z = _phase(0.5 * t, length)
     q = math.exp(-2.0 * z)
     g = -math.expm1(-2.0 * z)
     if g < 4.0 / sys.float_info.max:  # 4 q/g would overflow
@@ -307,23 +476,23 @@ def _interval_closed_form(geom: Interval, t: float, x: float, y: float) -> Kerne
     # S(x -/+ y) = (1 + q)/den_-/+, den_pm = D_pm / g, and
     # gap = 1/den_- - 1/den_+ = 4 q sin(pi x/L) sin(pi y/L) / (den_+ g den_-),
     # divided in this order so that no intermediate leaves the float range
-    h_minus, h_plus = math.pi * (x - y) / (2.0 * length), math.pi * (x + y) / (2.0 * length)
-    den_minus = g + 4.0 * q * math.sin(h_minus) ** 2 / g
-    den_plus = g + 4.0 * q * math.sin(h_plus) ** 2 / g
-    cross = math.sin(math.pi * x / length) * math.sin(math.pi * y / length)
+    h_minus, h_plus = phase(0.5 * (x - y), length), phase(0.5 * x + 0.5 * y, length)
+    den_minus = g + 4.0 * q * xp.sin(h_minus) ** 2 / g
+    den_plus = g + 4.0 * q * xp.sin(h_plus) ** 2 / g
+    cross = xp.sin(phase(x, length)) * xp.sin(phase(y, length))
     gap = 4.0 * q * cross / den_plus / g / den_minus
     if geom.left is NEUMANN is geom.right:  # (1/2L)[S(x - y) + S(x + y)]
-        val = (1.0 + q) * (1.0 / den_minus + 1.0 / den_plus) / (2.0 * length)
+        val = 0.5 * ((1.0 + q) * (1.0 / den_minus + 1.0 / den_plus)) / length
     elif geom.left is DIRICHLET is geom.right:  # (1/2L)[S(x - y) - S(x + y)]
-        val = (1.0 + q) * gap / (2.0 * length)
+        val = 0.5 * ((1.0 + q) * gap) / length
     else:
         # (1/L) e^{-z} [cos h_-/den_- -/+ cos h_+/den_+], h_pm = pi (x -/+ y)/2L,
         # = (1/L) e^{-z} [cos h_- gap + (cos h_- -/+ cos h_+)/den_+], where
         # cos h_- -/+ cos h_+ = 2 sin sin (D/N) or 2 cos cos (N/D) of pi x/2L, pi y/2L
-        wave = math.sin if geom.left is DIRICHLET else math.cos
-        wall = 2.0 * wave(math.pi * x / (2.0 * length)) * wave(math.pi * y / (2.0 * length))
-        val = math.exp(-z) * (math.cos(h_minus) * gap + wall / den_plus) / length
-    if not math.isfinite(val):
+        wave = xp.sin if geom.left is DIRICHLET else xp.cos
+        wall = 2.0 * wave(phase(0.5 * x, length)) * wave(phase(0.5 * y, length))
+        val = math.exp(-z) * (xp.cos(h_minus) * gap + wall / den_plus) / length
+    if not _all(val < math.inf):
         raise InvalidParameter(f"interval kernel overflows at t={t!r}")
     return KernelValue(val, CLOSED_FORM, 0, 0.0)
 
@@ -339,8 +508,8 @@ def _twisted_closed_form_diag(geom: TwistedCircle, t: float) -> KernelValue:
 def cylinder_kernel(
     geometry: Geometry,
     t: float,
-    x: float,
-    y: float | None = None,
+    x: float | ArrayLike,
+    y: float | ArrayLike | None = None,
     method: str = CLOSED_FORM,
     control: SeriesControl = SeriesControl(),
 ) -> KernelValue:
@@ -350,9 +519,16 @@ def cylinder_kernel(
     ----------
     geometry : Geometry
     t : float
-        Cylinder height, > 0.
-    x, y : float
+        Cylinder height, > 0; one height per call.
+    x, y : float or array_like
         Points in the closed domain; ``y`` defaults to ``x`` (diagonal).
+        Arrays (or sequences) broadcast against each other, and every
+        point is evaluated in one pass: one lattice sum for all the images
+        of all the points, one (points x rungs) grid for a mode sum, one
+        node set per kind for the half-line quadrature, and the closed
+        forms elementwise.  One point outside the domain raises
+        :class:`OutOfDomain` for the whole call.  Floats keep the
+        plain-float form of each route and return scalars, as before.
     method : str
         ``mode-sum``, ``image-sum``, or ``closed-form``.  The twisted
         circle has an elementary closed form only on the diagonal;
@@ -368,7 +544,16 @@ def cylinder_kernel(
     -------
     KernelValue
         Real except for twisted off-diagonal points, where the kernel is
-        genuinely complex (Hermitian in x <-> y).
+        genuinely complex (Hermitian in x <-> y).  For point arrays its
+        fields are arrays of the broadcast shape (see :class:`KernelValue`);
+        a twisted closed-form request with any off-diagonal point is a mode
+        sum at every point, and ``method`` says so.
+
+    Examples
+    --------
+    >>> kv = cylinder_kernel(Interval(1.0), 0.1, [0.25, 0.5, 0.75], method="image-sum")
+    >>> kv.value.shape, kv.terms_used.shape
+    ((3,), (3,))
 
     Notes
     -----
@@ -387,15 +572,45 @@ def cylinder_kernel(
     * twisted diagonal: ``cosh((pi-theta) t/L) / (L sinh(pi t/L))``
       ``= (e^{-theta t/L} + e^{-(2 pi-theta) t/L}) / (L (1 - e^{-2 pi t/L}))``.
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("t must be positive and finite")
+    if not isinstance(t, (int, float)) and np.ndim(t) or not (t > 0.0) or not math.isfinite(t):
+        raise InvalidParameter("t must be a positive and finite scalar")
     if y is None:
         y = x
-    _check_closed_point(geometry, x)
-    _check_closed_point(geometry, y)
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        _check_closed_point(geometry, x)
+        _check_closed_point(geometry, y)
+        if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
+            raise InvalidParameter(f"unknown kernel method {method!r}")
+        return _route(geometry, t, x, y, method, control)
+    from ._arrays import term_counts
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    _check_closed_points(geometry, x)
+    _check_closed_points(geometry, y)
     if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
         raise InvalidParameter(f"unknown kernel method {method!r}")
+    out = _route(geometry, t, x, y, method, control)
+    return KernelValue(
+        np.broadcast_to(out.value, x.shape).reshape(shape).copy(),
+        out.method,
+        term_counts(out.terms_used, x.shape).reshape(shape),
+        np.broadcast_to(out.truncation_bound, x.shape).reshape(shape).astype(float),
+    )
 
+
+def _route(
+    geometry: Geometry,
+    t: float,
+    x: float | np.ndarray,
+    y: float | np.ndarray,
+    method: str,
+    control: SeriesControl,
+) -> KernelValue:
+    """cylinder_kernel after its checks, at float or 1-d array points."""
     if isinstance(geometry, HalfLine):
         if method == MODE_SUM:
             # No discrete modes; the continuum integral plays that role
@@ -417,7 +632,7 @@ def cylinder_kernel(
         return _twisted_mode_sum(geometry, t, x, y, control)
     if method == IMAGE_SUM:
         return _twisted_image_sum(geometry, t, x, y, control)
-    if x == y:
+    if _all(x == y):
         return _twisted_closed_form_diag(geometry, t)
     return _twisted_mode_sum(geometry, t, x, y, control)
 
@@ -468,7 +683,7 @@ def cylinder_trace(
         # The periodic Lorentzians integrate to (1/2 pi) sum_n w_n a/(n^2 + a^2),
         # a = t/2L, w_n = 1 (like ends) or (-1)^n (mixed): half the unit
         # lattice of Lorentzians of width a, free of L^2.
-        a, theta = t / (2.0 * geometry.length), 0.0 if geometry.like_ends else math.pi
+        a, theta = 0.5 * t / geometry.length, 0.0 if geometry.like_ends else math.pi
         per, terms, bound = _lorentzian_lattice(1.0, 0.0, a, theta, control)
         val = 0.5 * per.real
         if geometry.like_ends:
@@ -481,7 +696,7 @@ def cylinder_trace(
 
 
 def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> KernelValue:
-    val, terms, bound = _mode_sum(geometry, t, t, control, lambda om, sign: 1.0, 1.0)
+    val, terms, bound = _mode_sum(geometry, t, 0.5 * t, control, lambda om, sign: 1.0, 1.0)
     return KernelValue(float(val), MODE_SUM, terms, bound)
 
 

@@ -27,6 +27,7 @@ defined; those operations raise :class:`ContinuousSpectrum`.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass
@@ -123,6 +124,15 @@ class TwistedCircle:
 Geometry = Union[Interval, HalfLine, TwistedCircle]
 
 
+def _phase(v: float, length: float) -> float:
+    """pi v/L, formed as pi (v/L) where pi v overflows (v above about
+    5.7e307).  pi v/2L is _phase(v/2, L): halved first, so that no 2 L or
+    2 x is formed, and equal to pi v/(2 L) bit for bit wherever that is
+    finite and normal."""
+    p = math.pi * v / length
+    return p if p < math.inf else math.pi * (v / length)
+
+
 # ---------------------------------------------------------------------------
 # Eigenvalue ladders.
 #
@@ -211,17 +221,20 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         Sorted ascending.  Twisted-circle levels at theta = 0 or pi merge
         into multiplicity-2 entries.
     """
-    import numpy as np
-
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line has no discrete eigenvalues")
     if not (omega_max > 0.0) or not math.isfinite(omega_max):
         raise InvalidParameter("omega_max must be positive and finite")
     if counting_function(geometry, omega_max) > MAX_RUNGS:
         raise InvalidParameter(f"more than {MAX_RUNGS} levels up to omega_max = {omega_max!r}")
-    levels = np.concatenate([_rungs(ladder, omega_max) for ladder in _ladders(geometry)])
-    omegas, mults = np.unique(levels, return_counts=True)
-    return list(zip(omegas.tolist(), mults.tolist()))
+    # each rung as _rungs forms it, offset + j * step with j converted to a
+    # float exactly, in plain floats; equal floats merge in sorted order
+    levels = sorted(
+        offset + j * step
+        for step, offset, j_min in _ladders(geometry)
+        for j in range(j_min, j_min + _count_leq(step, offset, j_min, omega_max))
+    )
+    return list(collections.Counter(levels).items())
 
 
 def counting_function(geometry: Geometry, omega: float) -> int:

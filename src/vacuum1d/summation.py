@@ -576,6 +576,19 @@ def _direct_sum(
     """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
     and its rounding allowance: pairwise summation, the rounding of the
     phases m theta, and ``c_err``, the error of c."""
+    if abs(c) ** k < 1e-300:
+        import numpy as np
+
+        # next to the pole a term may overflow: the sum comes back inf or
+        # nan, and lattice_sum raises InvalidParameter
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _direct_terms(c, theta, k, w, skip, c_err)
+    return _direct_terms(c, theta, k, w, skip, c_err)
+
+
+def _direct_terms(
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float
+) -> tuple[complex, float]:
     import numpy as np
 
     m = np.arange(-w, w + 1, dtype=float)
@@ -606,8 +619,8 @@ def _direct_sum(
 
 def lattice_sum(
     step: float,
-    d: float,
-    t: float,
+    d: float | np.ndarray,
+    t: float | np.ndarray,
     theta: float = 0.0,
     k: int = 1,
     control: SeriesControl = SeriesControl(),
@@ -643,14 +656,27 @@ def lattice_sum(
     ``truncation_bound`` covers the tail remainders and the rounding,
     ``terms_used`` counts the windings summed directly, and
     ``method_tag`` is :data:`EULER_MACLAURIN` or :data:`SUMMATION_BY_PARTS`.
+
+    ``d`` and ``t`` may be arrays (or sequences), broadcast against each
+    other.  Then ``value`` (complex) and ``truncation_bound`` are arrays of
+    their shape and ``terms_used`` a ``TermCounts`` int array, whose
+    ``int()`` is the total: one sum per element, each with the windings its
+    float call would choose, in one numpy pass over all the direct sums and
+    one evaluation of each tail completion for the whole array.  An element
+    that fails raises for the whole call.  Floats keep the plain-float form
+    and return scalars.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise InvalidParameter("lattice step must be positive and finite")
-    if not (math.isfinite(d) and math.isfinite(t) and math.isfinite(theta)):
-        raise InvalidParameter("lattice displacement, offset and phase must be finite")
     if int(k) != k or k < 1:
         raise InvalidParameter("lattice power k must be a positive integer")
     k = int(k)
+    if not (isinstance(d, (int, float)) and isinstance(t, (int, float))):
+        from ._arrays import lattice_sum_array
+
+        return lattice_sum_array(step, d, t, theta, k, control, skip_zero)
+    if not (math.isfinite(d) and math.isfinite(t) and math.isfinite(theta)):
+        raise InvalidParameter("lattice displacement, offset and phase must be finite")
     th = math.remainder(theta, TWO_PI)
     du, tu = d / step, t / step
     if not (math.isfinite(du) and math.isfinite(tu)):
@@ -802,7 +828,9 @@ def _de_start(kind: str) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([x0, x1]), weights
 
 
-def de_quadrature(f, a: float = 0.0, b: float = math.inf, cosine: bool = False) -> SeriesValue:
+def de_quadrature(
+    f, a: float = 0.0, b: float = math.inf, cosine: bool = False, rows: bool = False
+) -> SeriesValue:
     """Double-exponential quadrature of ``int_a^b f(x) dx``.
 
     Tanh-sinh for finite ``b``, exp-sinh for ``b = inf``; with
@@ -810,8 +838,11 @@ def de_quadrature(f, a: float = 0.0, b: float = math.inf, cosine: bool = False) 
     formula (``a`` must be 0; rescale x for another frequency).  ``f``
     takes an array of nodes in the open interval and returns an array
     whose last axis runs over them; leading axes (several integrands on
-    one node set) are summed.  f must be smooth inside, bounded near a
-    finite end and, towards infinity, decay at least like 1/x^2.
+    one node set) are summed.  With ``rows=True`` the first axis is kept:
+    each row is one integral, ``value`` and ``truncation_bound`` are arrays
+    with one entry per row, and h halves until every row has converged.
+    f must be smooth inside, bounded near a finite end and, towards
+    infinity, decay at least like 1/x^2.
 
     h halves until two levels agree to within the rounding allowance
     ``16 eps sum |w f|`` (each integrand counted separately), for at most
@@ -830,32 +861,40 @@ def de_quadrature(f, a: float = 0.0, b: float = math.inf, cosine: bool = False) 
     width = b - a if kind == TANH_SINH else 1.0
 
     def sample(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sum of the integrands, sum of their magnitudes) per row and node."""
         if kind == TANH_SINH:
             # nodes within rounding of an end are moved just inside it
             x = np.where(x > 0.0, a + width * x, b + width * x)
             x = np.clip(x, np.nextafter(a, b), np.nextafter(b, a))
         elif kind == EXP_SINH:
             x = a + x
-        vals = np.asarray(f(x), dtype=float).reshape(-1, x.size)
+        vals = np.asarray(f(x), dtype=float)
+        if rows:  # (rows, nodes)
+            vals = vals.reshape(len(vals), -1, x.size)
+            return vals.sum(axis=1), np.abs(vals).sum(axis=1)
+        vals = vals.reshape(-1, x.size)
         return vals.sum(axis=0), np.abs(vals).sum(axis=0)
 
     x, weights = _de_start(kind)
     vals, mags = sample(x)
-    prev, est = weights @ vals
-    size = float(np.abs(weights[1]) @ mags)
+    prev, est = weights @ vals.T
+    size = np.abs(weights[1]) @ mags.T
     used = x.size
     carry = 0.0 if kind == OOURA_MORI else 0.5  # nested levels reuse the old sum
     for level in range(2, _DE_LEVELS + 2):
-        if abs(est - prev) <= _DE_ROUNDING * _EPS * size:
+        done = abs(est - prev) <= _DE_ROUNDING * _EPS * size
+        if done.all() if rows else done:
             break
         x, w = _de_table(kind, level)
         vals, mags = sample(x)
-        prev, est = est, carry * est + float(w @ vals)
-        size = carry * size + float(np.abs(w) @ mags)
+        prev, est = est, carry * est + w @ vals.T
+        size = carry * size + np.abs(w) @ mags.T
         used += x.size
+    value = est * width
+    bound = (abs(est - prev) + _DE_ROUNDING * _EPS * size) * width
     return SeriesValue(
-        value=float(est * width),
+        value=value if rows else float(value),
         terms_used=used,
-        truncation_bound=float(abs(est - prev) + _DE_ROUNDING * _EPS * size) * width,
+        truncation_bound=bound if rows else float(bound),
         method_tag=kind,
     )

@@ -58,7 +58,8 @@ def run_command(argv: list[str], check: str) -> subprocess.CompletedProcess:
     "argv",
     [["--version"], ["--help"], ["energy"], ["energy", "--t", "0.1,0.5"],
      ["energy", "--geometry", "twisted"], ["density"], ["density", "--t", "0.1"],
-     ["compare"], ["figure", "--which", "fig1"]],
+     ["compare"], ["figure", "--which", "fig1"], ["spectrum", "--omega-max", "30"],
+     ["spectrum", "--geometry", "twisted", "--theta", "2.0", "--omega-max", "30"]],
     ids=lambda argv: " ".join(argv),
 )
 def test_closed_form_commands_load_no_numpy(argv):
