@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -264,13 +263,10 @@ def _mode_rounding(
     their tail bounds, which divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
     # q first: once it underflows, q reach step is 0 where step reach is inf
-    with np.errstate(over="ignore") if isinstance(half_reach, np.ndarray) else nullcontext():
-        if gap:
-            envelope = (
-                (1.0 + 2.0 * first * half_reach) / gap + 2.0 * q * half_reach * step / gap / gap
-            )
-        else:
-            envelope = math.inf
+    if gap:
+        envelope = (1.0 + 2.0 * first * half_reach) / gap + 2.0 * q * half_reach * step / gap / gap
+    else:
+        envelope = math.inf
     if not _all(envelope < math.inf):
         raise InvalidParameter(f"t={t!r} is too small for a mode sum with spacing {step!r}")
     return _MODE_ROUNDING * _EPS * math.exp(-t * first) * envelope
@@ -317,8 +313,7 @@ def _halfline_mode_rows(
     """The half-line mode route at a point array: rows 0..n-1 are the
     direct legs, n..2n-1 the reflected ones."""
     n = x.size
-    with np.errstate(over="ignore"):  # an overflow to inf drops its leg
-        b = np.concatenate([np.abs(x - y) / t, (x + y) / t])
+    b = np.concatenate([np.abs(x - y) / t, (x + y) / t])  # an overflow to inf drops its leg
     c = np.repeat([1.0, (-1.0) ** geom.l], n)
     point = np.tile(np.arange(n), 2)
     value, bound, terms = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
@@ -424,8 +419,7 @@ def _halfline_image_sum(
     geom: HalfLine, t: float, x: float | np.ndarray, y: float | np.ndarray
 ) -> KernelValue:
     if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
+        val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
         if not np.isfinite(val).all():
             raise InvalidParameter(f"half-line kernel overflows at t={t!r}")
         return KernelValue(val, IMAGE_SUM, 2, 0.0)
@@ -453,8 +447,7 @@ def _twisted_image_sum(
 
 def _phase_array(v: np.ndarray, length: float) -> np.ndarray:
     """:func:`_phase` at every element."""
-    with np.errstate(over="ignore"):
-        p = math.pi * v / length
+    p = math.pi * v / length
     return np.where(p < math.inf, p, math.pi * (v / length))
 
 
@@ -593,7 +586,11 @@ def cylinder_kernel(
     _check_closed_points(geometry, y)
     if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
         raise InvalidParameter(f"unknown kernel method {method!r}")
-    out = _route(geometry, t, x, y, method, control)
+    # numpy's overflow warnings are off for the whole array: every route
+    # checks its own result, and a value or bound past the float range
+    # raises InvalidParameter
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _route(geometry, t, x, y, method, control)
     return KernelValue(
         np.broadcast_to(out.value, x.shape).reshape(shape).copy(),
         out.method,
