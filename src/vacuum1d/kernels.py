@@ -20,7 +20,7 @@ Fourier integral, evaluated by double-exponential quadrature
 (:func:`vacuum1d.summation.de_quadrature`).
 
 :func:`cylinder_kernel` takes floats or arrays of points at one height t
-and evaluates an array in one pass per route (see its docstring); floats
+and evaluates an array with one call per route (see its docstring); floats
 keep the plain-float form of each route.
 
 The heat kernel is the same construction for ``e^{-t omega^2}`` with the
@@ -346,32 +346,22 @@ def _lorentzian_lattice(
     step: float, d: float | np.ndarray, t: float, theta: float, control: SeriesControl
 ) -> tuple[complex | np.ndarray, int | np.ndarray, float | np.ndarray]:
     """sum_m e^{i m theta} (t/pi)/((step m + d)^2 + t^2) with its bound, at
-    a float d or at every d of an array, in one lattice sum.
+    a float d or at every d of an array.
 
     (t/pi)/(z^2 + t^2) = [(z - i t)^-1 - (z + i t)^-1] / (2 pi i), so the
     sum is two tail-completed lattice sums; at real weights (theta a
-    multiple of pi) the second is the conjugate of the first.  For an
-    array both are one lattice sum over (d, t) and (d, -t)."""
-    if math.remainder(theta, math.pi) == 0.0:
-        plus = summation.lattice_sum(step, d, t, theta, 1, control)
-        return plus.value.imag / math.pi + 0j, plus.terms_used, plus.truncation_bound / math.pi
-    if isinstance(d, np.ndarray):
-        n = d.size
-        both = summation.lattice_sum(
-            step, np.concatenate([d, d]), np.repeat([t, -t], n), theta, 1, control
-        )
-        terms, bounds = both.terms_used, both.truncation_bound
-        return (
-            (both.value[:n] - both.value[n:]) / (2j * math.pi),
-            terms[:n] + terms[n:],
-            (bounds[:n] + bounds[n:]) / (2.0 * math.pi),
-        )
+    multiple of pi) the second is the conjugate of the first.  The division
+    by 2 pi i is written out in real divisions, which floats and arrays
+    round alike."""
     plus = summation.lattice_sum(step, d, t, theta, 1, control)
+    if math.remainder(theta, math.pi) == 0.0:
+        return plus.value.imag / math.pi + 0j, plus.terms_used, plus.truncation_bound / math.pi
     minus = summation.lattice_sum(step, d, -t, theta, 1, control)
+    diff = plus.value - minus.value
     return (
-        (plus.value - minus.value) / (2j * math.pi),
+        diff.imag / TWO_PI - 1j * (diff.real / TWO_PI),
         plus.terms_used + minus.terms_used,
-        (plus.truncation_bound + minus.truncation_bound) / (2.0 * math.pi),
+        (plus.truncation_bound + minus.truncation_bound) / TWO_PI,
     )
 
 
@@ -395,10 +385,10 @@ def _interval_image_grid(
     control: SeriesControl,
 ) -> KernelValue:
     """The interval image sum with both families of every point in one
-    lattice sum; on the diagonal every periodic family is the one lattice
-    at d = 0.  Past L = 8.99e307, where 2L overflows, floats come here too,
-    and the lattice is summed in half units: half the lattice of step L at
-    half the displacements and height."""
+    lattice-sum call; on the diagonal every periodic family is the one
+    lattice at d = 0.  Past L = 8.99e307, where 2L overflows, floats come
+    here too, and the lattice is summed in half units: half the lattice of
+    step L at half the displacements and height."""
     scalar = not isinstance(x, np.ndarray)
     x, y = np.atleast_1d(x), np.atleast_1d(y)
     half = 0.5 if 2.0 * geom.length == math.inf else 1.0
@@ -442,6 +432,8 @@ def _twisted_image_sum(
     val, terms, bound = _lorentzian_lattice(geom.length, d, t, geom.theta, control)
     if diagonal:
         return KernelValue(val.real, IMAGE_SUM, terms, bound)
+    if isinstance(d, np.ndarray):
+        val.imag[d == 0.0] = 0.0  # diagonal points are real, as their float calls are
     return KernelValue(val, IMAGE_SUM, terms, bound)
 
 
@@ -516,10 +508,11 @@ def cylinder_kernel(
     x, y : float or array_like
         Points in the closed domain; ``y`` defaults to ``x`` (diagonal).
         Arrays (or sequences) broadcast against each other, and every
-        point is evaluated in one pass: one lattice sum for all the images
-        of all the points, one (points x rungs) grid for a mode sum, one
-        node set per kind for the half-line quadrature, and the closed
-        forms elementwise.  One point outside the domain raises
+        point is evaluated in one call per route: one lattice-sum call for
+        all the images of all the points (a float sum per image lattice,
+        so each point equals its float call bit for bit), one (points x
+        rungs) grid for a mode sum, one node set per kind for the
+        half-line quadrature, and the closed forms elementwise.  One point outside the domain raises
         :class:`OutOfDomain` for the whole call.  Floats keep the
         plain-float form of each route and return scalars, as before.
     method : str

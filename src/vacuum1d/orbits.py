@@ -186,6 +186,23 @@ _TWO_PI_LO = 2.4492935982947064e-16
 _IMAGE_BLOCK = 8192
 
 
+def _finite(*values: float) -> None:
+    """Raise InvalidParameter unless every value is finite: past lengths of
+    about 1e308 an orbit phase or an orbit sum can leave the float range."""
+    if not all(map(math.isfinite, values)):
+        raise InvalidParameter("an orbit phase or sum leaves the float range")
+
+
+def _last_term(omega: float, s: float, length: float, weight: float = 1.0) -> float:
+    """|weight cos(omega length) e^{-s length}|, s > 0: the bound of the
+    last damped term.  Where the length or the phase leaves the float range,
+    the factor it sets is bounded by 1."""
+    if length == math.inf:
+        return abs(weight)
+    phase, damp = omega * length, math.exp(-length * s)
+    return abs(weight * math.cos(phase) * damp) if math.isfinite(phase) else abs(weight * damp)
+
+
 def _angle(*parts: float) -> float:
     """The exact sum of ``parts`` reduced mod 2 pi to about [-pi, pi].
 
@@ -195,6 +212,7 @@ def _angle(*parts: float) -> float:
     good to an ulp or two of itself even next to a multiple of 2 pi, where
     a W-term undamped sum moves by up to W^2/2 per radian of phase error.
     """
+    _finite(*parts)
     reduced = [math.remainder(p, TWO_PI) for p in parts]
     turns = sum(round((p - r) / TWO_PI) for p, r in zip(parts, reduced))
     extra = round(math.fsum(reduced) / TWO_PI)
@@ -248,9 +266,9 @@ def _interval_boundary_sum(
     phase, parity = 2.0 * omega * length, 1.0
     if not geom.like_ends:
         phase, parity = _half_turn(phase), -1.0
+    series = _geometric_sum(phase, 2.0 * s * length, 0, w)  # checks 2 omega L first
     k = complex(-2.0 * s, 2.0 * omega)
     starts = cmath.exp(k * x) + parity * cmath.exp(k * (length - x))
-    series = _geometric_sum(phase, 2.0 * s * length, 0, w)
     return (-1.0) ** geom.l * (starts * series).real
 
 
@@ -314,23 +332,23 @@ def green_im_diag(
         val = (1.0 + 2.0 * per + bdry) / (2.0 * omega)
         if s > 0.0:
             # The last members kept: periodic n = W, boundary n = -W and W - 1.
-            lp = 2.0 * w * length
-            last = 2.0 * abs(np.cos(omega * lp) * np.exp(-lp * s))
+            last = 2.0 * _last_term(omega, s, 2.0 * w * length)
             for n in (-w, w - 1):
-                lb = 2.0 * abs(x + n * length)
-                last += abs(np.cos(omega * lb) * np.exp(-lb * s))
+                last += _last_term(omega, s, 2.0 * abs(x + n * length))
         lmin = min(2.0 * length, 2.0 * x, 2.0 * abs(x - length))
         nterms = 4 * w + 1
     else:
         val = (1.0 + 2.0 * _twisted_periodic_sum(geometry, omega, s, w)) / (2.0 * omega)
         if s > 0.0:
-            lw = w * geometry.length
-            last = 2.0 * abs(np.cos(w * geometry.theta) * np.cos(omega * lw) * np.exp(-lw * s))
+            last = 2.0 * _last_term(omega, s, w * geometry.length, math.cos(w * geometry.theta))
         lmin = geometry.length
         nterms = 2 * w + 1
     if s > 0.0:
-        return SeriesValue(val, nterms, float(last / (2.0 * omega)), ABEL)
-    return SeriesValue(val, nterms, 1.0 / (2.0 * omega * max(1, w) * lmin), RAW)
+        bound, tag = last / (2.0 * omega), ABEL
+    else:
+        bound, tag = 1.0 / (2.0 * omega * max(1, w) * lmin), RAW
+    _finite(val, bound)
+    return SeriesValue(val, nterms, bound, tag)
 
 
 def local_spectral_density(
@@ -364,6 +382,7 @@ def local_spectral_density(
     if isinstance(geometry, Interval):
         per = (2.0 / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
         bdry = (1.0 / math.pi) * _interval_boundary_sum(geometry, omega, x, s, w)
+        _finite(per, bdry)
         pb = (
             math.exp(-s * 2.0 * w * geometry.length) / (math.pi * w)
             if s > 0.0
@@ -416,25 +435,34 @@ def global_density_decomposition(
         )
     if isinstance(geometry, Interval):
         length = geometry.length
-        per = (2.0 * length / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
+        # 2 (L / pi): 2 L / pi wherever 2 L is finite, and finite past it
+        per = 2.0 * (length / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
         pb = (
-            (2.0 * length / math.pi) * math.exp(-s * 2.0 * w * length)
+            2.0 * (length / math.pi) * math.exp(-s * 2.0 * w * length)
             if s > 0.0
-            else 2.0 * length / math.pi / max(1, w)
+            else 2.0 * (length / math.pi) / max(1, w)
         )
         atom = None
         if geometry.like_ends:
             sgn = (-1.0) ** geometry.l
             atom = DeltaAtom(weight=0.5 * sgn, location=0.0)
             if s > 0.0:
-                val = sgn * s / (math.pi * (omega * omega + s * s))
+                # (s/pi)/(omega^2 + s^2) with omega and s scaled by a power
+                # of two m near the larger: the same double wherever the
+                # squares neither underflow nor overflow, and finite past that
+                m = math.ldexp(1.0, math.frexp(max(omega, s))[1] - 1)
+                om, sm = omega / m, s / m
+                val = sgn * sm / (math.pi * m * (om * om + sm * sm))
                 bound = math.exp(-2.0 * s * length * w) / (math.pi * s)
                 bdry = SeriesValue(val, 2 * w, bound, CLOSED_FORM)
             else:
-                surv = sgn * math.sin(2.0 * omega * length * w) / (math.pi * omega)
+                phase = 2.0 * omega * length * w
+                _finite(phase)
+                surv = sgn * math.sin(phase) / (math.pi * omega)
                 bdry = SeriesValue(surv, 2 * w, 1.0 / (math.pi * omega), RAW)
         else:
             bdry = SeriesValue(0.0, 2 * w, 0.0, CLOSED_FORM)
+        _finite(per, pb, bdry.value, bdry.truncation_bound)
         return GlobalDensity(
             weyl=length / math.pi,
             periodic=SeriesValue(per, w, pb, tag),
@@ -442,12 +470,13 @@ def global_density_decomposition(
             boundary_atom=atom,
         )
     length = geometry.length
-    per = (2.0 * length / math.pi) * _twisted_periodic_sum(geometry, omega, s, w)
+    per = 2.0 * (length / math.pi) * _twisted_periodic_sum(geometry, omega, s, w)
     pb = (
-        (2.0 * length / math.pi) * math.exp(-s * w * length)
+        2.0 * (length / math.pi) * math.exp(-s * w * length)
         if s > 0.0
-        else 2.0 * length / math.pi / max(1, w)
+        else 2.0 * (length / math.pi) / max(1, w)
     )
+    _finite(per, pb)
     return GlobalDensity(
         weyl=length / math.pi,
         periodic=SeriesValue(per, w, pb, tag),

@@ -660,11 +660,10 @@ def lattice_sum(
     ``d`` and ``t`` may be arrays (or sequences), broadcast against each
     other.  Then ``value`` (complex) and ``truncation_bound`` are arrays of
     their shape and ``terms_used`` a ``TermCounts`` int array, whose
-    ``int()`` is the total: one sum per element, each with the windings its
-    float call would choose, in one numpy pass over all the direct sums and
-    one evaluation of each tail completion for the whole array.  An element
-    that fails raises for the whole call.  Floats keep the plain-float form
-    and return scalars.
+    ``int()`` is the total.  Each element is its own float call, so an
+    array call returns what the per-element calls return, bit for bit, and
+    an element that fails raises for the whole call.  Floats return
+    scalars.
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise InvalidParameter("lattice step must be positive and finite")
@@ -675,6 +674,14 @@ def lattice_sum(
         from ._arrays import lattice_sum_array
 
         return lattice_sum_array(step, d, t, theta, k, control, skip_zero)
+    return _lattice_sum(step, d, t, theta, k, control, skip_zero)
+
+
+def _lattice_sum(
+    step: float, d: float, t: float, theta: float, k: int, control: SeriesControl,
+    skip_zero: bool,
+) -> SeriesValue:
+    """:func:`lattice_sum` at float d and t, with step and k checked."""
     if not (math.isfinite(d) and math.isfinite(t) and math.isfinite(theta)):
         raise InvalidParameter("lattice displacement, offset and phase must be finite")
     th = math.remainder(theta, TWO_PI)

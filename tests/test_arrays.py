@@ -1,11 +1,12 @@
 """The array-first kernel layer: point arrays against per-point calls.
 
 ``cylinder_kernel`` and ``lattice_sum`` take arrays of points and return
-one value, term count and bound per point in one pass.  Their oracle is
+one value, term count and bound per point in one call.  Their oracle is
 the scalar call of the same function, which keeps its plain-float form:
 an array call must agree with the per-point calls to within the sum of
-both bounds plus 16 eps of the rounding scale, and keep every type and
-error contract of the scalar API.
+both bounds plus 16 eps of the rounding scale (a lattice sum and an image
+route bit for bit), and keep every type and error contract of the scalar
+API.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from vacuum1d.spectrum import (
     counting_function,
     eigenvalues,
 )
-from vacuum1d.summation import SeriesControl, de_quadrature, lattice_sum
+from vacuum1d.summation import (
+    EULER_MACLAURIN,
+    SUMMATION_BY_PARTS,
+    SeriesControl,
+    de_quadrature,
+    lattice_sum,
+)
 
 PI = math.pi
 EPS = 2.0**-52
@@ -91,9 +98,7 @@ def test_array_call_equals_the_per_point_calls_within_both_bounds(call, method):
     st.integers(1, 3),
     st.booleans(),
 )
-def test_lattice_sum_array_equals_its_scalar_calls_within_their_bounds(
-    step, pairs, theta, k, skip_zero
-):
+def test_lattice_sum_array_equals_its_scalar_calls_bit_for_bit(step, pairs, theta, k, skip_zero):
     d = np.array([p[0] for p in pairs]) * step
     t = np.array([p[1] if p[1] != 0.0 else 0.5 for p in pairs]) * step
     try:
@@ -105,10 +110,20 @@ def test_lattice_sum_array_equals_its_scalar_calls_within_their_bounds(
         return
     got = lattice_sum(step, d, t, theta, k, skip_zero=skip_zero)
     for i, one in enumerate(ones):
-        allowed = one.truncation_bound + got.truncation_bound[i] + _rounding_scale(one.value)
-        assert abs(got.value[i] - one.value) <= allowed
-        assert got.terms_used[i] == one.terms_used
+        assert (got.value[i], got.truncation_bound[i], got.terms_used[i]) == (
+            one.value, one.truncation_bound, one.terms_used)
         assert got.method_tag == one.method_tag
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kernel_calls())
+def test_array_image_sums_equal_their_per_point_calls_bit_for_bit(call):
+    geometry, t, xs, ys = call
+    got = cylinder_kernel(geometry, t, xs, ys, method=IMAGE_SUM)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        one = cylinder_kernel(geometry, t, x, y, method=IMAGE_SUM)
+        assert (got.value[i], got.truncation_bound[i], got.terms_used[i]) == (
+            one.value, one.truncation_bound, one.terms_used), (x, y)
 
 
 def test_mixed_interval_image_sums_match_their_scalar_calls_bit_for_bit():
@@ -175,6 +190,11 @@ def test_empty_one_point_and_two_dimensional_arrays(geometry, method):
 def test_lattice_sum_of_an_empty_array_is_empty():
     out = lattice_sum(1.0, [], 0.1, 2.0)
     assert out.value.shape == out.terms_used.shape == out.truncation_bound.shape == (0,)
+    assert out.method_tag == SUMMATION_BY_PARTS
+    # the tag is read from theta mod 2 pi, as a float call reads it
+    assert lattice_sum(1.0, [], 0.1, 2.0 * PI + 0.05).method_tag == EULER_MACLAURIN
+    with pytest.raises(InvalidParameter):
+        lattice_sum(1.0, [], 0.1, math.inf)
 
 
 @pytest.mark.parametrize("method", ROUTES)

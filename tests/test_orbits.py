@@ -14,6 +14,7 @@ and untwisted circle both.
 import cmath
 import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -47,7 +48,7 @@ from vacuum1d.spectrum import (
     eigenfunction_density,
     eigenvalues,
 )
-from vacuum1d.summation import ABEL, RAW, SeriesControl
+from vacuum1d.summation import ABEL, RAW, SeriesControl, SeriesValue
 
 PI = math.pi
 
@@ -573,3 +574,50 @@ def test_dirichlet_kernel_route_requires_dirichlet_interval():
         local_counting(
             Interval(1.0, NEUMANN, NEUMANN), 5.0, 0.3, method=DIRICHLET_KERNEL
         )
+
+
+# ---------------------------------------------------------------------------
+# Lengths near the top of the float range, where 2 L and W L overflow.
+# ---------------------------------------------------------------------------
+
+HUGE_GEOMETRIES = (
+    Interval(1e308),
+    Interval(1e308, DIRICHLET, NEUMANN),
+    Interval(sys.float_info.max, NEUMANN, NEUMANN),
+    TwistedCircle(1e308, 1.0),
+    TwistedCircle(sys.float_info.max, 0.0),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("geometry", HUGE_GEOMETRIES, ids=repr)
+@pytest.mark.parametrize("omega", [3e-308, 1.0])
+@pytest.mark.parametrize("damping", [0.0, 1e-309, 1.0])
+def test_orbit_sums_at_huge_lengths_are_finite_or_invalid(geometry, omega, damping):
+    control = SeriesControl(damping_t=damping)
+    x = 0.3 * geometry.length
+    calls = (
+        lambda: green_im_diag(geometry, omega, x, control),
+        lambda: local_spectral_density(geometry, omega, x, control),
+        lambda: global_density_decomposition(geometry, omega, control),
+    )
+    for call in calls:
+        try:
+            out = call()
+        except InvalidParameter:
+            continue
+        if isinstance(out, SeriesValue):
+            floats = [out.value, out.truncation_bound]
+        else:
+            head = out.average if hasattr(out, "average") else out.weyl
+            floats = [head] + [f for part in (out.periodic, out.boundary)
+                               for f in (part.value, part.truncation_bound)]
+        assert all(math.isfinite(f) for f in floats), (call, out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_damped_green_bound_at_a_huge_length_stays_a_bound():
+    # W L overflows: the last damped term is bounded by 1
+    for geometry in (Interval(1e308), TwistedCircle(1e308, 1.0)):
+        out = green_im_diag(geometry, 3e-308, 3e307, SeriesControl(damping_t=1e-309))
+        assert math.isfinite(out.value) and 0.0 < out.truncation_bound < math.inf
