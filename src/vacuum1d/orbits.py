@@ -382,7 +382,6 @@ def local_spectral_density(
     if isinstance(geometry, Interval):
         per = (2.0 / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
         bdry = (1.0 / math.pi) * _interval_boundary_sum(geometry, omega, x, s, w)
-        _finite(per, bdry)
         pb = (
             math.exp(-s * 2.0 * w * geometry.length) / (math.pi * w)
             if s > 0.0
