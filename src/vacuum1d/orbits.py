@@ -346,7 +346,9 @@ def green_im_diag(
     if s > 0.0:
         bound, tag = last / (2.0 * omega), ABEL
     else:
-        bound, tag = 1.0 / (2.0 * omega * max(1, w) * lmin), RAW
+        # one factor at a time: the product can underflow to 0, where
+        # each quotient overflows to inf and _finite raises
+        bound, tag = 1.0 / (2.0 * omega) / max(1, w) / lmin, RAW
     _finite(val, bound)
     return SeriesValue(val, nterms, bound, tag)
 

@@ -380,6 +380,7 @@ EULER_MACLAURIN = "euler-maclaurin"
 SUMMATION_BY_PARTS = "summation-by-parts"
 
 _EPS = 2.0**-52
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _EULER_GAMMA = 0.5772156649015329
 _SMALL_ANGLE = 0.1
 _ORDER = 8  # J: integrations by parts of the Poisson tail
@@ -404,7 +405,17 @@ _POISSON_SERIES = tuple(
     for p in range(1, _ORDER + 1)
 )
 
+# The caches below hold what depends on (theta, k, tol) or (theta, W) alone,
+# never on the point: W is set by tol, step and theta, so the points of a
+# kernel row or an array call share a handful of keys (10 in a pass of the
+# kernel-routes benchmark, where 438 of 448 calls find their table).  Each
+# is a least-recently-used cache of fixed size: _TABLES arrays tables,
+# _SCALARS entries for each of the others.
+_TABLES = 16
+_SCALARS = 256
 
+
+@functools.lru_cache(maxsize=_SCALARS)
 def _poisson_weights(theta: float) -> tuple[complex, ...]:
     t2 = theta * theta
     out = []
@@ -416,7 +427,24 @@ def _poisson_weights(theta: float) -> tuple[complex, ...]:
     return tuple(out)
 
 
-_POISSON_AT_ZERO = _poisson_weights(0.0)
+@functools.lru_cache(maxsize=_TABLES)
+def _winding_table(theta: float, w: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """m = -w..w (complex, so that m + c needs no cast) and, at theta off 0
+    and +-pi, e^{i m theta} and |m|: read-only arrays that every direct sum
+    at (theta, w) shares.  At most _TABLES are kept, 40 (2w + 1) bytes each
+    at a generic theta and 16 (2w + 1) at 0 and pi: at most 13 MB while W
+    stays within the default cap of 10 000 windings, and in general 40
+    bytes a winding of the _TABLES largest recent sums."""
+    import numpy as np
+
+    m = np.arange(-w, w + 1, dtype=float)
+    phase = abs_m = None
+    if theta != 0.0 and abs(theta) != math.pi:
+        phase, abs_m = np.exp(1j * theta * m), np.abs(m)
+        phase.flags.writeable = abs_m.flags.writeable = False
+    m = m.astype(complex)
+    m.flags.writeable = False
+    return m, phase, abs_m
 
 
 def _unit(theta: float, m: int) -> float | complex:
@@ -472,14 +500,18 @@ def _expint_scaled(w: complex) -> tuple[complex, float]:
     return value, abs(value) * (16.0 * _EPS + 4.0 * abs(delta - 1.0))
 
 
+@functools.lru_cache(maxsize=_SCALARS)
+def _poisson_scale(theta: float, k: int) -> float:
+    """2 zeta(J) (2 pi - |theta|)^-J (k)_J, the point-free factor of
+    :func:`_poisson_remainder`."""
+    return 2.0 * _ZETA_ORDER * (TWO_PI - abs(theta)) ** -_ORDER * math.prod(range(k, k + _ORDER))
+
+
 def _poisson_remainder(theta: float, k: int, z: float) -> float:
     """2 zeta(J) (2 pi - |theta|)^-J (k)_J z^-(k+J-1) / (k+J-1): the bound
     on sum_{n != 0} |theta + 2 pi n|^-J int_a^inf |g^(J)|, z = Re(a + c)."""
     n = k + _ORDER - 1
-    return (
-        2.0 * _ZETA_ORDER * (TWO_PI - abs(theta)) ** -_ORDER
-        * math.prod(range(k, k + _ORDER)) / (n * z**n)
-    )
+    return _poisson_scale(theta, k) / (n * z**n)
 
 
 def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, float, float]:
@@ -492,12 +524,12 @@ def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, fl
     u = a + c
     y = 1.0 / u
     g = y**k
-    sigma = _POISSON_AT_ZERO if theta == 0.0 else _poisson_weights(theta)
     corr, size, deriv = 0j, 0.0, g  # deriv = (k)_j u^{-(k+j)}
-    for j in range(_ORDER):
-        piece = deriv * sigma[j]
-        corr += piece
-        size += abs(piece)
+    for j, weight in enumerate(_poisson_weights(theta)):
+        if weight:  # the odd orders vanish at theta = 0
+            piece = deriv * weight
+            corr += piece
+            size += abs(piece)
         deriv *= (k + j) * y
     if theta == 0.0:
         integral, err = (-_clog(u) if k == 1 else y ** (k - 1) / (k - 1)), 0.0
@@ -512,6 +544,24 @@ def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, fl
     return value, remainder, rounding
 
 
+@functools.lru_cache(maxsize=_SCALARS)
+def _fold_ratio(theta: float) -> tuple[complex, complex, float]:
+    """1 - q, -q/(1 - q) and 1/|1 - q| at q = e^{i theta}."""
+    q = _unit(theta, 1)
+    one_q = 1.0 - q
+    return one_q, -q / one_q, 1.0 / abs(one_q)
+
+
+@functools.lru_cache(maxsize=_SCALARS)
+def _fold_steps(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Per fold j of :func:`_tail_by_parts`: (j, j + 1, C(j + k - 1, k - 1),
+    C(j + k, k - 1), j + k)."""
+    return tuple(
+        (j, j + 1, math.comb(j + k - 1, k - 1), math.comb(j + k, k - 1), j + k)
+        for j in range(_MAX_FOLDS)
+    )
+
+
 def _tail_by_parts(
     c: complex, theta: float, k: int, a: int, goal: float
 ) -> tuple[complex, float, float]:
@@ -523,29 +573,27 @@ def _tail_by_parts(
     with Delta^j g(a) = (-1)^j j! h_{k-1}(y) prod y_i exactly
     (y_i = 1/(a + i + c), h the complete homogeneous polynomial).
     K grows until the bound on R reaches ``goal`` or stops shrinking."""
-    q = _unit(theta, 1)
-    one_q = 1.0 - q
-    ratio = -q / one_q
-    inv = 1.0 / abs(one_q)
+    one_q, ratio, inv = _fold_ratio(theta)
     z = a + c.real
     homog = [1.0 + 0j] + [0j] * (k - 1)
+    degrees = range(1, k)
     # growth = (inv / z)^j j! z^{-k}; times C(j + k - 1, k - 1) it bounds
-    # |piece j|, and at j = K it gives the remainder bound.
+    # |piece j|, and at j = K it gives the remainder bound, so a fold's
+    # complex piece is formed only once that bound has shrunk.
     total, size, amp, growth = 0j, 0.0, 0j, z**-k
     shrink = inv / z
     bound = math.inf
-    for j in range(_MAX_FOLDS):
-        y = 1.0 / (a + j + c)
-        amp = y if j == 0 else amp * (ratio * j * y)
-        for deg in range(1, k):
-            homog[deg] += y * homog[deg - 1]
-        piece, piece_size = amp * homog[k - 1], growth * math.comb(j + k - 1, k - 1)
-        folds = j + 1
+    for j, folds, binom, binom_next, span in _fold_steps(k):
+        piece_size = growth * binom
         growth *= shrink * folds
-        nxt = growth * math.comb(folds + k - 1, k - 1) * (1.0 + z / (folds + k - 1))
+        nxt = growth * binom_next * (1.0 + z / span)
         if nxt >= bound:
             break
-        total += piece
+        y = 1.0 / (a + j + c)
+        amp = y if j == 0 else amp * (ratio * j * y)
+        for deg in degrees:
+            homog[deg] += y * homog[deg - 1]
+        total += amp * homog[-1]
         size += piece_size
         bound = nxt
         if bound <= goal:
@@ -554,20 +602,26 @@ def _tail_by_parts(
     return lead * total, bound, 4.0 * (_MAX_FOLDS + k) * _EPS * abs(lead) * size
 
 
-def _first_winding(d0: float, theta: float, k: int, tol: float, poisson: bool) -> float:
-    """W at which the remainder formula of the tails first meets ``tol``."""
-    if poisson:
+@functools.lru_cache(maxsize=_SCALARS)
+def _first_winding(theta: float, k: int, tol: float) -> float:
+    """The z for which W = z + |d0| - 1 is where the remainder formula of
+    the tails first meets ``tol``; z depends on (theta, k, tol) only."""
+    if abs(theta) < _SMALL_ANGLE:
         # two tails, each at most tol / 2
-        z = (2.0 * _poisson_remainder(theta, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
-    else:
-        # The fold remainder ~ K! / rho^K, rho = |1 - q| z, reaches tol at
-        # K = rho = log(1/tol) at the latest.  Direct terms are far cheaper
-        # than folds: take rho = (6!/tol)^(1/6), where six folds do, as
-        # long as W stays near 150.
-        gap = 2.0 * math.sin(0.5 * abs(theta))
-        rho = max(math.log(1.0 / tol) + 4.0, min((720.0 / tol) ** (1.0 / 6.0), 150.0 * gap))
-        z = rho / gap
-    return z + abs(d0) - 1.0
+        return (2.0 * _poisson_remainder(theta, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
+    # The fold remainder ~ K! / rho^K, rho = |1 - q| z, reaches tol at
+    # K = rho = log(1/tol) at the latest.  Direct terms are far cheaper
+    # than folds: take rho = (6!/tol)^(1/6), where six folds do, as long
+    # as W stays near 150.  Measured with rho = (n!/tol)^(1/n) instead,
+    # the mean cost of the 264 summation-by-parts calls of a seed-1
+    # kernel-routes pass (2-core x86-64, Python 3.11, numpy 2.4) was, in
+    # us a call: n = 4: 22.9, 5: 22.8, 6: 22.6, 7: 22.9, 8: 22.7, 10: 25.0,
+    # 12: 26.2.  The cost is flat from n = 4 to 8 (below 6, the cap
+    # 150 gap sets W), and past 8 the extra folds cost more than the direct
+    # terms they save, so n = 6 stays.
+    gap = 2.0 * math.sin(0.5 * abs(theta))
+    rho = max(math.log(1.0 / tol) + 4.0, min((720.0 / tol) ** (1.0 / 6.0), 150.0 * gap))
+    return rho / gap
 
 
 def _direct_sum(
@@ -576,7 +630,7 @@ def _direct_sum(
     """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
     and its rounding allowance: pairwise summation, the rounding of the
     phases m theta, and ``c_err``, the error of c."""
-    if abs(c) ** k < 1e-300:
+    if abs(c) < 1.0 and abs(c) ** k < 1e-300:  # |c|^k may overflow past 1
         import numpy as np
 
         # next to the pole a term may overflow: the sum comes back inf or
@@ -591,26 +645,27 @@ def _direct_terms(
 ) -> tuple[complex, float]:
     import numpy as np
 
-    m = np.arange(-w, w + 1, dtype=float)
+    add = np.add.reduce  # what ndarray.sum calls: the same pairwise sum
+    m, phase, abs_m = _winding_table(theta, w)
     u = m + c
     if skip is not None:
         u[w + skip] = 1.0
-    g = 1.0 / u
+    g = np.divide(1.0, u, out=u)
     if k > 1:
         g **= k
     mag = np.abs(g)
     if skip is not None:
         g[w + skip] = 0.0
         mag[w + skip] = 0.0
-    size = float(mag.sum())
+    size = float(add(mag))
     rounding = _EPS * (math.log2(2 * w + 1) + 16.0 + 4.0 * k) * size
-    if theta == 0.0:
-        total = g.sum()
-    elif abs(theta) == math.pi:
-        total = g[w % 2 :: 2].sum() - g[1 - w % 2 :: 2].sum()
+    if phase is not None:
+        total = add(np.multiply(g, phase, out=g))
+        rounding += _EPS * abs(theta) * float(abs_m @ mag)
+    elif theta == 0.0:
+        total = add(g)
     else:
-        total = (g * np.exp(1j * theta * m)).sum()
-        rounding += _EPS * abs(theta) * float(np.abs(m) @ mag)
+        total = add(g[w % 2 :: 2]) - add(g[1 - w % 2 :: 2])
     if c_err:
         # |dg/dc| = k |g| / |u| = k |g|^{1 + 1/k} <= k |g| max|g|^{1/k}
         rounding += c_err * k * size * float(mag.max()) ** (1.0 / k)
@@ -704,8 +759,8 @@ def _lattice_sum(
     tol = control.tol
     for _ in range(k):
         tol *= step
-    tol = min(max(tol, _EPS * (1.0 + abs(c)) ** -k, sys.float_info.min), sys.float_info.max)
-    first = _first_winding(d0, th, k, tol, poisson)
+    tol = min(max(tol, _EPS * (1.0 + abs(c)) ** -k, _TINY), _HUGE)
+    first = _first_winding(th, k, tol) + abs(d0) - 1.0
     w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
     # dividing by a power of two is exact; otherwise d/step and t/step are
     # each rounded once
@@ -738,12 +793,9 @@ def _lattice_sum(
         bound /= step
     if not (cmath.isfinite(value) and math.isfinite(bound)):
         raise InvalidParameter(f"lattice sum overflows at step={step!r}, d={d!r}, t={t!r}")
-    return SeriesValue(
-        value=complex(value),
-        terms_used=2 * w + 1 - (skip is not None),
-        truncation_bound=bound,
-        method_tag=EULER_MACLAURIN if poisson else SUMMATION_BY_PARTS,
-    )
+    # positional: a frozen dataclass takes keywords at a third more cost
+    tag = EULER_MACLAURIN if poisson else SUMMATION_BY_PARTS
+    return SeriesValue(complex(value), 2 * w + 1 - (skip is not None), bound, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -505,11 +505,11 @@ REPORTED = [
       (200, "abel", 6.560855749657252e-12), (100, "abel", 1.3121711499314505e-09),
       (200, "closed-form", 6.560855749657252e-09)]),
     (Interval(1.0, NEUMANN, NEUMANN), 3.7, 0.3, {},
-     [(40001, "raw", 2.2522522522522523e-05), (10000, "raw", 6.366197723675813e-05),
+     [(40001, "raw", 2.252252252252252e-05), (10000, "raw", 6.366197723675813e-05),
       (20000, "raw", 6.366197723675813e-05), (10000, "raw", 6.366197723675813e-05),
       (20000, "raw", 0.08602969896859208)]),
     (Interval(1.0, DIRICHLET, NEUMANN), 2.9, 0.71, {"max_terms": 7},
-     [(29, "raw", 0.04246645150331237), (7, "raw", 0.09094568176679733),
+     [(29, "raw", 0.04246645150331238), (7, "raw", 0.09094568176679733),
       (14, "raw", 0.09094568176679733), (7, "raw", 0.09094568176679733),
       (14, "closed-form", 0.0)]),
     (Interval(0.8, NEUMANN, DIRICHLET), 11.2, 0.05, {"max_terms": 300, "damping_t": 0.02},
@@ -621,3 +621,16 @@ def test_the_damped_green_bound_at_a_huge_length_stays_a_bound():
     for geometry in (Interval(1e308), TwistedCircle(1e308, 1.0)):
         out = green_im_diag(geometry, 3e-308, 3e307, SeriesControl(damping_t=1e-309))
         assert math.isfinite(out.value) and 0.0 < out.truncation_bound < math.inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("geometry,omega,x", [
+    (Interval(1.0), 5e-324, 1e-320),
+    (Interval(1e-300, DIRICHLET, NEUMANN), 1e-300, 3e-301),
+])
+def test_the_undamped_green_bound_at_tiny_omega_and_x_is_invalid_not_a_division_by_zero(
+    geometry, omega, x
+):
+    # 2 omega W Lmin underflows to 0; each quotient of the bound overflows
+    with pytest.raises(InvalidParameter):
+        green_im_diag(geometry, omega, x)

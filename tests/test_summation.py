@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vacuum1d import summation
 from vacuum1d.errors import InvalidParameter, NonConvergent
 from vacuum1d.summation import (
     EULER_MACLAURIN,
@@ -336,6 +337,75 @@ def test_lattice_sum_reduces_far_displacements():
     # d = 40.3 steps away: the lattice is shifted and the phase restored.
     got = lattice_sum(1.0, 40.3, 0.2, 2.0)
     assert abs(got.value - lattice_reference(1.0, 40.3, 0.2, 2.0, 1)) <= got.truncation_bound
+
+
+# Float lattice sums as the code of commit 23b75cc returned them, bit for
+# bit: (value.real, value.imag, truncation_bound) as float.hex, terms_used
+# and method_tag.  One case per branch of the algorithm.  The bits are
+# those of x86-64 Linux (glibc, numpy 2.4 with OpenBLAS): the generic-theta
+# bounds go through a BLAS dot product, so another BLAS or libm may move a
+# last bit; re-record the pins from that commit on such a platform.
+LATTICE_PINS = [
+    # theta = 0, Poisson tails
+    ((2.0, 0.3, 0.05, 0.0, 1), {}, False,
+     ("0x1.7f1dd478eef7bp+1", "0x1.2ac53a8f5f5b3p-1", "0x1.690d01e1ead7cp-41", 33, EULER_MACLAURIN)),
+    ((1.0, 0.0, 0.05, 0.0, 1), {}, False,
+     ("0x0.0p+0", "0x1.42a0a8c769573p+4", "0x1.0202787b63129p-40", 35, EULER_MACLAURIN)),
+    # theta = pi, summation by parts with real weights
+    ((2.0, 0.3, 0.05, PI, 1), {}, False,
+     ("0x1.af4eff1582c4ap+1", "0x1.09633044c6fb8p-1", "0x1.bad9f07999c3ep-42", 267,
+      SUMMATION_BY_PARTS)),
+    # a generic theta
+    ((1.0, 0.3, 0.05, 2.1524667796969545, 1), {}, False,
+     ("0x1.d63ab680abb72p+1", "0x1.98244f8907901p+0", "0x1.0997925f8c27cp-40", 301,
+      SUMMATION_BY_PARTS)),
+    # 0 < theta < 0.1: Poisson tails with the sigma_p(theta) weights
+    ((1.0, 0.3, 0.05, 0.05, 1), {}, False,
+     ("0x1.20287a5c386d2p+1", "0x1.eb20ccc24b943p+1", "0x1.f374ed2d18e91p-41", 35, EULER_MACLAURIN)),
+    # k = 2 without the m = 0 term, as the twisted energy orbit sum calls it
+    ((1.0, 0.0, 0.3, 1.3, 2), {}, True,
+     ("-0x1.0cfeb785b360ep+0", "-0x1.4000000000000p-55", "0x1.5864b1920b040p-42", 298,
+      SUMMATION_BY_PARTS)),
+    # a step that is not a power of two: c = (d - i t)/step carries an error
+    ((3.0, 0.7, 0.2, 2.5, 1), {}, False,
+     ("0x1.7313052ab29edp+0", "0x1.243159351d161p-1", "0x1.d9020394e3194p-42", 263,
+      SUMMATION_BY_PARTS)),
+    # the folds cannot reach tol = 1e-300 at W = 150, so W doubles to 300
+    ((1.0, 0.5, 1e9, PI, 8), {"tol": 1e-300}, False,
+     ("0x1.6300000000000p-284", "-0x1.2200000000000p-304", "0x1.2de961a8f6c44p-110", 601,
+      SUMMATION_BY_PARTS)),
+    # W capped at max_terms = 5
+    ((1.0, 0.3, 0.1, 2.0, 1), {"max_terms": 5}, False,
+     ("0x1.b715a2ae98642p+1", "0x1.1349ab6d746c1p+1", "0x1.aab621f5f5ba7p-13", 11,
+      SUMMATION_BY_PARTS)),
+]
+
+
+@pytest.mark.parametrize("args,settings,skip_zero,pinned", LATTICE_PINS)
+def test_lattice_sum_returns_the_pinned_bits(args, settings, skip_zero, pinned):
+    got = lattice_sum(*args, control=SeriesControl(**settings), skip_zero=skip_zero)
+    real, imag, bound, terms, tag = pinned
+    assert (got.value.real, got.value.imag, got.truncation_bound, got.terms_used, got.method_tag) == (
+        float.fromhex(real), float.fromhex(imag), float.fromhex(bound), terms, tag
+    )
+    assert math.copysign(1.0, got.value.real) == math.copysign(1.0, float.fromhex(real))
+
+
+def test_lattice_tables_are_read_only_and_bounded():
+    # the (theta, W) tables are shared by every direct sum at that key
+    summation._winding_table.cache_clear()
+    lattice_sum(1.0, 0.3, 0.05, 2.0)
+    for table in summation._winding_table(2.0, 150):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    # a sweep of distinct angles, and one table at the max_terms cap
+    for theta in np.linspace(0.01, 2.0 * PI - 0.01, 300):
+        lattice_sum(1.0, 0.3, 0.05, float(theta))
+        assert summation._winding_table.cache_info().currsize <= summation._TABLES
+    # skip_zero at d = max_terms steps sets W to the cap of 10 000 windings
+    capped = lattice_sum(1.0, 10_000.0, 0.5, 2.0, skip_zero=True)
+    assert capped.terms_used == 2 * SeriesControl().max_terms
+    assert summation._winding_table.cache_info().currsize <= summation._TABLES
 
 
 def test_lattice_sum_rejects_bad_input():
