@@ -428,13 +428,14 @@ def _poisson_weights(theta: float) -> tuple[complex, ...]:
 
 
 @functools.lru_cache(maxsize=_TABLES)
-def _winding_table(theta: float, w: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _winding_table(
+    theta: float, w: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """m = -w..w (complex, so that m + c needs no cast) and, at theta off 0
     and +-pi, e^{i m theta} and |m|: read-only arrays that every direct sum
-    at (theta, w) shares.  At most _TABLES are kept, 40 (2w + 1) bytes each
-    at a generic theta and 16 (2w + 1) at 0 and pi: at most 13 MB while W
-    stays within the default cap of 10 000 windings, and in general 40
-    bytes a winding of the _TABLES largest recent sums."""
+    at (theta, w) shares.  The _TABLES most recently used are kept, 40
+    (2w + 1) bytes each at a generic theta and 16 (2w + 1) at 0 and pi:
+    at most 13 MB while w stays within the default cap of 10 000."""
     import numpy as np
 
     m = np.arange(-w, w + 1, dtype=float)

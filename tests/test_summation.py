@@ -384,18 +384,17 @@ LATTICE_PINS = [
 @pytest.mark.parametrize("args,settings,skip_zero,pinned", LATTICE_PINS)
 def test_lattice_sum_returns_the_pinned_bits(args, settings, skip_zero, pinned):
     got = lattice_sum(*args, control=SeriesControl(**settings), skip_zero=skip_zero)
-    real, imag, bound, terms, tag = pinned
-    assert (got.value.real, got.value.imag, got.truncation_bound, got.terms_used, got.method_tag) == (
-        float.fromhex(real), float.fromhex(imag), float.fromhex(bound), terms, tag
-    )
-    assert math.copysign(1.0, got.value.real) == math.copysign(1.0, float.fromhex(real))
+    value, bound = got.value, got.truncation_bound
+    # hex strings also tell a signed zero from its opposite
+    assert (value.real.hex(), value.imag.hex(), bound.hex(), got.terms_used, got.method_tag) == pinned
 
 
 def test_lattice_tables_are_read_only_and_bounded():
     # the (theta, W) tables are shared by every direct sum at that key
     summation._winding_table.cache_clear()
-    lattice_sum(1.0, 0.3, 0.05, 2.0)
-    for table in summation._winding_table(2.0, 150):
+    assert lattice_sum(1.0, 0.3, 0.05, 2.0).terms_used == 2 * 150 + 1
+    assert summation._winding_table.cache_info().currsize == 1
+    for table in summation._winding_table(2.0, 150):  # the one that call built
         with pytest.raises(ValueError):
             table[0] = 0.0
     # a sweep of distinct angles, and one table at the max_terms cap
