@@ -13,13 +13,18 @@ from the reflection parities and, on the twisted circle, a holonomy phase
 
 Truncation at ``max_winding = W`` keeps periodic windings ``|n| <= W`` and
 the boundary-odd pairs ``n in [-W, W-1]`` (reflection counts ``|2n+1|``),
-which pairs the members whose tails cancel.  The spectral sums below take
-W = ``SeriesControl.max_terms``.  Along each family the orbit lengths
-step arithmetically (2nL, 2(x + nL), nL), so with the phase, the sign
-and the Abel factor ``e^{-s length}`` every truncated series is a finite
-geometric series, summed in closed form (:func:`_geometric_sum`).  Only
-``local_counting``, whose boundary images carry ``1/(x + nL)`` weights,
-sums its 2W terms one by one.
+which pairs the members whose tails cancel.  Along each family the orbit
+lengths step arithmetically (2nL, 2(x + nL), nL), so with the phase, the
+sign and the Abel factor ``e^{-s length}`` every orbit series of the
+spectral densities is a geometric series, summed in closed form by one
+rule (:func:`_orbit_series`): Abel-damped (s > 0), over every winding,
+with no truncation; undamped, where the series has no limit, over
+W = ``SeriesControl.max_terms`` windings, which is then the definition of
+the value (sigma smoothed by a Dirichlet kernel of width about
+pi / (W L)).  Either way the reported bound is a proven bound on the
+rounding, the only error left.  Only ``local_counting``, whose boundary
+images carry ``1/(x + nL)`` weights, sums its 2W terms one by one and
+reports no bound.
 
 Sign conventions (l, r the parity indices, Dirichlet = 1):
 
@@ -171,11 +176,12 @@ def enumerate_orbits(
 # ---------------------------------------------------------------------------
 # Orbit series in closed form.  The windings of each family have lengths in
 # arithmetic progression, so with the phase, the sign and the Abel factor
-# every truncated series is a finite geometric series.
+# every series is a geometric series, summed by _orbit_series.
 # ---------------------------------------------------------------------------
 
 # 2 pi minus the double nearest it.
 _TWO_PI_LO = 2.4492935982947064e-16
+_EPS = 2.0**-52
 
 
 # Windings per block of local_counting's boundary-image sum.  Its float
@@ -191,16 +197,6 @@ def _finite(*values: float) -> None:
     about 1e308 an orbit phase or an orbit sum can leave the float range."""
     if not all(map(math.isfinite, values)):
         raise InvalidParameter("an orbit phase or sum leaves the float range")
-
-
-def _last_term(omega: float, s: float, length: float, weight: float = 1.0) -> float:
-    """|weight cos(omega length) e^{-s length}|, s > 0: the bound of the
-    last damped term.  Where the length or the phase leaves the float range,
-    the factor it sets is bounded by 1."""
-    if length == math.inf:
-        return abs(weight)
-    phase, damp = omega * length, math.exp(-length * s)
-    return abs(weight * math.cos(phase) * damp) if math.isfinite(phase) else abs(weight * damp)
 
 
 def _angle(*parts: float) -> float:
@@ -239,46 +235,105 @@ def _geometric_sum(phase: float, decay: float, first: int, count: int) -> comple
     return head * tail / _one_minus_exp(decay, angle)
 
 
-def _half_turn(phase: float) -> float:
-    """phase + pi, exactly reduced: the sign (-1)^n as a phase."""
-    return _angle(phase, math.pi, 0.5 * _TWO_PI_LO)
+def _orbit_series(
+    phase: tuple[float, ...], decay: float, first: int, w: int
+) -> tuple[complex, float]:
+    """One orbit family, sum_n q^n with q = e^{-decay + i angle}, and a
+    bound on its error.
+
+    ``angle`` is the exact sum of the ``phase`` parts: the first is a
+    rounded product (omega L times a power of two), the others exact
+    shifts (pi, theta).  ``decay`` is s L times a power of two.
+
+    * Damped (decay > 0): n runs from ``first`` to infinity, q^first/(1 - q).
+      Nothing is truncated and ``w`` is not read.
+    * Undamped: the series has no limit, and its value is by definition the
+      W-winding truncation n = first .. first + W - 1 (the density smoothed
+      by a Dirichlet kernel of width about pi / (W L)).
+
+    Either way the bound is rounding only (Higham, ch. 3), in two parts:
+    the closed form at the rounded q, 4 eps of its size; and the move from
+    the rounded to the exact q, ``drift`` in log q, times the largest
+    |d sum / d log q| on the way.  Near resonance that slope grows like
+    1/|1 - q|^2, which carries the conditioning; on the way |1 - q| stays
+    above ``near``: its rounded value less twice the drift, and, damped,
+    never below 1 - |q|.  Undamped, the rounding of W angle moves q^W by
+    at most eps W |angle|, which over |1 - q| stays under 4 eps times the
+    slope.  The bound is capped by |value| plus the largest |sum| at any
+    phase.
+    """
+    angle = _angle(*phase)
+    drift = _EPS * (abs(phase[0]) + decay + 4.0)
+    den = _one_minus_exp(decay, angle)
+    near = abs(den) * (1.0 - 4.0 * _EPS) - 2.0 * drift
+    if decay > 0.0:
+        value = cmath.exp(complex(-decay, angle)) ** first / den
+        gap = -math.expm1(-decay * (1.0 - _EPS))  # 1 - |q| on the way
+        near, q = max(near, gap), math.exp(-decay * (1.0 - _EPS))
+        # d/dlog q of q^a/(1 - q) = a q^a/(1 - q) + q^{a+1}/(1 - q)^2
+        slope, largest = q**first * (first / near + q / near / near), q**first / gap
+    else:
+        value = _geometric_sum(angle, 0.0, first, w)
+        ends = 2 * first + w - 1  # first plus last winding
+        # |sum n q^n| over the W windings: at most their sum, and by parts
+        # at most (ends + 1)/|1 - q| + 2/|1 - q|^2
+        slope, largest = 0.5 * w * ends, w
+        if near > 0.0:
+            slope = min(slope, (ends + 1) / near + 2.0 / near / near)
+    return value, min(4.0 * _EPS * abs(value) + drift * slope, abs(value) + largest)
 
 
-def _interval_periodic_sum(geom: Interval, omega: float, s: float, w: int) -> float:
-    """sum_{n=1}^{W} sign_n cos(2 n omega L) e^{-2 n s L}: the windings
-    n > 0 (the n and -n members are equal, so sums fold to twice this)."""
+def _interval_series(
+    geom: Interval, omega: float, s: float, first: int, w: int
+) -> tuple[complex, float]:
+    """The interval's winding series, step 2L: phase 2 omega L, plus pi
+    (the sign (-1)^n) for mixed ends.  From ``first`` = 1 its real part is
+    the periodic series sum_{n>=1} sign_n cos(2 n omega L) e^{-2 n s L}
+    (the n and -n members are equal, so sums fold to twice this)."""
     phase = 2.0 * omega * geom.length
-    if not geom.like_ends:
-        phase = _half_turn(phase)
-    return _geometric_sum(phase, 2.0 * s * geom.length, 1, w).real
+    turn = () if geom.like_ends else (math.pi, 0.5 * _TWO_PI_LO)
+    return _orbit_series((phase, *turn), 2.0 * s * geom.length, first, w)
 
 
 def _interval_boundary_sum(
     geom: Interval, omega: float, x: float, s: float, w: int
-) -> float:
-    """sum_{n=-W}^{W-1} sign_n cos(2 omega |x + nL|) e^{-2 s |x + nL|}.
+) -> tuple[float, float]:
+    """sum_n sign_n cos(2 omega |x + nL|) e^{-2 s |x + nL|}, n in [-W, W-1]
+    undamped.
 
     Windings n = m >= 0 have |x + nL| = x + mL and n = -1 - m have
     (L - x) + mL, so both halves are one geometric series in m, started
     at x and at L - x (for mixed ends the second start carries (-1)^1).
+    Each start's exponent is rounded at most twice (L - x, then k times it).
     """
     length = geom.length
-    phase, parity = 2.0 * omega * length, 1.0
-    if not geom.like_ends:
-        phase, parity = _half_turn(phase), -1.0
-    series = _geometric_sum(phase, 2.0 * s * length, 0, w)  # checks 2 omega L first
+    series, bound = _interval_series(geom, omega, s, 0, w)  # checks 2 omega L first
     k = complex(-2.0 * s, 2.0 * omega)
-    starts = cmath.exp(k * x) + parity * cmath.exp(k * (length - x))
-    return (-1.0) ** geom.l * (starts * series).real
+    near, far = cmath.exp(k * x), cmath.exp(k * (length - x))
+    starts = near + (1.0 if geom.like_ends else -1.0) * far
+    slack = _EPS * (2.0 * ((omega + s) * length) + 2.0) * (abs(near) + abs(far))
+    bound = abs(starts) * bound + (slack + 2.0 * _EPS * abs(starts)) * abs(series)
+    return (-1.0) ** geom.l * (starts * series).real, bound
 
 
-def _twisted_periodic_sum(geom: TwistedCircle, omega: float, s: float, w: int) -> float:
-    """sum_{n=1}^{W} cos(n theta) cos(n omega L) e^{-n s L}, half the real
+def _twisted_periodic_sum(
+    geom: TwistedCircle, omega: float, s: float, w: int
+) -> tuple[float, float]:
+    """sum_{n>=1} cos(n theta) cos(n omega L) e^{-n s L}, half the real
     part of the two geometric series with steps omega L +/- theta."""
     phase, decay = omega * geom.length, s * geom.length
-    plus = _geometric_sum(_angle(phase, geom.theta), decay, 1, w)
-    minus = _geometric_sum(_angle(phase, -geom.theta), decay, 1, w)
-    return 0.5 * (plus + minus).real
+    plus, plus_bound = _orbit_series((phase, geom.theta), decay, 1, w)
+    minus, minus_bound = _orbit_series((phase, -geom.theta), decay, 1, w)
+    return 0.5 * (plus + minus).real, 0.5 * (plus_bound + minus_bound + _EPS * abs(plus + minus))
+
+
+def _scaled(factor: float, part: tuple[complex, float], terms: int, s: float) -> SeriesValue:
+    """The real part of an orbit series times its prefactor, with the
+    product's rounding, tagged by the damping s."""
+    value = factor * part[0].real
+    bound = abs(factor) * part[1] + _EPS * abs(value)
+    _finite(value, bound)
+    return SeriesValue(value, terms, bound, ABEL if s > 0.0 else RAW)
 
 
 def _interval_boundary_counting(geom: Interval, omega: float, x: float, w: int) -> float:
@@ -306,51 +361,32 @@ def green_im_diag(
     + phase), Abel-damped by ``exp(-length * damping_t)`` when the control
     asks for it.  Equals (pi/2 omega) * sigma(omega, x) termwise.
 
-    Truncation bound: the last damped term when damping is on; otherwise
-    the Cesaro envelope heuristic ``1/(2 omega N Lmin)`` with Lmin the
-    shortest nonzero orbit length.
+    Damped, every orbit is summed (two closed-form geometric series, the
+    ``terms_used``); undamped, the value is the W = ``max_terms``
+    truncation, and ``terms_used`` counts its orbits.  Either way
+    ``truncation_bound`` is a proven bound on the rounding, the only error
+    there is (see :func:`_orbit_series`).
     """
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
-    s = control.damping_t
-    w = int(control.max_terms)
+    s, w = control.damping_t, int(control.max_terms)
+    per, per_bound, bdry, bdry_bound = 0.0, 0.0, 0.0, 0.0
     if isinstance(geometry, HalfLine):
-        val = 1.0 + (-1.0) ** geometry.l * math.cos(2.0 * omega * x) * math.exp(
-            -2.0 * x * s
-        )
-        return SeriesValue(
-            value=val / (2.0 * omega),
-            terms_used=2,
-            truncation_bound=0.0,
-            method_tag=ABEL if s > 0.0 else RAW,
-        )
-    if isinstance(geometry, Interval):
-        length = geometry.length
-        per = _interval_periodic_sum(geometry, omega, s, w)
-        bdry = _interval_boundary_sum(geometry, omega, x, s, w)
-        val = (1.0 + 2.0 * per + bdry) / (2.0 * omega)
-        if s > 0.0:
-            # The last members kept: periodic n = W, boundary n = -W and W - 1.
-            last = 2.0 * _last_term(omega, s, 2.0 * w * length)
-            for n in (-w, w - 1):
-                last += _last_term(omega, s, 2.0 * abs(x + n * length))
-        lmin = min(2.0 * length, 2.0 * x, 2.0 * abs(x - length))
-        nterms = 4 * w + 1
+        bdry = (-1.0) ** geometry.l * math.cos(2.0 * omega * x) * math.exp(-2.0 * x * s)
+        bdry_bound, nterms = _EPS * (2.0 * (omega + s) * x + 2.0), 2
+    elif isinstance(geometry, Interval):
+        per, per_bound = _interval_series(geometry, omega, s, 1, w)
+        bdry, bdry_bound = _interval_boundary_sum(geometry, omega, x, s, w)
+        nterms = 2 if s > 0.0 else 4 * w + 1
     else:
-        val = (1.0 + 2.0 * _twisted_periodic_sum(geometry, omega, s, w)) / (2.0 * omega)
-        if s > 0.0:
-            last = 2.0 * _last_term(omega, s, w * geometry.length, math.cos(w * geometry.theta))
-        lmin = geometry.length
-        nterms = 2 * w + 1
-    if s > 0.0:
-        bound, tag = last / (2.0 * omega), ABEL
-    else:
-        # one factor at a time: the product can underflow to 0, where
-        # each quotient overflows to inf and _finite raises
-        bound, tag = 1.0 / (2.0 * omega) / max(1, w) / lmin, RAW
+        per, per_bound = _twisted_periodic_sum(geometry, omega, s, w)
+        nterms = 2 if s > 0.0 else 2 * w + 1
+    val = (1.0 + 2.0 * per.real + bdry) / (2.0 * omega)
+    rounding = 2.0 * _EPS * (1.0 + 2.0 * abs(per.real) + abs(bdry))
+    bound = (2.0 * per_bound + bdry_bound + rounding) / (2.0 * omega)
     _finite(val, bound)
-    return SeriesValue(val, nterms, bound, tag)
+    return SeriesValue(val, nterms, bound, ABEL if s > 0.0 else RAW)
 
 
 def local_spectral_density(
@@ -364,43 +400,28 @@ def local_spectral_density(
     The average is the local Weyl density 1/pi.  The two series are the
     cosine orbit sums; with ``damping_t = s`` each term carries
     ``exp(-s * length)``, equivalent to smoothing sigma in omega with a
-    Lorentzian of width s.
+    Lorentzian of width s, and each series is summed to the end.
+    Undamped, each keeps W = ``max_terms`` windings.  Bounds and term
+    counts as in :func:`green_im_diag`.
     """
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
     _check_point(geometry, x)
-    s = control.damping_t
-    w = int(control.max_terms)
-    tag = ABEL if s > 0.0 else RAW
+    s, w = control.damping_t, int(control.max_terms)
+    damped = s > 0.0  # a damped series counts as one term, undamped its windings
+    periodic = boundary = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
     if isinstance(geometry, HalfLine):
-        b = (-1.0) ** geometry.l / math.pi * math.cos(2.0 * omega * x) * math.exp(
-            -2.0 * x * s
-        )
-        return LocalDensity(
-            average=1.0 / math.pi,
-            periodic=SeriesValue(0.0, 0, 0.0, CLOSED_FORM),
-            boundary=SeriesValue(b, 1, 0.0, tag),
-        )
-    if isinstance(geometry, Interval):
-        per = (2.0 / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
-        bdry = (1.0 / math.pi) * _interval_boundary_sum(geometry, omega, x, s, w)
-        pb = (
-            math.exp(-s * 2.0 * w * geometry.length) / (math.pi * w)
-            if s > 0.0
-            else 2.0 / (math.pi * w)
-        )
-        return LocalDensity(
-            average=1.0 / math.pi,
-            periodic=SeriesValue(per, w, pb, tag),
-            boundary=SeriesValue(bdry, 2 * w, pb, tag),
-        )
-    per = (2.0 / math.pi) * _twisted_periodic_sum(geometry, omega, s, w)
-    pb = math.exp(-s * w * geometry.length) / (math.pi * w) if s > 0.0 else 2.0 / (math.pi * w)
-    return LocalDensity(
-        average=1.0 / math.pi,
-        periodic=SeriesValue(per, w, pb, tag),
-        boundary=SeriesValue(0.0, 0, 0.0, CLOSED_FORM),
-    )
+        b = (-1.0) ** geometry.l / math.pi * math.cos(2.0 * omega * x) * math.exp(-2.0 * x * s)
+        boundary = _scaled(1.0, (b, _EPS * (2.0 * (omega + s) * x + 3.0) / math.pi), 1, s)
+    elif isinstance(geometry, Interval):
+        per = _interval_series(geometry, omega, s, 1, w)
+        periodic = _scaled(2.0 / math.pi, per, 1 if damped else w, s)
+        bdry = _interval_boundary_sum(geometry, omega, x, s, w)
+        boundary = _scaled(1.0 / math.pi, bdry, 1 if damped else 2 * w, s)
+    else:
+        per = _twisted_periodic_sum(geometry, omega, s, w)
+        periodic = _scaled(2.0 / math.pi, per, 2 if damped else w, s)
+    return LocalDensity(1.0 / math.pi, periodic, boundary)
 
 
 def global_density_decomposition(
@@ -414,75 +435,50 @@ def global_density_decomposition(
     the windings tile the whole line, and the content is concentrated at
     the spectral origin: the counting function jumps by ``(-1)^l / 2``
     at omega = 0+ (one ``(-1)^l / 4`` per wall), reported as
-    ``boundary_atom``.  Undamped, the truncated series evaluates to the
+    ``boundary_atom``.  Undamped, the W-winding truncation evaluates to the
     oscillatory survivor ``(-1)^l sin(2 omega L W) / (pi omega)``; with
     Abel damping s the windings assemble the full-line integral of
     ``cos(2 omega u) exp(-2 s |u|)`` and the value is the atom's Poisson
     image ``(-1)^l (1/pi) s / (omega^2 + s^2)``.  On the half-line the
     single wall gives the atom ``(-1)^l/4 delta(omega)``, returned
-    symbolically.
+    symbolically.  The periodic series are summed as in
+    :func:`local_spectral_density`, and every bound is a proven rounding
+    bound.
     """
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
-    s = control.damping_t
-    w = int(control.max_terms)
-    tag = ABEL if s > 0.0 else RAW
+    s, w = control.damping_t, int(control.max_terms)
+    damped = s > 0.0
+    zero = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
     if isinstance(geometry, HalfLine):
-        return GlobalDensity(
-            weyl=math.inf,
-            periodic=SeriesValue(0.0, 0, 0.0, CLOSED_FORM),
-            boundary=SeriesValue(0.0, 0, 0.0, CLOSED_FORM),
-            boundary_atom=DeltaAtom(weight=0.25 * (-1.0) ** geometry.l, location=0.0),
-        )
-    if isinstance(geometry, Interval):
-        length = geometry.length
-        # 2 (L / pi): 2 L / pi wherever 2 L is finite, and finite past it
-        per = 2.0 * (length / math.pi) * _interval_periodic_sum(geometry, omega, s, w)
-        pb = (
-            2.0 * (length / math.pi) * math.exp(-s * 2.0 * w * length)
-            if s > 0.0
-            else 2.0 * (length / math.pi) / max(1, w)
-        )
-        atom = None
-        if geometry.like_ends:
-            sgn = (-1.0) ** geometry.l
-            atom = DeltaAtom(weight=0.5 * sgn, location=0.0)
-            if s > 0.0:
-                # (s/pi)/(omega^2 + s^2) with omega and s scaled by a power
-                # of two m near the larger: the same double wherever the
-                # squares neither underflow nor overflow, and finite past that
-                m = math.ldexp(1.0, math.frexp(max(omega, s))[1] - 1)
-                om, sm = omega / m, s / m
-                val = sgn * sm / (math.pi * m * (om * om + sm * sm))
-                bound = math.exp(-2.0 * s * length * w) / (math.pi * s)
-                bdry = SeriesValue(val, 2 * w, bound, CLOSED_FORM)
-            else:
-                phase = 2.0 * omega * length * w
-                _finite(phase)
-                surv = sgn * math.sin(phase) / (math.pi * omega)
-                bdry = SeriesValue(surv, 2 * w, 1.0 / (math.pi * omega), RAW)
-        else:
-            bdry = SeriesValue(0.0, 2 * w, 0.0, CLOSED_FORM)
-        _finite(per, pb, bdry.value, bdry.truncation_bound)
-        return GlobalDensity(
-            weyl=length / math.pi,
-            periodic=SeriesValue(per, w, pb, tag),
-            boundary=bdry,
-            boundary_atom=atom,
-        )
+        atom = DeltaAtom(weight=0.25 * (-1.0) ** geometry.l, location=0.0)
+        return GlobalDensity(math.inf, zero, zero, atom)
     length = geometry.length
-    per = 2.0 * (length / math.pi) * _twisted_periodic_sum(geometry, omega, s, w)
-    pb = (
-        2.0 * (length / math.pi) * math.exp(-s * w * length)
-        if s > 0.0
-        else 2.0 * (length / math.pi) / max(1, w)
-    )
-    _finite(per, pb)
-    return GlobalDensity(
-        weyl=length / math.pi,
-        periodic=SeriesValue(per, w, pb, tag),
-        boundary=SeriesValue(0.0, 0, 0.0, CLOSED_FORM),
-    )
+    # 2 (L / pi): 2 L / pi wherever 2 L is finite, and finite past it
+    scale = 2.0 * (length / math.pi)
+    if isinstance(geometry, TwistedCircle):
+        per = _twisted_periodic_sum(geometry, omega, s, w)
+        return GlobalDensity(length / math.pi, _scaled(scale, per, 2 if damped else w, s), zero)
+    periodic = _scaled(scale, _interval_series(geometry, omega, s, 1, w), 1 if damped else w, s)
+    if not geometry.like_ends:
+        bdry = SeriesValue(0.0, 0 if damped else 2 * w, 0.0, CLOSED_FORM)
+        return GlobalDensity(length / math.pi, periodic, bdry)
+    sgn = (-1.0) ** geometry.l
+    if damped:
+        # (s/pi)/(omega^2 + s^2) with omega and s scaled by a power of two
+        # m near the larger: the same double wherever the squares neither
+        # underflow nor overflow, and finite past that
+        m = math.ldexp(1.0, math.frexp(max(omega, s))[1] - 1)
+        om, sm = omega / m, s / m
+        val = sgn * sm / (math.pi * m * (om * om + sm * sm))
+        bdry = SeriesValue(val, 1, 4.0 * _EPS * abs(val), CLOSED_FORM)
+    else:
+        phase = 2.0 * omega * length * w
+        _finite(phase)
+        surv = sgn * math.sin(phase) / (math.pi * omega)
+        bdry = SeriesValue(surv, 2 * w, 2.0 * _EPS * (abs(phase) + 1.0) / (math.pi * omega), RAW)
+    _finite(bdry.value, bdry.truncation_bound)
+    return GlobalDensity(length / math.pi, periodic, bdry, DeltaAtom(0.5 * sgn, 0.0))
 
 
 def local_counting(

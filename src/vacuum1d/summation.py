@@ -56,10 +56,11 @@ class SeriesControl:
         :func:`lattice_sum` (image series and the energy orbit sum) and
         modes of a mode sum.  Tail-completed lattice sums rarely come near
         it; at the cap they return their larger bound instead of raising.
-        The spectral-density orbit series of :mod:`vacuum1d.orbits` are
-        not completed and keep exactly this many windings W: geometric
-        series summed in closed form, and the 2W boundary images of
-        ``local_counting`` summed term by term.
+        The spectral-density orbit series of :mod:`vacuum1d.orbits` read
+        it only undamped (``damping_t = 0``), where their value is the
+        W-winding truncation; damped, they are summed to the end and do
+        not read it.  ``local_counting`` sums 2W boundary images term by
+        term.
     tol : float
         Target absolute accuracy, read by :func:`lattice_sum`: its windings
         grow until the truncation bound is at most ``max(tol, rounding)``.
@@ -88,12 +89,17 @@ class SeriesControl:
 class SeriesValue:
     """A summed series together with how the number was obtained.
 
-    ``truncation_bound`` is an estimate of the discarded tail: the last
-    retained term for damped or alternating series, a Cesaro-envelope
-    heuristic for raw oscillatory ones, the extrapolation spread for
-    accelerated ladders, a rigorous remainder-plus-rounding bound for
-    :func:`lattice_sum`, and the last level difference plus rounding for
-    :func:`de_quadrature`.  ``method_tag`` is one of :data:`RAW`,
+    ``truncation_bound`` bounds the error of ``value``.  It is a proven
+    bound for :func:`lattice_sum` (tail remainders plus rounding) and for
+    the orbit series of :mod:`vacuum1d.orbits` (rounding only: damped,
+    they are summed to the end; undamped, the value is the W-winding
+    truncation).  Two producers give estimates, not bounds: the
+    extrapolation spread of :func:`telescoping_check`, and the last level
+    difference (plus a rounding allowance) of :func:`de_quadrature`.
+    ``terms_used`` counts the windings summed directly for a lattice sum,
+    the pairs of a ladder and the nodes of a quadrature; for an orbit
+    series, the series summed to the end in closed form when damped, and
+    the windings kept when undamped.  ``method_tag`` is one of :data:`RAW`,
     :data:`ABEL`, :data:`RIESZ_CESARO_2`, :data:`CLOSED_FORM`, for a
     lattice sum the tail completion used, :data:`EULER_MACLAURIN` or
     :data:`SUMMATION_BY_PARTS` (whose ``value`` is complex), or for a
@@ -229,7 +235,8 @@ def telescoping_check(
     limit like a smooth function of 1/N.  Neville extrapolation in 1/N on
     a geometric ladder of partial sums recovers the limit to near machine
     precision; the spread of the last two ladder diagonals is reported as
-    ``truncation_bound``.
+    ``truncation_bound``.  That spread is an error estimate, not a proven
+    bound: it assumes the partial sums are smooth in 1/N.
 
     Parameters
     ----------
@@ -381,6 +388,11 @@ SUMMATION_BY_PARTS = "summation-by-parts"
 
 _EPS = 2.0**-52
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# Largest lattice power k.  The series of the package use k = 1 and 2; the
+# tolerance and result scalings and each fold of a by-parts tail do O(k)
+# work, which sets the cost past k ~ 64 (lattice_sum(1.0, 0.3, 0.5, 2.0, k):
+# 38-42 us a call for k = 8...64, 109 us at 256, 400 us at 1024).
+MAX_POWER = 64
 _EULER_GAMMA = 0.5772156649015329
 _SMALL_ANGLE = 0.1
 _ORDER = 8  # J: integrations by parts of the Poisson tail
@@ -694,8 +706,10 @@ def lattice_sum(
     max(tol, rounding) or W reaches ``control.max_terms``; at the cap the
     value comes back with its larger bound and nothing is raised.
 
-    ``d`` is first reduced to |d| <= step/2 by shifting the lattice (a
-    phase); ``t`` may have either sign, and be 0 unless a lattice point
+    ``k`` is an integer from 1 to :data:`MAX_POWER` (64); a larger k
+    raises :class:`InvalidParameter` before any work, since the cost grows
+    like k past it.  ``d`` is first reduced to |d| <= step/2 by shifting
+    the lattice (a phase); ``t`` may have either sign, and be 0 unless a lattice point
     then sits on the pole; ``skip_zero`` leaves out the m = 0 term.  For
     k = 1 at theta = 0 the sum converges only symmetrically, and the
     symmetric limit is returned; it differs by i pi/step from the limit
@@ -723,8 +737,8 @@ def lattice_sum(
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise InvalidParameter("lattice step must be positive and finite")
-    if int(k) != k or k < 1:
-        raise InvalidParameter("lattice power k must be a positive integer")
+    if not (1 <= k <= MAX_POWER and int(k) == k):
+        raise InvalidParameter(f"lattice power k must be an integer from 1 to {MAX_POWER}")
     k = int(k)
     if not (isinstance(d, (int, float)) and isinstance(t, (int, float))):
         from ._arrays import lattice_sum_array
@@ -907,7 +921,9 @@ def de_quadrature(
     h halves until two levels agree to within the rounding allowance
     ``16 eps sum |w f|`` (each integrand counted separately), for at most
     four halvings past the first pair.  ``truncation_bound`` is the last
-    difference plus that allowance; ``terms_used`` counts the nodes
+    difference plus that allowance: an error estimate, not a proven
+    bound, which holds when the integrand is as smooth as required
+    above.  ``terms_used`` counts the nodes
     evaluated, and ``method_tag`` is :data:`TANH_SINH`, :data:`EXP_SINH`
     or :data:`OOURA_MORI`.
     """

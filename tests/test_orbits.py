@@ -424,11 +424,56 @@ def test_geometric_sum_at_exact_resonance_counts_its_terms():
     assert _geometric_sum(0.0, 0.0, 0, 7) == 7
 
 
+def mp_geometric(phase, decay, first: int, w: int):
+    """sum_n q^n, q = e^{-decay + i phase}: n >= first when damped (the
+    infinite sum), n = first .. first + W - 1 undamped."""
+    q = mpmath.exp(mpmath.mpc(-decay, phase))
+    if decay > 0:
+        return q**first / (1 - q)
+    return mpmath.mpf(w) if q == 1 else q**first * (1 - q**w) / (1 - q)
+
+
+def mp_closed_series(geometry, omega: float, x: float, s: float, w: int):
+    """(periodic, boundary) orbit series of Im G as mpmath closed forms of
+    the float inputs, exactly: infinite when damped, W windings undamped.
+    Call inside mpmath.workdps."""
+    om, sm, length, xm = map(mpmath.mpf, (omega, s, geometry.length, x))
+    if isinstance(geometry, TwistedCircle):
+        theta = mpmath.mpf(geometry.theta)
+        both = [mp_geometric(om * length + sign * theta, sm * length, 1, w) for sign in (1, -1)]
+        return sum(both).real / 2, mpmath.mpf(0)
+    phase = 2 * om * length + (0 if geometry.like_ends else mpmath.pi)
+    decay = 2 * sm * length
+    k = mpmath.mpc(-2 * sm, 2 * om)
+    starts = mpmath.exp(k * xm) + (1 if geometry.like_ends else -1) * mpmath.exp(k * (length - xm))
+    per = mp_geometric(phase, decay, 1, w).real
+    return per, (-1) ** geometry.l * (starts * mp_geometric(phase, decay, 0, w)).real
+
+
+def mp_orbit_parts(geometry, omega: float, x: float, s: float, w: int) -> list[float]:
+    """40-digit references for [green_im_diag, sigma periodic, sigma
+    boundary, rho periodic, rho boundary]."""
+    with mpmath.workdps(40):
+        per, bdry = mp_closed_series(geometry, omega, x, s, w)
+        om, sm, length = map(mpmath.mpf, (omega, s, geometry.length))
+        rho_b = mpmath.mpf(0)
+        if isinstance(geometry, Interval) and geometry.like_ends:
+            sgn = (-1) ** geometry.l
+            rho_b = (sgn * sm / (mpmath.pi * (om**2 + sm**2)) if s > 0.0
+                     else sgn * mpmath.sin(2 * om * length * w) / (mpmath.pi * om))
+        return [float(v) for v in ((1 + 2 * per + bdry) / (2 * om), 2 * per / mpmath.pi,
+                                   bdry / mpmath.pi, 2 * length / mpmath.pi * per, rho_b)]
+
+
 def mp_orbit_series(geometry, omega: float, x: float, s: float, w: int):
-    """(periodic, boundary) orbit series of Im G, summed term by term over
-    exactly the windings the library keeps: the periodic members
-    n = 1..W (the -n members equal these), and
-    sum_{n=-W}^{W-1} sign_n cos(omega l_n) e^{-s l_n}, l_n = 2|x + nL|."""
+    """(periodic, boundary) orbit series of Im G: damped, the infinite sums
+    in closed form; undamped, summed term by term over exactly the
+    windings the library keeps: the periodic members n = 1..W (the -n
+    members equal these), and sum_{n=-W}^{W-1} sign_n cos(omega l_n),
+    l_n = 2|x + nL|."""
+    if s > 0.0:
+        with mpmath.workdps(60):
+            return tuple(map(float, mp_closed_series(geometry, omega, x, s, w)))
     length = geometry.length
     if isinstance(geometry, TwistedCircle):
         ratio, turn = mp_exp(-s * length, omega * length), mp_exp(0.0, geometry.theta)
@@ -477,7 +522,8 @@ SERIES_GEOMETRIES = [
 @pytest.mark.parametrize("offset", OFFSETS)
 @pytest.mark.parametrize("geometry", SERIES_GEOMETRIES, ids=repr)
 def test_orbit_densities_match_the_termwise_series(geometry, offset):
-    """L = 1 makes omega L exact, so both sides sum the same series."""
+    """L = 1 makes omega L exact, so both sides sum the same series: all
+    of it when damped, W windings undamped."""
     omega = resonant_omega(geometry) * (1.0 + offset)
     x = 0.3
     twisted = isinstance(geometry, TwistedCircle)
@@ -485,7 +531,7 @@ def test_orbit_densities_match_the_termwise_series(geometry, offset):
         control = SeriesControl(max_terms=w, damping_t=s)
         per, bdry = mp_orbit_series(geometry, omega, x, s, w)
         decay = s * geometry.length * (1.0 if twisted else 2.0)
-        tol = 1e-13 * (1.0 + effective_terms(w, decay))
+        tol = 1e-13 * (1.0 + effective_terms(w if s == 0.0 else math.inf, decay))
         got_g = green_im_diag(geometry, omega, x, control)
         got_s = local_spectral_density(geometry, omega, x, control)
         got_r = global_density_decomposition(geometry, omega, control)
@@ -498,31 +544,32 @@ def test_orbit_densities_match_the_termwise_series(geometry, offset):
 
 # (geometry, omega, x, control, [(terms_used, method_tag, truncation_bound)
 # of green_im_diag, sigma periodic, sigma boundary, rho periodic, rho
-# boundary]), as the term-by-term sums reported them.
+# boundary]).  Damped, terms_used counts the series summed to the end;
+# undamped, the windings kept.  Every bound is a rounding bound.
 REPORTED = [
     (Interval(1.0, DIRICHLET, DIRICHLET), 3.7, 0.3, {"max_terms": 100, "damping_t": 0.1},
-     [(401, "abel", 6.51177144299748e-10), (100, "abel", 6.560855749657252e-12),
-      (200, "abel", 6.560855749657252e-12), (100, "abel", 1.3121711499314505e-09),
-      (200, "closed-form", 6.560855749657252e-09)]),
+     [(2, "abel", 2.0021565247174044e-15), (1, "abel", 3.0507243233793224e-15),
+      (1, "abel", 1.4707439496884479e-15), (1, "abel", 3.0507243233793224e-15),
+      (1, "closed-form", 2.0636202312820872e-18)]),
     (Interval(1.0, NEUMANN, NEUMANN), 3.7, 0.3, {},
-     [(40001, "raw", 2.252252252252252e-05), (10000, "raw", 6.366197723675813e-05),
-      (20000, "raw", 6.366197723675813e-05), (10000, "raw", 6.366197723675813e-05),
-      (20000, "raw", 0.08602969896859208)]),
+     [(40001, "raw", 7.045860714299161e-12), (10000, "raw", 1.521444122998825e-11),
+      (20000, "raw", 1.3817759357782794e-12), (10000, "raw", 1.521444122998825e-11),
+      (20000, "raw", 2.827197921717498e-12)]),
     (Interval(1.0, DIRICHLET, NEUMANN), 2.9, 0.71, {"max_terms": 7},
-     [(29, "raw", 0.04246645150331238), (7, "raw", 0.09094568176679733),
-      (14, "raw", 0.09094568176679733), (7, "raw", 0.09094568176679733),
+     [(29, "raw", 7.053167186086008e-15), (7, "raw", 7.231161549803801e-15),
+      (14, "raw", 5.626545492107646e-15), (7, "raw", 7.231161549803801e-15),
       (14, "closed-form", 0.0)]),
     (Interval(0.8, NEUMANN, DIRICHLET), 11.2, 0.05, {"max_terms": 300, "damping_t": 0.02},
-     [(1201, "abel", 1.0213143545115717e-05), (300, "abel", 7.186242134591872e-08),
-      (600, "abel", 7.186242134591872e-08), (300, "abel", 3.449396224604099e-05),
-      (600, "closed-form", 0.0)]),
+     [(2, "abel", 8.761325249870228e-16), (1, "abel", 3.028237100929211e-15),
+      (1, "abel", 3.0074710530617953e-15), (1, "abel", 2.4225896807433687e-15),
+      (0, "closed-form", 0.0)]),
     (TwistedCircle(1.3, 2.2), 4.1, 0.4, {"max_terms": 40, "damping_t": 0.05},
-     [(81, "abel", 0.016468858481153453), (40, "abel", 0.0005910503556966872),
-      (0, "closed-form", 0.0), (40, "abel", 0.06146923699245548),
+     [(2, "abel", 8.460302912188115e-16), (2, "abel", 2.0007313787623587e-15),
+      (0, "closed-form", 0.0), (2, "abel", 2.6009507923910666e-15),
       (0, "closed-form", 0.0)]),
     (TwistedCircle(1.0, 0.0), 6.0, 0.9, {"max_terms": 2},
-     [(5, "raw", 0.041666666666666664), (2, "raw", 0.3183098861837907),
-      (0, "closed-form", 0.0), (2, "raw", 0.3183098861837907),
+     [(5, "raw", 1.6471258970370522e-15), (2, "raw", 5.895186262213096e-15),
+      (0, "closed-form", 0.0), (2, "raw", 5.895186262213096e-15),
       (0, "closed-form", 0.0)]),
 ]
 
@@ -531,12 +578,85 @@ REPORTED = [
 def test_orbit_series_report_the_same_terms_tags_and_bounds(
     geometry, omega, x, settings, reported
 ):
-    control = SeriesControl(**settings)
+    got = orbit_parts(geometry, omega, x, SeriesControl(**settings))
+    assert [(v.terms_used, v.method_tag, v.truncation_bound) for v in got] == reported
+
+
+# ---------------------------------------------------------------------------
+# Bounds: every orbit series within its rounding bound of the 40-digit sum
+# ---------------------------------------------------------------------------
+
+PARTS = ("green_im_diag", "sigma periodic", "sigma boundary", "rho periodic", "rho boundary")
+
+
+def orbit_parts(geometry, omega: float, x: float, control: SeriesControl) -> list[SeriesValue]:
     sigma = local_spectral_density(geometry, omega, x, control)
     rho = global_density_decomposition(geometry, omega, control)
-    got = [green_im_diag(geometry, omega, x, control), sigma.periodic, sigma.boundary,
-           rho.periodic, rho.boundary]
-    assert [(v.terms_used, v.method_tag, v.truncation_bound) for v in got] == reported
+    return [green_im_diag(geometry, omega, x, control), sigma.periodic, sigma.boundary,
+            rho.periodic, rho.boundary]
+
+
+def bound_ratios(geometry, omega: float, x: float, control: SeriesControl) -> list[float]:
+    """|value - reference| / bound for each part (0 where both are 0)."""
+    got = orbit_parts(geometry, omega, x, control)
+    want = mp_orbit_parts(geometry, omega, x, control.damping_t, control.max_terms)
+    return [abs(v.value - ref) / v.truncation_bound if v.value != ref else 0.0
+            for v, ref in zip(got, want)]
+
+
+@pytest.mark.parametrize("damping", [1e-4, 1e-5, 1e-2])
+def test_damped_green_is_the_infinite_sum_within_its_bound(damping):
+    # sLW = 2, 0.2 and 200 windings of decay: the W-winding truncation
+    # was 0.23 and 1.40 off, and at s = 1e-2 its bound left out rounding
+    control = SeriesControl(damping_t=damping)
+    got = green_im_diag(Interval(1.0), 3.3, 0.4, control)
+    want = mp_orbit_parts(Interval(1.0), 3.3, 0.4, damping, control.max_terms)[0]
+    assert got.terms_used == 2
+    assert abs(got.value - want) <= got.truncation_bound < 1e-12
+
+
+def test_damped_local_density_is_the_infinite_sum_within_its_bound():
+    # W = 100 kept e^{-2} of the periodic series: 9.5e-2 off
+    control = SeriesControl(max_terms=100, damping_t=1e-2)
+    ratios = bound_ratios(Interval(1.0), 3.3, 0.4, control)
+    assert max(ratios) <= 1.0, dict(zip(PARTS, ratios))
+
+
+def sweep_cases(count: int, seed: int):
+    """D/D, D/N, N/D, N/N intervals and twisted circles: L = 10^U(-3, 3),
+    s L = 10^U(-13, 1) or undamped, omega within 10^U(-16, -2) (relative)
+    of a level or between levels, W from 1 to 10 000."""
+    rng = np.random.default_rng(seed)
+    ends = [(DIRICHLET, DIRICHLET), (DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET),
+            (NEUMANN, NEUMANN), None]
+    for i in range(count):
+        length, m = 10.0 ** rng.uniform(-3.0, 3.0), int(rng.integers(1, 40))
+        pair = ends[i % len(ends)]
+        if pair is None:
+            geometry = TwistedCircle(length, float(rng.uniform(0.0, 2.0 * PI)))
+            level = (2.0 * PI * m + rng.choice([-1.0, 1.0]) * geometry.theta) / length
+            spacing = PI / length
+        else:
+            geometry = Interval(length, *pair)
+            level = (m - (0.0 if geometry.like_ends else 0.5)) * PI / length
+            spacing = PI / length
+        if rng.random() < 0.5:
+            omega = level * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -2.0))
+        else:
+            omega = level + rng.uniform(0.05, 0.95) * spacing
+        damping = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-13.0, 1.0) / length
+        control = SeriesControl(max_terms=int(rng.choice([1, 7, 100, 10_000])), damping_t=damping)
+        yield geometry, abs(omega), float(rng.uniform(0.02, 0.98)) * length, control
+
+
+def test_every_orbit_series_lies_within_its_bound_on_a_sweep():
+    worst = dict.fromkeys(PARTS, 0.0)
+    for geometry, omega, x, control in sweep_cases(2000, seed=2007):
+        ratios = bound_ratios(geometry, omega, x, control)
+        for part, ratio in zip(PARTS, ratios):
+            worst[part] = max(worst[part], ratio)
+        assert max(ratios) <= 1.0, (geometry, omega, x, control, ratios)
+    assert max(worst.values()) > 0.0, worst
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +746,20 @@ def test_the_damped_green_bound_at_a_huge_length_stays_a_bound():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("geometry,omega,x", [
     (Interval(1.0), 5e-324, 1e-320),
-    (Interval(1e-300, DIRICHLET, NEUMANN), 1e-300, 3e-301),
 ])
 def test_the_undamped_green_bound_at_tiny_omega_and_x_is_invalid_not_a_division_by_zero(
     geometry, omega, x
 ):
-    # 2 omega W Lmin underflows to 0; each quotient of the bound overflows
+    # the value, 1/(2 omega) = 1e323, leaves the float range
     with pytest.raises(InvalidParameter):
         green_im_diag(geometry, omega, x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_undamped_green_at_tiny_omega_and_x_is_the_exact_sum_within_its_bound():
+    # 2 omega L underflows to 0, but the sum is 1/(2 omega) = 5e299 to
+    # within 1e-596 relative, and its rounding bound stays finite
+    geometry = Interval(1e-300, DIRICHLET, NEUMANN)
+    got = green_im_diag(geometry, 1e-300, 3e-301)
+    want = mp_orbit_parts(geometry, 1e-300, 3e-301, 0.0, SeriesControl().max_terms)[0]
+    assert abs(got.value - want) <= got.truncation_bound < 1e-10 * want

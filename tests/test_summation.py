@@ -9,6 +9,7 @@ from exact totals.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -387,6 +388,20 @@ def test_lattice_sum_returns_the_pinned_bits(args, settings, skip_zero, pinned):
     value, bound = got.value, got.truncation_bound
     # hex strings also tell a signed zero from its opposite
     assert (value.real.hex(), value.imag.hex(), bound.hex(), got.terms_used, got.method_tag) == pinned
+
+
+def test_lattice_sum_rejects_a_power_past_its_ceiling_before_any_work():
+    lattice_sum(1.0, 0.3, 0.5, 2.0, 2)  # imports and caches warm
+    assert math.isfinite(abs(lattice_sum(1.0, 0.3, 0.5, 2.0, summation.MAX_POWER).value))
+    tracemalloc.start()
+    try:
+        for k in (summation.MAX_POWER + 1, 100_000, 10**9, math.inf):
+            with pytest.raises(InvalidParameter):
+                lattice_sum(1.0, 0.3, 0.5, 2.0, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_lattice_tables_are_read_only_and_bounded():
