@@ -373,6 +373,7 @@ def green_im_diag(
     s, w = control.damping_t, int(control.max_terms)
     per, per_bound, bdry, bdry_bound = 0.0, 0.0, 0.0, 0.0
     if isinstance(geometry, HalfLine):
+        _finite(2.0 * omega * x)
         bdry = (-1.0) ** geometry.l * math.cos(2.0 * omega * x) * math.exp(-2.0 * x * s)
         bdry_bound, nterms = _EPS * (2.0 * (omega + s) * x + 2.0), 2
     elif isinstance(geometry, Interval):
@@ -411,6 +412,7 @@ def local_spectral_density(
     damped = s > 0.0  # a damped series counts as one term, undamped its windings
     periodic = boundary = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
     if isinstance(geometry, HalfLine):
+        _finite(2.0 * omega * x)
         b = (-1.0) ** geometry.l / math.pi * math.cos(2.0 * omega * x) * math.exp(-2.0 * x * s)
         boundary = _scaled(1.0, (b, _EPS * (2.0 * (omega + s) * x + 3.0) / math.pi), 1, s)
     elif isinstance(geometry, Interval):

@@ -635,15 +635,13 @@ def sweep_cases(count: int, seed: int):
         if pair is None:
             geometry = TwistedCircle(length, float(rng.uniform(0.0, 2.0 * PI)))
             level = (2.0 * PI * m + rng.choice([-1.0, 1.0]) * geometry.theta) / length
-            spacing = PI / length
         else:
             geometry = Interval(length, *pair)
             level = (m - (0.0 if geometry.like_ends else 0.5)) * PI / length
-            spacing = PI / length
         if rng.random() < 0.5:
             omega = level * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -2.0))
-        else:
-            omega = level + rng.uniform(0.05, 0.95) * spacing
+        else:  # off the level by 0.05-0.95 of pi / L
+            omega = level + rng.uniform(0.05, 0.95) * PI / length
         damping = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-13.0, 1.0) / length
         control = SeriesControl(max_terms=int(rng.choice([1, 7, 100, 10_000])), damping_t=damping)
         yield geometry, abs(omega), float(rng.uniform(0.02, 0.98)) * length, control
@@ -733,6 +731,16 @@ def test_orbit_sums_at_huge_lengths_are_finite_or_invalid(geometry, omega, dampi
             floats = [head] + [f for part in (out.periodic, out.boundary)
                                for f in (part.value, part.truncation_bound)]
         assert all(math.isfinite(f) for f in floats), (call, out)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("damping", [0.0, 1.0])
+def test_half_line_orbit_sums_past_the_float_range_are_invalid(damping):
+    # 2 omega x overflows: math.cos(inf) raised ValueError
+    control = SeriesControl(damping_t=damping)
+    for call in (green_im_diag, local_spectral_density):
+        with pytest.raises(InvalidParameter):
+            call(HalfLine(DIRICHLET), 1e308, 1e308, control)
 
 
 @pytest.mark.filterwarnings("error")
