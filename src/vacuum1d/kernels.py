@@ -37,6 +37,7 @@ relative accuracy from t << L to the ground-state asymptote at t >> L.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -158,7 +159,7 @@ def _interval_mode_phi(geom: Interval, omegas: np.ndarray, x: float) -> np.ndarr
 
 
 def _kept_rungs(
-    geometry: Interval | TwistedCircle, control: SeriesControl, cut: Callable[[float], float]
+    geometry: Interval | TwistedCircle, max_terms: int, cut: Callable[[float], float]
 ) -> Iterator[tuple[float, float, np.ndarray]]:
     """(step, first frequency, kept frequencies) of each ladder: the rungs
     up to cut(omega_min), omega_min the lowest frequency of the geometry,
@@ -167,7 +168,38 @@ def _kept_rungs(
     omega_cut = cut(min(offset + j_min * step for step, offset, j_min in ladders))
     for ladder in ladders:
         step, offset, j_min = ladder
-        yield step, offset + j_min * step, _rungs(ladder, omega_cut, control.max_terms + 1)
+        yield step, offset + j_min * step, _rungs(ladder, omega_cut, max_terms + 1)
+
+
+@functools.lru_cache(maxsize=summation._TABLES, typed=True)
+def _mode_rows(
+    geometry: Interval | TwistedCircle, t: float, max_terms: int
+) -> tuple[tuple[float, float, float, np.ndarray, np.ndarray, float], ...]:
+    """(sign, step, first, rungs om, row e^{-t om}, tail) of each ladder
+    that adds anything at height t: the part of :func:`_mode_sum` that
+    depends on no point.  Sign is +1 on the first ladder and -1 on the
+    second; tail is the geometric bound e^{-t (first + n step)}/(1 - e^{-t
+    step}) past the n kept rungs (inf where 1 - e^{-t step} is 0, where
+    _mode_rounding raises first).  A ladder whose t omega_0 overflows adds
+    nothing and is left out.
+
+    Every mode sum of a (geometry, t) row shares one entry, and the
+    summation._TABLES most recently used are kept: read-only arrays of at
+    most 2 (max_terms + 1) floats per ladder, 5 MB in all at the default
+    max_terms.  Keyed by type as well: a numpy float32 t cuts the ladder
+    at another frequency than the equal float does."""
+    span = -math.log(_TERM_FLOOR) / t
+    rows = []
+    ladders = _kept_rungs(geometry, max_terms, lambda w: w + span)
+    for sign, (step, first, om) in zip((1.0, -1.0), ladders):
+        if math.isinf(t * first):
+            continue  # every term of the ladder is exactly 0.0
+        row = np.exp(-t * om)
+        gap = -math.expm1(-t * step)
+        tail = math.exp(-t * (first + om.size * step)) / gap if gap else math.inf
+        om.flags.writeable = row.flags.writeable = False
+        rows.append((sign, step, first, om, row, tail))
+    return tuple(rows)
 
 
 def _mode_sum(
@@ -187,26 +219,25 @@ def _mode_sum(
 
     Each ladder keeps its rungs up to omega_min + (-ln _TERM_FLOOR)/t,
     omega_min the lowest frequency, and at most max_terms + 1 of them; a
-    ladder whose t omega_0 overflows adds nothing.  The bound adds, per
-    ladder, its rounding envelope (_mode_rounding, with half_reach =
-    (t + |x| + |y|)/2) and the geometric tail past its last rung.
+    ladder whose t omega_0 overflows adds nothing.  The rungs, their
+    e^{-t omega} row and the tail bound depend on no point: they come from
+    the cache :func:`_mode_rows`, keyed by (geometry, t, max_terms), so
+    the points of a row pay for them once.  The bound adds, per ladder,
+    its rounding envelope (_mode_rounding, with half_reach = (t + |x| +
+    |y|)/2, per call) and the geometric tail past its last rung.
 
     For a point array, amplitude returns one row of rungs per point and
     half_reach is an array: each row is multiplied by the e^{-t omega} row
     and summed along it, as the one-point sum is.
     Returns (value, terms, bound)."""
-    span = -math.log(_TERM_FLOOR) / t
     total, terms, bound = 0.0, 0, 0.0
-    ladders = _kept_rungs(geometry, control, lambda w: w + span)
-    for sign, (step, first, om) in zip((1.0, -1.0), ladders):
-        if math.isinf(t * first):
-            continue  # every term of the ladder is exactly 0.0
+    for sign, step, first, om, row, tail in _mode_rows(geometry, t, control.max_terms):
         bound += _mode_rounding(t, first, step, half_reach)
-        decay = np.exp(-t * om) if norm == 1.0 else norm * np.exp(-t * om)
+        decay = row if norm == 1.0 else norm * row
         # a product and row sum: a complex (20 x 1173)(1173) matrix-vector
         # product takes 8.4 ms on a 2-core machine, this 83 us
         total += (decay * amplitude(om, sign)).sum(axis=-1)
-        bound += math.exp(-t * (first + om.size * step)) / -math.expm1(-t * step)
+        bound += tail
         terms += om.size
     return total, terms, size * bound
 
@@ -352,7 +383,11 @@ def _lorentzian_lattice(
     sum is two tail-completed lattice sums; at real weights (theta a
     multiple of pi) the second is the conjugate of the first.  The division
     by 2 pi i is written out in real divisions, which floats and arrays
-    round alike."""
+    round alike.
+
+    At d = 0 the sum depends on no point: float calls there go through
+    :func:`_centred_lattice`, the cache keyed by (step, t, theta,
+    control)."""
     plus = summation.lattice_sum(step, d, t, theta, 1, control)
     if math.remainder(theta, math.pi) == 0.0:
         return plus.value.imag / math.pi + 0j, plus.terms_used, plus.truncation_bound / math.pi
@@ -365,6 +400,27 @@ def _lorentzian_lattice(
     )
 
 
+@functools.lru_cache(maxsize=summation._TABLES, typed=True)
+def _centred_lattice(
+    step: float, t: float, theta: float, control: SeriesControl
+) -> tuple[complex, int, float]:
+    """:func:`_lorentzian_lattice` at d = 0.0: the periodic family of every
+    interval diagonal point, the twisted diagonal and both trace image sums.
+    The summation._TABLES most recently used keys are kept."""
+    return _lorentzian_lattice(step, 0.0, t, theta, control)
+
+
+def _lattice_at(
+    step: float, d: float | np.ndarray, t: float, theta: float, control: SeriesControl
+) -> tuple[complex | np.ndarray, int | np.ndarray, float | np.ndarray]:
+    """:func:`_lorentzian_lattice`, from the cache at a float d = 0.  A d
+    of -0.0 shares it: in the lattice sum a zero d is only ever added to a
+    nonzero winding, so its sign never reaches the value or bound."""
+    if not isinstance(d, np.ndarray) and d == 0.0:
+        return _centred_lattice(step, t, theta, control)
+    return _lorentzian_lattice(step, d, t, theta, control)
+
+
 def _interval_image_sum(
     geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray, control: SeriesControl
 ) -> KernelValue:
@@ -374,8 +430,8 @@ def _interval_image_sum(
     step = 2.0 * geom.length
     if isinstance(x, np.ndarray) or step == math.inf:
         return _interval_image_grid(geom, t, x, y, theta, control)
-    per, n_per, b_per = _lorentzian_lattice(step, x - y, t, theta, control)
-    bdry, n_bdry, b_bdry = _lorentzian_lattice(step, x + y, t, theta, control)
+    per, n_per, b_per = _lattice_at(step, x - y, t, theta, control)
+    bdry, n_bdry, b_bdry = _lattice_at(step, x + y, t, theta, control)
     val = per.real + (-1.0) ** geom.l * bdry.real
     return KernelValue(val, IMAGE_SUM, n_per + n_bdry, b_per + b_bdry)
 
@@ -429,7 +485,7 @@ def _twisted_image_sum(
     d = y - x
     if diagonal and isinstance(d, np.ndarray):
         d = d[:1]
-    val, terms, bound = _lorentzian_lattice(geom.length, d, t, geom.theta, control)
+    val, terms, bound = _lattice_at(geom.length, d, t, geom.theta, control)
     if diagonal:
         return KernelValue(val.real, IMAGE_SUM, terms, bound)
     if isinstance(d, np.ndarray):
@@ -674,14 +730,14 @@ def cylinder_trace(
         # a = t/2L, w_n = 1 (like ends) or (-1)^n (mixed): half the unit
         # lattice of Lorentzians of width a, free of L^2.
         a, theta = 0.5 * t / geometry.length, 0.0 if geometry.like_ends else math.pi
-        per, terms, bound = _lorentzian_lattice(1.0, 0.0, a, theta, control)
+        per, terms, bound = _centred_lattice(1.0, a, theta, control)
         val = 0.5 * per.real
         if geometry.like_ends:
             val += 0.5 * (-1.0) ** geometry.l
         return KernelValue(val, IMAGE_SUM, terms, 0.5 * bound)
     # L T(t; x, x) = sum_n e^{i n theta} (a/pi)/(n^2 + a^2), a = t/L: the unit
     # lattice of Lorentzians of width a
-    per, terms, bound = _lorentzian_lattice(1.0, 0.0, t / geometry.length, geometry.theta, control)
+    per, terms, bound = _centred_lattice(1.0, t / geometry.length, geometry.theta, control)
     return KernelValue(per.real, IMAGE_SUM, terms, bound)
 
 
@@ -791,6 +847,6 @@ def _heat_trace(
     t = np.asarray(t, dtype=float)
     span = -math.log(_TERM_FLOOR) / float(t.min())
     total = 0.0
-    for _, _, om in _kept_rungs(geometry, control, lambda w: math.sqrt(w * w + span)):
+    for _, _, om in _kept_rungs(geometry, control.max_terms, lambda w: math.sqrt(w * w + span)):
         total = total + np.exp(-t[..., None] * om * om).sum(axis=-1)
     return total

@@ -224,15 +224,15 @@ def _one_minus_exp(decay: float, angle: float) -> complex:
     )
 
 
-def _geometric_sum(phase: float, decay: float, first: int, count: int) -> complex:
-    """sum_{n=first}^{first+count-1} e^{n (i phase - decay)} in closed form,
-    q^first (1 - q^count) / (1 - q) with q = e^{-decay + i phase}."""
+def _geometric_sum(phase: float, first: int, count: int) -> complex:
+    """sum_{n=first}^{first+count-1} e^{i n phase} in closed form,
+    q^first (1 - q^count) / (1 - q) with q = e^{i phase}."""
     angle = _angle(phase)
-    if angle == 0.0 and decay == 0.0:
+    if angle == 0.0:
         return complex(count)
-    head = cmath.exp(complex(-decay, angle)) ** first
-    tail = _one_minus_exp(count * decay, math.remainder(count * angle, TWO_PI))
-    return head * tail / _one_minus_exp(decay, angle)
+    head = cmath.exp(complex(0.0, angle)) ** first
+    tail = _one_minus_exp(0.0, math.remainder(count * angle, TWO_PI))
+    return head * tail / _one_minus_exp(0.0, angle)
 
 
 def _orbit_series(
@@ -273,7 +273,7 @@ def _orbit_series(
         # d/dlog q of q^a/(1 - q) = a q^a/(1 - q) + q^{a+1}/(1 - q)^2
         slope, largest = q**first * (first / near + q / near / near), q**first / gap
     else:
-        value = _geometric_sum(angle, 0.0, first, w)
+        value = _geometric_sum(angle, first, w)
         ends = 2 * first + w - 1  # first plus last winding
         # |sum n q^n| over the W windings: at most their sum, and by parts
         # at most (ends + 1)/|1 - q| + 2/|1 - q|^2
@@ -524,6 +524,7 @@ def local_counting(
     if method != ORBIT_SUM:
         raise InvalidParameter(f"unknown local counting method {method!r}")
     if isinstance(geometry, HalfLine):
+        _finite(2.0 * omega * x)
         return omega / math.pi + (-1.0) ** geometry.l * math.sin(
             2.0 * omega * x
         ) / (2.0 * math.pi * x)

@@ -422,7 +422,9 @@ _POISSON_SERIES = tuple(
 # kernel row or an array call share a handful of keys (10 in a pass of the
 # kernel-routes benchmark, where 438 of 448 calls find their table).  Each
 # is a least-recently-used cache of fixed size: _TABLES arrays tables,
-# _SCALARS entries for each of the others.
+# _SCALARS entries for each of the others.  The two point-free caches of
+# the kernel series routes (kernels._mode_rows, kernels._centred_lattice)
+# keep _TABLES entries too.
 _TABLES = 16
 _SCALARS = 256
 

@@ -655,3 +655,111 @@ def test_heat_kernel_refuses_more_images_than_the_cap(geometry, x):
     # exceeded", and t/L^2 ~ 1e12..1e15 would have asked for gigabytes
     with pytest.raises(InvalidParameter, match="images"):
         heat_kernel_diag(geometry, 1.0, x)
+
+
+# ---------------------------------------------------------------------------
+# Point-free caches of the series routes
+# ---------------------------------------------------------------------------
+
+CACHES = (kernels._mode_rows, kernels._centred_lattice)
+CACHED_GEOMETRIES = GEOMETRIES + [TwistedCircle(1.0, PI), Interval(1.0, NEUMANN, DIRICHLET)]
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def bits(kv):
+    """Every output of a kernel call, exact to the bit (repr tells -0.0
+    from 0.0, and arrays are compared by their bytes)."""
+    def exact(v):
+        return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+
+    return exact(kv.value), kv.method, exact(np.asarray(kv.terms_used)), exact(kv.truncation_bound)
+
+
+def cache_row(geometry):
+    """(x, y) points of one row: diagonal and off-diagonal, both ends, and
+    x = -0.0, y = 0.0, whose d = x - y is -0.0."""
+    fractions = [(0.3, 0.3), (0.3, 0.7), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                 (1.0, 1.0), (0.55, 0.55), (0.9, 0.1)]
+    return [(a * geometry.length, b * geometry.length) for a, b in fractions]
+
+
+@pytest.mark.parametrize("method", ROUTES)
+@pytest.mark.parametrize("geometry", CACHED_GEOMETRIES, ids=str)
+def test_cached_rows_equal_cold_calls_bit_for_bit(geometry, method):
+    # what a row of points at one t shares is built once; every call must
+    # return what it returns with both caches empty
+    t = 0.07 * geometry.length
+    row = cache_row(geometry)
+    xs, ys = np.array(row).T
+    calls = [lambda x=x, y=y: cylinder_kernel(geometry, t, x, y, method=method) for x, y in row]
+    calls += [
+        lambda: cylinder_kernel(geometry, t, xs, ys, method=method),
+        lambda: cylinder_trace(geometry, t, method=method),
+    ]
+    cold = []
+    for call in calls:
+        clear_caches()
+        cold.append(bits(call()))
+    clear_caches()
+    warm = [bits(call()) for call in calls]  # each after the calls before it
+    again = [bits(call()) for call in calls]  # every key cached
+    assert warm == cold and again == cold
+    if method == MODE_SUM:
+        assert kernels._mode_rows.cache_info().hits >= len(calls)
+    if method == IMAGE_SUM:
+        assert kernels._centred_lattice.cache_info().hits > 0
+
+
+def test_cached_arrays_are_read_only():
+    clear_caches()
+    geometry = TwistedCircle(1.0, 2.2)
+    cylinder_kernel(geometry, 0.1, 0.3, 0.6, method=MODE_SUM)
+    assert kernels._mode_rows.cache_info().currsize == 1
+    ladders = kernels._mode_rows(geometry, 0.1, SeriesControl().max_terms)  # that call's entry
+    assert kernels._mode_rows.cache_info().hits == 1 and len(ladders) == 2
+    for _, _, _, om, row, _ in ladders:
+        for table in (om, row):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
+def test_caches_stay_bounded_over_a_sweep_of_heights():
+    clear_caches()
+    for geometry in (TwistedCircle(1.0, 2.2), Interval(1.0, DIRICHLET, NEUMANN)):
+        for t in np.geomspace(1e-2, 10.0, 3 * kernels.summation._TABLES):
+            cylinder_kernel(geometry, float(t), 0.4, method=MODE_SUM)
+            cylinder_kernel(geometry, float(t), 0.4, method=IMAGE_SUM)
+            cylinder_trace(geometry, float(t), method=IMAGE_SUM)
+            for cache in CACHES:
+                info = cache.cache_info()
+                assert info.currsize <= info.maxsize == kernels.summation._TABLES
+
+
+@pytest.mark.parametrize("t", [1e-200, 5e-324])
+@pytest.mark.parametrize("geometry", CACHED_GEOMETRIES + [Interval(10.0)], ids=str)
+def test_a_height_too_small_for_a_mode_sum_raises_cold_and_warm(geometry, t):
+    # at Interval(10.0), t = 5e-324, 1 - e^{-t step} is 0.0; the trace's
+    # rounding envelope has no |x| in it and is still finite at 1e-200
+    calls = [lambda: cylinder_kernel(geometry, t, 0.5 * geometry.length, method=MODE_SUM)]
+    if t == 5e-324:
+        calls.append(lambda: cylinder_trace(geometry, t, method=MODE_SUM))
+    clear_caches()
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(InvalidParameter):
+                call()
+    assert kernels._mode_rows.cache_info().hits == 2 * len(calls) - 1  # all but the first warm
+
+
+@pytest.mark.parametrize("theta", [0.0, PI, 2.2])
+def test_a_negative_zero_displacement_sums_to_the_centred_bits(theta):
+    # d = -0.0 is served from the d = 0 cache: its sign never reaches the sum
+    clear_caches()
+    control = SeriesControl()
+    for step, t in ((2.0, 0.07), (1.0, 0.035), (1.3, 1e-3), (1.0, 40.0)):
+        signed = kernels._lorentzian_lattice(step, -0.0, t, theta, control)
+        assert repr(signed) == repr(kernels._centred_lattice(step, t, theta, control))
