@@ -22,9 +22,11 @@ with no truncation; undamped, where the series has no limit, over
 W = ``SeriesControl.max_terms`` windings, which is then the definition of
 the value (sigma smoothed by a Dirichlet kernel of width about
 pi / (W L)).  Either way the reported bound is a proven bound on the
-rounding, the only error left.  Only ``local_counting``, whose boundary
-images carry ``1/(x + nL)`` weights, sums its 2W terms one by one and
-reports no bound.
+rounding, the only error left.  The boundary images of ``local_counting``
+carry ``1/(x + nL)`` weights instead; their W-winding truncation is the
+tail-completed lattice sum less its two tails past W
+(:func:`_interval_boundary_counting`, which bounds it), and
+``local_counting`` returns it as a bare float.
 
 Sign conventions (l, r the parity indices, Dirichlet = 1):
 
@@ -43,8 +45,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import spectrum, summation
 from .errors import ContinuousSpectrum, InvalidParameter, OutOfDomain, UnsupportedGeometry
@@ -182,14 +182,6 @@ def enumerate_orbits(
 # 2 pi minus the double nearest it.
 _TWO_PI_LO = 2.4492935982947064e-16
 _EPS = 2.0**-52
-
-
-# Windings per block of local_counting's boundary-image sum.  Its float
-# temporaries then stay at 64 KB, under glibc's default 128 KB threshold,
-# past which every array is mapped and unmapped afresh (a page fault per
-# 4 KB touched): with 20 000-winding arrays a call took 816 us instead of
-# 305 us (D/D, L = 1, omega = 3.3, x = 0.4).
-_IMAGE_BLOCK = 8192
 
 
 def _finite(*values: float) -> None:
@@ -336,20 +328,57 @@ def _scaled(factor: float, part: tuple[complex, float], terms: int, s: float) ->
     return SeriesValue(value, terms, bound, ABEL if s > 0.0 else RAW)
 
 
-def _interval_boundary_counting(geom: Interval, omega: float, x: float, w: int) -> float:
+def _interval_boundary_counting(
+    geom: Interval, omega: float, x: float, control: SeriesControl
+) -> tuple[float, float]:
     """sum_{n=-W}^{W-1} sign_n sin(2 omega (x + nL)) / (2 pi (x + nL)), the
-    boundary images of local_counting: sign_n = (-1)^l, times (-1)^n for
-    mixed ends.  Summed in blocks of _IMAGE_BLOCK windings."""
-    total = 0.0
-    for start in range(-w, w, _IMAGE_BLOCK):
-        disp = x + np.arange(start, min(start + _IMAGE_BLOCK, w), dtype=float) * geom.length
-        terms = np.sin(2.0 * omega * disp) / disp
-        if geom.like_ends:
-            total += float(terms.sum())
-        else:  # n = start + i is even where i has the parity of start
-            even = start % 2
-            total += float(terms[even::2].sum() - terms[1 - even :: 2].sum())
-    return (-1.0) ** geom.l * total / (2.0 * math.pi)
+    boundary images of local_counting (sign_n = (-1)^l, times (-1)^n for
+    mixed ends), W = ``max_terms``, and a bound on its error.
+
+    Measured from the wall image x' = x or x - L (exact), whichever is at
+    most L/2, the images are x' + mL over the window |m| <= W less one end
+    m = e (W, or -W after the shift), and with phi = 2 omega L, plus pi for
+    mixed ends, and c = x'/L the sum is
+
+        sign/(2 pi) [sin(2 omega x')/x' + Im(e^{2 i omega x'} (S - T)) / L],
+
+    S = sum_{0 < |m| <= W} e^{i m phi}/(m + c) by summation._window_sum,
+    T = e^{i e phi}/(e + c), and sign = (-1)^l, times -1 after the shift
+    for mixed ends.  phi comes from _angle, since near a level S moves by
+    about W per radian of phase error.  The bound adds to the window sum's
+    the drift of the rounded 2 omega L (half an ulp) and of the reduction
+    (an ulp or two of phi, and the low parts' own rounding) times the
+    largest |dS/dphi| on the way, as in :func:`_orbit_series`: at most
+    sum |m|/|m + c| <= 2W + 2 + log(2W), and off resonance, with
+    m/(m + c) = 1 - c/(m + c) and Abel summation of each side, at most
+    8/|1 - q|, q = e^{i phi}; T adds at most 2.  Then the roundings of T,
+    of the wall term and of the assembly.
+    """
+    length, w = geom.length, int(control.max_terms)
+    phase = 2.0 * omega * length
+    angle = _angle(phase) if geom.like_ends else _angle(phase, math.pi, 0.5 * _TWO_PI_LO)
+    shift = x > 0.5 * length
+    near = x - length if shift else x  # exact (Sterbenz) after the shift
+    end = -w if shift else w
+    sign = (-1.0) ** geom.l * (-1.0 if shift and not geom.like_ends else 1.0)
+    c = near / length
+    images, bound = summation._window_sum(c, angle, w, control)
+    left_out = cmath.exp(complex(0.0, end * angle)) / (end + c)
+    a = 2.0 * omega * near
+    wall = math.sin(a) / near
+    im = (cmath.exp(complex(0.0, a)) * (images - left_out)).imag / length
+    value = sign * (wall + im) / TWO_PI
+    drift = _EPS * (abs(phase) + 2.0 * abs(angle) + 4.0 * _EPS)
+    slope = 2.0 * w + 2.0 + math.log(2.0 * w)
+    near_q = 2.0 * abs(math.sin(0.5 * angle)) * (1.0 - 4.0 * _EPS) - drift  # |1 - q| on the way
+    if near_q > 0.0:
+        slope = min(slope, 8.0 / near_q)
+    bound += drift * (slope + 2.0)  # T moves by at most 2 per radian
+    bound += _EPS * ((abs(a) + 4.0) * (abs(images) + abs(left_out)) + (abs(end * angle) + 8.0) * abs(left_out))
+    bound = (bound / length + 2.0 * _EPS * (omega + 2.0 * abs(wall) + abs(im))) / TWO_PI
+    bound += 2.0 * _EPS * abs(value)
+    _finite(value, bound)
+    return value, bound
 
 
 def green_im_diag(
@@ -500,9 +529,13 @@ def local_counting(
       M = N(omega).  Reproduces the mode sum to rounding.
     * ``orbit-sum`` -- Weyl term omega/pi plus the periodic sawtooth over L
       plus the truncated boundary-image series
-      ``sum_n sign_n sin(2 omega (x + nL)) / (2 pi (x + nL))``.
+      ``sum_n sign_n sin(2 omega (x + nL)) / (2 pi (x + nL))``, n from -W
+      to W - 1, W = ``max_terms``.  That truncation is the value; it is
+      evaluated as the tail-completed lattice sum less its two tails past
+      W (:func:`_interval_boundary_counting`), and no bound is returned.
 
-    The two agree as the winding cutoff grows (Poisson summation).
+    The two agree as the winding cutoff grows (Poisson summation).  A
+    value past the float range raises :class:`InvalidParameter`.
     """
     if not (omega > 0.0) or not math.isfinite(omega):
         raise InvalidParameter("omega must be positive and finite")
@@ -528,9 +561,8 @@ def local_counting(
         return omega / math.pi + (-1.0) ** geometry.l * math.sin(
             2.0 * omega * x
         ) / (2.0 * math.pi * x)
-    weyl = omega / math.pi
-    per = spectrum.periodic_counting_term(geometry, omega) / geometry.length
-    if isinstance(geometry, TwistedCircle):
-        return weyl + per
-    bdry = _interval_boundary_counting(geometry, omega, x, int(control.max_terms))
-    return weyl + per + bdry
+    value = omega / math.pi + spectrum.periodic_counting_term(geometry, omega) / geometry.length
+    if isinstance(geometry, Interval):
+        value += _interval_boundary_counting(geometry, omega, x, control)[0]
+    _finite(value)
+    return value

@@ -59,8 +59,8 @@ class SeriesControl:
         The spectral-density orbit series of :mod:`vacuum1d.orbits` read
         it only undamped (``damping_t = 0``), where their value is the
         W-winding truncation; damped, they are summed to the end and do
-        not read it.  ``local_counting`` sums 2W boundary images term by
-        term.
+        not read it.  ``local_counting`` keeps the W-winding truncation of
+        its boundary images, as a lattice sum less its two tails past W.
     tol : float
         Target absolute accuracy, read by :func:`lattice_sum`: its windings
         grow until the truncation bound is at most ``max(tol, rounding)``.
@@ -687,6 +687,81 @@ def _direct_terms(
     return complex(total), rounding
 
 
+def _unit_tol(tol: float, step: float, k: int, c: complex) -> float:
+    """The target of a unit-lattice sum: tol step^k, one factor at a time so
+    that it saturates instead of raising; below eps times the largest
+    term, at least (1 + |c|)^-k, it is below the rounding and cannot be
+    met; and kept inside the normal floats."""
+    for _ in range(k):
+        tol *= step
+    return min(max(tol, _EPS * (1.0 + abs(c)) ** -k, _TINY), _HUGE)
+
+
+def _tail_pair(
+    c: complex, th: float, k: int, a: int, goal: float
+) -> tuple[tuple[complex, float, float], tuple[complex, float, float]]:
+    """The tails m >= a and m <= -a of the unit lattice sum, each as
+    (value, remainder bound, rounding), the second as
+    sum_{m >= a} e^{-i m th} (m - c)^{-k}: by Poisson summation at small
+    angles, by summation by parts to ``goal`` otherwise."""
+    if abs(th) < _SMALL_ANGLE:
+        return _tail_poisson(c, th, k, a), _tail_poisson(-c, -th, k, a)
+    return _tail_by_parts(c, th, k, a, 0.5 * goal), _tail_by_parts(-c, -th, k, a, 0.5 * goal)
+
+
+def _completed_sum(
+    c: complex, th: float, k: int, tol: float, cap: int, skip: int | None, c_err: float
+) -> tuple[int, complex, float, tuple, tuple]:
+    """The windings of a unit lattice sum: W starts where the remainder
+    formula meets ``tol`` and doubles until the two tails' remainder is at
+    most max(tol, rounding) or W reaches ``cap``.  Returns W, the direct
+    sum over |m| <= W and its rounding, and the two tails past W (see
+    :func:`_tail_pair`)."""
+    first = _first_winding(th, k, tol) + abs(c.real) - 1.0
+    w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
+    total, rounding = _direct_sum(c, th, k, w, skip, c_err)
+    goal = max(tol, rounding)
+    first_w = w
+    while True:
+        plus, minus = _tail_pair(c, th, k, w + 1, goal)
+        if plus[1] + minus[1] <= goal or w >= cap:
+            break
+        w = min(cap, 2 * w)
+    if w != first_w:
+        total, rounding = _direct_sum(c, th, k, w, skip, c_err)
+    return w, total, rounding, plus, minus
+
+
+def _window_sum(c: float, th: float, w: int, control: SeriesControl) -> tuple[complex, float]:
+    """sum_{0 < |m| <= w} e^{i m th} / (m + c), real c with |c| <= 1/2 and
+    rounded at most once, and a bound on its error: the unit lattice sum
+    (k = 1, t = 0, the m = 0 term skipped) run with ``w`` as its cap, less
+    its two tails past w.
+
+    Where the lattice sum's own windings reach w, its direct sum is the
+    value and no tail enters.  Otherwise the value is that direct sum,
+    plus its tails, less the tails past w, all four from :func:`_tail_pair`,
+    so that at th = 0 the regularized divergences of the two pairs cancel
+    as they do inside :func:`lattice_sum`.  The target is ``control.tol``
+    on the unit lattice, so a value scaled by 1/step keeps its relative
+    accuracy at every step.  The bound adds the tails' remainders and
+    roundings, the rounding of c in the direct sum (absolute when c is
+    subnormal; the skipped pole makes any c safe) and in the tails past
+    the direct sum (|d/dc| <= 2/W there), and the three additions.
+    """
+    cc = complex(c)
+    tol = _unit_tol(control.tol, 1.0, 1, cc)
+    c_err = _EPS * (abs(c) + _TINY)
+    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err)
+    if lat < w:
+        far_plus, far_minus = _tail_pair(cc, th, 1, w + 1, max(tol, bound))
+        tails = (plus, minus, far_plus, far_minus)
+        bound += math.fsum(p[1] + p[2] + 4.0 * _EPS * abs(p[0]) for p in tails)
+        bound += 4.0 * _EPS * abs(total) + 2.0 * c_err / lat
+        total += (plus[0] - minus[0]) - (far_plus[0] - far_minus[0])
+    return total, bound
+
+
 def lattice_sum(
     step: float,
     d: float | np.ndarray,
@@ -768,36 +843,13 @@ def _lattice_sum(
     skip = shift if skip_zero else None
     if skip is not None and abs(skip) > cap:
         raise InvalidParameter("skip_zero needs |d| <= step * max_terms")
-    poisson = abs(th) < _SMALL_ANGLE
     c = complex(d0, -tu)
-    # tol step^k, one factor at a time so that it saturates instead of
-    # raising; below eps times the largest term, at least (1 + |c|)^-k,
-    # it is below the rounding and cannot be met
-    tol = control.tol
-    for _ in range(k):
-        tol *= step
-    tol = min(max(tol, _EPS * (1.0 + abs(c)) ** -k, _TINY), _HUGE)
-    first = _first_winding(th, k, tol) + abs(d0) - 1.0
-    w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
+    tol = _unit_tol(control.tol, step, k, c)
     # dividing by a power of two is exact; otherwise d/step and t/step are
     # each rounded once
     c_err = 0.0 if math.frexp(step)[0] == 0.5 else _EPS * (abs(du) + abs(tu))
-    total, rounding = _direct_sum(c, th, k, w, skip, c_err)
-    goal = max(tol, rounding)
-    first_w = w
-    while True:
-        if poisson:
-            plus = _tail_poisson(c, th, k, w + 1)
-            minus = _tail_poisson(-c, -th, k, w + 1)
-        else:
-            plus = _tail_by_parts(c, th, k, w + 1, 0.5 * goal)
-            minus = _tail_by_parts(-c, -th, k, w + 1, 0.5 * goal)
-        remainder = plus[1] + minus[1]
-        if remainder <= goal or w >= cap:
-            break
-        w = min(cap, 2 * w)
-    if w != first_w:
-        total, rounding = _direct_sum(c, th, k, w, skip, c_err)
+    w, total, rounding, plus, minus = _completed_sum(c, th, k, tol, cap, skip, c_err)
+    remainder = plus[1] + minus[1]
     unshifted = total + plus[0] + (-1) ** k * minus[0]
     if th != 0.0 and abs(th) != math.pi:
         rounding += _EPS * abs(th * shift) * abs(unshifted)  # the phase of the shift
@@ -811,7 +863,7 @@ def _lattice_sum(
     if not (cmath.isfinite(value) and math.isfinite(bound)):
         raise InvalidParameter(f"lattice sum overflows at step={step!r}, d={d!r}, t={t!r}")
     # positional: a frozen dataclass takes keywords at a third more cost
-    tag = EULER_MACLAURIN if poisson else SUMMATION_BY_PARTS
+    tag = EULER_MACLAURIN if abs(th) < _SMALL_ANGLE else SUMMATION_BY_PARTS
     return SeriesValue(complex(value), 2 * w + 1 - (skip is not None), bound, tag)
 
 

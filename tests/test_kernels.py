@@ -739,6 +739,50 @@ def test_caches_stay_bounded_over_a_sweep_of_heights():
                 assert info.currsize <= info.maxsize == kernels.summation._TABLES
 
 
+def test_the_mode_row_cache_keeps_no_row_past_the_default_cap():
+    # 16 twisted mode traces at t = 1e-6...1e-5 with max_terms = 100 000
+    # need 100 001 rungs a ladder: those rows are built per call, and the
+    # cache keeps only the rows cut at the default max_terms
+    clear_caches()
+    geometry, control = TwistedCircle(1.0, 2.2), SeriesControl(max_terms=100_000)
+    heights = [float(t) for t in np.linspace(1e-6, 1e-5, 16)]
+    got = [cylinder_trace(geometry, t, method=MODE_SUM, control=control) for t in heights]
+    cap = SeriesControl().max_terms
+    misses = kernels._mode_rows.cache_info().misses
+    held = sum(
+        table.nbytes
+        for t in heights
+        for ladder in kernels._mode_rows(geometry, t, cap)
+        for table in ladder[3:5]
+    )
+    assert kernels._mode_rows.cache_info().misses == misses  # each one a kept entry
+    assert held <= 16 * 2 * 2 * (cap + 1) * 8
+    for t, out in zip(heights, got):
+        rows = kernels._mode_rows.__wrapped__(geometry, t, control.max_terms)  # uncached
+        assert out.terms_used == sum(ladder[3].size for ladder in rows) == 2 * 100_001
+        assert out.value == float(sum((ladder[4] * 1.0).sum(axis=-1) for ladder in rows))
+        closed = cylinder_trace(geometry, t).value
+        assert abs(out.value - closed) <= out.truncation_bound + 1e-15 * closed
+
+
+@pytest.mark.parametrize("geometry", CACHED_GEOMETRIES, ids=str)
+def test_a_float32_height_gives_the_bits_of_the_equal_float(geometry):
+    # numpy 2 keeps float op np.float32 in float32: t is converted at entry
+    low = np.float32(0.1)
+    t = float(low)
+    calls = [lambda h, m=m: cylinder_kernel(geometry, h, 0.3 * geometry.length, method=m) for m in ROUTES]
+    calls += [lambda h, m=m: cylinder_trace(geometry, h, method=m) for m in ROUTES]
+    for call in calls:
+        clear_caches()
+        want = bits(call(t))
+        clear_caches()
+        out = call(low)
+        assert bits(out) == want
+        assert type(out.truncation_bound) is float
+    got = heat_trace(geometry, low)
+    assert type(got) is float and got == heat_trace(geometry, t)
+
+
 @pytest.mark.parametrize("t", [1e-200, 5e-324])
 @pytest.mark.parametrize("geometry", CACHED_GEOMETRIES + [Interval(10.0)], ids=str)
 def test_a_height_too_small_for_a_mode_sum_raises_cold_and_warm(geometry, t):

@@ -33,6 +33,7 @@ from vacuum1d.orbits import (
     ORBIT_SUM,
     PERIODIC,
     _geometric_sum,
+    _interval_boundary_counting,
     enumerate_orbits,
     global_density_decomposition,
     green_im_diag,
@@ -47,6 +48,7 @@ from vacuum1d.spectrum import (
     TwistedCircle,
     eigenfunction_density,
     eigenvalues,
+    periodic_counting_term,
 )
 from vacuum1d.summation import ABEL, RAW, SeriesControl, SeriesValue
 
@@ -684,6 +686,108 @@ def test_orbit_sum_counting_converges_to_dirichlet_kernel():
         devs.append(abs(got - closed))
     assert devs[2] < devs[0]
     assert devs[2] < 2e-3
+
+
+# The boundary images of local_counting: a lattice sum less its tails past W.
+
+END_PAIRS = [(DIRICHLET, DIRICHLET), (NEUMANN, NEUMANN), (DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)]
+IMAGE_LENGTHS = [1e-3, 0.6, 1.0, 1.17262, 1e3]
+
+
+def mp_boundary_counting(geometry, omega: float, x: float, windings) -> dict:
+    """sum_{n=-W}^{W-1} sign_n sin(2 omega (x + nL)) / (2 pi (x + nL)) at 40
+    digits and the float inputs, for each W of ``windings``: the windows
+    are nested, so one sweep outward gives them all."""
+    with mpmath.workdps(40):
+        length, om, xm = mpmath.mpf(geometry.length), mpmath.mpf(omega), mpmath.mpf(x)
+        total, out = mpmath.mpf(0), {}
+        for w in range(1, max(windings) + 1):
+            for n in (-w, w - 1):
+                d = xm + n * length  # exact at 40 digits
+                term = mpmath.sin(2 * om * d) / d
+                total += -term if n % 2 and not geometry.like_ends else term
+            if w in windings:
+                out[w] = (-1) ** geometry.l * total / (2 * mpmath.pi)
+    return out
+
+
+def level_omega(geometry) -> float:
+    """An omega whose float 2 omega L is a float multiple of 2 pi (like
+    ends) or an odd multiple of pi (mixed ends): a level, where the
+    windings add in phase."""
+    length = geometry.length
+    for k in range(1, 40):
+        target = k * 2.0 * PI if geometry.like_ends else (2 * k + 1) * PI
+        omega = target / (2.0 * length)
+        for _ in range(8):
+            phase = 2.0 * omega * length
+            if phase == target:
+                return omega
+            omega = math.nextafter(omega, math.inf if phase < target else 0.0)
+    raise AssertionError(f"no resonant omega at L = {length!r}")
+
+
+def image_points(length: float) -> list[float]:
+    """x next to the left wall, inside, and next to the right wall."""
+    return [math.ulp(length), 0.37 * length, (1.0 - 1e-7) * length, math.nextafter(length, 0.0)]
+
+
+@pytest.mark.parametrize("ends", END_PAIRS, ids=lambda e: e[0].value + e[1].value)
+def test_boundary_counting_lies_within_its_bound_of_the_40_digit_truncation(ends):
+    # W = 2000 on one x per (L, omega), in turn, and W <= 200 on every x
+    for i, length in enumerate(IMAGE_LENGTHS):
+        geometry = Interval(length, *ends)
+        between = 3.37 * PI / length  # off the levels of every end pair
+        for j, omega in enumerate((between, level_omega(geometry))):
+            for k, x in enumerate(image_points(length)):
+                windings = (1, 2, 7, 200) + ((2000,) if k == (i + j) % 4 else ())
+                want = mp_boundary_counting(geometry, omega, x, windings)
+                for w in windings:
+                    got, bound = _interval_boundary_counting(
+                        geometry, omega, x, SeriesControl(max_terms=w)
+                    )
+                    assert abs(mpmath.mpf(got) - want[w]) <= bound, (length, omega, x, w, got, bound)
+
+
+@pytest.mark.parametrize("ends", END_PAIRS, ids=lambda e: e[0].value + e[1].value)
+def test_boundary_counting_bound_at_the_default_windings(ends):
+    # the images scale like 1/L, and so does the bound: at most 1e-9 of
+    # max(1, 1/L) at W = 10^4, levels and walls included
+    for length in IMAGE_LENGTHS:
+        geometry = Interval(length, *ends)
+        for omega in (3.37 * PI / length, level_omega(geometry), 100.1 / length):
+            for x in image_points(length):
+                got, bound = _interval_boundary_counting(geometry, omega, x, SeriesControl())
+                assert math.isfinite(got) and 0.0 < bound <= 1e-9 * max(1.0, 1.0 / length)
+
+
+def test_local_counting_adds_the_bounded_images_to_weyl_and_sawtooth():
+    geometry, omega, x = Interval(0.6, NEUMANN, DIRICHLET), 7.7, 0.41
+    images = _interval_boundary_counting(geometry, omega, x, SeriesControl())[0]
+    want = omega / PI + periodic_counting_term(geometry, omega) / 0.6 + images
+    assert local_counting(geometry, omega, x) == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [1e308, 1e-300, 5e-324], ids=repr)
+@pytest.mark.parametrize("ends", END_PAIRS, ids=lambda e: e[0].value + e[1].value)
+def test_interval_local_counting_at_extreme_lengths_is_finite_or_invalid(length, ends):
+    # no OverflowError, nan or numpy warning; no float lies in (0, 5e-324),
+    # so there every point is out of the domain
+    geometry = Interval(length, *ends)
+    points = [0.3 * length, 0.5 * length, math.nextafter(length, 0.0), 5e-324]
+    for x, omega, w in itertools.product(points, [5e-324, 3e-308, 1.0, 3.3, 1e300, 1e308], [1, 10_000]):
+        try:
+            got = local_counting(geometry, omega, x, control=SeriesControl(max_terms=w))
+        except OutOfDomain:
+            assert not 0.0 < x < length
+            continue
+        except InvalidParameter:
+            continue
+        assert math.isfinite(got), (x, omega, w, got)
+        if length != 5e-324:
+            value, bound = _interval_boundary_counting(geometry, omega, x, SeriesControl(max_terms=w))
+            assert math.isfinite(value) and math.isfinite(bound)
 
 
 def test_dirichlet_kernel_route_requires_dirichlet_interval():
