@@ -179,15 +179,19 @@ _CACHED_TERMS = SeriesControl().max_terms
 def _mode_rows(
     geometry: Interval | TwistedCircle, t: float, max_terms: int
 ) -> tuple[tuple[float, float, float, np.ndarray, np.ndarray, float], ...]:
-    """:func:`_ladder_rows`, kept.  Sign is +1 on the first ladder and -1 on
-    the second; tail is the geometric bound e^{-t (first + n step)}/(1 -
-    e^{-t step}) past the n kept rungs (inf where 1 - e^{-t step} is 0,
-    where _mode_rounding raises first).  A ladder whose t omega_0
-    overflows adds nothing and is left out.
+    """(sign, step, first, rungs om, row e^{-t om}, tail) of each ladder
+    that adds anything at height t: the part of :func:`_mode_sum` that
+    depends on no point.  Sign is +1 on the first ladder and -1 on the
+    second; tail is the geometric bound e^{-t (first + n step)}/(1 - e^{-t
+    step}) past the n kept rungs (inf where 1 - e^{-t step} is 0, where
+    _mode_rounding raises first).  A ladder whose t omega_0 overflows adds
+    nothing and is left out.
 
-    The summation._TABLES most recently used are kept: read-only arrays of
-    at most 2 (max_terms + 1) floats per ladder, 5 MB in all at the
-    default max_terms."""
+    Every mode sum of a (geometry, t) row shares one entry, and the
+    summation._TABLES most recently used are kept: read-only arrays of at
+    most 2 (max_terms + 1) floats per ladder.  :func:`_mode_sum` asks
+    for at most the default max_terms, so they hold 5 MB at most; longer
+    rows are built for their call through ``__wrapped__`` and not kept."""
     span = -math.log(_TERM_FLOOR) / t
     rows = []
     ladders = _kept_rungs(geometry, max_terms, lambda w: w + span)
@@ -200,24 +204,6 @@ def _mode_rows(
         om.flags.writeable = row.flags.writeable = False
         rows.append((sign, step, first, om, row, tail))
     return tuple(rows)
-
-
-def _ladder_rows(
-    geometry: Interval | TwistedCircle, t: float, max_terms: int
-) -> tuple[tuple[float, float, float, np.ndarray, np.ndarray, float], ...]:
-    """(sign, step, first, rungs om, row e^{-t om}, tail) of each ladder
-    that adds anything at height t: the part of :func:`_mode_sum` that
-    depends on no point.
-
-    Every mode sum of a (geometry, t) row shares one entry of the cache
-    :func:`_mode_rows`, whose rows are cut at the default max_terms.  Where
-    a larger max_terms asks for more and a cut row reaches the default
-    cap, the longer rows are built for the call and not kept, so the cache
-    stays within its 5 MB."""
-    rows = _mode_rows(geometry, t, min(max_terms, _CACHED_TERMS))
-    if max_terms > _CACHED_TERMS and any(row[3].size > _CACHED_TERMS for row in rows):
-        return _mode_rows.__wrapped__(geometry, t, max_terms)
-    return rows
 
 
 def _mode_sum(
@@ -239,17 +225,22 @@ def _mode_sum(
     omega_min the lowest frequency, and at most max_terms + 1 of them; a
     ladder whose t omega_0 overflows adds nothing.  The rungs, their
     e^{-t omega} row and the tail bound depend on no point: they come from
-    :func:`_ladder_rows`, cached by (geometry, t, max_terms) up to the
-    default max_terms, so the points of a row pay for them once.  The bound adds, per ladder,
-    its rounding envelope (_mode_rounding, with half_reach = (t + |x| +
-    |y|)/2, per call) and the geometric tail past its last rung.
+    the cache :func:`_mode_rows`, so the points of a row pay for them
+    once.  Its rows are cut at the default max_terms; where a larger
+    max_terms asks for more and a cut row reaches that cap, the longer rows
+    are built for the call.  The bound adds, per ladder, its rounding
+    envelope (_mode_rounding, with half_reach = (t + |x| + |y|)/2, per
+    call) and the geometric tail past its last rung.
 
     For a point array, amplitude returns one row of rungs per point and
     half_reach is an array: each row is multiplied by the e^{-t omega} row
     and summed along it, as the one-point sum is.
     Returns (value, terms, bound)."""
     total, terms, bound = 0.0, 0, 0.0
-    for sign, step, first, om, row, tail in _ladder_rows(geometry, t, control.max_terms):
+    rows = _mode_rows(geometry, t, min(control.max_terms, _CACHED_TERMS))
+    if control.max_terms > _CACHED_TERMS and any(ladder[3].size > _CACHED_TERMS for ladder in rows):
+        rows = _mode_rows.__wrapped__(geometry, t, control.max_terms)
+    for sign, step, first, om, row, tail in rows:
         bound += _mode_rounding(t, first, step, half_reach)
         decay = row if norm == 1.0 else norm * row
         # a product and row sum: a complex (20 x 1173)(1173) matrix-vector
@@ -564,6 +555,14 @@ def _twisted_closed_form_diag(geom: TwistedCircle, t: float) -> KernelValue:
     return KernelValue(val, CLOSED_FORM, 0, 0.0)
 
 
+def _height(t: float) -> float:
+    """t as a float, once it is checked to be one positive, finite height.
+    A numpy float32 t would round parts of a mode sum to float32."""
+    if not isinstance(t, (int, float)) and np.ndim(t) or not (t > 0.0) or not math.isfinite(t):
+        raise InvalidParameter("t must be a positive and finite scalar")
+    return float(t)
+
+
 def cylinder_kernel(
     geometry: Geometry,
     t: float,
@@ -632,9 +631,7 @@ def cylinder_kernel(
     * twisted diagonal: ``cosh((pi-theta) t/L) / (L sinh(pi t/L))``
       ``= (e^{-theta t/L} + e^{-(2 pi-theta) t/L}) / (L (1 - e^{-2 pi t/L}))``.
     """
-    if not isinstance(t, (int, float)) and np.ndim(t) or not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("t must be a positive and finite scalar")
-    t = float(t)  # a numpy float32 t would round parts of a mode sum to float32
+    t = _height(t)
     if y is None:
         y = x
     if isinstance(x, (int, float)) and isinstance(y, (int, float)):
@@ -730,9 +727,7 @@ def cylinder_trace(
     The half-line trace diverges (continuous spectrum);
     :class:`ContinuousSpectrum` is raised.
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("t must be positive and finite")
-    t = float(t)
+    t = _height(t)
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line cylinder trace diverges")
     if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
@@ -829,9 +824,7 @@ def heat_trace(geometry: Geometry, t: float, control: SeriesControl = SeriesCont
     ``b_1 = -1/2, 0, +1/2`` for Dirichlet-Dirichlet, mixed, and
     Neumann-Neumann ends, and ``b_1 = 0`` on the circle.
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("t must be positive and finite")
-    t = float(t)
+    t = _height(t)
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line heat trace diverges")
     return float(_heat_trace(geometry, t, control))

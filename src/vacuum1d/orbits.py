@@ -374,7 +374,8 @@ def _interval_boundary_counting(
     if near_q > 0.0:
         slope = min(slope, 8.0 / near_q)
     bound += drift * (slope + 2.0)  # T moves by at most 2 per radian
-    bound += _EPS * ((abs(a) + 4.0) * (abs(images) + abs(left_out)) + (abs(end * angle) + 8.0) * abs(left_out))
+    bound += _EPS * (abs(a) + 4.0) * (abs(images) + abs(left_out))  # e^{2 i omega x'} (S - T)
+    bound += _EPS * (abs(end * angle) + 8.0) * abs(left_out)  # T itself
     bound = (bound / length + 2.0 * _EPS * (omega + 2.0 * abs(wall) + abs(im))) / TWO_PI
     bound += 2.0 * _EPS * abs(value)
     _finite(value, bound)

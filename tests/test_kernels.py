@@ -783,6 +783,17 @@ def test_a_float32_height_gives_the_bits_of_the_equal_float(geometry):
     assert type(got) is float and got == heat_trace(geometry, t)
 
 
+@pytest.mark.parametrize("t", [np.array([0.5, 0.6]), np.array([0.5]), [0.5]], ids=repr)
+def test_an_array_height_is_invalid_at_every_kernel_entry(t):
+    # one height per call: arrays raised ValueError or TypeError at the traces
+    geometry = Interval(1.0)
+    calls = [lambda: cylinder_kernel(geometry, t, 0.3), lambda: cylinder_trace(geometry, t),
+             lambda: heat_trace(geometry, t)]
+    for call in calls:
+        with pytest.raises(InvalidParameter):
+            call()
+
+
 @pytest.mark.parametrize("t", [1e-200, 5e-324])
 @pytest.mark.parametrize("geometry", CACHED_GEOMETRIES + [Interval(10.0)], ids=str)
 def test_a_height_too_small_for_a_mode_sum_raises_cold_and_warm(geometry, t):
