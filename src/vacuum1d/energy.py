@@ -63,7 +63,7 @@ _ZERO_MODE = "zero mode present (omega = 0); it adds nothing to the energy sum"
 _isfinite = math.isfinite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EnergyBreakdown:
     """Energy (or energy density) split by orbit family.
 
@@ -79,6 +79,27 @@ class EnergyBreakdown:
     total_renormalized: float
     regulator_t: float
     note: str = ""
+
+    # Written out: a density profile builds thousands of these, and the
+    # generated frozen __init__, one object.__setattr__ a field, costs about
+    # three times as much.  The fields, equality, hash, repr, replace and
+    # FrozenInstanceError stay the dataclass's.
+    def __init__(
+        self,
+        weyl: float,
+        periodic: float,
+        boundary: float,
+        total_renormalized: float,
+        regulator_t: float,
+        note: str = "",
+    ) -> None:
+        d = self.__dict__
+        d["weyl"] = weyl
+        d["periodic"] = periodic
+        d["boundary"] = boundary
+        d["total_renormalized"] = total_renormalized
+        d["regulator_t"] = regulator_t
+        d["note"] = note
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ _MODE_ROUNDING = 4.0
 _FOURIER_SWITCH = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KernelValue:
     """A kernel evaluation plus provenance.
 
@@ -111,6 +111,21 @@ class KernelValue:
     method: str
     terms_used: int | TermCounts
     truncation_bound: float | np.ndarray
+
+    # Written out, as for energy.EnergyBreakdown: the generated frozen
+    # __init__ costs about three times as much.
+    def __init__(
+        self,
+        value: float | complex | np.ndarray,
+        method: str,
+        terms_used: int | TermCounts,
+        truncation_bound: float | np.ndarray,
+    ) -> None:
+        d = self.__dict__
+        d["value"] = value
+        d["method"] = method
+        d["terms_used"] = terms_used
+        d["truncation_bound"] = truncation_bound
 
 
 def _all(cond: bool | np.ndarray) -> bool:

@@ -29,7 +29,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import InvalidParameter, NonConvergent
 
@@ -85,7 +85,7 @@ class SeriesControl:
             raise InvalidParameter("damping_t must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeriesValue:
     """A summed series together with how the number was obtained.
 
@@ -111,6 +111,17 @@ class SeriesValue:
     terms_used: int
     truncation_bound: float
     method_tag: str
+
+    # Written out, as for energy.EnergyBreakdown: the generated frozen
+    # __init__ costs about three times as much.
+    def __init__(
+        self, value: float, terms_used: int, truncation_bound: float, method_tag: str
+    ) -> None:
+        d = self.__dict__
+        d["value"] = value
+        d["terms_used"] = terms_used
+        d["truncation_bound"] = truncation_bound
+        d["method_tag"] = method_tag
 
 
 def abel_cos_integral(a: float, b: float, t: float) -> tuple[float, float]:
@@ -446,10 +457,11 @@ def _winding_table(
     theta: float, w: int
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """m = -w..w (complex, so that m + c needs no cast) and, at theta off 0
-    and +-pi, e^{i m theta} and |m|: read-only arrays that every direct sum
-    at (theta, w) shares.  The _TABLES most recently used are kept, 40
-    (2w + 1) bytes each at a generic theta and 16 (2w + 1) at 0 and pi:
-    at most 13 MB while w stays within the default cap of 10 000."""
+    and +-pi, e^{i m theta} and |m|: read-only arrays that every lattice
+    sum at (theta, w) shares (a window sum builds its own).  The _TABLES
+    most recently used are kept, 40 (2w + 1) bytes each at a generic theta
+    and 16 (2w + 1) at 0 and pi: at most 13 MB while w stays within the
+    default cap of 10 000."""
     import numpy as np
 
     m = np.arange(-w, w + 1, dtype=float)
@@ -640,28 +652,29 @@ def _first_winding(theta: float, k: int, tol: float) -> float:
 
 
 def _direct_sum(
-    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, table: Callable
 ) -> tuple[complex, float]:
     """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
     and its rounding allowance: pairwise summation, the rounding of the
-    phases m theta, and ``c_err``, the error of c."""
+    phases m theta, and ``c_err``, the error of c.  ``table`` gives the
+    winding arrays: :func:`_winding_table`, or its uncached function."""
     if abs(c) < 1.0 and abs(c) ** k < 1e-300:  # |c|^k may overflow past 1
         import numpy as np
 
         # next to the pole a term may overflow: the sum comes back inf or
         # nan, and lattice_sum raises InvalidParameter
         with np.errstate(over="ignore", invalid="ignore"):
-            return _direct_terms(c, theta, k, w, skip, c_err)
-    return _direct_terms(c, theta, k, w, skip, c_err)
+            return _direct_terms(c, theta, k, w, skip, c_err, table)
+    return _direct_terms(c, theta, k, w, skip, c_err, table)
 
 
 def _direct_terms(
-    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, table: Callable
 ) -> tuple[complex, float]:
     import numpy as np
 
     add = np.add.reduce  # what ndarray.sum calls: the same pairwise sum
-    m, phase, abs_m = _winding_table(theta, w)
+    m, phase, abs_m = table(theta, w)
     u = m + c
     if skip is not None:
         u[w + skip] = 1.0
@@ -710,16 +723,23 @@ def _tail_pair(
 
 
 def _completed_sum(
-    c: complex, th: float, k: int, tol: float, cap: int, skip: int | None, c_err: float
+    c: complex,
+    th: float,
+    k: int,
+    tol: float,
+    cap: int,
+    skip: int | None,
+    c_err: float,
+    table: Callable,
 ) -> tuple[int, complex, float, tuple, tuple]:
     """The windings of a unit lattice sum: W starts where the remainder
     formula meets ``tol`` and doubles until the two tails' remainder is at
     most max(tol, rounding) or W reaches ``cap``.  Returns W, the direct
     sum over |m| <= W and its rounding, and the two tails past W (see
-    :func:`_tail_pair`)."""
+    :func:`_tail_pair`).  ``table`` is passed to :func:`_direct_sum`."""
     first = _first_winding(th, k, tol) + abs(c.real) - 1.0
     w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
-    total, rounding = _direct_sum(c, th, k, w, skip, c_err)
+    total, rounding = _direct_sum(c, th, k, w, skip, c_err, table)
     goal = max(tol, rounding)
     first_w = w
     while True:
@@ -728,7 +748,7 @@ def _completed_sum(
             break
         w = min(cap, 2 * w)
     if w != first_w:
-        total, rounding = _direct_sum(c, th, k, w, skip, c_err)
+        total, rounding = _direct_sum(c, th, k, w, skip, c_err, table)
     return w, total, rounding, plus, minus
 
 
@@ -752,7 +772,10 @@ def _window_sum(c: float, th: float, w: int, control: SeriesControl) -> tuple[co
     cc = complex(c)
     tol = _unit_tol(control.tol, 1.0, 1, cc)
     c_err = _EPS * (abs(c) + _TINY)
-    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err)
+    # the phase th almost never repeats here: built outside the cache, its
+    # tables do not evict the kernels'
+    table = _winding_table.__wrapped__
+    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err, table)
     if lat < w:
         far_plus, far_minus = _tail_pair(cc, th, 1, w + 1, max(tol, bound))
         tails = (plus, minus, far_plus, far_minus)
@@ -848,7 +871,9 @@ def _lattice_sum(
     # dividing by a power of two is exact; otherwise d/step and t/step are
     # each rounded once
     c_err = 0.0 if math.frexp(step)[0] == 0.5 else _EPS * (abs(du) + abs(tu))
-    w, total, rounding, plus, minus = _completed_sum(c, th, k, tol, cap, skip, c_err)
+    w, total, rounding, plus, minus = _completed_sum(
+        c, th, k, tol, cap, skip, c_err, _winding_table
+    )
     remainder = plus[1] + minus[1]
     unshifted = total + plus[0] + (-1) ** k * minus[0]
     if th != 0.0 and abs(th) != math.pi:
@@ -862,7 +887,6 @@ def _lattice_sum(
         bound /= step
     if not (cmath.isfinite(value) and math.isfinite(bound)):
         raise InvalidParameter(f"lattice sum overflows at step={step!r}, d={d!r}, t={t!r}")
-    # positional: a frozen dataclass takes keywords at a third more cost
     tag = EULER_MACLAURIN if abs(th) < _SMALL_ANGLE else SUMMATION_BY_PARTS
     return SeriesValue(complex(value), 2 * w + 1 - (skip is not None), bound, tag)
 

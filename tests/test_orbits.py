@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vacuum1d import summation
 from vacuum1d.errors import (
     InvalidParameter,
     OutOfDomain,
     UnsupportedGeometry,
 )
+from vacuum1d.kernels import cylinder_kernel
 from vacuum1d.orbits import (
     BOUNDARY_ODD,
     DIRECT,
@@ -767,6 +769,25 @@ def test_local_counting_adds_the_bounded_images_to_weyl_and_sawtooth():
     images = _interval_boundary_counting(geometry, omega, x, SeriesControl())[0]
     want = omega / PI + periodic_counting_term(geometry, omega) / 0.6 + images
     assert local_counting(geometry, omega, x) == want
+
+
+def test_local_counting_keeps_the_kernels_winding_tables():
+    # each call's phase 2 omega L is new: its window sum must not evict
+    # the tables that the kernel series routes share
+    kernel_calls = [
+        lambda: cylinder_kernel(Interval(1.0), 0.1, 0.3, 0.5, method="image-sum"),
+        lambda: cylinder_kernel(TwistedCircle(1.0, 1.234), 0.1, 0.3, 0.5, method="image-sum"),
+    ]
+    summation._winding_table.cache_clear()
+    for call in kernel_calls:
+        call()
+    for k in range(summation._TABLES):
+        local_counting(Interval(1.0), 3.3 + k * 1e-3, 0.4)
+    filled = summation._winding_table.cache_info()
+    for call in kernel_calls:
+        call()
+    repeated = summation._winding_table.cache_info()
+    assert repeated.misses == filled.misses and repeated.hits > filled.hits
 
 
 @pytest.mark.filterwarnings("error")
