@@ -202,8 +202,11 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
     mixed ends the two-sided sum cancels pairwise.  The verify registry
     sums the like-ends pairs independently to confirm it.  The half-line
     has no trace to differentiate: its boundary density integrates to
-    zero over (0, inf).
+    zero over (0, inf).  A t that is not one real number (an array, say)
+    raises :class:`InvalidParameter`.
     """
+    if type(t) is not float:
+        t = _real(t, "regulator t")
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidParameter("regulator t must be positive and finite")
     if isinstance(geometry, HalfLine):
@@ -362,14 +365,29 @@ def orbit_energy_contribution(
 # ---------------------------------------------------------------------------
 # Energy densities.
 #
-# Each density call is one pass over plain floats: a numpy call on a scalar
-# costs about a microsecond, as much as the whole formula.  Each part is
-# written once, in quantities that leave the float range only where the
-# part does: lengths and their ratios in place of squares and fourth
-# powers (L sin p, max(t, 2x)), 1/L^2 and 1/t^2 divided out one factor at
-# a time, and e^{-z}/L^2 carried as a square.  A part whose true value
-# overflows raises InvalidParameter.
+# Only the wall profile depends on x.  The Weyl and periodic parts, and the
+# exponentials of z = pi t/2L that the interval profile is made of, depend
+# on (L, ends, t) alone: _density_bulk computes them once and keeps the
+# summation._TABLES most recent, so the points of a profile at one t share
+# them.  The rest of a density call is one pass over plain floats: a numpy
+# call on a scalar costs about a microsecond, as much as the whole formula.
+# Each part is written once, in quantities that leave the float range only
+# where the part does: lengths and their ratios in place of squares and
+# fourth powers (L sin p, max(t, 2x)), 1/L^2 and 1/t^2 divided out one
+# factor at a time, and e^{-z}/L^2 carried as a square.  A part whose true
+# value overflows raises InvalidParameter.
 # ---------------------------------------------------------------------------
+
+
+def _real(v: object, what: str) -> float:
+    """v as a float, once it is checked to be one real number.  An array has
+    no single truth value, and a numpy float32 would carry its own rounding
+    into every part, and key the bulk cache as the equal float does."""
+    import numbers
+
+    if isinstance(v, numbers.Real):
+        return float(v)
+    raise InvalidParameter(f"{what} must be a real scalar, not {type(v).__name__}")
 
 
 def _breakdown(
@@ -393,9 +411,43 @@ def _sine_length(length: float, x: float, p: float) -> float:
     return length * math.sin(p) if p >= _NORMAL else PI * x
 
 
-def _interval_density(geom: Interval, t: float, x: float, weyl: float) -> tuple[float, float]:
-    """(periodic, boundary) parts of the interval density at xi = 1/4, given
-    the Weyl part 1/(2 pi t^2).
+# typed: the interval's like_ends (a bool) and the twist theta (a float)
+# share the middle place of the key, and False == 0.0; and a numpy length,
+# whose parts come out numpy floats, keys apart from the equal float
+@functools.lru_cache(maxsize=summation._TABLES, typed=True)
+def _density_bulk(length: float, ends: bool | float, t: float) -> tuple[float, ...]:
+    """The x-free part of the density at regulator t: (weyl, periodic) on the
+    twisted circle (``ends`` = theta), and on the interval (``ends`` =
+    like_ends) (weyl, e^{-z/2}, e^{-z}, G/2, 1 + q, periodic), z = pi t/2L,
+    q = e^{-2z}, G = L (1 - q); see :func:`_interval_density`.  Raises
+    :class:`InvalidParameter`, and so keeps no entry, where the Weyl or the
+    periodic part overflows."""
+    weyl = 0.5 / PI / t / t
+    if type(ends) is float:
+        bulk = weyl, _twisted_periodic_regularized(length, ends, t) / length
+    else:
+        z = _phase(0.5 * t, length)
+        half = math.exp(-0.5 * z)
+        # G/2, which stays finite where G passes 8.99e307
+        g_half = 0.5 * length * -math.expm1(-2.0 * z) if z >= _NORMAL else 0.5 * PI * t
+        one_plus_q = 1.0 + (half * half) ** 2
+        if z <= 2.0:
+            per = 0.125 * PI * (_g_even(z) if ends else _g_odd(z)) / length / length
+        else:
+            # S/2 <= e^{-z} L < G/2 here, so w = G/2 at every x
+            k = 0.5 * (half / g_half)
+            r = half * k
+            per = (0.5 * PI * r * r if ends else 0.25 * PI * one_plus_q * k * k) - weyl
+        bulk = weyl, half, math.exp(-z), g_half, one_plus_q, per
+    if not (_isfinite(weyl) and _isfinite(bulk[-1])):
+        raise InvalidParameter(
+            f"energy density overflows at t={t!r}: weyl={weyl!r}, periodic={bulk[-1]!r}"
+        )
+    return bulk
+
+
+def _interval_density(geom: Interval, t: float, x: float) -> tuple[float, float, float]:
+    """(weyl, periodic, boundary) parts of the interval density at xi = 1/4.
 
     With z = pi t/2L, p = pi x/L and c = pi/8L^2, the periodic part is
     c g(z), g = _g_even (like ends) or _g_odd (mixed ends), and the boundary
@@ -416,31 +468,24 @@ def _interval_density(geom: Interval, t: float, x: float, weyl: float) -> tuple[
     does.  Above z = 2, where w = G, the periodic part c g(z) is
     (pi/2) (e^{-z/2} k)^2 (like ends) or (pi/4) (1 + q) k^2 (mixed ends)
     minus the Weyl part c/z^2; up to z = 2 it is c g(z), whose product
-    forms stay near 1.
+    forms stay near 1.  All but p, S and what follows from them comes from
+    :func:`_density_bulk`.
     """
     length = geom.length
-    z = _phase(0.5 * t, length)
+    like = geom.left is geom.right
+    weyl, half, e_z, g_half, one_plus_q, per = _density_bulk(length, like, t)
     p = _phase(x, length)
-    half = math.exp(-0.5 * z)
-    # G/2 and S/2, which stay finite where G and S pass 8.99e307
-    g_half = 0.5 * length * -math.expm1(-2.0 * z) if z >= _NORMAL else 0.5 * PI * t
-    s_half = math.exp(-z) * _sine_length(length, x, p)
+    # S/2, which stays finite where S passes 8.99e307
+    s_half = e_z * _sine_length(length, x, p)
     w = max(g_half, s_half)
     h, s = g_half / w, s_half / w
     m = h * h + s * s
     k = 0.5 * (half / w)
     sign = -1.0 if geom.left is DIRICHLET else 1.0
-    if geom.left is geom.right:
+    if like:
         r = half * k
-        b = sign * 0.5 * PI * (math.cos(2.0 * p) * h * h - s * s) / (m * m) * r * r
-        if z <= 2.0:
-            return 0.125 * PI * _g_even(z) / length / length, b
-        return 0.5 * PI * r * r - weyl, b
-    one_plus_q = 1.0 + (half * half) ** 2
-    b = sign * 0.25 * PI * one_plus_q * math.cos(p) * (h * h - s * s) / (m * m) * k * k
-    if z <= 2.0:
-        return 0.125 * PI * _g_odd(z) / length / length, b
-    return 0.25 * PI * one_plus_q * k * k - weyl, b
+        return weyl, per, sign * 0.5 * PI * (math.cos(2.0 * p) * h * h - s * s) / (m * m) * r * r
+    return weyl, per, sign * 0.25 * PI * one_plus_q * math.cos(p) * (h * h - s * s) / (m * m) * k * k
 
 
 def energy_density_regularized(
@@ -453,23 +498,26 @@ def energy_density_regularized(
     xi-dependence is exactly that factor: xi = 1/4 reproduces the
     cylinder-kernel diagonal derivative, and xi = 0 removes the wall
     profile altogether.  The bulk is xi-independent.  A part too large
-    for a float raises :class:`InvalidParameter`.
+    for a float raises :class:`InvalidParameter`, as does a t, x or xi
+    that is not one real number (an array, say).
     """
+    if not (type(t) is type(x) is type(xi) is float):
+        t, x, xi = _real(t, "regulator t"), _real(x, "x"), _real(xi, "xi")
     if not (t > 0.0) or not _isfinite(t):
         raise InvalidParameter("regulator t must be positive and finite")
     if not _isfinite(xi):
         raise InvalidParameter("xi must be finite")
-    weyl = 0.5 / PI / t / t
     if isinstance(geometry, Interval):
         if not (0.0 < x < geometry.length):
             raise OutOfDomain(f"x={x!r} not in (0, {geometry.length})")
-        per, b = _interval_density(geometry, t, x, weyl)
+        weyl, per, b = _interval_density(geometry, t, x)
         bdry = 4.0 * xi * b
         note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
         return _breakdown(weyl, per, bdry, per + bdry, t, note, xi)
     if isinstance(geometry, HalfLine):
         if not (x > 0.0):
             raise OutOfDomain(f"x={x!r} not in (0, inf)")
+        weyl = 0.5 / PI / t / t
         # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2) in units of the power of
         # two s just above max(t, 2x): scaling by s is exact, so this rounds
         # as the unscaled form does wherever that one stays normal
@@ -479,9 +527,8 @@ def energy_density_regularized(
         b = sign * (ts * ts - xs * xs) / (2.0 * PI * (ts * ts + xs * xs) ** 2) / s / s
         bdry = 4.0 * xi * b
         return _breakdown(weyl, 0.0, bdry, bdry, t, "", xi)
-    length, theta = geometry.length, geometry.theta
-    per = _twisted_periodic_regularized(length, theta, t) / length
-    return _breakdown(weyl, per, 0.0, per, t, _ZERO_MODE if theta == 0.0 else "", xi)
+    weyl, per = _density_bulk(geometry.length, geometry.theta, t)
+    return _breakdown(weyl, per, 0.0, per, t, _ZERO_MODE if geometry.theta == 0.0 else "", xi)
 
 
 def energy_density_renormalized(
@@ -494,8 +541,11 @@ def energy_density_renormalized(
     forms are in the module docstring.  The profile integrates to the
     renormalized total for every xi: the boundary part has zero integral
     by the cot*csc / csc^2 antiderivative identities.  A part too large
-    for a float raises :class:`InvalidParameter`.
+    for a float raises :class:`InvalidParameter`, as does an x or xi that
+    is not one real number (an array, say).
     """
+    if not (type(x) is type(xi) is float):
+        x, xi = _real(x, "x"), _real(xi, "xi")
     if not _isfinite(xi):
         raise InvalidParameter("xi must be finite")
     if isinstance(geometry, Interval):

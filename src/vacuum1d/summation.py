@@ -29,7 +29,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import InvalidParameter, NonConvergent
 
@@ -433,9 +433,15 @@ _POISSON_SERIES = tuple(
 # kernel row or an array call share a handful of keys (10 in a pass of the
 # kernel-routes benchmark, where 438 of 448 calls find their table).  Each
 # is a least-recently-used cache of fixed size: _TABLES arrays tables,
-# _SCALARS entries for each of the others.  The two point-free caches of
-# the kernel series routes (kernels._mode_rows, kernels._centred_lattice)
-# keep _TABLES entries too.
+# _SCALARS entries for each of the others.  A window sum (local_counting)
+# calls the same functions uncached (_UNCACHED below), so its phases evict
+# none of these entries.  Three more point-free caches keep _TABLES entries:
+# the two of the kernel series routes (kernels._mode_rows,
+# kernels._centred_lattice), and energy._density_bulk, the x-free part of
+# the regularized density (the Weyl and periodic parts, and on the interval
+# e^{-z/2}, e^{-z}, G/2 and 1 + q), keyed by (L, like_ends, t) on the
+# interval and (L, theta, t) on the twisted circle.  Every value read from
+# any of them is the one the uncached function returns, bit for bit.
 _TABLES = 16
 _SCALARS = 256
 
@@ -534,14 +540,17 @@ def _poisson_scale(theta: float, k: int) -> float:
     return 2.0 * _ZETA_ORDER * (TWO_PI - abs(theta)) ** -_ORDER * math.prod(range(k, k + _ORDER))
 
 
-def _poisson_remainder(theta: float, k: int, z: float) -> float:
+def _poisson_remainder(scale: float, k: int, z: float) -> float:
     """2 zeta(J) (2 pi - |theta|)^-J (k)_J z^-(k+J-1) / (k+J-1): the bound
-    on sum_{n != 0} |theta + 2 pi n|^-J int_a^inf |g^(J)|, z = Re(a + c)."""
+    on sum_{n != 0} |theta + 2 pi n|^-J int_a^inf |g^(J)|, z = Re(a + c),
+    given ``scale`` = :func:`_poisson_scale` (theta, k)."""
     n = k + _ORDER - 1
-    return _poisson_scale(theta, k) / (n * z**n)
+    return scale / (n * z**n)
 
 
-def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, float, float]:
+def _tail_poisson(
+    c: complex, theta: float, k: int, a: int, tables: _Tables
+) -> tuple[complex, float, float]:
     """sum_{m >= a} e^{i m theta} (m + c)^{-k}, |theta| small, by Poisson
     summation: (value, remainder bound, rounding allowance).
 
@@ -552,7 +561,7 @@ def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, fl
     y = 1.0 / u
     g = y**k
     corr, size, deriv = 0j, 0.0, g  # deriv = (k)_j u^{-(k+j)}
-    for j, weight in enumerate(_poisson_weights(theta)):
+    for j, weight in enumerate(tables.poisson_weights(theta)):
         if weight:  # the odd orders vanish at theta = 0
             piece = deriv * weight
             corr += piece
@@ -566,7 +575,7 @@ def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, fl
             integral = y ** (kk - 1) / (kk - 1) + (1j * theta / (kk - 1)) * integral
             err *= abs(theta) / (kk - 1)
     value = _unit(theta, a) * (0.5 * g + integral - corr)
-    remainder = _poisson_remainder(theta, k, a + c.real)
+    remainder = _poisson_remainder(tables.poisson_scale(theta, k), k, a + c.real)
     rounding = 8.0 * _EPS * (abs(g) + abs(integral) + size) + err
     return value, remainder, rounding
 
@@ -590,7 +599,7 @@ def _fold_steps(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
 
 
 def _tail_by_parts(
-    c: complex, theta: float, k: int, a: int, goal: float
+    c: complex, theta: float, k: int, a: int, goal: float, tables: _Tables
 ) -> tuple[complex, float, float]:
     """sum_{m >= a} q^m (m + c)^{-k}, q = e^{i theta} != 1, by K-fold
     summation by parts,
@@ -600,7 +609,7 @@ def _tail_by_parts(
     with Delta^j g(a) = (-1)^j j! h_{k-1}(y) prod y_i exactly
     (y_i = 1/(a + i + c), h the complete homogeneous polynomial).
     K grows until the bound on R reaches ``goal`` or stops shrinking."""
-    one_q, ratio, inv = _fold_ratio(theta)
+    one_q, ratio, inv = tables.fold_ratio(theta)
     z = a + c.real
     homog = [1.0 + 0j] + [0j] * (k - 1)
     degrees = range(1, k)
@@ -634,8 +643,10 @@ def _first_winding(theta: float, k: int, tol: float) -> float:
     """The z for which W = z + |d0| - 1 is where the remainder formula of
     the tails first meets ``tol``; z depends on (theta, k, tol) only."""
     if abs(theta) < _SMALL_ANGLE:
-        # two tails, each at most tol / 2
-        return (2.0 * _poisson_remainder(theta, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
+        # two tails, each at most tol / 2; the scale is not kept, as a
+        # window sum calls this function uncached
+        scale = _poisson_scale.__wrapped__(theta, k)
+        return (2.0 * _poisson_remainder(scale, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
     # The fold remainder ~ K! / rho^K, rho = |1 - q| z, reaches tol at
     # K = rho = log(1/tol) at the latest.  Direct terms are far cheaper
     # than folds: take rho = (6!/tol)^(1/6), where six folds do, as long
@@ -651,30 +662,47 @@ def _first_winding(theta: float, k: int, tol: float) -> float:
     return rho / gap
 
 
+class _Tables(NamedTuple):
+    """The point-free helpers of a unit lattice sum: the cached functions
+    (_CACHED), or the same functions uncached (_UNCACHED) for a window sum,
+    whose phase almost never repeats, so that it evicts none of the kernels'
+    entries.  Either gives the same values bit for bit."""
+
+    winding_table: Callable
+    first_winding: Callable
+    fold_ratio: Callable
+    poisson_weights: Callable
+    poisson_scale: Callable
+
+
+_CACHED = _Tables(_winding_table, _first_winding, _fold_ratio, _poisson_weights, _poisson_scale)
+_UNCACHED = _Tables(*(f.__wrapped__ for f in _CACHED))
+
+
 def _direct_sum(
-    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, table: Callable
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, tables: _Tables
 ) -> tuple[complex, float]:
     """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
     and its rounding allowance: pairwise summation, the rounding of the
-    phases m theta, and ``c_err``, the error of c.  ``table`` gives the
-    winding arrays: :func:`_winding_table`, or its uncached function."""
+    phases m theta, and ``c_err``, the error of c.  The winding arrays come
+    from ``tables``."""
     if abs(c) < 1.0 and abs(c) ** k < 1e-300:  # |c|^k may overflow past 1
         import numpy as np
 
         # next to the pole a term may overflow: the sum comes back inf or
         # nan, and lattice_sum raises InvalidParameter
         with np.errstate(over="ignore", invalid="ignore"):
-            return _direct_terms(c, theta, k, w, skip, c_err, table)
-    return _direct_terms(c, theta, k, w, skip, c_err, table)
+            return _direct_terms(c, theta, k, w, skip, c_err, tables)
+    return _direct_terms(c, theta, k, w, skip, c_err, tables)
 
 
 def _direct_terms(
-    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, table: Callable
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, tables: _Tables
 ) -> tuple[complex, float]:
     import numpy as np
 
     add = np.add.reduce  # what ndarray.sum calls: the same pairwise sum
-    m, phase, abs_m = table(theta, w)
+    m, phase, abs_m = tables.winding_table(theta, w)
     u = m + c
     if skip is not None:
         u[w + skip] = 1.0
@@ -711,15 +739,16 @@ def _unit_tol(tol: float, step: float, k: int, c: complex) -> float:
 
 
 def _tail_pair(
-    c: complex, th: float, k: int, a: int, goal: float
+    c: complex, th: float, k: int, a: int, goal: float, tables: _Tables
 ) -> tuple[tuple[complex, float, float], tuple[complex, float, float]]:
     """The tails m >= a and m <= -a of the unit lattice sum, each as
     (value, remainder bound, rounding), the second as
     sum_{m >= a} e^{-i m th} (m - c)^{-k}: by Poisson summation at small
     angles, by summation by parts to ``goal`` otherwise."""
     if abs(th) < _SMALL_ANGLE:
-        return _tail_poisson(c, th, k, a), _tail_poisson(-c, -th, k, a)
-    return _tail_by_parts(c, th, k, a, 0.5 * goal), _tail_by_parts(-c, -th, k, a, 0.5 * goal)
+        return _tail_poisson(c, th, k, a, tables), _tail_poisson(-c, -th, k, a, tables)
+    half = 0.5 * goal
+    return _tail_by_parts(c, th, k, a, half, tables), _tail_by_parts(-c, -th, k, a, half, tables)
 
 
 def _completed_sum(
@@ -730,25 +759,25 @@ def _completed_sum(
     cap: int,
     skip: int | None,
     c_err: float,
-    table: Callable,
+    tables: _Tables,
 ) -> tuple[int, complex, float, tuple, tuple]:
     """The windings of a unit lattice sum: W starts where the remainder
     formula meets ``tol`` and doubles until the two tails' remainder is at
     most max(tol, rounding) or W reaches ``cap``.  Returns W, the direct
     sum over |m| <= W and its rounding, and the two tails past W (see
-    :func:`_tail_pair`).  ``table`` is passed to :func:`_direct_sum`."""
-    first = _first_winding(th, k, tol) + abs(c.real) - 1.0
+    :func:`_tail_pair`), each from the helpers in ``tables``."""
+    first = tables.first_winding(th, k, tol) + abs(c.real) - 1.0
     w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
-    total, rounding = _direct_sum(c, th, k, w, skip, c_err, table)
+    total, rounding = _direct_sum(c, th, k, w, skip, c_err, tables)
     goal = max(tol, rounding)
     first_w = w
     while True:
-        plus, minus = _tail_pair(c, th, k, w + 1, goal)
+        plus, minus = _tail_pair(c, th, k, w + 1, goal, tables)
         if plus[1] + minus[1] <= goal or w >= cap:
             break
         w = min(cap, 2 * w)
     if w != first_w:
-        total, rounding = _direct_sum(c, th, k, w, skip, c_err, table)
+        total, rounding = _direct_sum(c, th, k, w, skip, c_err, tables)
     return w, total, rounding, plus, minus
 
 
@@ -772,12 +801,11 @@ def _window_sum(c: float, th: float, w: int, control: SeriesControl) -> tuple[co
     cc = complex(c)
     tol = _unit_tol(control.tol, 1.0, 1, cc)
     c_err = _EPS * (abs(c) + _TINY)
-    # the phase th almost never repeats here: built outside the cache, its
-    # tables do not evict the kernels'
-    table = _winding_table.__wrapped__
-    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err, table)
+    # the phase th almost never repeats here: built outside the caches, its
+    # tables and constants do not evict the kernels'
+    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err, _UNCACHED)
     if lat < w:
-        far_plus, far_minus = _tail_pair(cc, th, 1, w + 1, max(tol, bound))
+        far_plus, far_minus = _tail_pair(cc, th, 1, w + 1, max(tol, bound), _UNCACHED)
         tails = (plus, minus, far_plus, far_minus)
         bound += math.fsum(p[1] + p[2] + 4.0 * _EPS * abs(p[0]) for p in tails)
         bound += 4.0 * _EPS * abs(total) + 2.0 * c_err / lat
@@ -872,7 +900,7 @@ def _lattice_sum(
     # each rounded once
     c_err = 0.0 if math.frexp(step)[0] == 0.5 else _EPS * (abs(du) + abs(tu))
     w, total, rounding, plus, minus = _completed_sum(
-        c, th, k, tol, cap, skip, c_err, _winding_table
+        c, th, k, tol, cap, skip, c_err, _CACHED
     )
     remainder = plus[1] + minus[1]
     unshifted = total + plus[0] + (-1) ** k * minus[0]

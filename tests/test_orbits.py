@@ -790,6 +790,31 @@ def test_local_counting_keeps_the_kernels_winding_tables():
     assert repeated.misses == filled.misses and repeated.hits > filled.hits
 
 
+def test_local_counting_keeps_the_kernels_scalar_constants():
+    # the winding start, fold ratios and Poisson weights of a window sum are
+    # computed uncached too: 600 new phases, by parts and by Poisson
+    # summation (2 omega L near 2 pi), leave every kernel entry in place
+    caches = [summation._first_winding, summation._fold_ratio,
+              summation._poisson_weights, summation._poisson_scale]
+    geometries = [Interval(1.0), Interval(1.0, DIRICHLET, NEUMANN),
+                  TwistedCircle(1.0, 0.0), TwistedCircle(1.0, 1.234)]
+
+    def kernel_pass():
+        for geometry in geometries:
+            cylinder_kernel(geometry, 0.1, 0.3, 0.5, method="image-sum")
+            cylinder_kernel(geometry, 0.1, 0.3, method="image-sum")
+
+    kernel_pass()
+    for k in range(300):
+        local_counting(Interval(1.0), 3.3 + k * 1e-3, 0.4)
+        local_counting(Interval(1.0), PI + 0.01 + k * 1e-4, 0.4)
+    filled = [cache.cache_info() for cache in caches]
+    kernel_pass()
+    for cache, before in zip(caches, filled):
+        after = cache.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits, cache
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("length", [1e308, 1e-300, 1e-310, 5e-324], ids=repr)
 @pytest.mark.parametrize("ends", END_PAIRS, ids=lambda e: e[0].value + e[1].value)
