@@ -43,14 +43,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import summation
-from .errors import (
-    ContinuousSpectrum,
-    IllConditionedFit,
-    InvalidParameter,
-    OutOfDomain,
-    UnsupportedGeometry,
-)
+from .errors import ContinuousSpectrum, IllConditionedFit, InvalidParameter, UnsupportedGeometry
+from .errors import as_count, as_float, as_real
 from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle, _phase
+from .spectrum import as_point
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 
 if TYPE_CHECKING:
@@ -202,13 +198,9 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
     mixed ends the two-sided sum cancels pairwise.  The verify registry
     sums the like-ends pairs independently to confirm it.  The half-line
     has no trace to differentiate: its boundary density integrates to
-    zero over (0, inf).  A t that is not one real number (an array, say)
-    raises :class:`InvalidParameter`.
+    zero over (0, inf).
     """
-    if type(t) is not float:
-        t = _real(t, "regulator t")
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("regulator t must be positive and finite")
+    t = as_real(t, "regulator t", positive=True)
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum(
             "half-line has no global trace; its boundary density "
@@ -278,10 +270,7 @@ def twisted_energy(theta: float, length: float) -> float:
     Even and 2 pi-periodic in theta; equals -pi/6L at theta = 0 and
     +pi/12L at theta = pi, crossing zero at theta = pi (1 -/+ 1/sqrt 3).
     """
-    if not (length > 0.0):
-        raise InvalidParameter("length must be positive")
-    if not math.isfinite(theta):
-        raise InvalidParameter("theta must be finite")
+    theta, length = as_real(theta, "theta"), as_real(length, "length", positive=True)
     return -summation.bernoulli_cos_sum(theta) / (PI * length)
 
 
@@ -301,8 +290,7 @@ def twisted_energy_orbit_sum(
     tens to hundreds of windings.  Converges to :func:`twisted_energy` as
     t -> 0; at t > 0 the value keeps the damping's own O(t^2) bias.
     """
-    if not (length > 0.0):
-        raise InvalidParameter("length must be positive")
+    theta, length = as_real(theta, "theta"), as_real(length, "length", positive=True)
     t = control.damping_t
     # Re (a - i t)^-2 = (a^2 - t^2)/(a^2 + t^2)^2; the m and -m terms of
     # the two lattices at +-t add up to 4 cos(n theta) Re (a - i t)^-2.
@@ -344,15 +332,18 @@ def orbit_energy_contribution(
     The two regulators agree exactly in their limits -- the orbit energy
     is scheme-independent: ``E_n = -cos(n theta) / (2 pi n^2 L)``.
     """
+    n, length = as_count(n, "winding n"), as_real(length, "length", positive=True)
+    theta, t = as_real(theta, "theta"), as_real(t, "abel damping t")
+    omega_max = as_float(omega_max, "omega_max")  # inf is the limit
+    if not omega_max > 0.0:
+        raise InvalidParameter("omega_max must be positive")
     if n == 0:
         raise InvalidParameter("winding n must be nonzero")
-    if not (length > 0.0):
-        raise InvalidParameter("length must be positive")
+    if t < 0.0:
+        raise InvalidParameter("abel damping t must be >= 0")
     a = n * length
     b = n * theta
     if method == ABEL:
-        if t < 0.0:
-            raise InvalidParameter("abel damping t must be >= 0")
         num = math.cos(b) * (a * a - t * t) - 2.0 * a * t * math.sin(b)
         return -(length / (2.0 * PI)) * num / (t * t + a * a) ** 2
     if method == RIESZ_CESARO_2:
@@ -379,23 +370,14 @@ def orbit_energy_contribution(
 # ---------------------------------------------------------------------------
 
 
-def _real(v: object, what: str) -> float:
-    """v as a float, once it is checked to be one real number.  An array has
-    no single truth value, and a numpy float32 would carry its own rounding
-    into every part, and key the bulk cache as the equal float does."""
-    import numbers
-
-    if isinstance(v, numbers.Real):
-        return float(v)
-    raise InvalidParameter(f"{what} must be a real scalar, not {type(v).__name__}")
-
-
 def _breakdown(
     weyl: float, periodic: float, boundary: float, total: float, t: float, note: str, xi: float
 ) -> EnergyBreakdown:
     """The density's EnergyBreakdown; total = periodic + boundary is finite
-    exactly when both parts are."""
+    exactly when both parts are.  A nan or infinite xi, times the wall
+    profile, leaves a non-finite total, and the scalar rule reports it."""
     if not (_isfinite(weyl) and _isfinite(total)):
+        as_real(xi, "xi")
         if xi == 0.0 and _isfinite(weyl) and _isfinite(periodic):
             # the wall profile overflows, but xi = 0 gives it no weight
             return EnergyBreakdown(weyl, periodic, 0.0, periodic, t, note)
@@ -412,16 +394,16 @@ def _sine_length(length: float, x: float, p: float) -> float:
 
 
 # typed: the interval's like_ends (a bool) and the twist theta (a float)
-# share the middle place of the key, and False == 0.0; and a numpy length,
-# whose parts come out numpy floats, keys apart from the equal float
+# share the middle place of the key, and False == 0.0
 @functools.lru_cache(maxsize=summation._TABLES, typed=True)
 def _density_bulk(length: float, ends: bool | float, t: float) -> tuple[float, ...]:
     """The x-free part of the density at regulator t: (weyl, periodic) on the
     twisted circle (``ends`` = theta), and on the interval (``ends`` =
     like_ends) (weyl, e^{-z/2}, e^{-z}, G/2, 1 + q, periodic), z = pi t/2L,
     q = e^{-2z}, G = L (1 - q); see :func:`_interval_density`.  Raises
-    :class:`InvalidParameter`, and so keeps no entry, where the Weyl or the
-    periodic part overflows."""
+    :class:`InvalidParameter`, and so keeps no entry, where t breaks the
+    scalar rule or a part overflows: a density call that hits has a valid t."""
+    t = as_real(t, "regulator t", positive=True)
     weyl = 0.5 / PI / t / t
     if type(ends) is float:
         bulk = weyl, _twisted_periodic_regularized(length, ends, t) / length
@@ -498,25 +480,18 @@ def energy_density_regularized(
     xi-dependence is exactly that factor: xi = 1/4 reproduces the
     cylinder-kernel diagonal derivative, and xi = 0 removes the wall
     profile altogether.  The bulk is xi-independent.  A part too large
-    for a float raises :class:`InvalidParameter`, as does a t, x or xi
-    that is not one real number (an array, say).
+    for a float raises :class:`InvalidParameter`.
     """
-    if not (type(t) is type(x) is type(xi) is float):
-        t, x, xi = _real(t, "regulator t"), _real(x, "x"), _real(xi, "xi")
-    if not (t > 0.0) or not _isfinite(t):
-        raise InvalidParameter("regulator t must be positive and finite")
-    if not _isfinite(xi):
-        raise InvalidParameter("xi must be finite")
+    if not (type(t) is type(xi) is float):
+        t, xi = as_float(t, "regulator t"), as_float(xi, "xi")
+    x = as_point(geometry, x)
     if isinstance(geometry, Interval):
-        if not (0.0 < x < geometry.length):
-            raise OutOfDomain(f"x={x!r} not in (0, {geometry.length})")
         weyl, per, b = _interval_density(geometry, t, x)
         bdry = 4.0 * xi * b
         note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
         return _breakdown(weyl, per, bdry, per + bdry, t, note, xi)
     if isinstance(geometry, HalfLine):
-        if not (x > 0.0):
-            raise OutOfDomain(f"x={x!r} not in (0, inf)")
+        t = as_real(t, "regulator t", positive=True)
         weyl = 0.5 / PI / t / t
         # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2) in units of the power of
         # two s just above max(t, 2x): scaling by s is exact, so this rounds
@@ -527,8 +502,10 @@ def energy_density_regularized(
         b = sign * (ts * ts - xs * xs) / (2.0 * PI * (ts * ts + xs * xs) ** 2) / s / s
         bdry = 4.0 * xi * b
         return _breakdown(weyl, 0.0, bdry, bdry, t, "", xi)
+    # no wall part to carry a bad xi into _breakdown, whose checks the bulk has made
+    xi = as_real(xi, "xi")
     weyl, per = _density_bulk(geometry.length, geometry.theta, t)
-    return _breakdown(weyl, per, 0.0, per, t, _ZERO_MODE if geometry.theta == 0.0 else "", xi)
+    return EnergyBreakdown(weyl, per, 0.0, per, t, _ZERO_MODE if geometry.theta == 0.0 else "")
 
 
 def energy_density_renormalized(
@@ -541,17 +518,13 @@ def energy_density_renormalized(
     forms are in the module docstring.  The profile integrates to the
     renormalized total for every xi: the boundary part has zero integral
     by the cot*csc / csc^2 antiderivative identities.  A part too large
-    for a float raises :class:`InvalidParameter`, as does an x or xi that
-    is not one real number (an array, say).
+    for a float raises :class:`InvalidParameter`.
     """
-    if not (type(x) is type(xi) is float):
-        x, xi = _real(x, "x"), _real(xi, "xi")
-    if not _isfinite(xi):
-        raise InvalidParameter("xi must be finite")
+    if type(xi) is not float:
+        xi = as_float(xi, "xi")
+    x = as_point(geometry, x)
     if isinstance(geometry, Interval):
         length = geometry.length
-        if not (0.0 < x < length):
-            raise OutOfDomain(f"x={x!r} not in (0, {length})")
         # pi/8L^2 csc^2 p = (pi/8) / (L sin p)^2, p = pi x/L
         p = _phase(x, length)
         wall = _sine_length(length, x, p)
@@ -566,15 +539,13 @@ def energy_density_renormalized(
         note = _ZERO_MODE if geometry.left is NEUMANN is geometry.right else ""
         return _breakdown(0.0, per, bdry, per + bdry, 0.0, note, xi)
     if isinstance(geometry, HalfLine):
-        if not (x > 0.0):
-            raise OutOfDomain(f"x={x!r} not in (0, inf)")
         # (-1)^(l+1) / (8 pi x^2)
         sign = 1.0 if geometry.condition is DIRICHLET else -1.0
         b = sign / (8.0 * PI * x) / x
         bdry = 4.0 * xi * b
         return _breakdown(0.0, 0.0, bdry, bdry, 0.0, "", xi)
-    theta = geometry.theta
-    per = twisted_energy(theta, geometry.length) / geometry.length
+    xi, theta, length = as_real(xi, "xi"), geometry.theta, geometry.length
+    per = -summation.bernoulli_cos_sum(theta) / (PI * length) / length  # twisted_energy / L
     return _breakdown(0.0, per, 0.0, per, 0.0, _ZERO_MODE if theta == 0.0 else "", xi)
 
 

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from . import summation
-from .errors import ContinuousSpectrum, InvalidParameter, OutOfDomain, UnsupportedGeometry
+from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry, as_real
 from .spectrum import (
     DIRICHLET,
     MAX_RUNGS,
@@ -58,6 +58,7 @@ from .spectrum import (
     _ladders,
     _phase,
     _rungs,
+    as_point,
 )
 from .summation import SeriesControl
 
@@ -71,6 +72,7 @@ TWO_PI = 2.0 * math.pi
 MODE_SUM = "mode-sum"
 IMAGE_SUM = "image-sum"
 CLOSED_FORM = "closed-form"
+_ONE_NUMBER = (int, float, np.number)  # a point given as one number takes the float routes
 
 # Mode sums drop the terms below this fraction of their largest term:
 # e^{-t omega} (or e^{-t omega^2}) relative to its value at the lowest
@@ -139,25 +141,18 @@ def _column(v: float | np.ndarray) -> float | np.ndarray:
     return v[:, None] if isinstance(v, np.ndarray) else v
 
 
-def _check_closed_point(geometry: Geometry, x: float) -> None:
-    """Kernel evaluations allow the closed domain (boundary included)."""
-    if isinstance(geometry, Interval):
-        if not (0.0 <= x <= geometry.length):
-            raise OutOfDomain(f"x={x!r} not in [0, {geometry.length}]")
-    elif isinstance(geometry, HalfLine):
-        if not (x >= 0.0):
-            raise OutOfDomain(f"x={x!r} not in [0, inf)")
-
-
-def _check_closed_points(geometry: Geometry, x: np.ndarray) -> None:
-    """:func:`_check_closed_point` for a point array: one point outside
-    the domain fails the whole array."""
-    if isinstance(geometry, (Interval, HalfLine)):
-        inside = x >= 0.0
-        if isinstance(geometry, Interval):
-            inside &= x <= geometry.length
-        if not inside.all():
-            _check_closed_point(geometry, float(x[~inside][0]))
+def _point_array(geometry: Geometry, v: ArrayLike) -> np.ndarray:
+    """:func:`~vacuum1d.spectrum.as_point` (closed) over a point array, returned
+    as floats: one point outside fails the whole array and is reported."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "biuf":
+        raise InvalidParameter(f"points must be real numbers, not {v.dtype}")
+    x = v.astype(float, copy=False)
+    lo, hi = geometry._domain
+    inside = np.isfinite(x) & (x >= lo) & (x <= hi)
+    if not inside.all():
+        as_point(geometry, float(x[~inside][0]), closed=True)
+    return x
 
 
 def _interval_mode_phi(geom: Interval, omegas: np.ndarray, x: float) -> np.ndarray:
@@ -570,14 +565,6 @@ def _twisted_closed_form_diag(geom: TwistedCircle, t: float) -> KernelValue:
     return KernelValue(val, CLOSED_FORM, 0, 0.0)
 
 
-def _height(t: float) -> float:
-    """t as a float, once it is checked to be one positive, finite height.
-    A numpy float32 t would round parts of a mode sum to float32."""
-    if not isinstance(t, (int, float)) and np.ndim(t) or not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("t must be a positive and finite scalar")
-    return float(t)
-
-
 def cylinder_kernel(
     geometry: Geometry,
     t: float,
@@ -601,8 +588,8 @@ def cylinder_kernel(
         so each point equals its float call bit for bit), one (points x
         rungs) grid for a mode sum, one node set per kind for the
         half-line quadrature, and the closed forms elementwise.  One point outside the domain raises
-        :class:`OutOfDomain` for the whole call.  Floats keep the
-        plain-float form of each route and return scalars, as before.
+        :class:`OutOfDomain` for the whole call.  Floats and numpy scalars
+        keep the plain-float form of each route and return scalars.
     method : str
         ``mode-sum``, ``image-sum``, or ``closed-form``.  The twisted
         circle has an elementary closed form only on the diagonal;
@@ -646,26 +633,24 @@ def cylinder_kernel(
     * twisted diagonal: ``cosh((pi-theta) t/L) / (L sinh(pi t/L))``
       ``= (e^{-theta t/L} + e^{-(2 pi-theta) t/L}) / (L (1 - e^{-2 pi t/L}))``.
     """
-    t = _height(t)
+    t = as_real(t, "t", positive=True)
+    if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
+        raise InvalidParameter(f"unknown kernel method {method!r}")
     if y is None:
         y = x
-    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        _check_closed_point(geometry, x)
-        _check_closed_point(geometry, y)
-        if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
-            raise InvalidParameter(f"unknown kernel method {method!r}")
+    if isinstance(x, _ONE_NUMBER) and isinstance(y, _ONE_NUMBER):
+        x, y = as_point(geometry, x, closed=True), as_point(geometry, y, closed=True)
         return _route(geometry, t, x, y, method, control)
     from ._arrays import term_counts
 
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = _point_array(geometry, x), _point_array(geometry, y)
     if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
+        try:
+            x, y = np.broadcast_arrays(x, y)
+        except ValueError:
+            raise InvalidParameter(f"x and y do not broadcast: {x.shape}, {y.shape}") from None
     shape = x.shape
     x, y = x.ravel(), y.ravel()
-    _check_closed_points(geometry, x)
-    _check_closed_points(geometry, y)
-    if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
-        raise InvalidParameter(f"unknown kernel method {method!r}")
     # numpy's overflow warnings are off for the whole array: every route
     # checks its own result, and a value or bound past the float range
     # raises InvalidParameter
@@ -742,7 +727,7 @@ def cylinder_trace(
     The half-line trace diverges (continuous spectrum);
     :class:`ContinuousSpectrum` is raised.
     """
-    t = _height(t)
+    t = as_real(t, "t", positive=True)
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line cylinder trace diverges")
     if method not in (MODE_SUM, IMAGE_SUM, CLOSED_FORM):
@@ -789,9 +774,7 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     :data:`~vacuum1d.spectrum.MAX_RUNGS` images per array (t/L^2 of order
     1e9) it raises :class:`InvalidParameter`.
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidParameter("t must be positive and finite")
-    _check_closed_point(geometry, x)
+    t, x = as_real(t, "t", positive=True), as_point(geometry, x, closed=True)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     if isinstance(geometry, HalfLine):
         return pref * (1.0 + (-1.0) ** geometry.l * math.exp(-x * x / t))
@@ -839,7 +822,7 @@ def heat_trace(geometry: Geometry, t: float, control: SeriesControl = SeriesCont
     ``b_1 = -1/2, 0, +1/2`` for Dirichlet-Dirichlet, mixed, and
     Neumann-Neumann ends, and ``b_1 = 0`` on the circle.
     """
-    t = _height(t)
+    t = as_real(t, "t", positive=True)
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line heat trace diverges")
     return float(_heat_trace(geometry, t, control))

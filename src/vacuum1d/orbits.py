@@ -47,8 +47,8 @@ import math
 from dataclasses import dataclass
 
 from . import spectrum, summation
-from .errors import ContinuousSpectrum, InvalidParameter, OutOfDomain, UnsupportedGeometry
-from .spectrum import Geometry, HalfLine, Interval, TwistedCircle
+from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry, as_count, as_real
+from .spectrum import Geometry, HalfLine, Interval, TwistedCircle, as_point
 from .summation import ABEL, CLOSED_FORM, RAW, TWO_PI, SeriesControl, SeriesValue
 
 DIRECT = "direct"
@@ -115,16 +115,6 @@ class GlobalDensity:
         return self.weyl + self.periodic.value + self.boundary.value
 
 
-def _check_point(geometry: Geometry, x: float) -> None:
-    if isinstance(geometry, Interval):
-        if not (0.0 < x < geometry.length):
-            raise OutOfDomain(f"x={x!r} not in (0, {geometry.length})")
-    elif isinstance(geometry, HalfLine):
-        if not (x > 0.0):
-            raise OutOfDomain(f"x={x!r} not in (0, inf)")
-    # Twisted circle: every real x is on the covering line.
-
-
 def enumerate_orbits(
     geometry: Geometry, x: float, y: float, max_winding: int
 ) -> list[OrbitTerm]:
@@ -136,7 +126,7 @@ def enumerate_orbits(
         Any of the three model spaces; the half-line has exactly two
         orbits (direct and one reflection) regardless of ``max_winding``.
     x, y : float
-        Endpoints, inside the open domain.
+        Endpoints, inside the open domain (any finite point on the circle).
     max_winding : int
         W >= 0.  Periodic windings run over |n| <= W, boundary-odd over
         n in [-W, W-1] so reflected paths appear in tail-cancelling pairs.
@@ -146,10 +136,10 @@ def enumerate_orbits(
     list of OrbitTerm
         Sorted by path length (stable: family, then winding breaks ties).
     """
+    max_winding = as_count(max_winding, "max_winding")
     if max_winding < 0:
         raise InvalidParameter("max_winding must be >= 0")
-    _check_point(geometry, x)
-    _check_point(geometry, y)
+    x, y = as_point(geometry, x), as_point(geometry, y)
     out: list[OrbitTerm] = []
     if isinstance(geometry, HalfLine):
         sgn = (-1) ** geometry.l
@@ -397,9 +387,7 @@ def green_im_diag(
     ``truncation_bound`` is a proven bound on the rounding, the only error
     there is (see :func:`_orbit_series`).
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidParameter("omega must be positive and finite")
-    _check_point(geometry, x)
+    omega, x = as_real(omega, "omega", positive=True), as_point(geometry, x)
     s, w = control.damping_t, int(control.max_terms)
     per, per_bound, bdry, bdry_bound = 0.0, 0.0, 0.0, 0.0
     if isinstance(geometry, HalfLine):
@@ -435,9 +423,7 @@ def local_spectral_density(
     Undamped, each keeps W = ``max_terms`` windings.  Bounds and term
     counts as in :func:`green_im_diag`.
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidParameter("omega must be positive and finite")
-    _check_point(geometry, x)
+    omega, x = as_real(omega, "omega", positive=True), as_point(geometry, x)
     s, w = control.damping_t, int(control.max_terms)
     damped = s > 0.0  # a damped series counts as one term, undamped its windings
     periodic = boundary = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
@@ -477,8 +463,7 @@ def global_density_decomposition(
     :func:`local_spectral_density`, and every bound is a proven rounding
     bound.
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidParameter("omega must be positive and finite")
+    omega = as_real(omega, "omega", positive=True)
     s, w = control.damping_t, int(control.max_terms)
     damped = s > 0.0
     zero = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
@@ -538,9 +523,7 @@ def local_counting(
     The two agree as the winding cutoff grows (Poisson summation).  A
     value past the float range raises :class:`InvalidParameter`.
     """
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidParameter("omega must be positive and finite")
-    _check_point(geometry, x)
+    omega, x = as_real(omega, "omega", positive=True), as_point(geometry, x)
     if method == DIRICHLET_KERNEL:
         if not (
             isinstance(geometry, Interval)

@@ -34,12 +34,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from . import summation
-from .errors import (
-    AtEigenvalue,
-    ContinuousSpectrum,
-    InvalidParameter,
-    OutOfDomain,
-)
+from .errors import AtEigenvalue, ContinuousSpectrum, InvalidParameter, OutOfDomain
+from .errors import as_count, as_float, as_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,8 +68,9 @@ class Interval:
     right: BoundaryCondition = DIRICHLET
 
     def __post_init__(self) -> None:
-        if not (self.length > 0.0) or not math.isfinite(self.length):
-            raise InvalidParameter("interval length must be positive and finite")
+        length = as_real(self.length, "interval length", positive=True)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_domain", (0.0, length))
 
     @property
     def l(self) -> int:  # noqa: E743 - established index name
@@ -93,6 +90,7 @@ class HalfLine:
     """The ray x > 0 with one condition at the origin."""
 
     condition: BoundaryCondition = DIRICHLET
+    _domain = (0.0, math.inf)
 
     @property
     def l(self) -> int:  # noqa: E743
@@ -109,19 +107,35 @@ class TwistedCircle:
 
     length: float
     theta: float = 0.0
+    _domain = (-math.inf, math.inf)
 
     def __post_init__(self) -> None:
-        if not (self.length > 0.0) or not math.isfinite(self.length):
-            raise InvalidParameter("circumference must be positive and finite")
-        if not math.isfinite(self.theta):
-            raise InvalidParameter("theta must be finite")
-        tr = math.fmod(self.theta, TWO_PI)
-        if tr < 0.0:
-            tr += TWO_PI
-        object.__setattr__(self, "theta", tr)
+        object.__setattr__(self, "length", as_real(self.length, "circumference", positive=True))
+        theta = math.fmod(as_real(self.theta, "theta"), TWO_PI)
+        object.__setattr__(self, "theta", theta + TWO_PI if theta < 0.0 else theta)
 
 
 Geometry = Union[Interval, HalfLine, TwistedCircle]
+
+
+def as_point(geometry: Geometry, x: object, closed: bool = False) -> float:
+    """The point rule: :func:`~vacuum1d.errors.as_float` of x inside
+    ``geometry._domain`` (0, L), (0, inf) or (-inf, inf), with its finite
+    ends where ``closed`` is set; a point outside raises :class:`OutOfDomain`.
+
+    >>> as_point(Interval(1.0), 1, closed=True)
+    1.0
+    >>> as_point(Interval(1.0), 1)
+    Traceback (most recent call last):
+    vacuum1d.errors.OutOfDomain: x=1.0 not in (0, 1.0)
+    """
+    if type(x) is not float:
+        x = as_float(x, "x")
+    lo, hi = geometry._domain
+    if lo < x < hi or closed and (x == lo or x == hi) and -math.inf < x < math.inf:
+        return x
+    left = ("[" if closed else "(") + "0" if lo == 0.0 else "(-inf"
+    raise OutOfDomain(f"x={x!r} not in {left}, {hi}{']' if closed and hi < math.inf else ')'}")
 
 
 def _phase(v: float, length: float) -> float:
@@ -211,7 +225,7 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
         Discrete-spectrum geometry.  :class:`HalfLine` raises
         :class:`ContinuousSpectrum`.
     omega_max : float
-        Upper frequency cutoff, positive and finite; the list contains every
+        Upper frequency cutoff, a positive finite scalar; the list contains every
         omega_j <= omega_max (including a zero mode where one exists).  Past
         :data:`MAX_RUNGS` levels it raises :class:`InvalidParameter`.
 
@@ -223,8 +237,7 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line has no discrete eigenvalues")
-    if not (omega_max > 0.0) or not math.isfinite(omega_max):
-        raise InvalidParameter("omega_max must be positive and finite")
+    omega_max = as_real(omega_max, "omega_max", positive=True)
     if counting_function(geometry, omega_max) > MAX_RUNGS:
         raise InvalidParameter(f"more than {MAX_RUNGS} levels up to omega_max = {omega_max!r}")
     # each rung as _rungs forms it, offset + j * step with j converted to a
@@ -245,8 +258,7 @@ def counting_function(geometry: Geometry, omega: float) -> int:
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line counting function is not defined")
-    if not math.isfinite(omega):
-        raise InvalidParameter("omega must be finite")
+    omega = as_real(omega, "omega")
     if omega < 0.0:
         return 0
     return sum(_count_leq(*ladder, omega) for ladder in _ladders(geometry))
@@ -338,12 +350,13 @@ def counting_decomposition(
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line counting function is not defined")
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise InvalidParameter("omega must be positive and finite")
+    omega = as_real(omega, "omega", positive=True)
     # first: past the float range, an eigenvalue lies within an ulp of omega
     periodic = periodic_counting_term(geometry, omega)
     if tol_eigen is None:
         tol_eigen = 1e-9 * math.pi / geometry.length
+    else:
+        tol_eigen = as_real(tol_eigen, "tol_eigen")
     dist = _nearest_eigen_distance(geometry, omega)
     if dist <= tol_eigen:
         raise AtEigenvalue(
@@ -370,11 +383,10 @@ def eigenfunction_density(geometry: Geometry, j: int, x: float) -> float:
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line modes are not normalizable")
+    j, x = as_count(j, "mode index j"), as_point(geometry, x)
     if isinstance(geometry, TwistedCircle):
         return 1.0 / geometry.length
     length = geometry.length
-    if not (0.0 < x < length):
-        raise OutOfDomain(f"x={x!r} not in (0, {length})")
     ((step, offset, j_min),) = _ladders(geometry)
     if j < j_min:
         raise InvalidParameter(f"mode index {j} below first index {j_min}")

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .errors import InvalidParameter, NonConvergent
+from .errors import InvalidParameter, NonConvergent, as_count, as_float, as_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +45,7 @@ RIESZ_CESARO_2 = "riesz-cesaro-2"
 CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeriesControl:
     """Truncation and damping policy for orbit and mode sums.
 
@@ -76,13 +76,19 @@ class SeriesControl:
     tol: float = 1e-12
     damping_t: float = 0.0
 
-    def __post_init__(self) -> None:
-        if int(self.max_terms) != self.max_terms or self.max_terms < 1:
+    # Written out: each field is checked and stored once, as the rules convert it.
+    def __init__(self, max_terms: int = 10_000, tol: float = 1e-12, damping_t: float = 0.0) -> None:
+        max_terms = as_count(max_terms, "max_terms")
+        tol, damping_t = as_float(tol, "tol"), as_real(damping_t, "damping_t")
+        if max_terms < 1:
             raise InvalidParameter("max_terms must be a positive integer")
-        if not (self.tol > 0.0):
+        if not (tol > 0.0):
             raise InvalidParameter("tol must be positive")
-        if self.damping_t < 0.0:
+        if damping_t < 0.0:
             raise InvalidParameter("damping_t must be >= 0")
+        object.__setattr__(self, "max_terms", max_terms)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "damping_t", damping_t)
 
 
 @dataclass(frozen=True, init=False)

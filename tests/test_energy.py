@@ -914,60 +914,3 @@ def test_breakdown_is_frozen():
     assert isinstance(out, EnergyBreakdown)
     with pytest.raises(AttributeError):
         out.weyl = 1.0
-
-
-# ---------------------------------------------------------------------------
-# Scalar inputs: each is checked and converted once, at entry.
-# ---------------------------------------------------------------------------
-
-_SCALAR_GEOMETRIES = [Interval(1.0), Interval(1.0, NEUMANN, DIRICHLET), TwistedCircle(1.0, 2.0),
-                      HalfLine(DIRICHLET)]
-_SCALAR_IDS = ["D/D", "N/D", "twisted", "half-line"]
-_NOT_SCALARS = [np.array([0.3, 0.4]), np.array([0.3]), np.array(0.3), [0.3], "0.3", 0.3j]
-
-
-def _same_bits(got: EnergyBreakdown, want: EnergyBreakdown) -> None:
-    assert repr(got) == repr(want)
-    assert all(type(v) is float for v in dataclasses.astuple(got)[:5])
-
-
-@pytest.mark.parametrize("geometry", _SCALAR_GEOMETRIES, ids=_SCALAR_IDS)
-@pytest.mark.parametrize("place", range(3), ids=["t", "x", "xi"])
-def test_density_regularized_takes_one_real_number_per_argument(geometry, place):
-    # an array once raised ValueError (t, x) or TypeError (xi), and a float32
-    # gave float32 parts with other bits
-    args = [0.3, 0.4, 0.25]
-    for bad in _NOT_SCALARS:
-        with pytest.raises(InvalidParameter):
-            energy_density_regularized(geometry, *args[:place], bad, *args[place + 1 :])
-    for value in (np.float32(0.3), np.float64(0.3), np.int64(0)):
-        if place < 2 and value == 0:  # t and x must be positive
-            continue
-        got = energy_density_regularized(geometry, *args[:place], value, *args[place + 1 :])
-        args[place] = float(value)
-        _same_bits(got, energy_density_regularized(geometry, *args))
-
-
-@pytest.mark.parametrize("geometry", _SCALAR_GEOMETRIES, ids=_SCALAR_IDS)
-@pytest.mark.parametrize("place", range(2), ids=["x", "xi"])
-def test_density_renormalized_takes_one_real_number_per_argument(geometry, place):
-    args = [0.4, 0.25]
-    for bad in _NOT_SCALARS:
-        with pytest.raises(InvalidParameter):
-            energy_density_renormalized(geometry, *args[:place], bad, *args[place + 1 :])
-    for value in (np.float32(0.3), np.float64(0.3), np.int64(0)):
-        if place == 0 and value == 0:  # x must be inside
-            continue
-        got = energy_density_renormalized(geometry, *args[:place], value, *args[place + 1 :])
-        args[place] = float(value)
-        _same_bits(got, energy_density_renormalized(geometry, *args))
-
-
-@pytest.mark.parametrize("geometry", _SCALAR_GEOMETRIES[:3], ids=_SCALAR_IDS[:3])
-def test_total_energy_regularized_takes_one_real_number(geometry):
-    for bad in _NOT_SCALARS:
-        with pytest.raises(InvalidParameter):
-            total_energy_regularized(geometry, bad)
-    for value in (np.float32(0.3), np.float64(0.3), np.int64(2)):
-        _same_bits(total_energy_regularized(geometry, value),
-                   total_energy_regularized(geometry, float(value)))
