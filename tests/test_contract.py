@@ -153,10 +153,10 @@ row(SeriesControl, "damping_t", BAD_SCALAR, numpy_forms(0.1, 1), damping_t=0.1)
 @pytest.mark.parametrize("entry,base,arg,bad,good", ROWS)
 def test_every_argument_follows_its_input_rule(entry, base, arg, bad, good):
     for value in bad:
-        # what is not one float is no real number at all; a float may also
-        # fall outside a domain
-        with pytest.raises(InvalidParameter if type(value) is not float else (InvalidParameter,
-                                                                               OutOfDomain)):
+        # a value that is not a float breaks a scalar or count rule; a bad
+        # float may instead lie outside a point's domain
+        expected = InvalidParameter if type(value) is not float else (InvalidParameter, OutOfDomain)
+        with pytest.raises(expected):
             entry(**{**base, arg: value})
     for value in good:
         plain = int(value) if isinstance(base[arg], int) else float(value)
