@@ -95,9 +95,7 @@ _EXPORTS = {
         "bernoulli_cos_sum",
         "bernoulli_sin_sum",
         "lattice_sum",
-        "poisson_check",
         "riesz_cesaro2_energy_integrand",
-        "telescoping_check",
     ),
     "verify": ("CheckResult", "run_checks"),
 }

@@ -196,9 +196,9 @@ def total_energy_regularized(geometry: Geometry, t: float) -> EnergyBreakdown:
     For like ends the boundary pole pairs ``a_{n+1} - a_n`` with
     ``a_n = 2 L n / (t^2 + 4 L^2 n^2)`` telescope to ``a_N -> 0``; for
     mixed ends the two-sided sum cancels pairwise.  The verify registry
-    sums the like-ends pairs independently to confirm it.  The half-line
-    has no trace to differentiate: its boundary density integrates to
-    zero over (0, inf).
+    confirms it independently, by integrating the boundary density over
+    the interval.  The half-line has no trace to differentiate: its
+    boundary density integrates to zero over (0, inf).
     """
     t = as_real(t, "regulator t", positive=True)
     if isinstance(geometry, HalfLine):

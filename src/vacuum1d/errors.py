@@ -35,8 +35,7 @@ class UnsupportedGeometry(VacuumError):
 
 
 class NonConvergent(VacuumError):
-    """A series or extrapolation ladder failed to settle to the requested
-    tolerance."""
+    """A series failed to settle to the requested tolerance."""
 
 
 class IllConditionedFit(VacuumError):

@@ -340,7 +340,8 @@ def counting_decomposition(
         raises :class:`AtEigenvalue` there, and :class:`InvalidParameter`
         where :func:`periodic_counting_term` does.
     tol_eigen : float, optional
-        Guard distance; default ``1e-9 * pi / L``.
+        Guard distance, >= 0; default ``1e-9 * pi / L``.  At 0 only an
+        exact level raises.
 
     Returns
     -------
@@ -357,6 +358,8 @@ def counting_decomposition(
         tol_eigen = 1e-9 * math.pi / geometry.length
     else:
         tol_eigen = as_real(tol_eigen, "tol_eigen")
+        if tol_eigen < 0.0:
+            raise InvalidParameter(f"tol_eigen must be >= 0, not {tol_eigen!r}")
     dist = _nearest_eigen_distance(geometry, omega)
     if dist <= tol_eigen:
         raise AtEigenvalue(
@@ -384,12 +387,13 @@ def eigenfunction_density(geometry: Geometry, j: int, x: float) -> float:
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line modes are not normalizable")
     j, x = as_count(j, "mode index j"), as_point(geometry, x)
+    # the first ladder holds the first index: the circle's right movers from 0
+    step, offset, j_min = _ladders(geometry)[0]
+    if j < j_min:
+        raise InvalidParameter(f"mode index {j} below first index {j_min}")
     if isinstance(geometry, TwistedCircle):
         return 1.0 / geometry.length
     length = geometry.length
-    ((step, offset, j_min),) = _ladders(geometry)
-    if j < j_min:
-        raise InvalidParameter(f"mode index {j} below first index {j_min}")
     omega = offset + j * step
     if geometry.left is NEUMANN and geometry.right is NEUMANN and j == 0:
         return 1.0 / length

@@ -7,8 +7,6 @@ only in the sense of distributions:
 * Riesz--Cesaro means ``int_0^Omega (1 - w/Omega)^2 cos(a w + b) w dw``,
 * the Fourier closed forms ``sum sin(n z)/n`` and ``sum cos(n z)/n**2``
   (sawtooth and periodic Bernoulli polynomial),
-* telescoping pole-pair series whose limit is checked by Richardson
-  extrapolation,
 * tail-completed lattice sums ``sum_m e^{i m theta} (step m + d - i t)^-k``
   (:func:`lattice_sum`), the one primitive behind every image and orbit
   series of the kernels and energies, two-sided pole sums
@@ -99,13 +97,12 @@ class SeriesValue:
     bound for :func:`lattice_sum` (tail remainders plus rounding) and for
     the orbit series of :mod:`vacuum1d.orbits` (rounding only: damped,
     they are summed to the end; undamped, the value is the W-winding
-    truncation).  Two producers give estimates, not bounds: the
-    extrapolation spread of :func:`telescoping_check`, and the last level
-    difference (plus a rounding allowance) of :func:`de_quadrature`.
-    ``terms_used`` counts the windings summed directly for a lattice sum,
-    the pairs of a ladder and the nodes of a quadrature; for an orbit
-    series, the series summed to the end in closed form when damped, and
-    the windings kept when undamped.  ``method_tag`` is one of :data:`RAW`,
+    truncation).  One producer gives an estimate, not a bound: the last
+    level difference (plus a rounding allowance) of :func:`de_quadrature`.
+    ``terms_used`` counts the windings summed directly for a lattice sum
+    and the nodes of a quadrature; for an orbit series, the series summed
+    to the end in closed form when damped, and the windings kept when
+    undamped.  ``method_tag`` is one of :data:`RAW`,
     :data:`ABEL`, :data:`RIESZ_CESARO_2`, :data:`CLOSED_FORM`, for a
     lattice sum the tail completion used, :data:`EULER_MACLAURIN` or
     :data:`SUMMATION_BY_PARTS` (whose ``value`` is complex), or for a
@@ -155,8 +152,8 @@ def abel_cos_integral(a: float, b: float, t: float) -> tuple[float, float]:
     (float, float)
         ``(t cos b / (t^2+a^2), a sin b / (t^2+a^2))``.
     """
-    if not (t > 0.0):
-        raise InvalidParameter("abel damping t must be positive")
+    a, b = as_real(a, "orbit length a"), as_real(b, "phase b")
+    t = as_real(t, "abel damping t", positive=True)
     if a < 0.0:
         raise InvalidParameter("orbit length a must be >= 0")
     denom = t * t + a * a
@@ -193,12 +190,13 @@ def riesz_cesaro2_energy_integrand(
     omega_max : float
         Cutoff Omega > 0, or ``inf`` for the limiting value.
     """
+    n, length = as_count(n, "winding n"), as_real(length, "length", positive=True)
+    theta = as_real(theta, "theta")
+    omega_max = as_float(omega_max, "omega_max")  # inf is the limit
+    if not omega_max > 0.0:
+        raise InvalidParameter("omega_max must be positive")
     if n == 0:
         raise InvalidParameter("winding n must be nonzero")
-    if not (length > 0.0):
-        raise InvalidParameter("length must be positive")
-    if not (omega_max > 0.0):
-        raise InvalidParameter("omega_max must be positive")
     a = n * length
     b = n * theta
     lead = -math.cos(b) / a**2
@@ -222,6 +220,8 @@ def bernoulli_sin_sum(z: float) -> float:
     extended periodically, and 0 exactly at the jump points ``z = 2 pi j``
     (the Abel/Cesaro value of the series there).
     """
+    if type(z) is not float or z - z != 0.0:  # all but a finite float go to the rule
+        z = as_real(z, "z")
     zr = math.fmod(z, TWO_PI)
     if zr < 0.0:
         zr += TWO_PI
@@ -236,148 +236,13 @@ def bernoulli_cos_sum(theta: float) -> float:
     ``B_2(u) = u^2 - u + 1/6`` on ``u in [0, 1]``, extended periodically.
     Continuous everywhere; equals ``pi^2/6`` at ``theta = 0 mod 2 pi``.
     """
+    if type(theta) is not float or theta - theta != 0.0:  # all but a finite float go to the rule
+        theta = as_real(theta, "theta")
     tr = math.fmod(theta, TWO_PI)
     if tr < 0.0:
         tr += TWO_PI
     u = tr / TWO_PI
     return math.pi**2 * (u * u - u + 1.0 / 6.0)
-
-
-def telescoping_check(
-    terms, limit_hint: float | None = None, tol: float = 1e-10
-) -> SeriesValue:
-    """Sum (plus, minus) pairs and Richardson-extrapolate the partial sums.
-
-    Partial sums ``S_N`` of telescoping-type pair series approach their
-    limit like a smooth function of 1/N.  Neville extrapolation in 1/N on
-    a geometric ladder of partial sums recovers the limit to near machine
-    precision; the spread of the last two ladder diagonals is reported as
-    ``truncation_bound``.  That spread is an error estimate, not a proven
-    bound: it assumes the partial sums are smooth in 1/N.
-
-    Parameters
-    ----------
-    terms : iterable of (float, float)
-        The (plus, minus) pairs, in order, n = 1, 2, ...
-    limit_hint : float, optional
-        Expected limit; only used to scale the convergence test.
-    tol : float
-        Raise :class:`NonConvergent` when the ladder spread exceeds this.
-        Conditionally convergent or divergent inputs (e.g. harmonic
-        pluses with zero minuses) fail here rather than returning a
-        number.
-
-    Returns
-    -------
-    SeriesValue
-        Accelerated limit, with ``terms_used`` the pair count.
-    """
-    import numpy as np
-
-    pairs = np.asarray(list(terms), dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 16:
-        raise InvalidParameter("need at least 16 (plus, minus) pairs")
-    partial = np.cumsum(pairs[:, 0] - pairs[:, 1])
-    m = partial.shape[0]
-    # Geometric ladder of node indices, largest last.
-    nodes: list[int] = []
-    k = m
-    while k >= max(4, m // 64) and len(nodes) < 8:
-        if not nodes or k < nodes[-1]:
-            nodes.append(k)
-        k = int(k * 0.62)
-    nodes = sorted(set(nodes))
-    u = 1.0 / np.asarray(nodes, dtype=float)
-
-    def neville(us: np.ndarray, vals: np.ndarray) -> float:
-        s = vals.copy()
-        for order in range(1, len(s)):
-            for i in range(len(s) - order):
-                s[i] = s[i + 1] + (s[i] - s[i + 1]) * us[i + order] / (
-                    us[i + order] - us[i]
-                )
-        return float(s[0])
-
-    vals = partial[np.asarray(nodes) - 1]
-    diag = neville(u, vals)
-    # Error estimate: spread against the ladder with the coarsest node
-    # dropped (one extrapolation order lower).
-    spread = abs(diag - neville(u[1:], vals[1:].copy()))
-    scale = max(abs(limit_hint), 1.0) if limit_hint is not None else max(abs(diag), 1.0)
-    if not np.isfinite(diag) or spread > tol * scale:
-        raise NonConvergent(
-            f"telescoping ladder spread {spread:.3e} exceeds {tol:.3e} "
-            f"(value {diag!r})"
-        )
-    return SeriesValue(
-        value=float(diag),
-        terms_used=m,
-        truncation_bound=float(spread),
-        method_tag=RAW,
-    )
-
-
-def poisson_check(
-    omega: float,
-    length: float,
-    x: float,
-    n_orbit: int = 5000,
-    n_fourier: int | None = None,
-) -> tuple[float, float]:
-    """Both sides of the periodized-sinc (Poisson) identity.
-
-    Poisson summation applied to ``sin(c y)/y`` (whose transform is flat
-    on |k| < c) gives, with ``omega' = (M + 1/2) pi / L`` sitting halfway
-    between Fourier orders,
-
-        (pi/L) sin((2M+1) pi x/L) / sin(pi x/L)
-            = sum_{n in Z} sin(2 omega' (x + n L)) / (x + n L).
-
-    Left side: the closed Dirichlet-kernel form, scaled by pi/L.  Right
-    side: the image sum truncated at ``|n| <= n_orbit``; its tail decays
-    like 1/N with oscillating sign.  ``M = floor(omega L / pi)`` unless
-    ``n_fourier`` overrides it.
-
-    Parameters
-    ----------
-    omega : float
-        Frequency fixing the Fourier order M (ignored when ``n_fourier``
-        is given).
-    length : float
-        Period L > 0.
-    x : float
-        Evaluation point, 0 < x < L.
-    n_orbit : int
-        Image truncation N.
-    n_fourier : int, optional
-        Explicit M.
-
-    Returns
-    -------
-    (float, float)
-        (scaled Dirichlet kernel, truncated image sum).
-    """
-    import numpy as np
-
-    if not (length > 0.0):
-        raise InvalidParameter("length must be positive")
-    if not (0.0 < x < length):
-        raise InvalidParameter("x must lie in (0, L)")
-    if n_orbit < 1:
-        raise InvalidParameter("n_orbit must be >= 1")
-    m = int(n_fourier) if n_fourier is not None else int(math.floor(omega * length / math.pi))
-    if m < 0:
-        raise InvalidParameter("Fourier order must be >= 0")
-    lhs = (math.pi / length) * math.sin(
-        (2 * m + 1) * math.pi * x / length
-    ) / math.sin(math.pi * x / length)
-    omega_half = (m + 0.5) * math.pi / length
-    n = np.arange(-n_orbit, n_orbit + 1, dtype=float)
-    pts = x + n * length
-    rhs = float(np.sum(np.sin(2.0 * omega_half * pts) / pts))
-    return lhs, rhs
-
-
 
 
 # ---------------------------------------------------------------------------

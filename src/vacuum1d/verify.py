@@ -22,6 +22,8 @@ The ``detail`` string reports the raw sub-values.  The folded bounds:
   by 1e-4).
 * ``density_noncommuting_limits``: the x << t leg within 2e-3 (scaled
   by 1/2).
+* ``poisson_orbit_identity``: each pair within its allowance, the lattice
+  sum's bound plus rounding (the ratio scaled by 1e-3).
 * ``approximation_hierarchy``: short-orbit boundary energy within 1e-8
   (scaled by 1e-2).
 
@@ -32,6 +34,7 @@ the registry rather than restating it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -45,6 +48,7 @@ from .spectrum import DIRICHLET, NEUMANN, HalfLine, Interval, TwistedCircle
 from .summation import ABEL, RIESZ_CESARO_2, SeriesControl
 
 PI = math.pi
+_EPS = sys.float_info.epsilon
 
 __all__ = ["CheckResult", "run_checks", "CHECKS"]
 
@@ -190,17 +194,17 @@ def _check_three_way_kernel() -> tuple[float, str]:
 
 
 def _check_boundary_energy_vanishing() -> tuple[float, str]:
-    # Like ends at L = 1: the boundary pole pairs a_{n+1} - a_n with
-    # a_n = 2 n / (t^2 + 4 n^2), weighted (-1)^l / 2 pi, summed and
-    # Richardson-extrapolated without assuming that they telescope.
-    n = np.arange(0, 4001, dtype=float)
+    # The wall profile, integrated over the interval, against the boundary
+    # part of the total energy (0 for like and mixed ends alike); on the
+    # half-line the profile integrates to zero over (0, inf).
     dev = 0.0
-    for sign in (-1.0, 1.0):  # Dirichlet, Neumann ends
+    for ends in ((DIRICHLET, DIRICHLET), (NEUMANN, NEUMANN), (DIRICHLET, NEUMANN)):
+        geom = _interval(1.0, *ends)
         for t in (0.1, 0.5, 1.0):
-            a = 2.0 * n / (t * t + 4.0 * n * n)
-            pairs = (sign / (2.0 * PI)) * np.column_stack([a[1:], a[:-1]])
-            dev = max(dev, abs(summation.telescoping_check(pairs, limit_hint=0.0).value))
-    # half-line: the regularized profile integrates to zero over (0, inf)
+            integral = _integral(
+                lambda x: energy.energy_density_regularized(geom, t, x).boundary, 0.0, 1.0
+            )
+            dev = max(dev, abs(integral - energy.total_energy_regularized(geom, t).boundary))
     t = 0.5
     integral = _integral(
         lambda x: energy.energy_density_regularized(HalfLine(DIRICHLET), t, x).boundary,
@@ -260,14 +264,29 @@ def _check_counting_decomposition() -> tuple[float, str]:
 
 
 def _check_poisson_orbit_identity() -> tuple[float, str]:
+    # At omega' = (M + 1/2) pi the image sin(2 omega' (x + n))/(x + n) is
+    # (-1)^n wave/(x + n), wave = sin((2M + 1) pi x), so the image sum is
+    # wave times an alternating lattice sum, with its bound.  The phase is
+    # exactly pi: the float (2M + 1) pi leaves an imaginary part.  The
+    # Dirichlet kernel's sine is taken at the nearer wall, since sin(pi x)
+    # loses digits near x = 1.
     rng = np.random.default_rng(7121)
-    dev = 0.0
+    dev = ratio = 0.0
     for _ in range(50):
         omega = float(rng.uniform(0.5, 40.0))
         x = float(rng.uniform(0.05, 0.95))
-        lhs, rhs = summation.poisson_check(omega, 1.0, x, n_orbit=5000)
+        wave = math.sin((2 * math.floor(omega / PI) + 1) * PI * x)
+        images = summation.lattice_sum(1.0, x, 0.0, PI)
+        lhs = wave * images.value.real
+        rhs = PI * wave / math.sin(PI * min(x, 1.0 - x))
+        allowance = abs(wave) * images.truncation_bound + 4.0 * _EPS * (abs(lhs) + abs(rhs))
         dev = max(dev, abs(lhs - rhs))
-    return dev, f"50 seeded (omega, x) pairs, N_orbit=5000, worst |lhs-rhs|={dev:.2e}"
+        ratio = max(ratio, abs(lhs - rhs) / allowance)
+    measured = max(dev, 1e-3 * ratio)
+    return measured, (
+        f"50 seeded (omega, x) pairs, worst |lhs-rhs|={dev:.2e}, "
+        f"worst |lhs-rhs|/allowance={ratio:.2e}"
+    )
 
 
 def _check_heat_cylinder_relations() -> tuple[float, str]:

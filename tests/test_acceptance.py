@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from vacuum1d import run_checks, spectrum, verify
+from vacuum1d import energy, run_checks, spectrum, summation, verify
+from vacuum1d.summation import SeriesValue
 from vacuum1d.verify import CHECKS
 
 
@@ -52,6 +53,36 @@ def test_counting_check_reports_unexpected_errors(monkeypatch):
     assert not result.passed
     assert "RuntimeError" in result.detail
     assert len(calls) == 1
+
+
+def passes(name: str) -> bool:
+    ((tol, check),) = [(tol, check) for n, tol, check in CHECKS if n == name]
+    return check()[0] <= tol
+
+
+def test_poisson_check_fails_when_the_image_sum_leaves_its_bound(monkeypatch):
+    lattice_sum = summation.lattice_sum
+
+    def shifted(*args, **kwargs):
+        got = lattice_sum(*args, **kwargs)
+        value = got.value + 10.0 * got.truncation_bound
+        return SeriesValue(value, got.terms_used, got.truncation_bound, got.method_tag)
+
+    assert passes("poisson_orbit_identity")
+    monkeypatch.setattr(summation, "lattice_sum", shifted)
+    assert not passes("poisson_orbit_identity")
+
+
+def test_boundary_check_fails_when_the_wall_profile_is_shifted(monkeypatch):
+    interval_density = energy._interval_density
+
+    def shifted(geom, t, x):
+        weyl, per, wall = interval_density(geom, t, x)
+        return weyl, per, wall + 1e-9
+
+    assert passes("boundary_energy_vanishing")
+    monkeypatch.setattr(energy, "_interval_density", shifted)
+    assert not passes("boundary_energy_vanishing")
 
 
 def test_full_verification_suite_under_budget(capsys):

@@ -27,6 +27,9 @@ from vacuum1d import (
     OutOfDomain,
     SeriesControl,
     TwistedCircle,
+    abel_cos_integral,
+    bernoulli_cos_sum,
+    bernoulli_sin_sum,
     counting_decomposition,
     counting_function,
     cylinder_kernel,
@@ -43,6 +46,7 @@ from vacuum1d import (
     local_counting,
     local_spectral_density,
     orbit_energy_contribution,
+    riesz_cesaro2_energy_integrand,
     total_energy_regularized,
     twisted_energy,
     twisted_energy_orbit_sum,
@@ -137,11 +141,25 @@ for g in (DD, TWISTED):
     row(eigenvalues, "omega_max", BAD_SCALAR, numpy_forms(30.5, 30), geometry=g, omega_max=30.5)
     row(counting_function, "omega", BAD_SCALAR, numpy_forms(30.5, 30), geometry=g, omega=30.5)
     row(counting_decomposition, "omega", BAD_SCALAR, numpy_forms(1.3, 1), geometry=g, omega=1.3)
-    row(counting_decomposition, "tol_eigen", BAD_SCALAR, numpy_forms(1e-9, 0), geometry=g,
-        omega=1.3, tol_eigen=1e-9)
-    row(eigenfunction_density, "j", BAD_COUNT, [np.int64(3), 3.0, np.float64(3.0)], geometry=g,
-        j=3, x=0.4)
+    row(counting_decomposition, "tol_eigen", BAD_SCALAR + [-1.0], numpy_forms(1e-9, 0),
+        geometry=g, omega=1.3, tol_eigen=1e-9)
+    row(eigenfunction_density, "j", BAD_COUNT + [-1], [np.int64(3), 3.0, np.float64(3.0)],
+        geometry=g, j=3, x=0.4)
     row(eigenfunction_density, "x", BAD_SCALAR, numpy_forms(0.3), geometry=g, j=3, x=0.4)
+# summation scalars
+row(abel_cos_integral, "a", BAD_SCALAR + [-1.0], numpy_forms(0.7, 2), a=0.7, b=0.3, t=0.2)
+row(abel_cos_integral, "b", BAD_SCALAR, numpy_forms(0.3, 1), a=0.7, b=0.3, t=0.2)
+row(abel_cos_integral, "t", BAD_SCALAR + [0.0], numpy_forms(0.2, 1), a=0.7, b=0.3, t=0.2)
+row(riesz_cesaro2_energy_integrand, "n", BAD_COUNT + [0], [np.int64(2), 2.0, np.float64(2.0)],
+    n=2, length=1.0)
+row(riesz_cesaro2_energy_integrand, "length", BAD_SCALAR + [0.0], numpy_forms(0.7, 2), n=2,
+    length=0.7)
+row(riesz_cesaro2_energy_integrand, "theta", BAD_SCALAR, numpy_forms(0.7, 2), n=2, length=1.0,
+    theta=0.7)
+row(riesz_cesaro2_energy_integrand, "omega_max", NOT_ONE_REAL + [math.nan, -math.inf, 0.0],
+    numpy_forms(30.5, 30), n=2, length=1.0, omega_max=30.5)
+row(bernoulli_sin_sum, "z", BAD_SCALAR, numpy_forms(0.7, 2), z=0.7)
+row(bernoulli_cos_sum, "theta", BAD_SCALAR, numpy_forms(0.7, 2), theta=0.7)
 # series control
 row(SeriesControl, "max_terms", BAD_COUNT + [0], [np.int64(500), 500.0, np.float64(500.0)],
     max_terms=500)

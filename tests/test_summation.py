@@ -17,12 +17,11 @@ import pytest
 from scipy.integrate import quad
 
 from vacuum1d import summation
-from vacuum1d.errors import InvalidParameter, NonConvergent
+from vacuum1d.errors import InvalidParameter
 from vacuum1d.summation import (
     EULER_MACLAURIN,
     EXP_SINH,
     OOURA_MORI,
-    RAW,
     TANH_SINH,
     SUMMATION_BY_PARTS,
     SeriesControl,
@@ -31,9 +30,7 @@ from vacuum1d.summation import (
     bernoulli_sin_sum,
     de_quadrature,
     lattice_sum,
-    poisson_check,
     riesz_cesaro2_energy_integrand,
-    telescoping_check,
 )
 
 PI = math.pi
@@ -177,58 +174,6 @@ def test_bernoulli_cos_sum_matches_brute_force():
     brute = float(np.sum(np.cos(n * theta) / n**2))
     # Raw tail is O(1/N): bound via the integral envelope.
     assert bernoulli_cos_sum(theta) == pytest.approx(brute, abs=1e-4)
-
-
-# ---------------------------------------------------------------------------
-# telescoping_check
-# ---------------------------------------------------------------------------
-
-
-def test_telescoping_check_recovers_exact_limit():
-    # sum (1/n^2 - 1/(n+1)^2) telescopes to 1.
-    pairs = [(1.0 / n**2, 1.0 / (n + 1) ** 2) for n in range(1, 2001)]
-    out = telescoping_check(pairs, limit_hint=1.0)
-    assert out.value == pytest.approx(1.0, abs=1e-11)
-    assert out.terms_used == 2000
-    assert out.method_tag == RAW
-    assert out.truncation_bound < 1e-10
-
-
-def test_telescoping_check_rejects_divergent_series():
-    pairs = [(1.0 / n, 0.0) for n in range(1, 2001)]
-    with pytest.raises(NonConvergent):
-        telescoping_check(pairs)
-
-
-def test_telescoping_check_needs_enough_pairs():
-    with pytest.raises(InvalidParameter):
-        telescoping_check([(1.0, 1.0)] * 8)
-
-
-# ---------------------------------------------------------------------------
-# poisson_check
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("omega,x", [(7.3, 0.31), (20.1, 0.5), (3.0, 0.87)])
-def test_poisson_identity_sides_agree(omega, x):
-    lhs, rhs = poisson_check(omega, 1.0, x, n_orbit=5000)
-    assert lhs == pytest.approx(rhs, abs=1e-3 * max(1.0, abs(lhs)))
-
-
-def test_poisson_check_truncation_error_shrinks():
-    devs = []
-    for n_orbit in (100, 1000, 10000):
-        lhs, rhs = poisson_check(11.0, 1.0, 0.4, n_orbit=n_orbit)
-        devs.append(abs(lhs - rhs))
-    assert devs[2] < devs[0]
-
-
-def test_poisson_check_validates_domain():
-    with pytest.raises(InvalidParameter):
-        poisson_check(5.0, 1.0, 1.5)
-    with pytest.raises(InvalidParameter):
-        poisson_check(5.0, -1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
