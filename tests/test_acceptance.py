@@ -60,7 +60,7 @@ def passes(name: str) -> bool:
     return check()[0] <= tol
 
 
-def test_poisson_check_fails_when_the_image_sum_leaves_its_bound(monkeypatch):
+def test_poisson_identity_fails_when_the_image_sum_leaves_its_bound(monkeypatch):
     lattice_sum = summation.lattice_sum
 
     def shifted(*args, **kwargs):
