@@ -220,8 +220,7 @@ def bernoulli_sin_sum(z: float) -> float:
     extended periodically, and 0 exactly at the jump points ``z = 2 pi j``
     (the Abel/Cesaro value of the series there).
     """
-    if type(z) is not float or z - z != 0.0:  # all but a finite float go to the rule
-        z = as_real(z, "z")
+    z = as_real(z, "z")
     zr = math.fmod(z, TWO_PI)
     if zr < 0.0:
         zr += TWO_PI
@@ -236,8 +235,7 @@ def bernoulli_cos_sum(theta: float) -> float:
     ``B_2(u) = u^2 - u + 1/6`` on ``u in [0, 1]``, extended periodically.
     Continuous everywhere; equals ``pi^2/6`` at ``theta = 0 mod 2 pi``.
     """
-    if type(theta) is not float or theta - theta != 0.0:  # all but a finite float go to the rule
-        theta = as_real(theta, "theta")
+    theta = as_real(theta, "theta")
     tr = math.fmod(theta, TWO_PI)
     if tr < 0.0:
         tr += TWO_PI
