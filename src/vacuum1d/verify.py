@@ -22,7 +22,7 @@ The ``detail`` string reports the raw sub-values.  The folded bounds:
   by 1e-4).
 * ``density_noncommuting_limits``: the x << t leg within 2e-3 (scaled
   by 1/2).
-* ``poisson_orbit_identity``: each pair within its allowance, the lattice
+* ``poisson_orbit_identity``: each x within its allowance, the lattice
   sum's bound plus rounding (the ratio scaled by 1e-3).
 * ``approximation_hierarchy``: short-orbit boundary energy within 1e-8
   (scaled by 1e-2).
