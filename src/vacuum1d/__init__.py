@@ -21,7 +21,6 @@ _EXPORTS = {
     "errors": (
         "AtEigenvalue",
         "ContinuousSpectrum",
-        "IllConditionedFit",
         "InvalidParameter",
         "NonConvergent",
         "OutOfDomain",

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import summation
-from .errors import ContinuousSpectrum, IllConditionedFit, InvalidParameter, UnsupportedGeometry
+from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry
 from .errors import as_count, as_float, as_real
 from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle, _phase
 from .spectrum import as_point
@@ -330,7 +330,9 @@ def orbit_energy_contribution(
       cutoff (default: its Omega -> inf limit).
 
     The two regulators agree exactly in their limits -- the orbit energy
-    is scheme-independent: ``E_n = -cos(n theta) / (2 pi n^2 L)``.
+    is scheme-independent: ``E_n = -cos(n theta) / (2 pi n^2 L)``.  Both
+    are evaluated in ratios: only a value or a phase n theta past the
+    float range raises :class:`InvalidParameter`.
     """
     n, length = as_count(n, "winding n"), as_real(length, "length", positive=True)
     theta, t = as_real(theta, "theta"), as_real(t, "abel damping t")
@@ -341,16 +343,22 @@ def orbit_energy_contribution(
         raise InvalidParameter("winding n must be nonzero")
     if t < 0.0:
         raise InvalidParameter("abel damping t must be >= 0")
-    a = n * length
-    b = n * theta
-    if method == ABEL:
-        num = math.cos(b) * (a * a - t * t) - 2.0 * a * t * math.sin(b)
-        return -(length / (2.0 * PI)) * num / (t * t + a * a) ** 2
+    if method not in (ABEL, RIESZ_CESARO_2):
+        raise InvalidParameter(f"unknown per-orbit method {method!r}")
+    a, b = n * length, summation._winding_phase(n, theta)
     if method == RIESZ_CESARO_2:
-        return (length / (2.0 * PI)) * summation.riesz_cesaro2_energy_integrand(
-            n, length, theta, omega_max
-        )
-    raise InvalidParameter(f"unknown per-orbit method {method!r}")
+        return summation._riesz_cesaro2(a, b, omega_max, length / (2.0 * PI))
+    # In ratios u = a/m, v = t/m to m = max(|a|, t), so no square leaves the
+    # float range; L/m is 1/|n| where |a| is the larger, even if n L overflows.
+    if t > abs(a):
+        u, v, m, ratio = a / t, 1.0, t, length / t
+    else:
+        u, v, m, ratio = math.copysign(1.0, a), t / abs(a), abs(a), 1.0 / abs(n)
+    num = math.cos(b) * (u * u - v * v) - 2.0 * u * v * math.sin(b)
+    value = -num / (u * u + v * v) ** 2 / (2.0 * PI) * ratio / m
+    if not _isfinite(value):
+        raise InvalidParameter(f"the orbit energy leaves the float range at L = {length!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -664,26 +672,6 @@ def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
     return CylinderExpansion(e=e, d=1, truncation_bound=bound)
 
 
-@functools.cache
-def _default_heat_fit() -> tuple[np.ndarray, np.ndarray]:
-    """The heat fit's grid, in units of L^2, and the pseudo-inverse of its
-    basis t^{-1/2, 0, 1/2, 1} with each column divided by its largest entry;
-    built once per process and shared read-only.  Raises
-    :class:`IllConditionedFit` if the basis is rank-deficient by the rank cut
-    of ``np.linalg.lstsq(..., rcond=None)``."""
-    import numpy as np
-
-    g = np.geomspace(5e-4, 6e-3, 16)
-    design = np.column_stack([(g / g[0]) ** -0.5, np.ones_like(g), (g / g[-1]) ** 0.5, g / g[-1]])
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    if sv[-1] <= np.finfo(float).eps * max(design.shape) * sv[0]:
-        raise IllConditionedFit("rank-deficient heat-trace design matrix")
-    pinv = (vt.T / sv) @ u.T
-    g.setflags(write=False)
-    pinv.setflags(write=False)
-    return g, pinv
-
-
 @dataclass(frozen=True)
 class Theorem1Report:
     """Heat-kernel vs cylinder-kernel coefficient comparison (d = 1).
@@ -709,40 +697,33 @@ class Theorem1Report:
 def theorem1_check(geometry: Geometry) -> Theorem1Report:
     """Heat and cylinder coefficients, compared where they must agree.
 
-    Heat side: ``Tr K ~ b_0 t^{-1/2} + b_1`` fitted with two spurious
-    basis columns (t^{1/2}, t) on 16 points ``t in L^2 * [5e-4, 6e-3]``; a
-    fit, since the heat trace carries e^{-L^2/t}, which has no Laurent
-    series at t = 0.  The grid top is set by the shortest closed geodesic:
-    for the circle that is L, so the first image correction is
-    exp(-L^2/4t) ~ 8e-19 at t = 6e-3 L^2 (intervals are far cleaner).  The
-    trace depends only on t/L^2, so the fit (a pseudo-inverse built once
-    per process) runs at L = 1 and scales b_0 by L.  Cylinder side:
-    :func:`extract_cylinder_coefficients`.
+    Heat side: Poisson summation splits the heat trace exactly into
+    ``Tr K(t) = b_0 t^{-1/2} + b_1 + R(t)``, R the non-zero winding images,
+    ``|R| <= 2 L (4 pi t)^{-1/2} e^{-L^2/t} / (1 - e^{-L^2/t})`` (on the
+    circle the exponent is L^2/4t).  R has no power series at t = 0, so the
+    expansion carries no e_2.  At t_1 = 1e-3 L^2 and t_2 = 2e-3 L^2,
+    |R| < 1e-50, and the unit-length traces T_1, T_2 give
+    ``b_0 = (T_1 - T_2) / (t_1^{-1/2} - t_2^{-1/2})`` and
+    ``b_1 = T_1 - b_0 t_1^{-1/2}`` exactly up to rounding; b_0 is then
+    scaled by L.  Cylinder side: :func:`extract_cylinder_coefficients`.
     """
     from . import kernels
 
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line traces diverge")
-    grid, pinv = _default_heat_fit()
-    coef = pinv @ kernels._heat_trace(replace(geometry, length=1.0), grid, SeriesControl())
-    # undo the column scaling: t^{-1/2} peaks at the first point, 1 is 1
-    b0, b1 = float(coef[0]) * math.sqrt(grid[0]) * geometry.length, float(coef[1])
+    unit = replace(geometry, length=1.0)
+    t1, t2 = 1e-3, 2e-3
+    tr1, tr2 = kernels._heat_trace(unit, (t1, t2), SeriesControl()).tolist()
+    b0 = (tr1 - tr2) / (t1**-0.5 - t2**-0.5)
+    b1 = tr1 - b0 * t1**-0.5
+    b0 *= geometry.length
     cyl = extract_cylinder_coefficients(geometry)
     e0, e1, e2 = cyl.e[0], cyl.e[1], cyl.e[2]
-    pred_e0 = 2.0 / math.sqrt(PI) * b0
     return Theorem1Report(
-        b0=b0,
-        b1=b1,
-        e0=e0,
-        e1=e1,
-        e2=e2,
-        defect_e0=abs(e0 - pred_e0),
-        defect_e1=abs(e1 - b1),
-        note=(
-            "e2 (hence the vacuum energy -e2/2) is invisible to the heat expansion: it "
-            "sits in terms like e^(-L^2/t), exponentially small in 1/t and with no "
-            "power series at t = 0, which is why the heat side can only be fitted"
-        ),
+        b0, b1, e0, e1, e2, abs(e0 - 2.0 / math.sqrt(PI) * b0), abs(e1 - b1),
+        "e2 (hence the vacuum energy -e2/2) is invisible to the heat expansion: it "
+        "sits in a remainder of terms like e^(-L^2/t), exponentially small in 1/t "
+        "and with no power series at t = 0",
     )
 
 

@@ -38,11 +38,6 @@ class NonConvergent(VacuumError):
     """A series failed to settle to the requested tolerance."""
 
 
-class IllConditionedFit(VacuumError):
-    """A coefficient fit left a residual too large for its output to be
-    trusted."""
-
-
 # The input rules: every public entry passes its scalars and counts through
 # these, and its points through spectrum.as_point, so each has one definition.
 

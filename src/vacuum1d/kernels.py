@@ -761,17 +761,33 @@ def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> Ker
     return KernelValue(float(val), MODE_SUM, terms, bound)
 
 
+def _gaussian_images(
+    t: float, a: float, s: float, weight: Callable[[np.ndarray], float | np.ndarray]
+) -> float:
+    """sum_n w_n e^{-(a + n s)^2/t} over the images inside e^{-700}, i.e.
+    |a + n s| <= sqrt(700 t), with w_n = weight(n).  Past
+    :data:`~vacuum1d.spectrum.MAX_RUNGS` images a side it raises
+    :class:`InvalidParameter`."""
+    reach = math.sqrt(700.0 * t)
+    if not reach / s <= MAX_RUNGS:
+        raise InvalidParameter(f"more than {MAX_RUNGS} images at t = {t!r}, {s!r} apart")
+    n = np.arange(math.ceil((-reach - a) / s), math.floor((reach - a) / s) + 1)
+    d = a + n * s
+    return float(np.sum(weight(n) * np.exp(-d * d / t)))
+
+
 def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     """Heat kernel diagonal K(t; x, x) by the (superexponential) image sum.
 
     * interval:  ``(4 pi t)^{-1/2} [ sum_n s_n e^{-(nL)^2/t}
-      + sum_n s'_n e^{-(x+nL)^2/t} ]``
+      + (-1)^l sum_n s_n e^{-(x+nL)^2/t} ]``, s_n = 1 for like ends and
+      (-1)^n for mixed ends
     * half-line: ``(4 pi t)^{-1/2} (1 + (-1)^l e^{-x^2/t})``
     * twisted:   ``(4 pi t)^{-1/2} sum_n cos(n theta) e^{-(nL)^2/4t}``
 
     Images beyond ``e^{-700}`` are dropped; the result is exact to
     rounding for every t of practical interest.  Past
-    :data:`~vacuum1d.spectrum.MAX_RUNGS` images per array (t/L^2 of order
+    :data:`~vacuum1d.spectrum.MAX_RUNGS` images per family (t/L^2 of order
     1e9) it raises :class:`InvalidParameter`.
     """
     t, x = as_real(t, "t", positive=True), as_point(geometry, x, closed=True)
@@ -779,39 +795,12 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     if isinstance(geometry, HalfLine):
         return pref * (1.0 + (-1.0) ** geometry.l * math.exp(-x * x / t))
     length = geometry.length
-    # images out to e^{-700}: nL <= sqrt(700 t), on the circle sqrt(2800 t)
-    reach = math.sqrt((700.0 if isinstance(geometry, Interval) else 2800.0) * t) / length
-    if not reach <= MAX_RUNGS:
-        raise InvalidParameter(f"more than {MAX_RUNGS} images at t = {t!r}, L = {length!r}")
-    nmax = int(math.ceil(reach)) + 1
-    if isinstance(geometry, Interval):
-        l, r = geometry.l, geometry.r
-        # Periodic images: displacement 2nL -> e^{-(nL)^2/t}.
-        n = np.arange(1, nmax + 1, dtype=float)
-        sg = (
-            np.ones_like(n)
-            if (l + r) % 2 == 0
-            else np.where(np.arange(1, nmax + 1) % 2 == 0, 1.0, -1.0)
-        )
-        per = 1.0 + 2.0 * float(np.sum(sg * np.exp(-((n * length) ** 2) / t)))
-        # Boundary images: displacement 2(x + nL) -> e^{-(x+nL)^2/t}.
-        nb = np.arange(-nmax - 1, nmax + 1, dtype=float)
-        db = x + nb * length
-        keep = db * db / t < 700.0
-        nb, db = nb[keep], db[keep]
-        sgb = (
-            np.full(nb.shape, (-1.0) ** l)
-            if (l + r) % 2 == 0
-            else (-1.0) ** l * np.where(nb.astype(int) % 2 == 0, 1.0, -1.0)
-        )
-        bdry = float(np.sum(sgb * np.exp(-db * db / t)))
-        return pref * (per + bdry)
-    theta = geometry.theta
-    n = np.arange(1, nmax + 1, dtype=float)
-    series = 1.0 + 2.0 * float(
-        np.sum(np.cos(n * theta) * np.exp(-((n * length) ** 2) / (4.0 * t)))
-    )
-    return pref * series
+    if isinstance(geometry, TwistedCircle):
+        theta = geometry.theta
+        return pref * _gaussian_images(t, 0.0, 0.5 * length, lambda n: np.cos(n * theta))
+    sign = (lambda n: 1.0) if geometry.like_ends else (lambda n: 1.0 - 2.0 * (n & 1))
+    periodic = _gaussian_images(t, 0.0, length, sign)
+    return pref * (periodic + (-1.0) ** geometry.l * _gaussian_images(t, x, length, sign))
 
 
 def heat_trace(geometry: Geometry, t: float, control: SeriesControl = SeriesControl()) -> float:

@@ -292,7 +292,7 @@ def _check_heat_cylinder_relations() -> tuple[float, str]:
     rep = energy.theorem1_check(_interval())
     measured = max(rep.defect_e0, rep.defect_e1)
     detail = (
-        f"fitted b0={rep.b0:.9g} b1={rep.b1:.9g} against Cauchy e0, e1: "
+        f"b0={rep.b0:.9g} b1={rep.b1:.9g} read off two heights against Cauchy e0, e1: "
         f"defect_e0={rep.defect_e0:.2e} defect_e1={rep.defect_e1:.2e}"
     )
     return measured, detail

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vacuum1d import IllConditionedFit, NonConvergent, cli
+from vacuum1d import AtEigenvalue, NonConvergent, cli
 from vacuum1d.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -211,7 +211,7 @@ def test_density_far_past_the_length_scale(capsys):
         assert all(math.isfinite(v) for v in row)
 
 
-@pytest.mark.parametrize("error", [NonConvergent, IllConditionedFit])
+@pytest.mark.parametrize("error", [NonConvergent, AtEigenvalue])
 def test_numerical_errors_are_domain_errors(capsys, monkeypatch, error):
     def failing(args):
         raise error("did not settle")

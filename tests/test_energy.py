@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from vacuum1d import (
     energy_density_regularized,
     energy_density_renormalized,
     extract_cylinder_coefficients,
-    heat_trace,
     orbit_energy_contribution,
     theorem1_check,
     total_energy_regularized,
@@ -45,6 +45,7 @@ from vacuum1d import (
 from vacuum1d.summation import ABEL, RIESZ_CESARO_2
 
 PI = math.pi
+EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +457,50 @@ def test_orbit_energy_abel_damped_value():
     assert got == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("method", [ABEL, RIESZ_CESARO_2])
+@pytest.mark.parametrize("length", [1e-300, 1e-200, 1e-100, 1e160, 1e200, 1e300])
+def test_orbit_energy_at_extreme_lengths(method, length):
+    # The limit -cos(n theta)/(2 pi n^2 L) is finite at every one of these
+    # lengths; a*a once overflowed (nan at 1e160) or underflowed
+    # (ZeroDivisionError at 1e-200), and RC2's a**2 leaked OverflowError.
+    for n, theta in ((1, 0.0), (-2, 0.7), (3, 2.9)):
+        want = -math.cos(n * theta) / (2.0 * PI * n * n) / length
+        got = orbit_energy_contribution(n, length, theta, method=method)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_orbit_energy_at_extreme_lengths_away_from_the_limit():
+    import mpmath
+
+    n, theta = 2, 0.9
+    b = mpmath.mpf(n * theta)
+    for length in (1e-200, 1e200):
+        a = mpmath.mpf(n * length)
+        # Abel damping t = a/2, so t and a are of one size
+        t = 0.5 * n * length
+        tm = mpmath.mpf(t)
+        want = -(length / (2 * mpmath.pi)) * (
+            mpmath.cos(b) * (a * a - tm * tm) - 2 * a * tm * mpmath.sin(b)
+        ) / (tm * tm + a * a) ** 2
+        assert orbit_energy_contribution(n, length, theta, ABEL, t=t) == pytest.approx(
+            float(want), rel=1e-14
+        )
+        # cutoff Omega = 1/a: the closed form at a Omega = 1 would cancel
+        omega = 1.0 / (n * length)
+        want = (length / (2 * mpmath.pi)) * mpmath.quad(
+            lambda w: (1 - w / omega) ** 2 * mpmath.cos(w * a + b) * w, [0, omega]
+        )
+        got = orbit_energy_contribution(n, length, theta, RIESZ_CESARO_2, omega_max=omega)
+        assert got == pytest.approx(float(want), rel=1e-14)
+
+
+def test_orbit_energy_past_the_float_range_is_invalid():
+    # -1/(2 pi L) at L = 1e-320 is about -1.6e319
+    for method in (ABEL, RIESZ_CESARO_2):
+        with pytest.raises(InvalidParameter, match="float range"):
+            orbit_energy_contribution(1, 1e-320, method=method)
+
+
 def test_orbit_energy_validates_input():
     with pytest.raises(InvalidParameter):
         orbit_energy_contribution(0, 1.0)
@@ -782,16 +827,28 @@ def test_coefficients_from_tiny_to_huge_lengths(geometry):
         assert rep.defect_e0 <= 1e-12 * length
 
 
-def test_theorem1_heat_fit_matches_lstsq():
-    geometry = TwistedCircle(1.7, 0.4)
-    tg = 1.7**2 * np.geomspace(5e-4, 6e-3, 16)
-    yk = np.array([heat_trace(geometry, float(t)) for t in tg])
-    basis = np.column_stack([tg**-0.5, np.ones_like(tg), tg**0.5, tg])
-    col = np.max(np.abs(basis), axis=0)
-    coef = np.linalg.lstsq(basis / col, yk, rcond=None)[0] / col
+@pytest.mark.parametrize(
+    "geometry,b1",
+    [
+        (Interval(2.5, DIRICHLET, DIRICHLET), -0.5),
+        (Interval(2.5, NEUMANN, NEUMANN), 0.5),
+        (Interval(2.5, DIRICHLET, NEUMANN), 0.0),
+        (Interval(2.5, NEUMANN, DIRICHLET), 0.0),
+        (Interval(1.0, DIRICHLET, DIRICHLET), -0.5),
+        (TwistedCircle(2.5, 0.0), 0.0),
+        (TwistedCircle(1.3, 2.2), 0.0),
+        (TwistedCircle(1.7, 0.4), 0.0),
+        (TwistedCircle(1.0, 6.2), 0.0),
+    ],
+    ids=str,
+)
+def test_theorem1_heat_side_is_exact_to_rounding(geometry, b1):
+    # Past b_0 t^{-1/2} + b_1 the heat trace holds only the winding images,
+    # below 1e-50 at both heights, so the two-height solve leaves rounding.
     report = theorem1_check(geometry)
-    assert report.b0 == pytest.approx(coef[0], rel=1e-12)
-    assert report.b1 == pytest.approx(coef[1], abs=1e-12)
+    b0 = geometry.length / (2.0 * math.sqrt(PI))
+    assert abs(report.b0 - b0) <= 4.0 * EPS * b0
+    assert abs(report.b1 - b1) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from exact totals.
 
 import cmath
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -34,6 +35,7 @@ from vacuum1d.summation import (
 )
 
 PI = math.pi
+EPS = sys.float_info.epsilon
 
 
 def bernoulli_b2(u: float) -> float:
@@ -124,6 +126,48 @@ def test_riesz_cesaro2_converges_to_limit_as_cutoff_grows():
     ]
     assert devs[2] < devs[0]
     assert devs[2] < 3.0 / 1e4
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, PI / 2.0, 2.5, 4.0])
+@pytest.mark.parametrize("n,omega_max", [(1, 1.3), (-2, 40.0), (3, 1.3)])
+def test_riesz_cesaro2_from_tiny_to_large_a_omega(n, omega_max, theta):
+    # a Omega from 1e-9 to 10 across the switch to the Taylor series; the
+    # closed form alone cancels to -8.0 at a Omega = 1e-4 and 0.0 at 1e-5.
+    for k in range(-36, 5):
+        z = 10.0 ** (k / 4.0)
+        length = z / (abs(n) * omega_max)
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(n * length), mpmath.mpf(n * theta)
+            ref = omega_max**2 * mpmath.quad(
+                lambda u: (1 - u) ** 2 * u * mpmath.cos(a * omega_max * u + b), [0, 0.5, 1]
+            )
+        envelope = omega_max**2 * min(1.0 / 12.0, z**-2)
+        got = riesz_cesaro2_energy_integrand(n, length, theta, omega_max)
+        assert abs(got - float(ref)) <= 8.0 * EPS * envelope, z
+
+
+def test_riesz_cesaro2_at_extreme_lengths():
+    # a = 1e-200: Omega^2/12 in the series, not 0/0; a = 1e200: -cos(b)/a^2
+    # underflows to 0 instead of leaking OverflowError from a**2.
+    got = riesz_cesaro2_energy_integrand(1, 1e-200, 0.0, 1.0)
+    assert got == pytest.approx(1.0 / 12.0, rel=1e-15)
+    assert riesz_cesaro2_energy_integrand(1, 1e200) == 0.0
+    assert riesz_cesaro2_energy_integrand(1, 1e200, 0.0, 1.0) == 0.0
+    assert riesz_cesaro2_energy_integrand(1, 1e-100) == pytest.approx(-1e200, rel=1e-15)
+    with pytest.raises(InvalidParameter, match="float range"):
+        riesz_cesaro2_energy_integrand(1, 1e-200)  # -1e400
+    with pytest.raises(InvalidParameter, match="float range"):
+        riesz_cesaro2_energy_integrand(10**300, 1.0, 1e10)  # the phase n theta
+
+
+def test_abel_cos_integral_at_extreme_lengths():
+    delta, osc = abel_cos_integral(1e200, 0.3, 1.0)
+    assert delta == 0.0
+    assert osc == pytest.approx(math.sin(0.3) / 1e200, rel=1e-15)
+    delta, osc = abel_cos_integral(0.0, 0.3, 1e-300)
+    assert delta == pytest.approx(math.cos(0.3) * 1e300, rel=1e-15)
+    with pytest.raises(InvalidParameter, match="float range"):
+        abel_cos_integral(0.0, 0.3, 1e-320)
 
 
 def test_riesz_cesaro2_rejects_zero_winding():
