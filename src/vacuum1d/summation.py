@@ -158,7 +158,8 @@ def abel_cos_integral(a: float, b: float, t: float) -> tuple[float, float]:
         raise InvalidParameter("orbit length a must be >= 0")
     m = max(a, t)  # in ratios to m, divided by m last: no square overflows
     u, v = a / m, t / m
-    delta, osc = v * math.cos(b) / (u * u + v * v) / m, u * math.sin(b) / (u * u + v * v) / m
+    denom = u * u + v * v
+    delta, osc = v * math.cos(b) / denom / m, u * math.sin(b) / denom / m
     if not (math.isfinite(delta) and math.isfinite(osc)):
         raise InvalidParameter(f"the damped integral leaves the float range at t = {t!r}")
     return delta, osc
@@ -166,9 +167,9 @@ def abel_cos_integral(a: float, b: float, t: float) -> tuple[float, float]:
 
 # Below |a Omega| = 4 the closed form cancels, its error growing like
 # eps/(a Omega)^4, and 32 terms of its Taylor series in z = a Omega take over,
-# even and odd k apart.  Against 40-digit quadrature at 24 phases, in eps of
-# Omega^2 min(1/12, z^-2): the closed form is off by 500 at z = 0.5, 13 at 2,
-# 7.5 at 3 and 2.5 at 4; the series by at most 1.5 up to 4 (3 at 5 and 6).
+# even and odd k apart.  Against 40-digit quadrature over up to 24 phases, in
+# eps of Omega^2 min(1/12, z^-2): the closed form is off by 500 at z = 0.5,
+# 13 at 2, 7.5 at 3 and 2.5 at 4; the series by at most 1.5 up to 4.
 _RC2_SERIES = 4.0
 _RC2_EVEN = tuple((-1) ** j * 2.0 * (2 * j + 1) / math.factorial(2 * j + 4) for j in range(16))
 _RC2_ODD = tuple((-1) ** (j + 1) * 2.0 * (2 * j + 2) / math.factorial(2 * j + 5) for j in range(16))
