@@ -42,16 +42,11 @@ _EXPORTS = {
         "eigenvalues",
     ),
     "orbits": (
-        "BOUNDARY_ODD",
-        "DIRECT",
         "DIRICHLET_KERNEL",
         "ORBIT_SUM",
-        "PERIODIC",
         "DeltaAtom",
         "GlobalDensity",
         "LocalDensity",
-        "OrbitTerm",
-        "enumerate_orbits",
         "global_density_decomposition",
         "green_im_diag",
         "local_counting",
@@ -90,7 +85,6 @@ _EXPORTS = {
         "RIESZ_CESARO_2",
         "SeriesControl",
         "SeriesValue",
-        "abel_cos_integral",
         "bernoulli_cos_sum",
         "bernoulli_sin_sum",
         "lattice_sum",

@@ -242,7 +242,8 @@ def total_energy_renormalized(geometry: Geometry) -> EnergyBreakdown:
     Closed values: ``-pi/24L`` (like ends), ``+pi/48L`` (mixed ends),
     ``-(pi/L) B_2(theta/2pi)`` (twisted circle).  Zero modes carry zero
     energy and are flagged in ``note`` rather than shifted or dropped
-    silently.
+    silently.  An energy past the float range (L below about 1e-308)
+    raises :class:`InvalidParameter`.
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum(
@@ -252,6 +253,8 @@ def total_energy_renormalized(geometry: Geometry) -> EnergyBreakdown:
     length = geometry.length
     if isinstance(geometry, Interval):
         per = -PI / (24.0 * length) if geometry.like_ends else PI / (48.0 * length)
+        if not _isfinite(per):
+            raise InvalidParameter(f"the vacuum energy leaves the float range at L={length!r}")
     else:
         per = twisted_energy(geometry.theta, length)
     return EnergyBreakdown(
@@ -269,9 +272,13 @@ def twisted_energy(theta: float, length: float) -> float:
 
     Even and 2 pi-periodic in theta; equals -pi/6L at theta = 0 and
     +pi/12L at theta = pi, crossing zero at theta = pi (1 -/+ 1/sqrt 3).
+    An energy past the float range raises :class:`InvalidParameter`.
     """
     theta, length = as_real(theta, "theta"), as_real(length, "length", positive=True)
-    return -summation.bernoulli_cos_sum(theta) / (PI * length)
+    energy = -summation.bernoulli_cos_sum(theta) / (PI * length)
+    if not _isfinite(energy):
+        raise InvalidParameter(f"the vacuum energy leaves the float range at L={length!r}")
+    return energy
 
 
 def twisted_energy_orbit_sum(
@@ -501,13 +508,15 @@ def energy_density_regularized(
     if isinstance(geometry, HalfLine):
         t = as_real(t, "regulator t", positive=True)
         weyl = 0.5 / PI / t / t
-        # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2) in units of the power of
-        # two s just above max(t, 2x): scaling by s is exact, so this rounds
-        # as the unscaled form does wherever that one stays normal
+        # (-1)^l (t^2 - 4x^2) / (2 pi (t^2 + 4x^2)^2)
+        # = (-1)^l (u^2 - x^2) / (8 pi (u^2 + x^2)^2), u = t/2, in units of
+        # the power of two s at or just below max(u, x): scaling by s is
+        # exact, so this rounds as the unscaled form does wherever that one
+        # stays normal, and neither 2x nor s leaves the float range
         sign = -1.0 if geometry.condition is DIRICHLET else 1.0
-        s = math.ldexp(1.0, math.frexp(max(t, 2.0 * x))[1])
-        ts, xs = t / s, 2.0 * x / s
-        b = sign * (ts * ts - xs * xs) / (2.0 * PI * (ts * ts + xs * xs) ** 2) / s / s
+        s = math.ldexp(1.0, math.frexp(max(0.5 * t, x))[1] - 1)
+        ts, xs = 0.5 * t / s, x / s
+        b = sign * (ts * ts - xs * xs) / (8.0 * PI * (ts * ts + xs * xs) ** 2) / s / s
         bdry = 4.0 * xi * b
         return _breakdown(weyl, 0.0, bdry, bdry, t, "", xi)
     # no wall part to carry a bad xi into _breakdown, whose checks the bulk has made

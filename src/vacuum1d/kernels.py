@@ -55,10 +55,12 @@ from .spectrum import (
     HalfLine,
     Interval,
     TwistedCircle,
+    _images,
     _ladders,
     _phase,
     _rungs,
     as_point,
+    boundary_counting_term,
 )
 from .summation import SeriesControl
 
@@ -339,8 +341,10 @@ def _halfline_mode_quadrature(
         raise InvalidParameter(f"t={t!r} too small for the half-line mode integral")
     if isinstance(x, np.ndarray):
         return _halfline_mode_rows(geom, t, x, y, scale)
-    b = np.array([abs(x - y) / t, (x + y) / t])  # an overflow to inf drops its leg
-    c = np.array([1.0, (-1.0) ** geom.l])
+    families = _images(geom)
+    # an overflow to inf drops its leg
+    b = np.array([abs(x + y if reflected else x - y) / t for _, reflected, _, _ in families])
+    c = np.array([sign for sign, _, _, _ in families])
     fast = b >= _FOURIER_SWITCH
     parts = []
     if not fast.all():
@@ -362,9 +366,10 @@ def _halfline_mode_rows(
 ) -> KernelValue:
     """The half-line mode route at a point array: rows 0..n-1 are the
     direct legs, n..2n-1 the reflected ones."""
-    n = x.size
-    b = np.concatenate([np.abs(x - y) / t, (x + y) / t])  # an overflow to inf drops its leg
-    c = np.repeat([1.0, (-1.0) ** geom.l], n)
+    n, families = x.size, _images(geom)
+    # an overflow to inf drops its leg
+    b = np.concatenate([np.abs(x + y if reflected else x - y) / t for _, reflected, _, _ in families])
+    c = np.repeat([sign for sign, _, _, _ in families], n)
     point = np.tile(np.arange(n), 2)
     value, bound, terms = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
     for cosine in (False, True):
@@ -402,7 +407,8 @@ def _lorentzian_lattice(
     sum is two tail-completed lattice sums; at real weights (theta a
     multiple of pi) the second is the conjugate of the first.  The division
     by 2 pi i is written out in real divisions, which floats and arrays
-    round alike.
+    round alike, and each sum is halved before the difference is formed,
+    so that two sums near the float range do not overflow it.
 
     At d = 0 the sum depends on no point: float calls there go through
     :func:`_centred_lattice`, the cache keyed by (step, t, theta,
@@ -411,11 +417,11 @@ def _lorentzian_lattice(
     if math.remainder(theta, math.pi) == 0.0:
         return plus.value.imag / math.pi + 0j, plus.terms_used, plus.truncation_bound / math.pi
     minus = summation.lattice_sum(step, d, -t, theta, 1, control)
-    diff = plus.value - minus.value
+    diff = 0.5 * plus.value - 0.5 * minus.value
     return (
-        diff.imag / TWO_PI - 1j * (diff.real / TWO_PI),
+        diff.imag / math.pi - 1j * (diff.real / math.pi),
         plus.terms_used + minus.terms_used,
-        (plus.truncation_bound + minus.truncation_bound) / TWO_PI,
+        (0.5 * plus.truncation_bound + 0.5 * minus.truncation_bound) / math.pi,
     )
 
 
@@ -423,8 +429,8 @@ def _lorentzian_lattice(
 def _centred_lattice(
     step: float, t: float, theta: float, control: SeriesControl
 ) -> tuple[complex, int, float]:
-    """:func:`_lorentzian_lattice` at d = 0.0: the periodic family of every
-    interval diagonal point, the twisted diagonal and both trace image sums.
+    """:func:`_lorentzian_lattice` at d = 0.0: the direct family of every
+    diagonal point and of both trace image sums.
     The summation._TABLES most recently used keys are kept."""
     return _lorentzian_lattice(step, 0.0, t, theta, control)
 
@@ -440,75 +446,37 @@ def _lattice_at(
     return _lorentzian_lattice(step, d, t, theta, control)
 
 
-def _interval_image_sum(
-    geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray, control: SeriesControl
-) -> KernelValue:
-    # Periodic images at x - y + 2nL and boundary images at x + y + 2nL,
-    # the latter signed (-1)^l; mixed ends alternate (-1)^n in both.
-    theta = 0.0 if geom.like_ends else math.pi
-    step = 2.0 * geom.length
-    if isinstance(x, np.ndarray) or step == math.inf:
-        return _interval_image_grid(geom, t, x, y, theta, control)
-    per, n_per, b_per = _lattice_at(step, x - y, t, theta, control)
-    bdry, n_bdry, b_bdry = _lattice_at(step, x + y, t, theta, control)
-    val = per.real + (-1.0) ** geom.l * bdry.real
-    return KernelValue(val, IMAGE_SUM, n_per + n_bdry, b_per + b_bdry)
-
-
-def _interval_image_grid(
-    geom: Interval, t: float, x: float | np.ndarray, y: float | np.ndarray, theta: float,
+def _image_sum(
+    geometry: Geometry, t: float, x: float | np.ndarray, y: float | np.ndarray,
     control: SeriesControl,
 ) -> KernelValue:
-    """The interval image sum with both families of every point in one
-    lattice-sum call; on the diagonal every periodic family is the one
-    lattice at d = 0.  Past L = 8.99e307, where 2L overflows, floats come
-    here too, and the lattice is summed in half units: half the lattice of
-    step L at half the displacements and height."""
-    scalar = not isinstance(x, np.ndarray)
-    x, y = np.atleast_1d(x), np.atleast_1d(y)
-    half = 0.5 if 2.0 * geom.length == math.inf else 1.0
-    minus, plus = half * x - half * y, half * x + half * y
-    n = 1 if (minus == 0.0).all() else x.size
-    both = np.concatenate([minus[:n], plus])
-    step = half * 2.0 * geom.length
-    val, terms, bound = _lorentzian_lattice(step, both, half * t, theta, control)
-    val, bound = half * val.real, half * bound
-    val = val[:n] + (-1.0) ** geom.l * val[n:]
-    terms, bound = terms[:n] + terms[n:], bound[:n] + bound[n:]
-    if scalar:
-        return KernelValue(float(val[0]), IMAGE_SUM, int(terms[0]), float(bound[0]))
-    return KernelValue(val, IMAGE_SUM, terms, bound)
-
-
-def _halfline_image_sum(
-    geom: HalfLine, t: float, x: float | np.ndarray, y: float | np.ndarray
-) -> KernelValue:
-    if isinstance(x, np.ndarray):
-        val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
-        if not np.isfinite(val).all():
-            raise InvalidParameter(f"half-line kernel overflows at t={t!r}")
-        return KernelValue(val, IMAGE_SUM, 2, 0.0)
-    val = _lorentzian(t, x - y) + (-1.0) ** geom.l * _lorentzian(t, x + y)
-    if not math.isfinite(val):
-        raise InvalidParameter(f"half-line kernel overflows at t={t!r}, x={x!r}, y={y!r}")
-    return KernelValue(val, IMAGE_SUM, 2, 0.0)
-
-
-def _twisted_image_sum(
-    geom: TwistedCircle, t: float, x: float | np.ndarray, y: float | np.ndarray,
-    control: SeriesControl,
-) -> KernelValue:
-    # sum_n e^{i n theta} (t/pi)/((x - y - nL)^2 + t^2); on the diagonal
-    # every point has the one lattice at d = 0
+    """The image route: sum over the families of
+    :func:`~vacuum1d.spectrum._images`, each one lattice of Lorentzians
+    summed at every point in one :func:`_lattice_at` call (the cached
+    lattice at d = 0 for a direct family on the diagonal), or one
+    Lorentzian a point where the family has no turns (the half-line).
+    Where turns L overflows (L above 8.99e307 on the interval) the lattice
+    is summed in half units: half the lattice of step turns L/2 at half the
+    displacements and height.  The value is complex only off the twisted
+    diagonal; there, diagonal points of an array are real, as their float
+    calls are."""
     diagonal = _all(x == y)
-    d = y - x
-    if diagonal and isinstance(d, np.ndarray):
-        d = d[:1]
-    val, terms, bound = _lattice_at(geom.length, d, t, geom.theta, control)
-    if diagonal:
-        return KernelValue(val.real, IMAGE_SUM, terms, bound)
-    if isinstance(d, np.ndarray):
-        val.imag[d == 0.0] = 0.0  # diagonal points are real, as their float calls are
+    real = diagonal or not isinstance(geometry, TwistedCircle)
+    val, terms, bound = 0.0, 0, 0.0
+    for sign, reflected, turns, theta in _images(geometry):
+        if turns == 0:
+            part, n, b = _lorentzian(t, x + y if reflected else x - y), 1, 0.0
+        else:
+            length = geometry.length
+            half = 0.5 if turns * length == math.inf else 1.0
+            d = half * x + half * y if reflected else 0.0 if diagonal else half * x - half * y
+            part, n, b = _lattice_at(half * turns * length, d, half * t, theta, control)
+            part, b = half * (part.real if real else part), half * b
+        val, terms, bound = val + sign * part, terms + n, bound + b
+    if real and not _all(abs(val) < math.inf):
+        raise InvalidParameter(f"the image sum overflows at t={t!r}")
+    if not real and isinstance(x, np.ndarray):
+        val.imag[x == y] = 0.0
     return KernelValue(val, IMAGE_SUM, terms, bound)
 
 
@@ -583,13 +551,14 @@ def cylinder_kernel(
     x, y : float or array_like
         Points in the closed domain; ``y`` defaults to ``x`` (diagonal).
         Arrays (or sequences) broadcast against each other, and every
-        point is evaluated in one call per route: one lattice-sum call for
-        all the images of all the points (a float sum per image lattice,
+        point is evaluated in one call per route: one lattice-sum call per
+        image family for all the points (a float sum per image lattice,
         so each point equals its float call bit for bit), one (points x
         rungs) grid for a mode sum, one node set per kind for the
-        half-line quadrature, and the closed forms elementwise.  One point outside the domain raises
-        :class:`OutOfDomain` for the whole call.  Floats and numpy scalars
-        keep the plain-float form of each route and return scalars.
+        half-line quadrature, and the closed forms elementwise.  One point
+        outside the domain raises :class:`OutOfDomain` for the whole call.
+        Floats and numpy scalars keep the plain-float form of each route
+        and return scalars.
     method : str
         ``mode-sum``, ``image-sum``, or ``closed-form``.  The twisted
         circle has an elementary closed form only on the diagonal;
@@ -673,27 +642,22 @@ def _route(
     control: SeriesControl,
 ) -> KernelValue:
     """cylinder_kernel after its checks, at float or 1-d array points."""
+    if method == IMAGE_SUM:
+        return _image_sum(geometry, t, x, y, control)
     if isinstance(geometry, HalfLine):
         if method == MODE_SUM:
             # No discrete modes; the continuum integral plays that role
             # and is evaluated by quadrature, independent of the images.
             return _halfline_mode_quadrature(geometry, t, x, y)
-        out = _halfline_image_sum(geometry, t, x, y)
-        if method == CLOSED_FORM:
-            return KernelValue(out.value, CLOSED_FORM, 0, 0.0)
-        return out
+        return KernelValue(_image_sum(geometry, t, x, y, control).value, CLOSED_FORM, 0, 0.0)
 
     if isinstance(geometry, Interval):
         if method == MODE_SUM:
             return _interval_mode_sum(geometry, t, x, y, control)
-        if method == IMAGE_SUM:
-            return _interval_image_sum(geometry, t, x, y, control)
         return _interval_closed_form(geometry, t, x, y)
 
     if method == MODE_SUM:
         return _twisted_mode_sum(geometry, t, x, y, control)
-    if method == IMAGE_SUM:
-        return _twisted_image_sum(geometry, t, x, y, control)
     if _all(x == y):
         return _twisted_closed_form_diag(geometry, t)
     return _twisted_mode_sum(geometry, t, x, y, control)
@@ -740,20 +704,15 @@ def cylinder_trace(
         return KernelValue(val, CLOSED_FORM, 0, 0.0)
     if method == MODE_SUM:
         return _trace_mode_sum(geometry, t, control)
-    if isinstance(geometry, Interval):
-        # The periodic Lorentzians integrate to (1/2 pi) sum_n w_n a/(n^2 + a^2),
-        # a = t/2L, w_n = 1 (like ends) or (-1)^n (mixed): half the unit
-        # lattice of Lorentzians of width a, free of L^2.
-        a, theta = 0.5 * t / geometry.length, 0.0 if geometry.like_ends else math.pi
-        per, terms, bound = _centred_lattice(1.0, a, theta, control)
-        val = 0.5 * per.real
-        if geometry.like_ends:
-            val += 0.5 * (-1.0) ** geometry.l
-        return KernelValue(val, IMAGE_SUM, terms, 0.5 * bound)
-    # L T(t; x, x) = sum_n e^{i n theta} (a/pi)/(n^2 + a^2), a = t/L: the unit
-    # lattice of Lorentzians of width a
-    per, terms, bound = _centred_lattice(1.0, t / geometry.length, geometry.theta, control)
-    return KernelValue(per.real, IMAGE_SUM, terms, bound)
+    # A direct family integrates over the domain to 1/turns times the unit
+    # lattice of Lorentzians of width t/(turns L), free of L; the reflected
+    # ones telescope to the boundary counting term.
+    val, terms, bound = boundary_counting_term(geometry), 0, 0.0
+    for _, reflected, turns, theta in _images(geometry):
+        if not reflected:
+            per, n, b = _centred_lattice(1.0, t / turns / geometry.length, theta, control)
+            val, terms, bound = val + per.real / turns, terms + n, bound + b / turns
+    return KernelValue(val, IMAGE_SUM, terms, bound)
 
 
 def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> KernelValue:
@@ -761,19 +720,17 @@ def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> Ker
     return KernelValue(float(val), MODE_SUM, terms, bound)
 
 
-def _gaussian_images(
-    t: float, a: float, s: float, weight: Callable[[np.ndarray], float | np.ndarray]
-) -> float:
-    """sum_n w_n e^{-(a + n s)^2/t} over the images inside e^{-700}, i.e.
-    |a + n s| <= sqrt(700 t), with w_n = weight(n).  Past
-    :data:`~vacuum1d.spectrum.MAX_RUNGS` images a side it raises
-    :class:`InvalidParameter`."""
+def _gaussian_images(t: float, a: float, s: float, theta: float) -> float:
+    """sum_n cos(n theta) e^{-(a + n s)^2/t} over the images inside
+    e^{-700}, i.e. |a + n s| <= sqrt(700 t); cos(n pi) is exactly +/-1 for
+    every n here.  Past :data:`~vacuum1d.spectrum.MAX_RUNGS` images a side,
+    or at s = 0, it raises :class:`InvalidParameter`."""
     reach = math.sqrt(700.0 * t)
-    if not reach / s <= MAX_RUNGS:
+    if not reach <= MAX_RUNGS * s:
         raise InvalidParameter(f"more than {MAX_RUNGS} images at t = {t!r}, {s!r} apart")
     n = np.arange(math.ceil((-reach - a) / s), math.floor((reach - a) / s) + 1)
     d = a + n * s
-    return float(np.sum(weight(n) * np.exp(-d * d / t)))
+    return float(np.sum(np.cos(n * theta) * np.exp(-d * d / t)))
 
 
 def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
@@ -785,22 +742,25 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     * half-line: ``(4 pi t)^{-1/2} (1 + (-1)^l e^{-x^2/t})``
     * twisted:   ``(4 pi t)^{-1/2} sum_n cos(n theta) e^{-(nL)^2/4t}``
 
+    Each image family of :func:`~vacuum1d.spectrum._images` is one
+    Gaussian lattice, at half its displacement (0 direct, x reflected) and
+    half its spacing; the half-line's families have one image each.
     Images beyond ``e^{-700}`` are dropped; the result is exact to
     rounding for every t of practical interest.  Past
     :data:`~vacuum1d.spectrum.MAX_RUNGS` images per family (t/L^2 of order
-    1e9) it raises :class:`InvalidParameter`.
+    1e9, or a spacing that underflows to 0) it raises
+    :class:`InvalidParameter`.
     """
     t, x = as_real(t, "t", positive=True), as_point(geometry, x, closed=True)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    if isinstance(geometry, HalfLine):
-        return pref * (1.0 + (-1.0) ** geometry.l * math.exp(-x * x / t))
-    length = geometry.length
-    if isinstance(geometry, TwistedCircle):
-        theta = geometry.theta
-        return pref * _gaussian_images(t, 0.0, 0.5 * length, lambda n: np.cos(n * theta))
-    sign = (lambda n: 1.0) if geometry.like_ends else (lambda n: 1.0 - 2.0 * (n & 1))
-    periodic = _gaussian_images(t, 0.0, length, sign)
-    return pref * (periodic + (-1.0) ** geometry.l * _gaussian_images(t, x, length, sign))
+    total = 0.0
+    for sign, reflected, turns, theta in _images(geometry):
+        a = x if reflected else 0.0
+        if turns == 0:
+            total += sign * math.exp(-a * a / t)
+        else:
+            total += sign * _gaussian_images(t, a, 0.5 * turns * geometry.length, theta)
+    return pref * total
 
 
 def heat_trace(geometry: Geometry, t: float, control: SeriesControl = SeriesControl()) -> float:
@@ -849,5 +809,6 @@ def _heat_trace(
     span = -math.log(_TERM_FLOOR) / float(t.min())
     total = 0.0
     for _, _, om in _kept_rungs(geometry, control.max_terms, lambda w: math.sqrt(w * w + span)):
-        total = total + np.exp(-t[..., None] * om * om).sum(axis=-1)
+        with np.errstate(over="ignore"):  # t omega^2 past the float range: a term of 0.0
+            total = total + np.exp(-t[..., None] * om * om).sum(axis=-1)
     return total

@@ -6,18 +6,19 @@ term to spectral densities and Green functions, weighted by a sign built
 from the reflection parities and, on the twisted circle, a holonomy phase
 ``e^{i n theta}``.  Orbits come in three families:
 
-* ``direct``   -- the zero-length path (Weyl terms),
-* ``periodic`` -- even number of reflections, displacement ``x - y + 2nL``
+* direct   -- the zero-length path (Weyl terms),
+* periodic -- even number of reflections, displacement ``x - y + 2nL``
   (interval) or ``x - y - nL`` (circle),
-* ``boundary-odd`` -- odd number of reflections, displacement ``x + y + 2nL``.
+* boundary -- odd number of reflections, displacement ``x + y + 2nL``.
 
-Truncation at ``max_winding = W`` keeps periodic windings ``|n| <= W`` and
-the boundary-odd pairs ``n in [-W, W-1]`` (reflection counts ``|2n+1|``),
-which pairs the members whose tails cancel.  Along each family the orbit
-lengths step arithmetically (2nL, 2(x + nL), nL), so with the phase, the
-sign and the Abel factor ``e^{-s length}`` every orbit series of the
-spectral densities is a geometric series, summed in closed form by one
-rule (:func:`_orbit_series`): Abel-damped (s > 0), over every winding,
+The kernel image routes read the same families, as lattices, from
+:func:`vacuum1d.spectrum._images`.  A W-winding truncation keeps periodic
+windings ``|n| <= W`` and the boundary pairs ``n in [-W, W-1]``
+(reflection counts ``|2n+1|``), which pairs the members whose tails
+cancel.  Along each family the orbit lengths step arithmetically (2nL,
+2(x + nL), nL), so with the phase, the sign and the Abel factor
+``e^{-s length}`` every orbit series of the spectral densities is a
+geometric series, summed in closed form by one rule (:func:`_orbit_series`): Abel-damped (s > 0), over every winding,
 with no truncation; undamped, where the series has no limit, over
 W = ``SeriesControl.max_terms`` windings, which is then the definition of
 the value (sigma smoothed by a Dirichlet kernel of width about
@@ -30,8 +31,8 @@ tail-completed lattice sum less its two tails past W
 
 Sign conventions (l, r the parity indices, Dirichlet = 1):
 
-    periodic n:      (-1)^{n(l+r)}
-    boundary-odd n:  (-1)^{l + n(l+r)}
+    periodic n:  (-1)^{n(l+r)}
+    boundary n:  (-1)^{l + n(l+r)}
 
 Local and global spectral densities below are organized the same way:
 a smooth Weyl part, a periodic-orbit series, and a boundary series whose
@@ -47,37 +48,13 @@ import math
 from dataclasses import dataclass
 
 from . import spectrum, summation
-from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry, as_count, as_real
+from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry, as_real
 from .spectrum import Geometry, HalfLine, Interval, TwistedCircle, as_point
 from .summation import ABEL, CLOSED_FORM, RAW, TWO_PI, SeriesControl, SeriesValue
-
-DIRECT = "direct"
-PERIODIC = "periodic"
-BOUNDARY_ODD = "boundary-odd"
 
 # Local-counting methods.
 DIRICHLET_KERNEL = "dirichlet-kernel"
 ORBIT_SUM = "orbit-sum"
-
-
-@dataclass(frozen=True)
-class OrbitTerm:
-    """One closed orbit between x and y.
-
-    ``sign`` is the product of reflection parities, ``phase`` the holonomy
-    angle accumulated (nonzero only on the twisted circle), ``length`` the
-    geometric path length |displacement|.
-    """
-
-    family: str
-    winding: int
-    displacement: float
-    sign: int
-    phase: float
-
-    @property
-    def length(self) -> float:
-        return abs(self.displacement)
 
 
 @dataclass(frozen=True)
@@ -113,54 +90,6 @@ class GlobalDensity:
     @property
     def total(self) -> float:
         return self.weyl + self.periodic.value + self.boundary.value
-
-
-def enumerate_orbits(
-    geometry: Geometry, x: float, y: float, max_winding: int
-) -> list[OrbitTerm]:
-    """All closed orbits from y to x up to the winding cutoff.
-
-    Parameters
-    ----------
-    geometry : Geometry
-        Any of the three model spaces; the half-line has exactly two
-        orbits (direct and one reflection) regardless of ``max_winding``.
-    x, y : float
-        Endpoints, inside the open domain (any finite point on the circle).
-    max_winding : int
-        W >= 0.  Periodic windings run over |n| <= W, boundary-odd over
-        n in [-W, W-1] so reflected paths appear in tail-cancelling pairs.
-
-    Returns
-    -------
-    list of OrbitTerm
-        Sorted by path length (stable: family, then winding breaks ties).
-    """
-    max_winding = as_count(max_winding, "max_winding")
-    if max_winding < 0:
-        raise InvalidParameter("max_winding must be >= 0")
-    x, y = as_point(geometry, x), as_point(geometry, y)
-    out: list[OrbitTerm] = []
-    if isinstance(geometry, HalfLine):
-        sgn = (-1) ** geometry.l
-        out.append(OrbitTerm(DIRECT, 0, x - y, 1, 0.0))
-        out.append(OrbitTerm(BOUNDARY_ODD, 0, x + y, sgn, 0.0))
-    elif isinstance(geometry, Interval):
-        length, l, r = geometry.length, geometry.l, geometry.r
-        for n in range(-max_winding, max_winding + 1):
-            sign = -1 if (n * (l + r)) % 2 else 1
-            fam = DIRECT if n == 0 else PERIODIC
-            out.append(OrbitTerm(fam, n, x - y + 2.0 * n * length, sign, 0.0))
-        for n in range(-max_winding, max_winding):
-            sign = -1 if (l + n * (l + r)) % 2 else 1
-            out.append(OrbitTerm(BOUNDARY_ODD, n, x + y + 2.0 * n * length, sign, 0.0))
-    else:
-        length, theta = geometry.length, geometry.theta
-        for n in range(-max_winding, max_winding + 1):
-            fam = DIRECT if n == 0 else PERIODIC
-            out.append(OrbitTerm(fam, n, x - y - n * length, 1, n * theta))
-    out.sort(key=lambda o: (o.length, o.family, o.winding))
-    return out
 
 
 # ---------------------------------------------------------------------------

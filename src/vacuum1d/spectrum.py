@@ -185,6 +185,27 @@ def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, in
     return (right, (step, -theta / length, 1))
 
 
+def _images(geometry: Geometry) -> tuple[tuple[float, bool, int, float], ...]:
+    """(sign, reflected, turns, theta) of each image family, the one table
+    of them that every image route reads, as :func:`_ladders` is of the
+    ladders.
+
+    The images of y seen from x sit at d + m turns L, m in Z, with d = x - y
+    (direct) or x + y (reflected), and weigh sign e^{i m theta}.  The
+    interval has two families, 2L apart, theta = 0 for like ends and pi for
+    mixed ends, the reflected one signed (-1)^l.  The circle has one, L
+    apart: its winding n sits at x - y - nL with phase n theta, so m = -n
+    carries -theta.  The half-line has one image of each kind (turns 0)."""
+    if isinstance(geometry, TwistedCircle):
+        return ((1.0, False, 1, -geometry.theta),)
+    if isinstance(geometry, HalfLine):
+        sign = -1.0 if geometry.condition is DIRICHLET else 1.0
+        return ((1.0, False, 0, 0.0), (sign, True, 0, 0.0))
+    sign = -1.0 if geometry.left is DIRICHLET else 1.0
+    theta = 0.0 if geometry.like_ends else math.pi
+    return ((1.0, False, 2, theta), (sign, True, 2, theta))
+
+
 def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:
     """Number of j >= j_min with offset + j*step <= omega (exact below
     2^52 rungs; past that, neighbouring rungs round to one float, the
@@ -319,11 +340,17 @@ def periodic_counting_term(geometry: Geometry, omega: float) -> float:
 
 
 def boundary_counting_term(geometry: Geometry) -> float:
-    """The constant boundary part: (-1)^l / 2 for like-ended intervals,
-    zero for mixed ends and circles."""
-    if isinstance(geometry, Interval) and geometry.like_ends:
-        return 0.5 * (-1.0) ** geometry.l
-    return 0.0
+    """The constant boundary part: each reflected image family of
+    :func:`_images` telescopes to sign/2 at theta = 0 and cancels pairwise
+    at theta = pi, so it is (-1)^l / 2 for like-ended intervals and zero
+    for mixed ends and circles.  The half-line's lone reflected image is a
+    delta atom at omega = 0 instead, and adds zero here."""
+    term = 0.0
+    if not isinstance(geometry, HalfLine):
+        for sign, reflected, _, theta in _images(geometry):
+            if reflected and theta == 0.0:
+                term += 0.5 * sign
+    return term
 
 
 def counting_decomposition(

@@ -3,7 +3,6 @@
 Orbit expansions produce series that converge slowly, conditionally, or
 only in the sense of distributions:
 
-* damped cosine integrals ``int_0^inf cos(a w - b) e^{-w t} dw``,
 * Riesz--Cesaro means ``int_0^Omega (1 - w/Omega)^2 cos(a w + b) w dw``,
 * the Fourier closed forms ``sum sin(n z)/n`` and ``sum cos(n z)/n**2``
   (sawtooth and periodic Bernoulli polynomial),
@@ -125,44 +124,6 @@ class SeriesValue:
         d["terms_used"] = terms_used
         d["truncation_bound"] = truncation_bound
         d["method_tag"] = method_tag
-
-
-def abel_cos_integral(a: float, b: float, t: float) -> tuple[float, float]:
-    """Damped cosine integral, split into its two closed-form parts.
-
-    Evaluates ``int_0^inf cos(a w - b) exp(-w t) dw`` exactly:
-
-        t cos(b) / (t^2 + a^2)   +   a sin(b) / (t^2 + a^2).
-
-    The two addends are returned separately because they play different
-    roles in the t -> 0 limit: the first concentrates into a delta when
-    a = 0, the second carries the 1/a structure of the orbit expansion.
-
-    Parameters
-    ----------
-    a : float
-        Orbit length (>= 0).
-    b : float
-        Phase offset.
-    t : float
-        Damping, must be positive.
-
-    Returns
-    -------
-    (float, float)
-        ``(t cos b / (t^2+a^2), a sin b / (t^2+a^2))``.
-    """
-    a, b = as_real(a, "orbit length a"), as_real(b, "phase b")
-    t = as_real(t, "abel damping t", positive=True)
-    if a < 0.0:
-        raise InvalidParameter("orbit length a must be >= 0")
-    m = max(a, t)  # in ratios to m, divided by m last: no square overflows
-    u, v = a / m, t / m
-    denom = u * u + v * v
-    delta, osc = v * math.cos(b) / denom / m, u * math.sin(b) / denom / m
-    if not (math.isfinite(delta) and math.isfinite(osc)):
-        raise InvalidParameter(f"the damped integral leaves the float range at t = {t!r}")
-    return delta, osc
 
 
 # Below |a Omega| = 4 the closed form cancels, its error growing like

@@ -299,6 +299,20 @@ def test_densities_past_the_overflow_of_two_lengths(length, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("length", HUGE_LENGTHS)
+def test_heat_diagonal_past_the_overflow_of_two_lengths(length):
+    # every image but the n = 0 ones is e^{-L^2/t} = 0.0 away, and the
+    # Gaussian spacing L (interval) or L/2 (circle) is formed without 2L
+    t, x = 1.0, 0.3
+    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+    for geometry, sign in ((Interval(length), -1.0), (Interval(length, NEUMANN, DIRICHLET), 1.0)):
+        want = pref * (1.0 + sign * math.exp(-x * x / t))
+        assert kernels.heat_kernel_diag(geometry, t, x) == pytest.approx(want, rel=4 * 2.0**-52)
+    assert kernels.heat_kernel_diag(TwistedCircle(length, 2.0), t, x) == pytest.approx(
+        pref, rel=4 * 2.0**-52
+    )
+
+
 # ---------------------------------------------------------------------------
 # The level list in plain floats.
 # ---------------------------------------------------------------------------

@@ -536,6 +536,9 @@ def invocations(draw) -> list[str]:
 @example(["kernel", "--length=1e-300", "--t=1e300"])
 # and this one a ValueError from math.sin(inf), pi x having overflowed
 @example(["density", "--length=1e308", "--x=0.99e308"])
+# and these a -inf energy, and an OverflowError from math.ldexp
+@example(["energy", "--length=5e-324"])
+@example(["density", "--geometry=halfline", "--t=1.7e308"])
 def test_every_flag_grid_keeps_the_exit_code_contract(argv):
     # each subcommand on edge values of its own flags: a finite table, a
     # usage error or a domain error, never an escaped exception or a

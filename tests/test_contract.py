@@ -27,7 +27,6 @@ from vacuum1d import (
     OutOfDomain,
     SeriesControl,
     TwistedCircle,
-    abel_cos_integral,
     bernoulli_cos_sum,
     bernoulli_sin_sum,
     counting_decomposition,
@@ -38,7 +37,6 @@ from vacuum1d import (
     eigenvalues,
     energy_density_regularized,
     energy_density_renormalized,
-    enumerate_orbits,
     global_density_decomposition,
     green_im_diag,
     heat_kernel_diag,
@@ -129,11 +127,6 @@ for g in (DD, TWISTED, HALF):
     for entry in (green_im_diag, local_spectral_density, local_counting):
         row(entry, "omega", BAD_SCALAR, numpy_forms(3.3, 3), geometry=g, omega=3.3, x=0.4)
         row(entry, "x", BAD_SCALAR, numpy_forms(0.3, whole), geometry=g, omega=3.3, x=0.4)
-    for arg in ("x", "y"):
-        row(enumerate_orbits, arg, BAD_SCALAR, numpy_forms(0.3, whole), geometry=g, x=0.4, y=0.6,
-            max_winding=3)
-    row(enumerate_orbits, "max_winding", BAD_COUNT, [np.int64(3), 3.0, np.float64(3.0)],
-        geometry=g, x=0.4, y=0.6, max_winding=3)
 # spectra
 for g in (DD, TWISTED):
     row(global_density_decomposition, "omega", BAD_SCALAR, numpy_forms(3.3, 3), geometry=g,
@@ -147,9 +140,6 @@ for g in (DD, TWISTED):
         geometry=g, j=3, x=0.4)
     row(eigenfunction_density, "x", BAD_SCALAR, numpy_forms(0.3), geometry=g, j=3, x=0.4)
 # summation scalars
-row(abel_cos_integral, "a", BAD_SCALAR + [-1.0], numpy_forms(0.7, 2), a=0.7, b=0.3, t=0.2)
-row(abel_cos_integral, "b", BAD_SCALAR, numpy_forms(0.3, 1), a=0.7, b=0.3, t=0.2)
-row(abel_cos_integral, "t", BAD_SCALAR + [0.0], numpy_forms(0.2, 1), a=0.7, b=0.3, t=0.2)
 row(riesz_cesaro2_energy_integrand, "n", BAD_COUNT + [0], [np.int64(2), 2.0, np.float64(2.0)],
     n=2, length=1.0)
 row(riesz_cesaro2_energy_integrand, "length", BAD_SCALAR + [0.0], numpy_forms(0.7, 2), n=2,

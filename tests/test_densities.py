@@ -218,6 +218,17 @@ def test_halfline_regularized_density_matches_mpmath(cond, t, x):
         assert_parts_close(got, mp_regularized(geom, t, x, xi), 8 * EPS, f"t={t} x={x} xi={xi}")
 
 
+@pytest.mark.parametrize("cond", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("t,x", [(1.7e308, 0.5), (1.0, 1e308), (1e300, 1.7e308), (1.7e308, 1e308)])
+def test_halfline_regularized_density_past_the_float_range_of_t_and_2x(cond, t, x):
+    # the wall part was once scaled by the power of two above max(t, 2x):
+    # math.ldexp overflowed from t = 9e307, and 2x from x = 9e307 to a nan
+    geom = HalfLine(cond)
+    for xi in XIS:
+        got = _parts(energy_density_regularized(geom, t, x, xi))
+        assert_parts_close(got, mp_regularized(geom, t, x, xi), 8 * EPS, f"t={t} x={x} xi={xi}")
+
+
 @pytest.mark.parametrize("name", list(GEOMETRIES))
 @pytest.mark.parametrize("x_frac", [0.013, 0.31, 0.5, 0.77])
 def test_renormalized_density_matches_mpmath(name, x_frac):

@@ -323,6 +323,24 @@ def test_twisted_energy_even_and_periodic():
         )
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [Interval(5e-324), Interval(5e-324, DIRICHLET, NEUMANN), Interval(1e-310, NEUMANN, NEUMANN),
+     TwistedCircle(5e-324, 1.0)],
+    ids=repr,
+)
+def test_renormalized_energy_past_the_float_range_is_invalid(geometry):
+    # pi/(24 L) and its kin overflow below L ~ 1e-308: they were once
+    # returned as -inf or +inf
+    with pytest.raises(InvalidParameter, match="float range"):
+        total_energy_renormalized(geometry)
+
+
+def test_twisted_energy_past_the_float_range_is_invalid():
+    with pytest.raises(InvalidParameter, match="float range"):
+        twisted_energy(1.0, 5e-324)
+
+
 def test_twisted_energy_root_location():
     # E(theta) = 0 at theta = pi (1 - 1/sqrt(3)).
     root = brentq(lambda th: twisted_energy(th, 1.0), 0.5, 1.5, xtol=1e-13)

@@ -647,14 +647,37 @@ def test_heat_kernel_validates_t():
 
 @pytest.mark.parametrize(
     "geometry,x",
-    [(Interval(1e-300, DIRICHLET, NEUMANN), 5e-301), (TwistedCircle(1e-300, 1.0), 0.0)],
+    [(Interval(1e-300, DIRICHLET, NEUMANN), 5e-301), (TwistedCircle(1e-300, 1.0), 0.0),
+     (TwistedCircle(5e-324, 0.0), 0.0)],
     ids=str,
 )
 def test_heat_kernel_refuses_more_images_than_the_cap(geometry, x):
     # sqrt(700 t)/L ~ 1e301 images: numpy once raised "Maximum allowed size
-    # exceeded", and t/L^2 ~ 1e12..1e15 would have asked for gigabytes
+    # exceeded", and t/L^2 ~ 1e12..1e15 would have asked for gigabytes; the
+    # circle's spacing L/2 underflows to 0.0 at L = 5e-324, where a
+    # ZeroDivisionError once escaped
     with pytest.raises(InvalidParameter, match="images"):
         heat_kernel_diag(geometry, 1.0, x)
+
+
+def test_heat_trace_past_the_float_range_of_t_omega_squared_is_zero():
+    # t omega^2 overflows on every kept rung: the terms are 0.0, and numpy
+    # once warned of the overflow on the way
+    assert heat_trace(Interval(1e-300), 1e-300) == 0.0
+
+
+def test_image_sums_near_the_float_range_stay_finite_within_their_bounds():
+    # the two lattice sums of a complex Lorentzian lattice, each near 1e308,
+    # were once subtracted whole: the trace overflowed to inf, and the
+    # kernel's bound did
+    trace = cylinder_trace(TwistedCircle(1e8, 1.3), 1e-300, method=IMAGE_SUM)
+    closed = cylinder_trace(TwistedCircle(1e8, 1.3), 1e-300)
+    assert math.isfinite(trace.truncation_bound)
+    assert abs(trace.value - closed.value) <= trace.truncation_bound
+    kernel = cylinder_kernel(TwistedCircle(5e-324, 1.3), 1e-300, 0.0, method=IMAGE_SUM)
+    closed = cylinder_kernel(TwistedCircle(5e-324, 1.3), 1e-300, 0.0)
+    assert math.isfinite(kernel.truncation_bound)
+    assert abs(kernel.value - closed.value) <= kernel.truncation_bound
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,10 @@ from vacuum1d.errors import (
 )
 from vacuum1d.kernels import cylinder_kernel
 from vacuum1d.orbits import (
-    BOUNDARY_ODD,
-    DIRECT,
     DIRICHLET_KERNEL,
     ORBIT_SUM,
-    PERIODIC,
     _geometric_sum,
     _interval_boundary_counting,
-    enumerate_orbits,
     global_density_decomposition,
     green_im_diag,
     local_counting,
@@ -79,74 +75,6 @@ def smoothed_mode_density(geometry, omega: float, x: float, s: float) -> float:
             omega, omega_j, s
         )
     return total
-
-
-# ---------------------------------------------------------------------------
-# enumerate_orbits
-# ---------------------------------------------------------------------------
-
-
-def test_halfline_has_exactly_two_orbits():
-    got = enumerate_orbits(HalfLine(DIRICHLET), 0.4, 0.1, 99)
-    assert len(got) == 2
-    direct, refl = got
-    assert direct.family == DIRECT
-    assert direct.displacement == pytest.approx(0.3)
-    assert direct.sign == 1
-    assert refl.family == BOUNDARY_ODD
-    assert refl.displacement == pytest.approx(0.5)
-    assert refl.sign == -1  # Dirichlet wall flips
-    assert enumerate_orbits(HalfLine(NEUMANN), 0.4, 0.1, 0)[1].sign == 1
-
-
-def test_interval_orbit_lattice():
-    geom = Interval(1.0, DIRICHLET, DIRICHLET)
-    x, y, w = 0.3, 0.2, 2
-    got = enumerate_orbits(geom, x, y, w)
-    periodic = [o for o in got if o.family in (DIRECT, PERIODIC)]
-    boundary = [o for o in got if o.family == BOUNDARY_ODD]
-    assert len(periodic) == 2 * w + 1
-    assert len(boundary) == 2 * w
-    assert sorted(o.displacement for o in periodic) == pytest.approx(
-        [x - y + 2 * n for n in range(-w, w + 1)]
-    )
-    assert sorted(o.displacement for o in boundary) == pytest.approx(
-        [x + y + 2 * n for n in range(-w, w)]
-    )
-    # Like ends: every periodic sign +1, every boundary sign (-1)^l = -1.
-    assert all(o.sign == 1 for o in periodic)
-    assert all(o.sign == -1 for o in boundary)
-    # Sorted by path length.
-    lengths = [o.length for o in got]
-    assert lengths == sorted(lengths)
-
-
-def test_mixed_interval_signs_alternate_with_winding():
-    geom = Interval(1.0, DIRICHLET, NEUMANN)
-    got = enumerate_orbits(geom, 0.5, 0.5, 3)
-    for o in got:
-        if o.family in (DIRECT, PERIODIC):
-            assert o.sign == (-1) ** (o.winding % 2)
-        else:
-            # One left reflection: base (-1)^l, alternating in winding.
-            assert o.sign == -((-1) ** (o.winding % 2))
-
-
-def test_twisted_orbits_carry_holonomy_phase():
-    geom = TwistedCircle(1.5, 0.9)
-    got = enumerate_orbits(geom, 0.2, 0.2, 2)
-    assert [o.family for o in got].count(BOUNDARY_ODD) == 0
-    for o in got:
-        assert o.phase == pytest.approx(o.winding * 0.9)
-        assert o.sign == 1
-        assert o.displacement == pytest.approx(-o.winding * 1.5)
-
-
-def test_enumerate_orbits_validates_input():
-    with pytest.raises(InvalidParameter):
-        enumerate_orbits(Interval(1.0, DIRICHLET, DIRICHLET), 0.5, 0.5, -1)
-    with pytest.raises(OutOfDomain):
-        enumerate_orbits(Interval(1.0, DIRICHLET, DIRICHLET), 1.5, 0.5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from vacuum1d.summation import (
     TANH_SINH,
     SUMMATION_BY_PARTS,
     SeriesControl,
-    abel_cos_integral,
     bernoulli_cos_sum,
     bernoulli_sin_sum,
     de_quadrature,
@@ -55,39 +54,6 @@ def cos_power_total(theta: float, power: int) -> float:
         return PI**2 * bernoulli_b2(u)
     assert power == 4
     return -(PI**4) * bernoulli_b4(u) / 3.0
-
-
-# ---------------------------------------------------------------------------
-# abel_cos_integral
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "a,b,t",
-    [(2.0, 0.7, 0.3), (0.5, -1.2, 1.0), (10.0, 0.0, 0.05), (1.0, 3.0, 2.0)],
-)
-def test_abel_cos_integral_matches_quadrature(a, b, t):
-    part_delta, part_osc = abel_cos_integral(a, b, t)
-    # cos(a w - b) = cos b cos(a w) + sin b sin(a w): two Fourier quads.
-    ref_cos, err_cos = quad(lambda w: math.exp(-w * t), 0.0, np.inf, weight="cos", wvar=a)
-    ref_sin, err_sin = quad(lambda w: math.exp(-w * t), 0.0, np.inf, weight="sin", wvar=a)
-    ref = math.cos(b) * ref_cos + math.sin(b) * ref_sin
-    assert part_delta + part_osc == pytest.approx(
-        ref, abs=max(1e-12, 10 * (err_cos + err_sin))
-    )
-
-
-def test_abel_cos_integral_zero_length_is_pure_delta_part():
-    part_delta, part_osc = abel_cos_integral(0.0, 0.4, 0.25)
-    assert part_delta == pytest.approx(math.cos(0.4) / 0.25, rel=1e-15)
-    assert part_osc == 0.0
-
-
-def test_abel_cos_integral_rejects_bad_arguments():
-    with pytest.raises(InvalidParameter):
-        abel_cos_integral(1.0, 0.0, 0.0)
-    with pytest.raises(InvalidParameter):
-        abel_cos_integral(-1.0, 0.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +124,6 @@ def test_riesz_cesaro2_at_extreme_lengths():
         riesz_cesaro2_energy_integrand(1, 1e-200)  # -1e400
     with pytest.raises(InvalidParameter, match="float range"):
         riesz_cesaro2_energy_integrand(10**300, 1.0, 1e10)  # the phase n theta
-
-
-def test_abel_cos_integral_at_extreme_lengths():
-    delta, osc = abel_cos_integral(1e200, 0.3, 1.0)
-    assert delta == 0.0
-    assert osc == pytest.approx(math.sin(0.3) / 1e200, rel=1e-15)
-    delta, osc = abel_cos_integral(0.0, 0.3, 1e-300)
-    assert delta == pytest.approx(math.cos(0.3) * 1e300, rel=1e-15)
-    with pytest.raises(InvalidParameter, match="float range"):
-        abel_cos_integral(0.0, 0.3, 1e-320)
 
 
 def test_riesz_cesaro2_rejects_zero_winding():
