@@ -44,6 +44,7 @@ from vacuum1d.spectrum import (
     HalfLine,
     Interval,
     TwistedCircle,
+    _images,
     eigenfunction_density,
     eigenvalues,
     periodic_counting_term,
@@ -75,6 +76,125 @@ def smoothed_mode_density(geometry, omega: float, x: float, s: float) -> float:
             omega, omega_j, s
         )
     return total
+
+
+# ---------------------------------------------------------------------------
+# The image-family table (spectrum._images)
+# ---------------------------------------------------------------------------
+
+
+def image_heat_kernel(geometry, x: float, y: float, t: float, winding: int = 8) -> complex:
+    """K(x, y, t) summed over the Gaussian images that spectrum._images
+    lists, |m| <= winding in each family."""
+    length = getattr(geometry, "length", 0.0)
+    total = 0j
+    for sign, reflected, turns, theta in _images(geometry):
+        d = x + y if reflected else x - y
+        for m in range(-winding, winding + 1) if turns else (0,):
+            total += sign * cmath.exp(1j * m * theta) * math.exp(
+                -((d + m * turns * length) ** 2) / (4.0 * t)
+            )
+    return total / math.sqrt(4.0 * PI * t)
+
+
+def mode_heat_kernel(geometry, x: float, y: float, t: float, modes: int = 80) -> complex:
+    """K(x, y, t) = sum_j phi_j(x) phi_j(y)* e^{-t k_j^2} from the textbook
+    modes: sin (Dirichlet left end) or cos (Neumann) of k x on the interval,
+    k = j pi/L for like ends and (j + 1/2) pi/L for mixed ends; e^{i k x}/sqrt(L)
+    with k = (2 pi n + theta)/L on the circle."""
+    length = geometry.length
+    if isinstance(geometry, TwistedCircle):
+        ks = [(2 * PI * n + geometry.theta) / length for n in range(-modes, modes + 1)]
+        return sum(cmath.exp(1j * k * (x - y) - t * k * k) for k in ks) / length
+    wave = math.sin if geometry.left is DIRICHLET else math.cos
+    shift = 0.0 if geometry.like_ends else 0.5
+    total = 0.0
+    for j in range(modes):
+        k = (j + shift) * PI / length
+        weight = 1.0 if k == 0.0 else 2.0
+        total += weight * wave(k * x) * wave(k * y) * math.exp(-t * k * k)
+    return total / length
+
+
+def test_halfline_has_exactly_two_orbits():
+    assert _images(HalfLine(DIRICHLET)) == ((1.0, False, 0, 0.0), (-1.0, True, 0, 0.0))
+    assert _images(HalfLine(NEUMANN)) == ((1.0, False, 0, 0.0), (1.0, True, 0, 0.0))
+    # The reflected image makes the Dirichlet kernel vanish at the wall and
+    # the Neumann kernel even across it.
+    assert image_heat_kernel(HalfLine(DIRICHLET), 0.0, 0.7, 0.3) == 0.0
+    assert image_heat_kernel(HalfLine(NEUMANN), -0.4, 0.7, 0.3) == pytest.approx(
+        image_heat_kernel(HalfLine(NEUMANN), 0.4, 0.7, 0.3), rel=1e-15
+    )
+
+
+def test_interval_orbit_lattice():
+    # Like ends: both families 2L apart with real unit weights; the
+    # reflected one is signed (-1)^l = -1 for a Dirichlet left end.
+    assert _images(Interval(1.0, DIRICHLET, DIRICHLET)) == (
+        (1.0, False, 2, 0.0),
+        (-1.0, True, 2, 0.0),
+    )
+    assert _images(Interval(1.0, NEUMANN, NEUMANN)) == (
+        (1.0, False, 2, 0.0),
+        (1.0, True, 2, 0.0),
+    )
+    # The Dirichlet kernel vanishes at both walls.
+    geom = Interval(1.3, DIRICHLET, DIRICHLET)
+    assert abs(image_heat_kernel(geom, 0.0, 0.4, 0.2)) <= 1e-16
+    assert abs(image_heat_kernel(geom, 1.3, 0.4, 0.2)) <= 1e-16
+
+
+def test_mixed_interval_signs_alternate_with_winding():
+    for left, sign in ((DIRICHLET, -1.0), (NEUMANN, 1.0)):
+        right = NEUMANN if left is DIRICHLET else DIRICHLET
+        families = _images(Interval(1.0, left, right))
+        assert [(s, reflected, turns) for s, reflected, turns, _ in families] == [
+            (1.0, False, 2),
+            (sign, True, 2),
+        ]
+        # theta = pi: the weight e^{i m pi} of image m is (-1)^m.
+        for _, _, _, theta in families:
+            for m in range(-3, 4):
+                assert cmath.exp(1j * m * theta) == pytest.approx((-1) ** m, abs=1e-15)
+    # Dirichlet left, Neumann right: the kernel vanishes at x = 0 only.
+    geom = Interval(1.3, DIRICHLET, NEUMANN)
+    assert abs(image_heat_kernel(geom, 0.0, 0.4, 0.2)) <= 1e-16
+    assert abs(image_heat_kernel(geom, 1.3, 0.4, 0.2)) > 0.1
+
+
+def test_twisted_orbits_carry_holonomy_phase():
+    # Winding n sits at x - y - n L with phase n theta, so m = -n carries -theta.
+    assert _images(TwistedCircle(1.5, 0.9)) == ((1.0, False, 1, -0.9),)
+    # Crossing the circle once multiplies the kernel by the holonomy e^{i theta}.
+    geom = TwistedCircle(1.5, 0.9)
+    assert image_heat_kernel(geom, 0.2 + 1.5, 0.4, 0.3) == pytest.approx(
+        cmath.exp(0.9j) * image_heat_kernel(geom, 0.2, 0.4, 0.3), rel=1e-14
+    )
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [
+        Interval(1.0, DIRICHLET, DIRICHLET),
+        Interval(1.0, NEUMANN, NEUMANN),
+        Interval(2.5, DIRICHLET, NEUMANN),
+        Interval(2.5, NEUMANN, DIRICHLET),
+        TwistedCircle(1.0, 0.0),
+        TwistedCircle(1.5, 0.9),
+        TwistedCircle(2.0, PI),
+    ],
+    ids=["D/D", "N/N", "D/N", "N/D", "circle", "twisted", "antiperiodic"],
+)
+def test_image_families_reproduce_the_heat_mode_sum(geom):
+    # Poisson summation: the images of the table and the eigenmodes give
+    # one heat kernel, on and off the diagonal and at both walls.
+    length = geom.length
+    for x, y in ((0.3, 0.2), (0.55, 0.55), (0.0, 0.7), (0.9, 0.1)):
+        x, y = x * length, y * length
+        for t in (0.02 * length**2, 0.3 * length**2):
+            images = image_heat_kernel(geom, x, y, t)
+            modes = mode_heat_kernel(geom, x, y, t)
+            assert abs(images - modes) <= 1e-13 * (4 * PI * t) ** -0.5, (x, y, t)
 
 
 # ---------------------------------------------------------------------------
