@@ -135,7 +135,7 @@ class KernelValue:
 def _all(cond: bool | np.ndarray) -> bool:
     """A comparison of floats or of point arrays: true where it holds at
     every point."""
-    return cond if isinstance(cond, bool) else bool(cond.all())
+    return cond if isinstance(cond, (bool, np.bool_)) else bool(cond.all())
 
 
 def _column(v: float | np.ndarray) -> float | np.ndarray:
@@ -242,7 +242,8 @@ def _mode_sum(
     max_terms asks for more and a cut row reaches that cap, the longer rows
     are built for the call.  The bound adds, per ladder, its rounding
     envelope (_mode_rounding, with half_reach = (t + |x| + |y|)/2, per
-    call) and the geometric tail past its last rung.
+    call) and the geometric tail past its last rung; past the float range
+    it raises InvalidParameter.
 
     For a point array, amplitude returns one row of rungs per point and
     half_reach is an array: each row is multiplied by the e^{-t omega} row
@@ -260,7 +261,10 @@ def _mode_sum(
         total += (decay * amplitude(om, sign)).sum(axis=-1)
         bound += tail
         terms += om.size
-    return total, terms, size * bound
+    bound = size * bound
+    if not _all(bound < math.inf):
+        raise InvalidParameter(f"t={t!r} is too small for a mode sum of amplitude {size!r}")
+    return total, terms, bound
 
 
 def _interval_mode_sum(
@@ -457,15 +461,19 @@ def _image_sum(
     Lorentzian a point where the family has no turns (the half-line).
     Where turns L overflows (L above 8.99e307 on the interval) the lattice
     is summed in half units: half the lattice of step turns L/2 at half the
-    displacements and height.  The value is complex only off the twisted
-    diagonal; there, diagonal points of an array are real, as their float
-    calls are."""
+    displacements and height; so is a half-line image where x + y does.
+    The value is complex only off the twisted diagonal; there, diagonal
+    points of an array are real, as their float calls are."""
     diagonal = _all(x == y)
     real = diagonal or not isinstance(geometry, TwistedCircle)
     val, terms, bound = 0.0, 0, 0.0
     for sign, reflected, turns, theta in _images(geometry):
         if turns == 0:
-            part, n, b = _lorentzian(t, x + y if reflected else x - y), 1, 0.0
+            d = x + y if reflected else x - y
+            part, n, b = _lorentzian(t, d), 1, 0.0
+            if not _all(abs(d) < math.inf):  # x + y overflows: half units, as below
+                half = 0.5 * _lorentzian(0.5 * t, 0.5 * x + 0.5 * y)
+                part = np.where(np.isinf(d), half, part) if isinstance(d, np.ndarray) else half
         else:
             length = geometry.length
             half = 0.5 if turns * length == math.inf else 1.0
@@ -483,7 +491,7 @@ def _image_sum(
 def _phase_array(v: np.ndarray, length: float) -> np.ndarray:
     """:func:`_phase` at every element."""
     p = math.pi * v / length
-    return np.where(p < math.inf, p, math.pi * (v / length))
+    return np.where(np.abs(p) < math.inf, p, math.pi * (v / length))
 
 
 def _interval_closed_form(
@@ -645,9 +653,7 @@ def _route(
     if method == IMAGE_SUM:
         return _image_sum(geometry, t, x, y, control)
     if isinstance(geometry, HalfLine):
-        if method == MODE_SUM:
-            # No discrete modes; the continuum integral plays that role
-            # and is evaluated by quadrature, independent of the images.
+        if method == MODE_SUM:  # the continuum mode integral, by quadrature
             return _halfline_mode_quadrature(geometry, t, x, y)
         return KernelValue(_image_sum(geometry, t, x, y, control).value, CLOSED_FORM, 0, 0.0)
 
@@ -656,17 +662,13 @@ def _route(
             return _interval_mode_sum(geometry, t, x, y, control)
         return _interval_closed_form(geometry, t, x, y)
 
-    if method == MODE_SUM:
-        return _twisted_mode_sum(geometry, t, x, y, control)
-    if _all(x == y):
+    if method == CLOSED_FORM and _all(x == y):
         return _twisted_closed_form_diag(geometry, t)
     return _twisted_mode_sum(geometry, t, x, y, control)
 
 
 def cylinder_trace(
-    geometry: Geometry,
-    t: float,
-    method: str = CLOSED_FORM,
+    geometry: Geometry, t: float, method: str = CLOSED_FORM,
     control: SeriesControl = SeriesControl(),
 ) -> KernelValue:
     """Tr T(t) = sum_j e^{-t omega_j} by the requested route.
@@ -698,10 +700,7 @@ def cylinder_trace(
         raise InvalidParameter(f"unknown kernel method {method!r}")
 
     if method == CLOSED_FORM:
-        val = float(_closed_trace(geometry, t))
-        if math.isinf(val):
-            raise InvalidParameter(f"trace overflows at t={t!r}")
-        return KernelValue(val, CLOSED_FORM, 0, 0.0)
+        return KernelValue(float(_closed_trace(geometry, t)), CLOSED_FORM, 0, 0.0)
     if method == MODE_SUM:
         return _trace_mode_sum(geometry, t, control)
     # A direct family integrates over the domain to 1/turns times the unit
@@ -725,8 +724,8 @@ def _gaussian_images(t: float, a: float, s: float, theta: float) -> float:
     e^{-700}, i.e. |a + n s| <= sqrt(700 t); cos(n pi) is exactly +/-1 for
     every n here.  Past :data:`~vacuum1d.spectrum.MAX_RUNGS` images a side,
     or at s = 0, it raises :class:`InvalidParameter`."""
-    reach = math.sqrt(700.0 * t)
-    if not reach <= MAX_RUNGS * s:
+    reach = math.sqrt(700.0) * math.sqrt(t)  # finite at every t
+    if not (s > 0.0 and reach / s <= MAX_RUNGS):
         raise InvalidParameter(f"more than {MAX_RUNGS} images at t = {t!r}, {s!r} apart")
     n = np.arange(math.ceil((-reach - a) / s), math.floor((reach - a) / s) + 1)
     d = a + n * s
@@ -752,7 +751,8 @@ def heat_kernel_diag(geometry: Geometry, t: float, x: float) -> float:
     :class:`InvalidParameter`.
     """
     t, x = as_real(t, "t", positive=True), as_point(geometry, x, closed=True)
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+    root = math.sqrt(4.0 * math.pi * t)
+    pref = 1.0 / (root if root < math.inf else math.sqrt(4.0 * math.pi) * math.sqrt(t))
     total = 0.0
     for sign, reflected, turns, theta in _images(geometry):
         a = x if reflected else 0.0
@@ -785,17 +785,22 @@ def _closed_trace(geometry: Interval | TwistedCircle, t: np.ndarray | float) -> 
     The formulas are those of :func:`cylinder_trace`, written in decaying
     exponentials over 1 - e^{-b}, b = pi t/L, so that nothing overflows:
     like ends e^{-b}/(1 - e^{-b}), mixed ends e^{-b/2}/(1 - e^{-b}), and
-    the twisted circle (e^{-theta t/L} + e^{-(2 pi - theta) t/L})/(1 - e^{-2b})."""
+    the twisted circle (e^{-theta t/L} + e^{-(2 pi - theta) t/L})/(1 - e^{-2b}).
+    Each numerator is at most 2, so where the denominator would take the
+    trace past the float range (t/L below about 1e-308) it raises first."""
     length = geometry.length
     b = math.pi * t / length
-    if isinstance(geometry, TwistedCircle):
+    circle = isinstance(geometry, TwistedCircle)
+    gap = -np.expm1(-2.0 * b if circle else -b)
+    if not _all(abs(gap) >= 4.0 / sys.float_info.max):
+        raise InvalidParameter(f"trace overflows at t={t!r}")
+    if circle:
         theta = geometry.theta
-        top = np.exp(-theta * t / length) + np.exp(-(TWO_PI - theta) * t / length)
-        return top / -np.expm1(-2.0 * b)
+        return (np.exp(-theta * t / length) + np.exp(-(TWO_PI - theta) * t / length)) / gap
     if geometry.like_ends:
-        val = np.exp(-b) / -np.expm1(-b)
+        val = np.exp(-b) / gap
         return val + 1.0 if geometry.left is NEUMANN else val
-    return np.exp(-0.5 * b) / -np.expm1(-b)
+    return np.exp(-0.5 * b) / gap
 
 
 def _heat_trace(

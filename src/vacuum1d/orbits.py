@@ -1,24 +1,19 @@
 """Closed orbits of the model spaces and the spectral sums they carry.
 
-A classical path that returns to its starting point after ``n`` traversals
-of the interval (winding ``n`` of the circle) contributes an oscillatory
-term to spectral densities and Green functions, weighted by a sign built
-from the reflection parities and, on the twisted circle, a holonomy phase
-``e^{i n theta}``.  Orbits come in three families:
+A classical path that returns to its starting point contributes an
+oscillatory term to spectral densities and Green functions.  Its family,
+sign and phase are those of the image families of
+:func:`vacuum1d.spectrum._images`, the one table that the kernel image
+routes read too: a direct family (the zero-length Weyl path, then the
+windings m turns L, weighed e^{i m theta}) and, with walls, a reflected
+one (displacement 2x + m turns L, signed (-1)^l).  A W-winding truncation
+keeps direct windings ``|m| <= W`` and reflected ``m in [-W, W-1]``, which
+pairs the members whose tails cancel.
 
-* direct   -- the zero-length path (Weyl terms),
-* periodic -- even number of reflections, displacement ``x - y + 2nL``
-  (interval) or ``x - y - nL`` (circle),
-* boundary -- odd number of reflections, displacement ``x + y + 2nL``.
-
-The kernel image routes read the same families, as lattices, from
-:func:`vacuum1d.spectrum._images`.  A W-winding truncation keeps periodic
-windings ``|n| <= W`` and the boundary pairs ``n in [-W, W-1]``
-(reflection counts ``|2n+1|``), which pairs the members whose tails
-cancel.  Along each family the orbit lengths step arithmetically (2nL,
-2(x + nL), nL), so with the phase, the sign and the Abel factor
-``e^{-s length}`` every orbit series of the spectral densities is a
-geometric series, summed in closed form by one rule (:func:`_orbit_series`): Abel-damped (s > 0), over every winding,
+Along each family the orbit lengths step arithmetically, so with the
+phase, the sign and the Abel factor ``e^{-s length}`` every orbit series of
+the spectral densities is a geometric series, summed in closed form by one
+rule (:func:`_orbit_series`): Abel-damped (s > 0), over every winding,
 with no truncation; undamped, where the series has no limit, over
 W = ``SeriesControl.max_terms`` windings, which is then the definition of
 the value (sigma smoothed by a Dirichlet kernel of width about
@@ -29,15 +24,10 @@ tail-completed lattice sum less its two tails past W
 (:func:`_interval_boundary_counting`, which bounds it), and
 ``local_counting`` returns it as a bare float.
 
-Sign conventions (l, r the parity indices, Dirichlet = 1):
-
-    periodic n:  (-1)^{n(l+r)}
-    boundary n:  (-1)^{l + n(l+r)}
-
-Local and global spectral densities below are organized the same way:
-a smooth Weyl part, a periodic-orbit series, and a boundary series whose
-global integral telescopes.  The half-line boundary contribution to the
-global density is a pure delta atom at omega = 0, kept as a tagged
+Local and global spectral densities are organized the same way: a smooth
+Weyl part, a periodic-orbit series, and a boundary series whose global
+integral telescopes.  The half-line boundary contribution to the global
+density is a pure delta atom at omega = 0, kept as a tagged
 :class:`DeltaAtom`, never as a large float.
 """
 
@@ -48,8 +38,9 @@ import math
 from dataclasses import dataclass
 
 from . import spectrum, summation
-from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry, as_real
-from .spectrum import Geometry, HalfLine, Interval, TwistedCircle, as_point
+from .errors import InvalidParameter, UnsupportedGeometry, as_real
+from .spectrum import DIRICHLET, Family, Geometry, Interval, TwistedCircle, as_point
+from .spectrum import _images, _walls
 from .summation import ABEL, CLOSED_FORM, RAW, TWO_PI, SeriesControl, SeriesValue
 
 # Local-counting methods.
@@ -194,76 +185,88 @@ def _orbit_series(
     return value, min(4.0 * _EPS * abs(value) + drift * slope, abs(value) + largest)
 
 
-def _interval_series(
-    geom: Interval, omega: float, s: float, first: int, w: int
-) -> tuple[complex, float]:
-    """The interval's winding series, step 2L: phase 2 omega L, plus pi
-    (the sign (-1)^n) for mixed ends.  From ``first`` = 1 its real part is
-    the periodic series sum_{n>=1} sign_n cos(2 n omega L) e^{-2 n s L}
-    (the n and -n members are equal, so sums fold to twice this)."""
-    phase = 2.0 * omega * geom.length
-    turn = () if geom.like_ends else (math.pi, 0.5 * _TWO_PI_LO)
-    return _orbit_series((phase, *turn), 2.0 * s * geom.length, first, w)
+def _sign_turn(theta: float) -> tuple[float, ...]:
+    """A wall family's theta, 0 or pi (a sign), as exact parts for
+    :func:`_angle`: pi is the double nearest it plus the low part it drops."""
+    return (theta, 0.5 * _TWO_PI_LO) if theta else ()
 
 
-def _interval_boundary_sum(
-    geom: Interval, omega: float, x: float, s: float, w: int
-) -> tuple[float, float]:
-    """sum_n sign_n cos(2 omega |x + nL|) e^{-2 s |x + nL|}, n in [-W, W-1]
-    undamped.
+def _direct_series(
+    geometry: Interval | TwistedCircle, row: Family, walls: bool, omega: float, s: float, w: int
+) -> tuple[float, float, int]:
+    """The windings m >= 1 of a direct family of :func:`spectrum._images`,
+    sum_m cos(m theta) Re q^m with q = e^{(i omega - s) turns L}, its bound
+    and its terms (the geometric series summed, damped; W, undamped).
+    With walls theta is 0 or pi, a sign that m and -m share: one series at
+    the exact phase turns omega L + theta.  On the circle theta is the
+    float holonomy (stored as -theta): half of two series, omega L -/+ theta."""
+    _, _, turns, theta = row
+    phase, decay = turns * omega * geometry.length, turns * s * geometry.length
+    if walls:
+        value, bound = _orbit_series((phase, *_sign_turn(theta)), decay, 1, w)
+        return value.real, bound, 1 if s > 0.0 else w
+    plus, plus_bound = _orbit_series((phase, -theta), decay, 1, w)
+    minus, minus_bound = _orbit_series((phase, theta), decay, 1, w)
+    bound = 0.5 * (plus_bound + minus_bound + _EPS * abs(plus + minus))
+    return 0.5 * (plus + minus).real, bound, 2 if s > 0.0 else w
 
-    Windings n = m >= 0 have |x + nL| = x + mL and n = -1 - m have
-    (L - x) + mL, so both halves are one geometric series in m, started
-    at x and at L - x (for mixed ends the second start carries (-1)^1).
-    Each start's exponent is rounded at most twice (L - x, then k times it).
+
+def _reflected_series(
+    geometry: Geometry, row: Family, omega: float, x: float, s: float, w: int
+) -> tuple[float, float, int]:
+    """A reflected family of :func:`spectrum._images` on the diagonal,
+    sign sum_m e^{i m theta} Re e^{(i omega - s) |2x + m turns L|}
+    (n in [-W, W-1] undamped), its bound and its terms.
+
+    Without turns (the half-line) it is the lone image at 2x.  On the
+    interval m >= 0 has |x + mL| = x + mL and m = -1 - k has (L - x) + kL,
+    phase e^{-i theta} e^{-i k theta}, theta a sign: one geometric series in
+    k, started at x and at L - x, the second start weighed e^{-i theta} =
+    cos theta.  Each start's exponent is rounded at most twice.
     """
-    length = geom.length
-    series, bound = _interval_series(geom, omega, s, 0, w)  # checks 2 omega L first
+    sign, _, turns, theta = row
+    if not turns:
+        a = 2.0 * omega * x
+        _finite(a)
+        return sign * math.cos(a) * math.exp(-2.0 * x * s), _EPS * (2.0 * (omega + s) * x + 2.0), 1
+    length = geometry.length
+    phase = (turns * omega * length, *_sign_turn(theta))
+    series, bound = _orbit_series(phase, turns * s * length, 0, w)  # checks the phase first
     k = complex(-2.0 * s, 2.0 * omega)
     near, far = cmath.exp(k * x), cmath.exp(k * (length - x))
-    starts = near + (1.0 if geom.like_ends else -1.0) * far
-    slack = _EPS * (2.0 * ((omega + s) * length) + 2.0) * (abs(near) + abs(far))
+    starts = near + math.cos(theta) * far
+    slack = _EPS * (turns * ((omega + s) * length) + 2.0) * (abs(near) + abs(far))
     bound = abs(starts) * bound + (slack + 2.0 * _EPS * abs(starts)) * abs(series)
-    return (-1.0) ** geom.l * (starts * series).real, bound
+    return sign * (starts * series).real, bound, 1 if s > 0.0 else 2 * w
 
 
-def _twisted_periodic_sum(
-    geom: TwistedCircle, omega: float, s: float, w: int
-) -> tuple[float, float]:
-    """sum_{n>=1} cos(n theta) cos(n omega L) e^{-n s L}, half the real
-    part of the two geometric series with steps omega L +/- theta."""
-    phase, decay = omega * geom.length, s * geom.length
-    plus, plus_bound = _orbit_series((phase, geom.theta), decay, 1, w)
-    minus, minus_bound = _orbit_series((phase, -geom.theta), decay, 1, w)
-    return 0.5 * (plus + minus).real, 0.5 * (plus_bound + minus_bound + _EPS * abs(plus + minus))
-
-
-def _scaled(factor: float, part: tuple[complex, float], terms: int, s: float) -> SeriesValue:
-    """The real part of an orbit series times its prefactor, with the
+def _scaled(factor: float, part: tuple[float, float, int], s: float) -> SeriesValue:
+    """An orbit series (value, bound, terms) times its prefactor, with the
     product's rounding, tagged by the damping s."""
-    value = factor * part[0].real
+    value = factor * part[0]
     bound = abs(factor) * part[1] + _EPS * abs(value)
     _finite(value, bound)
-    return SeriesValue(value, terms, bound, ABEL if s > 0.0 else RAW)
+    return SeriesValue(value, part[2], bound, ABEL if s > 0.0 else RAW)
 
 
 def _interval_boundary_counting(
-    geom: Interval, omega: float, x: float, control: SeriesControl
+    geom: Interval, row: Family, omega: float, x: float, control: SeriesControl
 ) -> tuple[float, float]:
-    """sum_{n=-W}^{W-1} sign_n sin(2 omega (x + nL)) / (2 pi (x + nL)), the
-    boundary images of local_counting (sign_n = (-1)^l, times (-1)^n for
-    mixed ends), W = ``max_terms``, and a bound on its error.
+    """sum_{n=-W}^{W-1} sign e^{i n theta} sin(2 omega (x + nL)) / (2 pi (x + nL)),
+    the boundary images of local_counting for the reflected ``row`` of
+    :func:`spectrum._images` (theta = 0 or pi, a sign), W = ``max_terms``,
+    and a bound on its error.
 
     Measured from the wall image x' = x or x - L (exact), whichever is at
     most L/2, the images are x' + mL over the window |m| <= W less one end
-    m = e (W, or -W after the shift), and with phi = 2 omega L, plus pi for
-    mixed ends, and c = x'/L the sum is
+    m = e (W, or -W after the shift), and with phi = turns omega L + theta
+    and c = x'/L the sum is
 
         sign/(2 pi) [sin(2 omega x')/x' + Im(e^{2 i omega x'} (S - T)) / L],
 
     S = sum_{0 < |m| <= W} e^{i m phi}/(m + c) by summation._window_sum,
-    T = e^{i e phi}/(e + c), and sign = (-1)^l, times -1 after the shift
-    for mixed ends.  phi comes from _angle, since near a level S moves by
+    T = e^{i e phi}/(e + c), and the sign times e^{-i theta} = cos theta
+    after the shift.  phi comes from _angle, since near a level S moves by
     about W per radian of phase error.  The bound adds to the window sum's
     the drift of the rounded 2 omega L (half an ulp) and of the reduction
     (an ulp or two of phi, and the low parts' own rounding) times the
@@ -273,13 +276,14 @@ def _interval_boundary_counting(
     8/|1 - q|, q = e^{i phi}; T adds at most 2.  Then the roundings of T,
     of the wall term and of the assembly.
     """
+    sign, _, turns, theta = row
     length, w = geom.length, int(control.max_terms)
-    phase = 2.0 * omega * length
-    angle = _angle(phase) if geom.like_ends else _angle(phase, math.pi, 0.5 * _TWO_PI_LO)
+    phase = turns * omega * length
+    angle = _angle(phase, *_sign_turn(theta))
     shift = x > 0.5 * length
     near = x - length if shift else x  # exact (Sterbenz) after the shift
     end = -w if shift else w
-    sign = (-1.0) ** geom.l * (-1.0 if shift and not geom.like_ends else 1.0)
+    sign *= math.cos(theta) if shift else 1.0
     c = near / length
     images, bound = summation._window_sum(c, angle, w, control)
     left_out = cmath.exp(complex(0.0, end * angle)) / (end + c)
@@ -318,30 +322,25 @@ def green_im_diag(
     """
     omega, x = as_real(omega, "omega", positive=True), as_point(geometry, x)
     s, w = control.damping_t, int(control.max_terms)
-    per, per_bound, bdry, bdry_bound = 0.0, 0.0, 0.0, 0.0
-    if isinstance(geometry, HalfLine):
-        _finite(2.0 * omega * x)
-        bdry = (-1.0) ** geometry.l * math.cos(2.0 * omega * x) * math.exp(-2.0 * x * s)
-        bdry_bound, nterms = _EPS * (2.0 * (omega + s) * x + 2.0), 2
-    elif isinstance(geometry, Interval):
-        per, per_bound = _interval_series(geometry, omega, s, 1, w)
-        bdry, bdry_bound = _interval_boundary_sum(geometry, omega, x, s, w)
-        nterms = 2 if s > 0.0 else 4 * w + 1
-    else:
-        per, per_bound = _twisted_periodic_sum(geometry, omega, s, w)
-        nterms = 2 if s > 0.0 else 2 * w + 1
-    val = (1.0 + 2.0 * per.real + bdry) / (2.0 * omega)
-    rounding = 2.0 * _EPS * (1.0 + 2.0 * abs(per.real) + abs(bdry))
+    rows = _images(geometry)
+    per, per_bound, bdry, bdry_bound, nterms = 0.0, 0.0, 0.0, 0.0, 0
+    for row in rows:
+        n = 1  # the lone direct image, of length 0
+        if row[1]:
+            bdry, bdry_bound, n = _reflected_series(geometry, row, omega, x, s, w)
+        elif row[2]:
+            per, per_bound, n = _direct_series(geometry, row, _walls(rows), omega, s, w)
+            n = n if s > 0.0 else 2 * n + 1  # undamped, the windings -W..W
+        nterms += n
+    val = (1.0 + 2.0 * per + bdry) / (2.0 * omega)
+    rounding = 2.0 * _EPS * (1.0 + 2.0 * abs(per) + abs(bdry))
     bound = (2.0 * per_bound + bdry_bound + rounding) / (2.0 * omega)
     _finite(val, bound)
     return SeriesValue(val, nterms, bound, ABEL if s > 0.0 else RAW)
 
 
 def local_spectral_density(
-    geometry: Geometry,
-    omega: float,
-    x: float,
-    control: SeriesControl = SeriesControl(),
+    geometry: Geometry, omega: float, x: float, control: SeriesControl = SeriesControl()
 ) -> LocalDensity:
     """sigma(omega, x) split into average, periodic, and boundary parts.
 
@@ -354,20 +353,14 @@ def local_spectral_density(
     """
     omega, x = as_real(omega, "omega", positive=True), as_point(geometry, x)
     s, w = control.damping_t, int(control.max_terms)
-    damped = s > 0.0  # a damped series counts as one term, undamped its windings
+    rows = _images(geometry)
     periodic = boundary = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
-    if isinstance(geometry, HalfLine):
-        _finite(2.0 * omega * x)
-        b = (-1.0) ** geometry.l / math.pi * math.cos(2.0 * omega * x) * math.exp(-2.0 * x * s)
-        boundary = _scaled(1.0, (b, _EPS * (2.0 * (omega + s) * x + 3.0) / math.pi), 1, s)
-    elif isinstance(geometry, Interval):
-        per = _interval_series(geometry, omega, s, 1, w)
-        periodic = _scaled(2.0 / math.pi, per, 1 if damped else w, s)
-        bdry = _interval_boundary_sum(geometry, omega, x, s, w)
-        boundary = _scaled(1.0 / math.pi, bdry, 1 if damped else 2 * w, s)
-    else:
-        per = _twisted_periodic_sum(geometry, omega, s, w)
-        periodic = _scaled(2.0 / math.pi, per, 2 if damped else w, s)
+    for row in rows:
+        if row[1]:
+            boundary = _scaled(1.0 / math.pi, _reflected_series(geometry, row, omega, x, s, w), s)
+        elif row[2]:
+            per = _direct_series(geometry, row, _walls(rows), omega, s, w)
+            periodic = _scaled(2.0 / math.pi, per, s)
     return LocalDensity(1.0 / math.pi, periodic, boundary)
 
 
@@ -380,36 +373,32 @@ def global_density_decomposition(
     ends consecutive windings carry opposite signs and the integrals
     cancel pairwise: the boundary density is exactly zero.  For like ends
     the windings tile the whole line, and the content is concentrated at
-    the spectral origin: the counting function jumps by ``(-1)^l / 2``
-    at omega = 0+ (one ``(-1)^l / 4`` per wall), reported as
-    ``boundary_atom``.  Undamped, the W-winding truncation evaluates to the
-    oscillatory survivor ``(-1)^l sin(2 omega L W) / (pi omega)``; with
-    Abel damping s the windings assemble the full-line integral of
-    ``cos(2 omega u) exp(-2 s |u|)`` and the value is the atom's Poisson
-    image ``(-1)^l (1/pi) s / (omega^2 + s^2)``.  On the half-line the
-    single wall gives the atom ``(-1)^l/4 delta(omega)``, returned
-    symbolically.  The periodic series are summed as in
-    :func:`local_spectral_density`, and every bound is a proven rounding
-    bound.
+    the spectral origin: N jumps by the weight a =
+    :func:`spectrum.boundary_counting_term` = ``(-1)^l / 2`` at omega = 0+,
+    reported as ``boundary_atom``.  Undamped, the W-winding truncation is
+    the survivor ``2a sin(2 omega L W) / (pi omega)``; with Abel damping s
+    it is the atom's Poisson image ``2a (1/pi) s / (omega^2 + s^2)``.  On
+    the half-line the single wall gives the atom ``(-1)^l/4 delta(omega)``,
+    returned symbolically.  The periodic series are those of
+    :func:`local_spectral_density`; every bound is a rounding bound.
     """
     omega = as_real(omega, "omega", positive=True)
     s, w = control.damping_t, int(control.max_terms)
     damped = s > 0.0
     zero = SeriesValue(0.0, 0, 0.0, CLOSED_FORM)
-    if isinstance(geometry, HalfLine):
-        atom = DeltaAtom(weight=0.25 * (-1.0) ** geometry.l, location=0.0)
-        return GlobalDensity(math.inf, zero, zero, atom)
+    rows = _images(geometry)
+    direct, walls = rows[0], _walls(rows)
+    if not direct[2]:  # no turns: the half-line, whose lone wall image is an atom
+        return GlobalDensity(math.inf, zero, zero, DeltaAtom(0.25 * rows[1][0], 0.0))
     length = geometry.length
     # 2 (L / pi): 2 L / pi wherever 2 L is finite, and finite past it
-    scale = 2.0 * (length / math.pi)
-    if isinstance(geometry, TwistedCircle):
-        per = _twisted_periodic_sum(geometry, omega, s, w)
-        return GlobalDensity(length / math.pi, _scaled(scale, per, 2 if damped else w, s), zero)
-    periodic = _scaled(scale, _interval_series(geometry, omega, s, 1, w), 1 if damped else w, s)
-    if not geometry.like_ends:
-        bdry = SeriesValue(0.0, 0 if damped else 2 * w, 0.0, CLOSED_FORM)
+    per = _direct_series(geometry, direct, walls, omega, s, w)
+    periodic = _scaled(2.0 * (length / math.pi), per, s)
+    weight = spectrum.boundary_counting_term(geometry)
+    if not weight:  # the circle, or mixed ends, whose windings cancel pairwise
+        bdry = SeriesValue(0.0, 2 * w if walls and not damped else 0, 0.0, CLOSED_FORM)
         return GlobalDensity(length / math.pi, periodic, bdry)
-    sgn = (-1.0) ** geometry.l
+    sgn, turns = 2.0 * weight, rows[1][2]
     if damped:
         # (s/pi)/(omega^2 + s^2) with omega and s scaled by a power of two
         # m near the larger: the same double wherever the squares neither
@@ -419,19 +408,16 @@ def global_density_decomposition(
         val = sgn * sm / (math.pi * m * (om * om + sm * sm))
         bdry = SeriesValue(val, 1, 4.0 * _EPS * abs(val), CLOSED_FORM)
     else:
-        phase = 2.0 * omega * length * w
+        phase = turns * omega * length * w
         _finite(phase)
         surv = sgn * math.sin(phase) / (math.pi * omega)
         bdry = SeriesValue(surv, 2 * w, 2.0 * _EPS * (abs(phase) + 1.0) / (math.pi * omega), RAW)
     _finite(bdry.value, bdry.truncation_bound)
-    return GlobalDensity(length / math.pi, periodic, bdry, DeltaAtom(0.5 * sgn, 0.0))
+    return GlobalDensity(length / math.pi, periodic, bdry, DeltaAtom(weight, 0.0))
 
 
 def local_counting(
-    geometry: Geometry,
-    omega: float,
-    x: float,
-    method: str = ORBIT_SUM,
+    geometry: Geometry, omega: float, x: float, method: str = ORBIT_SUM,
     control: SeriesControl = SeriesControl(),
 ) -> float:
     """Local counting function N(omega, x) = sum_{omega_j <= omega} |phi_j(x)|^2.
@@ -454,28 +440,25 @@ def local_counting(
     """
     omega, x = as_real(omega, "omega", positive=True), as_point(geometry, x)
     if method == DIRICHLET_KERNEL:
-        if not (
-            isinstance(geometry, Interval)
-            and geometry.left is spectrum.DIRICHLET
-            and geometry.right is spectrum.DIRICHLET
-        ):
+        if not (isinstance(geometry, Interval) and geometry.left is DIRICHLET is geometry.right):
             raise UnsupportedGeometry(
-               "dirichlet-kernel local counting needs a Dirichlet-Dirichlet interval"
+                "dirichlet-kernel local counting needs a Dirichlet-Dirichlet interval"
             )
         length = geometry.length
         m = spectrum.counting_function(geometry, omega)
-        return (m + 0.5) / length - math.sin(
-            (2 * m + 1) * math.pi * x / length
-        ) / (2.0 * length * math.sin(math.pi * x / length))
+        wave = math.sin((2 * m + 1) * math.pi * x / length)
+        return (m + 0.5) / length - wave / (2.0 * length * math.sin(math.pi * x / length))
     if method != ORBIT_SUM:
         raise InvalidParameter(f"unknown local counting method {method!r}")
-    if isinstance(geometry, HalfLine):
-        _finite(2.0 * omega * x)
-        return omega / math.pi + (-1.0) ** geometry.l * math.sin(
-            2.0 * omega * x
-        ) / (2.0 * math.pi * x)
-    value = omega / math.pi + spectrum.periodic_counting_term(geometry, omega) / geometry.length
-    if isinstance(geometry, Interval):
-        value += _interval_boundary_counting(geometry, omega, x, control)[0]
+    value = omega / math.pi
+    for row in _images(geometry):
+        sign, reflected, turns, _ = row
+        if reflected and turns:
+            value += _interval_boundary_counting(geometry, row, omega, x, control)[0]
+        elif reflected:  # the half-line's lone wall image, at 2x
+            _finite(2.0 * omega * x)
+            value += sign * math.sin(2.0 * omega * x) / (2.0 * math.pi * x)
+        elif turns:
+            value += spectrum.periodic_counting_term(geometry, omega) / geometry.length
     _finite(value)
     return value

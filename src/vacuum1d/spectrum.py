@@ -116,6 +116,8 @@ class TwistedCircle:
 
 
 Geometry = Union[Interval, HalfLine, TwistedCircle]
+# (sign, reflected, turns, theta): one image family of _images
+Family = tuple[float, bool, int, float]
 
 
 def as_point(geometry: Geometry, x: object, closed: bool = False) -> float:
@@ -139,12 +141,12 @@ def as_point(geometry: Geometry, x: object, closed: bool = False) -> float:
 
 
 def _phase(v: float, length: float) -> float:
-    """pi v/L, formed as pi (v/L) where pi v overflows (v above about
+    """pi v/L, formed as pi (v/L) where pi v overflows (|v| above about
     5.7e307).  pi v/2L is _phase(v/2, L): halved first, so that no 2 L or
     2 x is formed, and equal to pi v/(2 L) bit for bit wherever that is
     finite and normal."""
     p = math.pi * v / length
-    return p if p < math.inf else math.pi * (v / length)
+    return p if abs(p) < math.inf else math.pi * (v / length)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +187,29 @@ def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, in
     return (right, (step, -theta / length, 1))
 
 
-def _images(geometry: Geometry) -> tuple[tuple[float, bool, int, float], ...]:
-    """(sign, reflected, turns, theta) of each image family, the one table
-    of them that every image route reads, as :func:`_ladders` is of the
-    ladders.
+def _images(geometry: Geometry) -> tuple[Family, ...]:
+    """(sign, reflected, turns, theta) of each image family, direct first:
+    the one table of them that every image and orbit route reads, as
+    :func:`_ladders` is of the ladders.
 
     The images of y seen from x sit at d + m turns L, m in Z, with d = x - y
     (direct) or x + y (reflected), and weigh sign e^{i m theta}.  The
     interval has two families, 2L apart, theta = 0 for like ends and pi for
     mixed ends, the reflected one signed (-1)^l.  The circle has one, L
     apart: its winding n sits at x - y - nL with phase n theta, so m = -n
-    carries -theta.  The half-line has one image of each kind (turns 0)."""
+    carries -theta.  The half-line has one image of each kind (turns 0).
+    The kernel image sums, the heat diagonal, the half-line mode legs, the
+    orbit series of :mod:`vacuum1d.orbits` and both counting terms read it.
+
+    Examples
+    --------
+    >>> _images(Interval(1.0, DIRICHLET, NEUMANN))
+    ((1.0, False, 2, 3.141592653589793), (-1.0, True, 2, 3.141592653589793))
+    >>> _images(TwistedCircle(1.0, 0.5))
+    ((1.0, False, 1, -0.5),)
+    >>> _images(HalfLine(NEUMANN))
+    ((1.0, False, 0, 0.0), (1.0, True, 0, 0.0))
+    """
     if isinstance(geometry, TwistedCircle):
         return ((1.0, False, 1, -geometry.theta),)
     if isinstance(geometry, HalfLine):
@@ -204,6 +218,12 @@ def _images(geometry: Geometry) -> tuple[tuple[float, bool, int, float], ...]:
     sign = -1.0 if geometry.left is DIRICHLET else 1.0
     theta = 0.0 if geometry.like_ends else math.pi
     return ((1.0, False, 2, theta), (sign, True, 2, theta))
+
+
+def _walls(rows: tuple[Family, ...]) -> bool:
+    """Whether a table of :func:`_images` (direct family first) ends in a
+    reflected family; there theta is 0 or pi, a sign, not a holonomy."""
+    return rows[-1][1]
 
 
 def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:
@@ -313,44 +333,36 @@ def _nearest_eigen_distance(geometry: Geometry, omega: float) -> float:
 def periodic_counting_term(geometry: Geometry, omega: float) -> float:
     """The oscillatory (periodic-orbit) part of the counting function.
 
-    Closed sawtooth forms::
-
-        interval, like ends:   saw(2 omega L) / (2 pi)            via sum sin(2 omega L n)/n
-        interval, mixed ends:  alternating variant, = saw(2 omega L + pi)/(2 pi) - ...
-        twisted circle:        [saw(omega L + theta) + saw(omega L - theta)] / (2 pi)
-
-    where saw is the sawtooth summed by :func:`summation.bernoulli_sin_sum`.
-    Raises :class:`InvalidParameter` where the phase 2 omega L (omega L on
-    the circle) overflows, or underflows to 0 onto the sawtooth's jump.
+    Closed sawtooth forms, with z = turns omega L and theta of the direct
+    family of :func:`_images` and saw the sawtooth sum sin(n z)/n of
+    :func:`summation.bernoulli_sin_sum`: ``saw(z + theta) / pi`` with
+    walls, where theta = 0 or pi is the sign (-1)^n, and ``[saw(z - theta)
+    + saw(z + theta)] / pi`` on the circle; 0 on the half-line.  Raises
+    :class:`InvalidParameter` where the phase z overflows, or underflows to
+    0 onto the sawtooth's jump.
     """
-    if isinstance(geometry, HalfLine):
+    rows = _images(geometry)
+    _, _, turns, theta = rows[0]
+    if not turns:
         return 0.0
-    z = (2.0 if isinstance(geometry, Interval) else 1.0) * (omega * geometry.length)
+    z = turns * (omega * geometry.length)
     if not 0.0 < z < math.inf:
         raise InvalidParameter(f"the sawtooth phase is past the float range at omega = {omega!r}")
-    if isinstance(geometry, Interval):
-        if geometry.like_ends:
-            return summation.bernoulli_sin_sum(z) / math.pi
-        # (-1)^n sin(n z) = sin(n (z + pi)).
-        return summation.bernoulli_sin_sum(z + math.pi) / math.pi
-    return (
-        summation.bernoulli_sin_sum(z + geometry.theta)
-        + summation.bernoulli_sin_sum(z - geometry.theta)
-    ) / math.pi
+    saw = summation.bernoulli_sin_sum
+    if _walls(rows):
+        return saw(z + theta) / math.pi
+    return (saw(z - theta) + saw(z + theta)) / math.pi
 
 
 def boundary_counting_term(geometry: Geometry) -> float:
     """The constant boundary part: each reflected image family of
     :func:`_images` telescopes to sign/2 at theta = 0 and cancels pairwise
     at theta = pi, so it is (-1)^l / 2 for like-ended intervals and zero
-    for mixed ends and circles.  The half-line's lone reflected image is a
-    delta atom at omega = 0 instead, and adds zero here."""
-    term = 0.0
-    if not isinstance(geometry, HalfLine):
-        for sign, reflected, _, theta in _images(geometry):
-            if reflected and theta == 0.0:
-                term += 0.5 * sign
-    return term
+    for mixed ends and circles.  The half-line's lone reflected image (no
+    turns) is a delta atom at omega = 0 instead, and adds zero here."""
+    rows = _images(geometry)
+    return sum((0.5 * sign for sign, reflected, turns, theta in rows
+                if reflected and turns and theta == 0.0), 0.0)
 
 
 def counting_decomposition(

@@ -284,6 +284,14 @@ def test_kernel_routes_agree_past_the_overflow_of_two_lengths(length, left, righ
         assert np.all(np.abs(grid.value - closed_grid.value) <= allowed)
     routes = [cylinder_trace(geometry, t, method).value for method in ROUTES]
     assert max(routes) - min(routes) <= 1e-14 * max(routes)
+    # from x = 0.1 L to y = 0.95 L the closed form's phase pi (x - y)/2L once
+    # overflowed to -inf: a math domain error for floats, and for arrays an
+    # InvalidParameter
+    far = cylinder_kernel(geometry, t, xs[:2], 0.95 * length)
+    assert far.value[0] == cylinder_kernel(geometry, t, xs[0], 0.95 * length).value > 0.0
+    for method in (IMAGE_SUM, MODE_SUM):
+        grid = cylinder_kernel(geometry, t, xs[:2], 0.95 * length, method=method)
+        assert np.all(np.abs(grid.value - far.value) <= grid.truncation_bound + 1e-3 * far.value)
 
 
 @pytest.mark.parametrize("length", HUGE_LENGTHS)
@@ -302,15 +310,18 @@ def test_densities_past_the_overflow_of_two_lengths(length, capsys):
 @pytest.mark.parametrize("length", HUGE_LENGTHS)
 def test_heat_diagonal_past_the_overflow_of_two_lengths(length):
     # every image but the n = 0 ones is e^{-L^2/t} = 0.0 away, and the
-    # Gaussian spacing L (interval) or L/2 (circle) is formed without 2L
-    t, x = 1.0, 0.3
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    for geometry, sign in ((Interval(length), -1.0), (Interval(length, NEUMANN, DIRICHLET), 1.0)):
-        want = pref * (1.0 + sign * math.exp(-x * x / t))
-        assert kernels.heat_kernel_diag(geometry, t, x) == pytest.approx(want, rel=4 * 2.0**-52)
-    assert kernels.heat_kernel_diag(TwistedCircle(length, 2.0), t, x) == pytest.approx(
-        pref, rel=4 * 2.0**-52
-    )
+    # Gaussian spacing L (interval) or L/2 (circle) is formed without 2L;
+    # at t = L, sqrt(700 t) and 4 pi t overflow: the image count once
+    # raised OverflowError, and the prefactor is taken in factors
+    x = 0.3
+    for t in (1.0, length):
+        pref = 1.0 / math.sqrt(4.0 * math.pi) / math.sqrt(t)
+        for geometry, sign in ((Interval(length), -1.0), (Interval(length, NEUMANN, DIRICHLET), 1.0)):
+            want = pref * (1.0 + sign * math.exp(-x * x / t))
+            assert kernels.heat_kernel_diag(geometry, t, x) == pytest.approx(want, rel=4 * 2.0**-52)
+        assert kernels.heat_kernel_diag(TwistedCircle(length, 2.0), t, x) == pytest.approx(
+            pref, rel=4 * 2.0**-52
+        )
 
 
 # ---------------------------------------------------------------------------

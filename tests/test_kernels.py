@@ -112,9 +112,12 @@ def test_halfline_diagonal_closed_form():
 @pytest.mark.parametrize("condition", [DIRICHLET, NEUMANN], ids=str)
 def test_halfline_closed_form_keeps_relative_accuracy_at_tiny_t(condition):
     # (t/pi)/(d^2 + t^2) is evaluated in units of max(|d|, t): t*t no
-    # longer goes subnormal (1e-5 off at t = 1e-160) or underflows.
+    # longer goes subnormal (1e-5 off at t = 1e-160) or underflows.  Where
+    # x + y overflows, the reflected image is taken in half units: it once
+    # raised InvalidParameter, though the kernel is 1/(pi t) there.
     sign = -1 if condition is DIRICHLET else 1
-    for t, x, y in ((1e-160, 0.5, 0.5), (1e-200, 0.5, 0.5), (1e-160, 0.3, 0.7), (3e-300, 0.0, 1e-300)):
+    for t, x, y in ((1e-160, 0.5, 0.5), (1e-200, 0.5, 0.5), (1e-160, 0.3, 0.7), (3e-300, 0.0, 1e-300),
+                    (1.0, 1e308, 1e308), (1e300, 1.7e308, 0.9e308)):
         with mpmath.workdps(40):
             tm, xm, ym = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(y)
             want = float(tm / mpmath.pi * (1 / ((xm - ym) ** 2 + tm**2)
@@ -122,6 +125,8 @@ def test_halfline_closed_form_keeps_relative_accuracy_at_tiny_t(condition):
         for method in (IMAGE_SUM, CLOSED_FORM):
             got = cylinder_kernel(HalfLine(condition), t, x, y, method=method).value
             assert got == pytest.approx(want, rel=4 * 2.0**-52, abs=0.0), (t, x, y, method)
+            grid = cylinder_kernel(HalfLine(condition), t, [x, 0.5], [y, 0.7], method=method)
+            assert grid.value[0] == got, (t, x, y, method)
 
 
 def test_halfline_kernel_at_the_smallest_t_raises_on_every_route():
@@ -544,6 +549,32 @@ def test_mode_sums_below_their_float_range_raise():
             cylinder_kernel(geometry, 5e-324, 0.5, method=MODE_SUM)
         with pytest.raises(InvalidParameter):
             cylinder_trace(geometry, 5e-324, method=MODE_SUM)
+    # the envelope is finite here, but the mode amplitude 2/L (1/L on the
+    # circle) takes the bound past the float range: it was returned as inf,
+    # also where an off-diagonal twisted closed-form request falls back
+    for geometry in (Interval(1e-300), TwistedCircle(1e-300, 0.0)):
+        with pytest.raises(InvalidParameter, match="too small for a mode sum"):
+            cylinder_kernel(geometry, 5e-324, 0.0, method=MODE_SUM)
+    with pytest.raises(InvalidParameter, match="too small for a mode sum"):
+        cylinder_kernel(TwistedCircle(1e-300, 0.0), 5e-324, 0.0, 3e-301)
+    with pytest.raises(InvalidParameter, match="too small for a mode sum"):
+        cylinder_kernel(Interval(1e-300), 5e-324, [0.0, 5e-301], method=MODE_SUM)
+
+
+@pytest.mark.parametrize("length", [1.0, 1e300])
+@pytest.mark.parametrize(
+    "call",
+    [lambda length: cylinder_trace(Interval(length), 5e-324),
+     lambda length: cylinder_trace(TwistedCircle(length, 0.0), 5e-324),
+     lambda length: cylinder_kernel(TwistedCircle(length, 0.0), 5e-324, 0.0)],
+    ids=["interval trace", "circle trace", "circle kernel"],
+)
+def test_closed_traces_below_their_float_range_raise_without_a_warning(length, call):
+    # e^{-b}/(1 - e^{-b}), b = pi t/L, overflows (and divides by zero at
+    # L = 1e300): numpy warned before the overflow check raised, so the
+    # denominator is tested first
+    with pytest.raises(InvalidParameter, match="overflows"):
+        call(length)
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,45 @@ def test_image_families_reproduce_the_heat_mode_sum(geom):
             assert abs(images - modes) <= 1e-13 * (4 * PI * t) ** -0.5, (x, y, t)
 
 
+@pytest.mark.parametrize(
+    "geom",
+    [
+        Interval(1.0, DIRICHLET, DIRICHLET),
+        Interval(1.0, NEUMANN, NEUMANN),
+        Interval(2.5, DIRICHLET, NEUMANN),
+        Interval(2.5, NEUMANN, DIRICHLET),
+        TwistedCircle(1.0, 0.0),
+        TwistedCircle(1.5, 0.9),
+        TwistedCircle(2.0, PI),
+    ],
+    ids=["D/D", "N/N", "D/N", "N/D", "circle", "twisted", "antiperiodic"],
+)
+def test_damped_density_is_the_sum_over_the_image_families(geom):
+    # The orbit series read the table: sigma(omega, x) is (1/pi) times the
+    # sum over its rows of sign e^{i m theta} cos(omega l_m) e^{-s l_m},
+    # l_m = |d + m turns L| with d = 0 (direct) or 2x (reflected), summed
+    # here at 30 digits until e^{-s l} < 1e-18.
+    length = geom.length
+    for omega, x, s in ((3.7, 0.3, 0.2), (11.2, 0.81, 0.5), (PI, 0.55, 0.03)):
+        omega, x, s = omega / length, x * length, s / length
+        with mpmath.workdps(30):
+            total = mpmath.mpf(0)
+            for sign, reflected, turns, theta in _images(geom):
+                d = 2 * mpmath.mpf(x) if reflected else mpmath.mpf(0)
+                reach = int((mpmath.log(1e18) / s + abs(d)) / (turns * length)) + 1
+                for m in range(-reach, reach + 1):
+                    lm = abs(d + m * turns * mpmath.mpf(length))
+                    weight = sign * mpmath.expj(m * mpmath.mpf(theta))
+                    total += weight * mpmath.cos(omega * lm) * mpmath.exp(-s * lm)
+            # theta = pi is the double nearest pi: e^{i m theta} is (-1)^m
+            # to far below the tolerance in its real part
+            want = float(total.real / mpmath.pi)
+        sigma = local_spectral_density(geom, omega, x, SeriesControl(damping_t=s))
+        bound = sigma.periodic.truncation_bound + sigma.boundary.truncation_bound
+        rounding = 4 * 2.0**-52 * (1 / PI + abs(sigma.periodic.value) + abs(sigma.boundary.value))
+        assert abs(sigma.total - want) <= bound + rounding, (omega, x, s, sigma, want)
+
+
 # ---------------------------------------------------------------------------
 # Green function and the termwise density identity
 # ---------------------------------------------------------------------------
@@ -795,7 +834,7 @@ def test_boundary_counting_lies_within_its_bound_of_the_40_digit_truncation(ends
                 want = mp_boundary_counting(geometry, omega, x, windings)
                 for w in windings:
                     got, bound = _interval_boundary_counting(
-                        geometry, omega, x, SeriesControl(max_terms=w)
+                        geometry, _images(geometry)[1], omega, x, SeriesControl(max_terms=w)
                     )
                     assert abs(mpmath.mpf(got) - want[w]) <= bound, (length, omega, x, w, got, bound)
 
@@ -808,13 +847,13 @@ def test_boundary_counting_bound_at_the_default_windings(ends):
         geometry = Interval(length, *ends)
         for omega in (3.37 * PI / length, level_omega(geometry), 100.1 / length):
             for x in image_points(length):
-                got, bound = _interval_boundary_counting(geometry, omega, x, SeriesControl())
+                got, bound = _interval_boundary_counting(geometry, _images(geometry)[1], omega, x, SeriesControl())
                 assert math.isfinite(got) and 0.0 < bound <= 1e-9 * max(1.0, 1.0 / length)
 
 
 def test_local_counting_adds_the_bounded_images_to_weyl_and_sawtooth():
     geometry, omega, x = Interval(0.6, NEUMANN, DIRICHLET), 7.7, 0.41
-    images = _interval_boundary_counting(geometry, omega, x, SeriesControl())[0]
+    images = _interval_boundary_counting(geometry, _images(geometry)[1], omega, x, SeriesControl())[0]
     want = omega / PI + periodic_counting_term(geometry, omega) / 0.6 + images
     assert local_counting(geometry, omega, x) == want
 
@@ -881,7 +920,9 @@ def test_interval_local_counting_at_extreme_lengths_is_finite_or_invalid(length,
         except InvalidParameter:
             continue
         assert math.isfinite(got), (x, omega, w, got)
-        value, bound = _interval_boundary_counting(geometry, omega, x, SeriesControl(max_terms=w))
+        value, bound = _interval_boundary_counting(
+            geometry, _images(geometry)[1], omega, x, SeriesControl(max_terms=w)
+        )
         assert math.isfinite(value) and math.isfinite(bound)
 
 
