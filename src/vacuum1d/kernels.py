@@ -414,9 +414,9 @@ def _lorentzian_lattice(
     round alike, and each sum is halved before the difference is formed,
     so that two sums near the float range do not overflow it.
 
-    At d = 0 the sum depends on no point: float calls there go through
-    :func:`_centred_lattice`, the cache keyed by (step, t, theta,
-    control)."""
+    At d = 0 the sum depends on no point: :func:`_image_sum` and
+    :func:`cylinder_trace` read it from :func:`_centred_lattice`, the cache
+    keyed by (step, t, theta, control)."""
     plus = summation.lattice_sum(step, d, t, theta, 1, control)
     if math.remainder(theta, math.pi) == 0.0:
         return plus.value.imag / math.pi + 0j, plus.terms_used, plus.truncation_bound / math.pi
@@ -439,26 +439,16 @@ def _centred_lattice(
     return _lorentzian_lattice(step, 0.0, t, theta, control)
 
 
-def _lattice_at(
-    step: float, d: float | np.ndarray, t: float, theta: float, control: SeriesControl
-) -> tuple[complex | np.ndarray, int | np.ndarray, float | np.ndarray]:
-    """:func:`_lorentzian_lattice`, from the cache at a float d = 0.  A d
-    of -0.0 shares it: in the lattice sum a zero d is only ever added to a
-    nonzero winding, so its sign never reaches the value or bound."""
-    if not isinstance(d, np.ndarray) and d == 0.0:
-        return _centred_lattice(step, t, theta, control)
-    return _lorentzian_lattice(step, d, t, theta, control)
-
-
 def _image_sum(
     geometry: Geometry, t: float, x: float | np.ndarray, y: float | np.ndarray,
     control: SeriesControl,
 ) -> KernelValue:
     """The image route: sum over the families of
     :func:`~vacuum1d.spectrum._images`, each one lattice of Lorentzians
-    summed at every point in one :func:`_lattice_at` call (the cached
-    lattice at d = 0 for a direct family on the diagonal), or one
-    Lorentzian a point where the family has no turns (the half-line).
+    summed at every point in one :func:`_lorentzian_lattice` call (from the
+    cache :func:`_centred_lattice` for a direct family on the diagonal,
+    where d is 0.0), or one Lorentzian a point where the family has no
+    turns (the half-line).
     Where turns L overflows (L above 8.99e307 on the interval) the lattice
     is summed in half units: half the lattice of step turns L/2 at half the
     displacements and height; so is a half-line image where x + y does.
@@ -477,8 +467,12 @@ def _image_sum(
         else:
             length = geometry.length
             half = 0.5 if turns * length == math.inf else 1.0
-            d = half * x + half * y if reflected else 0.0 if diagonal else half * x - half * y
-            part, n, b = _lattice_at(half * turns * length, d, half * t, theta, control)
+            step = half * turns * length
+            if diagonal and not reflected:
+                part, n, b = _centred_lattice(step, half * t, theta, control)
+            else:
+                d = half * x + half * y if reflected else half * x - half * y
+                part, n, b = _lorentzian_lattice(step, d, half * t, theta, control)
             part, b = half * (part.real if real else part), half * b
         val, terms, bound = val + sign * part, terms + n, bound + b
     if real and not _all(abs(val) < math.inf):

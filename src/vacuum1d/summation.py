@@ -26,7 +26,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter, NonConvergent, as_count, as_float, as_real
 
@@ -327,10 +327,9 @@ def _winding_table(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """m = -w..w (complex, so that m + c needs no cast) and, at theta off 0
     and +-pi, e^{i m theta} and |m|: read-only arrays that every lattice
-    sum at (theta, w) shares (a window sum builds its own).  The _TABLES
-    most recently used are kept, 40 (2w + 1) bytes each at a generic theta
-    and 16 (2w + 1) at 0 and pi: at most 13 MB while w stays within the
-    default cap of 10 000."""
+    sum at (theta, w) shares.  The _TABLES most recently used are kept,
+    40 (2w + 1) bytes each at a generic theta and 16 (2w + 1) at 0 and pi:
+    at most 13 MB while w stays within the default cap of 10 000."""
     import numpy as np
 
     m = np.arange(-w, w + 1, dtype=float)
@@ -411,9 +410,7 @@ def _poisson_remainder(scale: float, k: int, z: float) -> float:
     return scale / (n * z**n)
 
 
-def _tail_poisson(
-    c: complex, theta: float, k: int, a: int, tables: _Tables
-) -> tuple[complex, float, float]:
+def _tail_poisson(c: complex, theta: float, k: int, a: int) -> tuple[complex, float, float]:
     """sum_{m >= a} e^{i m theta} (m + c)^{-k}, |theta| small, by Poisson
     summation: (value, remainder bound, rounding allowance).
 
@@ -424,7 +421,7 @@ def _tail_poisson(
     y = 1.0 / u
     g = y**k
     corr, size, deriv = 0j, 0.0, g  # deriv = (k)_j u^{-(k+j)}
-    for j, weight in enumerate(tables.poisson_weights(theta)):
+    for j, weight in enumerate(_poisson_weights(theta)):
         if weight:  # the odd orders vanish at theta = 0
             piece = deriv * weight
             corr += piece
@@ -438,7 +435,7 @@ def _tail_poisson(
             integral = y ** (kk - 1) / (kk - 1) + (1j * theta / (kk - 1)) * integral
             err *= abs(theta) / (kk - 1)
     value = _unit(theta, a) * (0.5 * g + integral - corr)
-    remainder = _poisson_remainder(tables.poisson_scale(theta, k), k, a + c.real)
+    remainder = _poisson_remainder(_poisson_scale(theta, k), k, a + c.real)
     rounding = 8.0 * _EPS * (abs(g) + abs(integral) + size) + err
     return value, remainder, rounding
 
@@ -462,7 +459,7 @@ def _fold_steps(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
 
 
 def _tail_by_parts(
-    c: complex, theta: float, k: int, a: int, goal: float, tables: _Tables
+    c: complex, theta: float, k: int, a: int, goal: float
 ) -> tuple[complex, float, float]:
     """sum_{m >= a} q^m (m + c)^{-k}, q = e^{i theta} != 1, by K-fold
     summation by parts,
@@ -472,7 +469,7 @@ def _tail_by_parts(
     with Delta^j g(a) = (-1)^j j! h_{k-1}(y) prod y_i exactly
     (y_i = 1/(a + i + c), h the complete homogeneous polynomial).
     K grows until the bound on R reaches ``goal`` or stops shrinking."""
-    one_q, ratio, inv = tables.fold_ratio(theta)
+    one_q, ratio, inv = _fold_ratio(theta)
     z = a + c.real
     homog = [1.0 + 0j] + [0j] * (k - 1)
     degrees = range(1, k)
@@ -506,10 +503,9 @@ def _first_winding(theta: float, k: int, tol: float) -> float:
     """The z for which W = z + |d0| - 1 is where the remainder formula of
     the tails first meets ``tol``; z depends on (theta, k, tol) only."""
     if abs(theta) < _SMALL_ANGLE:
-        # two tails, each at most tol / 2; the scale is not kept, as a
-        # window sum calls this function uncached
-        scale = _poisson_scale.__wrapped__(theta, k)
-        return (2.0 * _poisson_remainder(scale, k, 1.0) / tol) ** (1.0 / (k + _ORDER - 1))
+        # two tails, each at most tol / 2
+        remainder = _poisson_remainder(_poisson_scale(theta, k), k, 1.0)
+        return (2.0 * remainder / tol) ** (1.0 / (k + _ORDER - 1))
     # The fold remainder ~ K! / rho^K, rho = |1 - q| z, reaches tol at
     # K = rho = log(1/tol) at the latest.  Direct terms are far cheaper
     # than folds: take rho = (6!/tol)^(1/6), where six folds do, as long
@@ -525,47 +521,29 @@ def _first_winding(theta: float, k: int, tol: float) -> float:
     return rho / gap
 
 
-class _Tables(NamedTuple):
-    """The point-free helpers of a unit lattice sum: the cached functions
-    (_CACHED), or the same functions uncached (_UNCACHED) for a window sum,
-    whose phase almost never repeats, so that it evicts none of the kernels'
-    entries.  Either gives the same values bit for bit."""
-
-    winding_table: Callable
-    first_winding: Callable
-    fold_ratio: Callable
-    poisson_weights: Callable
-    poisson_scale: Callable
-
-
-_CACHED = _Tables(_winding_table, _first_winding, _fold_ratio, _poisson_weights, _poisson_scale)
-_UNCACHED = _Tables(*(f.__wrapped__ for f in _CACHED))
-
-
 def _direct_sum(
-    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, tables: _Tables
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float
 ) -> tuple[complex, float]:
     """sum_{|m| <= w} e^{i m theta} (m + c)^{-k} (the skipped term left out)
     and its rounding allowance: pairwise summation, the rounding of the
-    phases m theta, and ``c_err``, the error of c.  The winding arrays come
-    from ``tables``."""
+    phases m theta, and ``c_err``, the error of c."""
     if abs(c) < 1.0 and abs(c) ** k < 1e-300:  # |c|^k may overflow past 1
         import numpy as np
 
         # next to the pole a term may overflow: the sum comes back inf or
         # nan, and lattice_sum raises InvalidParameter
         with np.errstate(over="ignore", invalid="ignore"):
-            return _direct_terms(c, theta, k, w, skip, c_err, tables)
-    return _direct_terms(c, theta, k, w, skip, c_err, tables)
+            return _direct_terms(c, theta, k, w, skip, c_err)
+    return _direct_terms(c, theta, k, w, skip, c_err)
 
 
 def _direct_terms(
-    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float, tables: _Tables
+    c: complex, theta: float, k: int, w: int, skip: int | None, c_err: float
 ) -> tuple[complex, float]:
     import numpy as np
 
     add = np.add.reduce  # what ndarray.sum calls: the same pairwise sum
-    m, phase, abs_m = tables.winding_table(theta, w)
+    m, phase, abs_m = _winding_table(theta, w)
     u = m + c
     if skip is not None:
         u[w + skip] = 1.0
@@ -602,45 +580,38 @@ def _unit_tol(tol: float, step: float, k: int, c: complex) -> float:
 
 
 def _tail_pair(
-    c: complex, th: float, k: int, a: int, goal: float, tables: _Tables
+    c: complex, th: float, k: int, a: int, goal: float
 ) -> tuple[tuple[complex, float, float], tuple[complex, float, float]]:
     """The tails m >= a and m <= -a of the unit lattice sum, each as
     (value, remainder bound, rounding), the second as
     sum_{m >= a} e^{-i m th} (m - c)^{-k}: by Poisson summation at small
     angles, by summation by parts to ``goal`` otherwise."""
     if abs(th) < _SMALL_ANGLE:
-        return _tail_poisson(c, th, k, a, tables), _tail_poisson(-c, -th, k, a, tables)
+        return _tail_poisson(c, th, k, a), _tail_poisson(-c, -th, k, a)
     half = 0.5 * goal
-    return _tail_by_parts(c, th, k, a, half, tables), _tail_by_parts(-c, -th, k, a, half, tables)
+    return _tail_by_parts(c, th, k, a, half), _tail_by_parts(-c, -th, k, a, half)
 
 
 def _completed_sum(
-    c: complex,
-    th: float,
-    k: int,
-    tol: float,
-    cap: int,
-    skip: int | None,
-    c_err: float,
-    tables: _Tables,
+    c: complex, th: float, k: int, tol: float, cap: int, skip: int | None, c_err: float
 ) -> tuple[int, complex, float, tuple, tuple]:
     """The windings of a unit lattice sum: W starts where the remainder
     formula meets ``tol`` and doubles until the two tails' remainder is at
     most max(tol, rounding) or W reaches ``cap``.  Returns W, the direct
     sum over |m| <= W and its rounding, and the two tails past W (see
-    :func:`_tail_pair`), each from the helpers in ``tables``."""
-    first = tables.first_winding(th, k, tol) + abs(c.real) - 1.0
+    :func:`_tail_pair`)."""
+    first = _first_winding(th, k, tol) + abs(c.real) - 1.0
     w = cap if first >= cap else max(1, math.ceil(first), abs(skip or 0))
-    total, rounding = _direct_sum(c, th, k, w, skip, c_err, tables)
+    total, rounding = _direct_sum(c, th, k, w, skip, c_err)
     goal = max(tol, rounding)
     first_w = w
     while True:
-        plus, minus = _tail_pair(c, th, k, w + 1, goal, tables)
+        plus, minus = _tail_pair(c, th, k, w + 1, goal)
         if plus[1] + minus[1] <= goal or w >= cap:
             break
         w = min(cap, 2 * w)
     if w != first_w:
-        total, rounding = _direct_sum(c, th, k, w, skip, c_err, tables)
+        total, rounding = _direct_sum(c, th, k, w, skip, c_err)
     return w, total, rounding, plus, minus
 
 
@@ -664,11 +635,9 @@ def _window_sum(c: float, th: float, w: int, control: SeriesControl) -> tuple[co
     cc = complex(c)
     tol = _unit_tol(control.tol, 1.0, 1, cc)
     c_err = _EPS * (abs(c) + _TINY)
-    # the phase th almost never repeats here: built outside the caches, its
-    # tables and constants do not evict the kernels'
-    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err, _UNCACHED)
+    lat, total, bound, plus, minus = _completed_sum(cc, th, 1, tol, w, 0, c_err)
     if lat < w:
-        far_plus, far_minus = _tail_pair(cc, th, 1, w + 1, max(tol, bound), _UNCACHED)
+        far_plus, far_minus = _tail_pair(cc, th, 1, w + 1, max(tol, bound))
         tails = (plus, minus, far_plus, far_minus)
         bound += math.fsum(p[1] + p[2] + 4.0 * _EPS * abs(p[0]) for p in tails)
         bound += 4.0 * _EPS * abs(total) + 2.0 * c_err / lat
@@ -762,9 +731,7 @@ def _lattice_sum(
     # dividing by a power of two is exact; otherwise d/step and t/step are
     # each rounded once
     c_err = 0.0 if math.frexp(step)[0] == 0.5 else _EPS * (abs(du) + abs(tu))
-    w, total, rounding, plus, minus = _completed_sum(
-        c, th, k, tol, cap, skip, c_err, _CACHED
-    )
+    w, total, rounding, plus, minus = _completed_sum(c, th, k, tol, cap, skip, c_err)
     remainder = plus[1] + minus[1]
     unshifted = total + plus[0] + (-1) ** k * minus[0]
     if th != 0.0 and abs(th) != math.pi:
