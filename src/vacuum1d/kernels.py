@@ -58,6 +58,7 @@ from .spectrum import (
     _images,
     _ladders,
     _phase,
+    _rung,
     _rungs,
     as_point,
     boundary_counting_term,
@@ -177,10 +178,9 @@ def _kept_rungs(
     up to cut(omega_min), omega_min the lowest frequency of the geometry,
     and at most max_terms + 1 of them."""
     ladders = _ladders(geometry)
-    omega_cut = cut(min(offset + j_min * step for step, offset, j_min in ladders))
+    omega_cut = cut(min(_rung(*ladder) for ladder in ladders))
     for ladder in ladders:
-        step, offset, j_min = ladder
-        yield step, offset + j_min * step, _rungs(ladder, omega_cut, max_terms + 1)
+        yield ladder[0], _rung(*ladder), _rungs(ladder, omega_cut, max_terms + 1)
 
 
 # Longest rows the mode-row cache keeps: those of the default max_terms.
@@ -221,7 +221,7 @@ def _mode_rows(
 def _mode_sum(
     geometry: Interval | TwistedCircle,
     t: float,
-    half_reach: float | np.ndarray,
+    halves: tuple[float, float | np.ndarray, float | np.ndarray],
     control: SeriesControl,
     amplitude: Callable[[np.ndarray, float], np.ndarray | float],
     size: float,
@@ -241,20 +241,20 @@ def _mode_sum(
     once.  Its rows are cut at the default max_terms; where a larger
     max_terms asks for more and a cut row reaches that cap, the longer rows
     are built for the call.  The bound adds, per ladder, its rounding
-    envelope (_mode_rounding, with half_reach = (t + |x| + |y|)/2, per
+    envelope (_mode_rounding, with halves = (t/2, |x|/2, |y|/2), per
     call) and the geometric tail past its last rung; past the float range
     it raises InvalidParameter.
 
     For a point array, amplitude returns one row of rungs per point and
-    half_reach is an array: each row is multiplied by the e^{-t omega} row
-    and summed along it, as the one-point sum is.
+    the halves of x and y are arrays: each row is multiplied by the
+    e^{-t omega} row and summed along it, as the one-point sum is.
     Returns (value, terms, bound)."""
     total, terms, bound = 0.0, 0, 0.0
     rows = _mode_rows(geometry, t, min(control.max_terms, _CACHED_TERMS))
     if control.max_terms > _CACHED_TERMS and any(ladder[3].size > _CACHED_TERMS for ladder in rows):
         rows = _mode_rows.__wrapped__(geometry, t, control.max_terms)
     for sign, step, first, om, row, tail in rows:
-        bound += _mode_rounding(t, first, step, half_reach)
+        bound += _mode_rounding(t, first, step, halves)
         decay = row if norm == 1.0 else norm * row
         # a product and row sum: a complex (20 x 1173)(1173) matrix-vector
         # product takes 8.4 ms on a 2-core machine, this 83 us
@@ -277,8 +277,8 @@ def _interval_mode_sum(
         phi = _interval_mode_phi(geom, om, xc)
         return phi * (phi if diagonal else _interval_mode_phi(geom, om, yc))
 
-    half_reach = 0.5 * t + 0.5 * x + 0.5 * y
-    val, terms, bound = _mode_sum(geom, t, half_reach, control, amplitude, 2.0 / geom.length)
+    halves = (0.5 * t, 0.5 * x, 0.5 * y)
+    val, terms, bound = _mode_sum(geom, t, halves, control, amplitude, 2.0 / geom.length)
     return KernelValue(val if isinstance(x, np.ndarray) else float(val), MODE_SUM, terms, bound)
 
 
@@ -294,9 +294,9 @@ def _twisted_mode_sum(
     def amplitude(om: np.ndarray, sign: float) -> np.ndarray | float:
         return np.exp(1j * sign * dc * om) if off else 1.0 / length
 
-    half_reach = 0.5 * t + 0.5 * abs(x) + 0.5 * abs(y)
+    halves = (0.5 * t, 0.5 * abs(x), 0.5 * abs(y))
     norm = 1.0 / length if off else 1.0
-    val, terms, bound = _mode_sum(geom, t, half_reach, control, amplitude, 1.0 / length, norm)
+    val, terms, bound = _mode_sum(geom, t, halves, control, amplitude, 1.0 / length, norm)
     if isinstance(x, np.ndarray):
         val = val if off or val.shape == x.shape else np.full(x.shape, val)
     else:
@@ -304,23 +304,34 @@ def _twisted_mode_sum(
     return KernelValue(val, MODE_SUM, terms, bound)
 
 
-def _mode_rounding(
-    t: float, first: float, step: float, half_reach: float | np.ndarray
-) -> float | np.ndarray:
+def _mode_rounding(t: float, first: float, step: float, halves: tuple) -> float | np.ndarray:
     """Rounding bound of a mode sum over the ladder omega_j = first + j step,
     per unit mode amplitude.  Each term e^{-t omega} phi(x) phi(y)* is off
     by a few eps of itself, and by eps of omega t, omega x and omega y in
     its arguments, so the bound is _MODE_ROUNDING eps times
     sum_{j>=0} e^{-t omega_j} (1 + omega_j reach), reach = t + |x| + |y|,
-    summed in closed form; reach enters as half_reach = reach/2, formed
-    from halves, so that it stays finite.  Where the envelope leaves the
+    summed in closed form.  reach enters as its halves (t/2, |x|/2, |y|/2),
+    summed to half_reach = reach/2; where that sum overflows (reach above
+    about 3.6e308), each product with it is formed from the three halves
+    instead, as spectrum._phase does.  Where the envelope leaves the
     float range (t step below about 1e-154), the mode sum cannot bound
     itself and InvalidParameter is raised, so the callers take this before
     their tail bounds, which divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
-    # q first: once it underflows, q reach step is 0 where step reach is inf
+    half_reach = halves[0] + halves[1] + halves[2]
+
+    def twice(c: float) -> float | np.ndarray:
+        """2 c half_reach, from the three halves where half_reach overflows."""
+        whole = 2.0 * c * half_reach
+        if _all(half_reach < math.inf):
+            return whole
+        split = 2.0 * c * halves[0] + 2.0 * c * halves[1] + 2.0 * c * halves[2]
+        return np.where(half_reach < math.inf, whole, split) if np.ndim(split) else split
+
+    # q first: once it underflows, q reach step is 0 where step reach is
+    # inf; a q of 0 adds 0 also where the step itself is inf
     if gap:
-        envelope = (1.0 + 2.0 * first * half_reach) / gap + 2.0 * q * half_reach * step / gap / gap
+        envelope = (1.0 + twice(first)) / gap + (twice(q) * step if q else 0.0) / gap / gap
     else:
         envelope = math.inf
     if not _all(envelope < math.inf):
@@ -709,7 +720,7 @@ def cylinder_trace(
 
 
 def _trace_mode_sum(geometry: Geometry, t: float, control: SeriesControl) -> KernelValue:
-    val, terms, bound = _mode_sum(geometry, t, 0.5 * t, control, lambda om, sign: 1.0, 1.0)
+    val, terms, bound = _mode_sum(geometry, t, (0.5 * t, 0.0, 0.0), control, lambda *_: 1.0, 1.0)
     return KernelValue(float(val), MODE_SUM, terms, bound)
 
 

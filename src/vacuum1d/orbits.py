@@ -446,8 +446,14 @@ def local_counting(
             )
         length = geometry.length
         m = spectrum.counting_function(geometry, omega)
-        wave = math.sin((2 * m + 1) * math.pi * x / length)
-        return (m + 0.5) / length - wave / (2.0 * length * math.sin(math.pi * x / length))
+        # 2M + 1 may be an int past the float range, and pi x/L underflow to 0
+        phase = (2 * m + 1) * math.pi * x / length if 2 * m + 1 <= summation._HUGE else math.inf
+        _finite(phase)
+        den = 2.0 * length * math.sin(math.pi * x / length)
+        if not den > 0.0:
+            raise InvalidParameter(f"the Dirichlet kernel's pi x/L underflows at x={x!r}")
+        _finite(value := (m + 0.5) / length - math.sin(phase) / den)
+        return value
     if method != ORBIT_SUM:
         raise InvalidParameter(f"unknown local counting method {method!r}")
     value = omega / math.pi

@@ -156,9 +156,9 @@ def _phase(v: float, length: float) -> float:
 # omega_j = offset + j*step, j >= j_min, and _ladders is the one place
 # that writes them down.  Enumeration, counting and the mode sums of
 # :mod:`vacuum1d.kernels` all read that table and form each frequency by
-# the same expression offset + j*step, and a floor() count is corrected
-# by direct float comparison against that expression, so counting and
-# enumeration can never disagree at the margins.
+# the same expression offset + j*step (_rung), and a floor() count is
+# corrected by direct float comparison against that expression, so
+# counting and enumeration can never disagree at the margins.
 # ---------------------------------------------------------------------------
 
 # The most levels eigenvalues() lists, and images heat_kernel_diag sums per
@@ -226,11 +226,18 @@ def _walls(rows: tuple[Family, ...]) -> bool:
     return rows[-1][1]
 
 
+def _rung(step: float, offset: float, j: int) -> float:
+    """offset + j*step.  Rung 0 is offset + 0.0, which is offset + 0*step at
+    every finite step, and stays the offset (the zero mode 0.0) where the
+    step overflows, at lengths below about 1.8e-308."""
+    return offset + j * step if j else offset + 0.0
+
+
 def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:
     """Number of j >= j_min with offset + j*step <= omega (exact below
     2^52 rungs; past that, neighbouring rungs round to one float, the
     comparisons cannot tell them apart, and the floor() count stands)."""
-    if omega < offset + j_min * step:
+    if omega < _rung(step, offset, j_min):
         return 0
     position = (omega - offset) / step
     if not math.isfinite(position):
@@ -239,7 +246,7 @@ def _count_leq(step: float, offset: float, j_min: int, omega: float) -> int:
     if j < 2**52:
         while offset + (j + 1) * step <= omega:
             j += 1
-        while j >= j_min and offset + j * step > omega:
+        while j >= j_min and _rung(step, offset, j) > omega:
             j -= 1
     return max(0, j - j_min + 1)
 
@@ -248,13 +255,15 @@ def _rungs(
     ladder: tuple[float, float, int], omega_max: float, cap: float = math.inf
 ) -> np.ndarray:
     """The frequencies offset + j*step <= omega_max of one ladder, at most
-    ``cap`` of them; omega_max may be inf when a cap is given."""
+    ``cap`` of them, rung 0 as :func:`_rung` forms it; omega_max may be
+    inf when a cap is given."""
     import numpy as np
 
     step, offset, j_min = ladder
     above = (omega_max - offset) / step - j_min  # rungs past the first
     n = cap if above >= cap else min(cap, _count_leq(step, offset, j_min, omega_max))
-    return offset + np.arange(j_min, j_min + n, dtype=float) * step
+    j = np.arange(j_min, j_min + n, dtype=float)
+    return offset + np.multiply(j, step, out=j, where=j != 0.0)
 
 
 def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]:
@@ -281,10 +290,10 @@ def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]
     omega_max = as_real(omega_max, "omega_max", positive=True)
     if counting_function(geometry, omega_max) > MAX_RUNGS:
         raise InvalidParameter(f"more than {MAX_RUNGS} levels up to omega_max = {omega_max!r}")
-    # each rung as _rungs forms it, offset + j * step with j converted to a
-    # float exactly, in plain floats; equal floats merge in sorted order
+    # each rung as _rungs forms it, with j converted to a float exactly, in
+    # plain floats; equal floats merge in sorted order
     levels = sorted(
-        offset + j * step
+        _rung(step, offset, j)
         for step, offset, j_min in _ladders(geometry)
         for j in range(j_min, j_min + _count_leq(step, offset, j_min, omega_max))
     )
@@ -323,7 +332,9 @@ def _nearest_eigen_distance(geometry: Geometry, omega: float) -> float:
     """Distance from omega to the nearest eigenfrequency (closed form)."""
     best = math.inf
     for step, offset, j_min in _ladders(geometry):
-        j = max(j_min, round((omega - offset) / step))
+        if math.isnan(position := (omega - offset) / step):  # no level is finite
+            continue
+        j = max(j_min, round(position))
         for jj in (j - 1, j, j + 1):
             if jj >= j_min:
                 best = min(best, abs(omega - (offset + jj * step)))
@@ -377,7 +388,8 @@ def counting_decomposition(
         Frequency, > 0, finite, and not within ``tol_eigen`` of an eigenvalue
         (where the sawtooth sits on a jump and the split is ambiguous);
         raises :class:`AtEigenvalue` there, and :class:`InvalidParameter`
-        where :func:`periodic_counting_term` does.
+        where :func:`periodic_counting_term` does; a level past the float
+        range (L below about 1.8e-308) is never near omega.
     tol_eigen : float, optional
         Guard distance, >= 0; default ``1e-9 * pi / L``.  At 0 only an
         exact level raises.
@@ -400,7 +412,7 @@ def counting_decomposition(
         if tol_eigen < 0.0:
             raise InvalidParameter(f"tol_eigen must be >= 0, not {tol_eigen!r}")
     dist = _nearest_eigen_distance(geometry, omega)
-    if dist <= tol_eigen:
+    if dist <= tol_eigen and dist < math.inf:
         raise AtEigenvalue(
             f"omega={omega!r} is within {tol_eigen:.2e} of an eigenvalue "
             f"(distance {dist:.2e})"
@@ -422,6 +434,7 @@ def eigenfunction_density(geometry: Geometry, j: int, x: float) -> float:
     Neumann zero mode which is flat 1/L.  Twisted-circle sections have
     constant density 1/L for every j.  Indices follow the enumeration of
     :func:`eigenvalues`: j >= 1 for Dirichlet-Dirichlet, j >= 0 otherwise.
+    A phase omega_j x past the float range raises :class:`InvalidParameter`.
     """
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line modes are not normalizable")
@@ -436,6 +449,8 @@ def eigenfunction_density(geometry: Geometry, j: int, x: float) -> float:
     omega = offset + j * step
     if geometry.left is NEUMANN and geometry.right is NEUMANN and j == 0:
         return 1.0 / length
+    if not math.isfinite(omega * x):
+        raise InvalidParameter(f"the phase omega_j x leaves the float range at j = {j:.3g}")
     if geometry.left is DIRICHLET:
         return 2.0 / length * math.sin(omega * x) ** 2
     return 2.0 / length * math.cos(omega * x) ** 2

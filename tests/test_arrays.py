@@ -286,12 +286,14 @@ def test_kernel_routes_agree_past_the_overflow_of_two_lengths(length, left, righ
     assert max(routes) - min(routes) <= 1e-14 * max(routes)
     # from x = 0.1 L to y = 0.95 L the closed form's phase pi (x - y)/2L once
     # overflowed to -inf: a math domain error for floats, and for arrays an
-    # InvalidParameter
-    far = cylinder_kernel(geometry, t, xs[:2], 0.95 * length)
+    # InvalidParameter; at x = L the mode sum's (t + x + y)/2 overflowed
+    far = cylinder_kernel(geometry, t, xs, 0.95 * length)
     assert far.value[0] == cylinder_kernel(geometry, t, xs[0], 0.95 * length).value > 0.0
     for method in (IMAGE_SUM, MODE_SUM):
-        grid = cylinder_kernel(geometry, t, xs[:2], 0.95 * length, method=method)
+        grid = cylinder_kernel(geometry, t, xs, 0.95 * length, method=method)
         assert np.all(np.abs(grid.value - far.value) <= grid.truncation_bound + 1e-3 * far.value)
+        wall = cylinder_kernel(geometry, t, length, 0.95 * length, method=method)
+        assert abs(wall.value - far.value[2]) <= wall.truncation_bound + 1e-3 * far.value[2]
 
 
 @pytest.mark.parametrize("length", HUGE_LENGTHS)
@@ -361,9 +363,13 @@ def test_the_mode_sums_keep_their_control():
     assert grid.truncation_bound[0] == one.truncation_bound
 
 
-@pytest.mark.parametrize("d,t,theta,k", [(0.0, 9.5e-214, 0.0, 2), (0.0, 3.8e-111, 1e-3, 3)])
+@pytest.mark.parametrize(
+    "d,t,theta,k",
+    [(0.0, 9.5e-214, 0.0, 2), (0.0, 3.8e-111, 1e-3, 3), (-sys.float_info.max, 0.5, 2.0, 1)],
+)
 def test_a_sum_that_overflows_next_to_the_pole_is_invalid_for_floats_and_arrays(d, t, theta, k):
-    # numpy's overflow warnings used to escape the float call
+    # numpy's overflow warnings used to escape the float call; the phase
+    # theta d/step of the lattice shift overflowed into a math domain error
     with pytest.raises(InvalidParameter):
         lattice_sum(1.0, d, t, theta, k)
     with pytest.raises(InvalidParameter):

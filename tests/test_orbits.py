@@ -21,13 +21,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vacuum1d import summation
 from vacuum1d.errors import (
     InvalidParameter,
     OutOfDomain,
     UnsupportedGeometry,
 )
-from vacuum1d.kernels import cylinder_kernel
 from vacuum1d.orbits import (
     DIRICHLET_KERNEL,
     ORBIT_SUM,
@@ -859,23 +857,29 @@ def test_local_counting_adds_the_bounded_images_to_weyl_and_sawtooth():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("length", [1e308, 1e-300, 1e-310, 5e-324], ids=repr)
+@pytest.mark.parametrize("length", [1e308, 1e300, 2.0, 1.0, 1e-300, 1e-310, 5e-324], ids=repr)
 @pytest.mark.parametrize("ends", END_PAIRS, ids=lambda e: e[0].value + e[1].value)
 def test_interval_local_counting_at_extreme_lengths_is_finite_or_invalid(length, ends):
     # no OverflowError, nan, inf or numpy warning (the sawtooth over a
     # subnormal L overflows); no float lies in (0, 5e-324), so there every
-    # point is out of the domain
+    # point is out of the domain.  The Dirichlet-kernel phase (2M + 1) pi x/L
+    # leaked a math domain error, or an OverflowError where 2M + 1 passes
+    # the float range, at omega L near the float maximum
     geometry = Interval(length, *ends)
     points = [0.3 * length, 0.5 * length, math.nextafter(length, 0.0), 5e-324]
-    for x, omega, w in itertools.product(points, [5e-324, 3e-308, 1.0, 3.3, 1e300, 1e308], [1, 10_000]):
+    omegas = [5e-324, 3e-308, 1.0, 3.3, 1e300, 1e308, sys.float_info.max]
+    methods = [ORBIT_SUM, DIRICHLET_KERNEL] if ends == (DIRICHLET, DIRICHLET) else [ORBIT_SUM]
+    for x, omega, w, method in itertools.product(points, omegas, [1, 10_000], methods):
         try:
-            got = local_counting(geometry, omega, x, control=SeriesControl(max_terms=w))
+            got = local_counting(geometry, omega, x, method, SeriesControl(max_terms=w))
         except OutOfDomain:
             assert not 0.0 < x < length
             continue
         except InvalidParameter:
             continue
-        assert math.isfinite(got), (x, omega, w, got)
+        assert math.isfinite(got), (x, omega, w, method, got)
+        if method == DIRICHLET_KERNEL:
+            continue
         value, bound = _interval_boundary_counting(
             geometry, _images(geometry)[1], omega, x, SeriesControl(max_terms=w)
         )

@@ -19,6 +19,7 @@ from vacuum1d.errors import (
     ContinuousSpectrum,
     InvalidParameter,
 )
+from vacuum1d.kernels import cylinder_trace, heat_trace
 from vacuum1d.orbits import local_counting
 from vacuum1d.spectrum import (
     DIRICHLET,
@@ -144,6 +145,26 @@ def test_counting_past_the_float_range_is_invalid(geometry):
     for call in (eigenvalues, counting_function, counting_decomposition):
         with pytest.raises(InvalidParameter):
             call(geometry, 1e300)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [Interval(5e-324, left, right) for left in (DIRICHLET, NEUMANN) for right in (DIRICHLET, NEUMANN)]
+    + [TwistedCircle(5e-324, theta) for theta in (0.0, PI)],
+    ids=str,
+)
+def test_levels_past_the_float_range_at_a_subnormal_length(geometry):
+    # the spacing pi/L overflows: the zero mode, formed as 0 + 0 inf, came
+    # back nan; a mixed-end level inf + 0 inf sent nan into round(); and an
+    # infinite distance to the nearest level counted as "at a level"
+    zero_mode = int(geometry in (Interval(5e-324, NEUMANN, NEUMANN), TwistedCircle(5e-324, 0.0)))
+    assert eigenvalues(geometry, 1.0) == [(0.0, 1)] * zero_mode
+    assert counting_function(geometry, 3.3) == zero_mode
+    assert counting_decomposition(geometry, 3.3).total == pytest.approx(zero_mode, abs=1e-15)
+    if zero_mode:
+        assert heat_trace(geometry, 1.0) == 1.0
+        trace = cylinder_trace(geometry, 1.0, method="mode-sum")
+        assert abs(trace.value - 1.0) <= trace.truncation_bound
 
 
 @pytest.mark.parametrize(
@@ -378,6 +399,13 @@ def test_twisted_density_is_uniform():
 def test_interval_densities_are_normalized(geom, j):
     total, err = quad(lambda x: eigenfunction_density(geom, j, x), 0.0, geom.length)
     assert total == pytest.approx(1.0, abs=max(1e-10, 10 * err))
+
+
+@pytest.mark.parametrize("left", [DIRICHLET, NEUMANN])
+def test_a_mode_phase_past_the_float_range_is_invalid(left):
+    # omega_j = j pi/L overflows: sin and cos of inf leaked a math domain error
+    with pytest.raises(InvalidParameter):
+        eigenfunction_density(Interval(1.0, left, left), 10**308, 0.5)
 
 
 def test_mixed_density_roots_the_right_wall():

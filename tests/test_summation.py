@@ -19,6 +19,8 @@ from scipy.integrate import quad
 
 from vacuum1d import summation
 from vacuum1d.errors import InvalidParameter
+from vacuum1d.orbits import local_counting
+from vacuum1d.spectrum import DIRICHLET, NEUMANN, Interval
 from vacuum1d.summation import (
     EULER_MACLAURIN,
     EXP_SINH,
@@ -365,6 +367,22 @@ def test_lattice_tables_are_read_only_and_bounded():
     capped = lattice_sum(1.0, 10_000.0, 0.5, 2.0, skip_zero=True)
     assert capped.terms_used == 2 * SeriesControl().max_terms
     assert summation._winding_table.cache_info().currsize <= summation._TABLES
+    # the window sums of local_counting share the same caches: a sweep of
+    # new phases, by parts and by Poisson summation (2 omega L near 2 pi),
+    # keeps each within its size, and a repeated call finds its table
+    caches = [summation._winding_table, summation._first_winding, summation._fold_ratio,
+              summation._poisson_weights, summation._poisson_scale]
+    for k in range(300):
+        local_counting(Interval(1.0), 3.3 + k * 1e-3, 0.4)
+        local_counting(Interval(1.0, DIRICHLET, NEUMANN), PI + 0.01 + k * 1e-4, 0.4)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, cache
+    local_counting(Interval(1.0), 3.3, 0.4)
+    before = summation._winding_table.cache_info()
+    local_counting(Interval(1.0), 3.3, 0.4)
+    after = summation._winding_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_lattice_sum_rejects_bad_input():
