@@ -23,13 +23,12 @@ check's tolerance in ``vacuum verify``; ``--max-terms`` caps the series
 of ``vacuum kernel``.  ``VACUUM_TOL`` supplies the default of ``--tol``
 wherever that flag exists.
 
-Cold start: the closed forms and the level list run on plain floats, so
-``--version``, ``--help``, ``energy``, ``density``, ``spectrum``,
-``compare`` and ``figure --which fig1`` never import numpy, which is most
-of the start-up time.  numpy loads where an array is built: the series of
-``kernel`` (one call per height and route, over every ``--x``), the
-log-spaced grids of ``figure --which fig2`` and of ``density --geometry
-halfline`` without ``--x``, and ``verify``.
+Cold start: the closed forms, the level list and the default grids
+(linear and log-spaced) run on plain floats, so ``--version``, ``--help``,
+``energy``, ``density``, ``spectrum``, ``compare`` and ``figure`` (both
+figures) never import numpy, which is most of the start-up time.  numpy
+loads only in ``kernel``, whose series take one array call per height
+and route over every ``--x``, and in ``verify``.
 """
 
 from __future__ import annotations
@@ -216,6 +215,20 @@ def _linspace(start: float, stop: float, n: int, endpoint: bool = True) -> list[
     return points
 
 
+def _geomspace(start: float, stop: float, n: int) -> list[float]:
+    """``numpy.geomspace(start, stop, n)`` for 0 < start < stop in plain
+    floats: 10.0 ** y over the :func:`_linspace` of the exponents, with the
+    first and last points start and stop themselves.  Python's ``**`` is
+    libm's pow, as numpy's power is wherever it does not dispatch to its
+    AVX-512 pow; that one differs from libm in the last bit at about one
+    point in twenty."""
+    points = [10.0**y for y in _linspace(math.log10(start), math.log10(stop), n)]
+    points[0] = start
+    if n > 1:
+        points[-1] = stop
+    return points
+
+
 def _grid_points(args: argparse.Namespace, default: int) -> int:
     n = args.grid_points
     if n is None:
@@ -280,10 +293,7 @@ def _default_x_grid(geometry: Geometry, n: int) -> list[float]:
         # Clip away the walls: the renormalized profile is csc^2-divergent.
         return [x * geometry.length for x in _linspace(0.02, 0.98, n)]
     if isinstance(geometry, HalfLine):
-        # numpy's power, which a Python 10.0 ** v misses in the last bit
-        import numpy as np
-
-        return np.geomspace(1e-2, 2.0, n).tolist()
+        return _geomspace(1e-2, 2.0, n)
     return _linspace(0.0, geometry.length, n, endpoint=False)
 
 
@@ -361,14 +371,12 @@ def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
     # the negative spike inside x < t/2 and the 1/(8 pi x^2) tail beyond.
     if args.t and len(args.t) > 1:
         raise InvalidParameter("fig2 takes one --t")
-    import numpy as np
-
     n = _grid_points(args, 1000)
     t = args.t[0] if args.t else 1e-3
     geometry = HalfLine(DIRICHLET)
     rows = [
         (x, energy_density_regularized(geometry, t, x, args.xi).boundary)
-        for x in np.geomspace(1e-4, 1.0, n).tolist()
+        for x in _geomspace(1e-4, 1.0, n)
     ]
     meta = _meta(args, geometry, which="fig2", t=t, xi=args.xi)
     return Table(meta, ("x", "energy_density"), rows), EXIT_OK

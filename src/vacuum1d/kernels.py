@@ -313,10 +313,12 @@ def _mode_rounding(t: float, first: float, step: float, halves: tuple) -> float 
     summed in closed form.  reach enters as its halves (t/2, |x|/2, |y|/2),
     summed to half_reach = reach/2; where that sum overflows (reach above
     about 3.6e308), each product with it is formed from the three halves
-    instead, as spectrum._phase does.  Where the envelope leaves the
-    float range (t step below about 1e-154), the mode sum cannot bound
-    itself and InvalidParameter is raised, so the callers take this before
-    their tail bounds, which divide by the same gap once."""
+    instead, as spectrum._phase does; where q reach overflows (reach near
+    the top of the float range, t step small), q step is formed before it
+    meets reach.  Where the envelope leaves the float range (t step below
+    about 1e-154), the mode sum cannot bound itself and InvalidParameter
+    is raised, so the callers take this before their tail bounds, which
+    divide by the same gap once."""
     q, gap = math.exp(-t * step), -math.expm1(-t * step)
     half_reach = halves[0] + halves[1] + halves[2]
 
@@ -330,8 +332,13 @@ def _mode_rounding(t: float, first: float, step: float, halves: tuple) -> float 
 
     # q first: once it underflows, q reach step is 0 where step reach is
     # inf; a q of 0 adds 0 also where the step itself is inf
+    slope = twice(q) * step if q else 0.0
+    if not _all(slope < math.inf):
+        # 2 q reach overflowed before the step brought it back: q step first
+        late = twice(q * step)
+        slope = np.where(slope < math.inf, slope, late) if np.ndim(slope) else late
     if gap:
-        envelope = (1.0 + twice(first)) / gap + (twice(q) * step if q else 0.0) / gap / gap
+        envelope = (1.0 + twice(first)) / gap + slope / gap / gap
     else:
         envelope = math.inf
     if not _all(envelope < math.inf):

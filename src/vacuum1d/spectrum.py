@@ -173,7 +173,10 @@ def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, in
     theta/L + j 2 pi/L from j = 0, then left movers -theta/L + j 2 pi/L
     from j = 1.  At theta = pi the left movers are written as the right
     movers' ladder, so there, as at theta = 0, the common levels of the two
-    ladders are equal floats and merge into multiplicity 2."""
+    ladders are equal floats and merge into multiplicity 2.  Where theta/L
+    overflows (L below about 1e-308), -theta/L + 2 pi/L would be -inf + inf,
+    so the left movers are written from their first level (2 pi - theta)/L
+    at j = 0; every later rung is inf either way."""
     if isinstance(geometry, Interval):
         step = math.pi / geometry.length
         if geometry.like_ends:
@@ -181,10 +184,13 @@ def _ladders(geometry: Interval | TwistedCircle) -> tuple[tuple[float, float, in
         return ((step, 0.5 * step, 0),)
     length, theta = geometry.length, geometry.theta
     step = TWO_PI / length
-    right = (step, theta / length, 0)
+    offset = theta / length
+    right = (step, offset, 0)
     if theta == math.pi:
         return (right, right)
-    return (right, (step, -theta / length, 1))
+    if math.isinf(offset):
+        return (right, (step, (TWO_PI - theta) / length, 0))
+    return (right, (step, -offset, 1))
 
 
 def _images(geometry: Geometry) -> tuple[Family, ...]:

@@ -296,6 +296,36 @@ def test_kernel_routes_agree_past_the_overflow_of_two_lengths(length, left, righ
         assert abs(wall.value - far.value[2]) <= wall.truncation_bound + 1e-3 * far.value[2]
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [Interval(sys.float_info.max), Interval(sys.float_info.max, NEUMANN, DIRICHLET),
+     Interval(sys.float_info.max, NEUMANN, NEUMANN), TwistedCircle(sys.float_info.max, 1.0),
+     TwistedCircle(sys.float_info.max, 0.0)],
+    ids=repr,
+)
+@pytest.mark.parametrize("fraction", [1.0, 0.3, 1e-3])
+def test_mode_sums_at_the_largest_length_bound_themselves(geometry, fraction):
+    # at t = 1e-3 L the rounding envelope's q (t + x + y) once overflowed
+    # before the spacing pi/L brought it back: t step is only 3e-3, yet
+    # the mode sum (and the circle's off-diagonal closed form) raised
+    length = geometry.length
+    t = fraction * length
+    pairs = [(0.3, 0.95), (1.0, 0.95), (0.1, 0.95), (0.95, 0.95), (0.5, 0.3)]
+    xs, ys = ([a * length for a in column] for column in zip(*pairs))
+    circle = isinstance(geometry, TwistedCircle)
+    ref = cylinder_kernel(geometry, t, xs, ys, method=IMAGE_SUM if circle else CLOSED_FORM)
+    # the closed form's rounding: a few eps, and a few steps of 5e-324 below 2.2e-308
+    slack = ref.truncation_bound + 8 * EPS * np.abs(ref.value) + 4 * 5e-324
+    mode = cylinder_kernel(geometry, t, xs, ys, method=MODE_SUM)
+    assert np.all(np.isfinite(mode.truncation_bound))
+    assert np.all(np.abs(mode.value - ref.value) <= mode.truncation_bound + slack)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        one = cylinder_kernel(geometry, t, x, y, method=MODE_SUM)
+        assert abs(one.value - ref.value[i]) <= one.truncation_bound + slack[i]
+        if circle and x != y:  # the off-diagonal closed form is the mode sum
+            assert cylinder_kernel(geometry, t, x, y).value == one.value
+
+
 @pytest.mark.parametrize("length", HUGE_LENGTHS)
 def test_densities_past_the_overflow_of_two_lengths(length, capsys):
     for left, right in [(DIRICHLET, DIRICHLET), (NEUMANN, DIRICHLET)]:

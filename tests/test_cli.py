@@ -690,6 +690,24 @@ def test_linear_grid_is_numpy_linspace_bit_for_bit(n, endpoint, start, stop):
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 101, 1000])
+@pytest.mark.parametrize("start, stop", [(1e-4, 1.0), (1e-2, 2.0)])  # fig2, half-line density
+def test_log_grid_is_numpy_geomspace_within_an_ulp(n, start, stop):
+    # not bit for bit: numpy's AVX-512 power and libm's pow, which Python's
+    # ** calls, differ in the last bit at a few points in a hundred, and
+    # neither is correctly rounded everywhere
+    import mpmath
+    import numpy as np
+
+    got = cli._geomspace(start, stop, n)
+    assert len(got) == n and got[0] == start and (n == 1 or got[-1] == stop)
+    exponents = cli._linspace(math.log10(start), math.log10(stop), n)
+    with mpmath.workdps(40):
+        exact = [float(mpmath.power(10, mpmath.mpf(y))) for y in exponents]
+    for ref in (np.geomspace(start, stop, n).tolist(), exact):
+        assert all(abs(x - r) <= math.ulp(r) for x, r in zip(got, ref))
+
+
 def test_output_file_instead_of_stdout(capsys, tmp_path):
     target = tmp_path / "energy.csv"
     code, out, _ = run(capsys, "energy", "--output", str(target))

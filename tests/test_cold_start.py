@@ -58,7 +58,9 @@ def run_command(argv: list[str], check: str) -> subprocess.CompletedProcess:
     "argv",
     [["--version"], ["--help"], ["energy"], ["energy", "--t", "0.1,0.5"],
      ["energy", "--geometry", "twisted"], ["density"], ["density", "--t", "0.1"],
-     ["compare"], ["figure", "--which", "fig1"], ["spectrum", "--omega-max", "30"],
+     ["density", "--geometry", "halfline"], ["density", "--geometry", "halfline", "--t", "0.1"],
+     ["compare"], ["figure", "--which", "fig1"], ["figure", "--which", "fig2"],
+     ["figure", "--which", "fig2", "--t", "0.01"], ["spectrum", "--omega-max", "30"],
      ["spectrum", "--geometry", "twisted", "--theta", "2.0", "--omega-max", "30"]],
     ids=lambda argv: " ".join(argv),
 )

@@ -168,6 +168,35 @@ def test_levels_past_the_float_range_at_a_subnormal_length(geometry):
 
 
 @pytest.mark.parametrize(
+    "geometry",
+    [Interval(length, left, right) for length in (5e-324, 1e-310)
+     for left in (DIRICHLET, NEUMANN) for right in (DIRICHLET, NEUMANN)]
+    + [TwistedCircle(length, theta) for length in (5e-324, 1e-310) for theta in (0.0, 1.0, PI)],
+    ids=str,
+)
+@pytest.mark.parametrize("omega", [1.0, 1e300, 1.7976931348623157e308])
+def test_both_counts_agree_at_subnormal_lengths(geometry, omega):
+    # every level but a zero mode is past the float range; at theta = 1 the
+    # left movers' first rung was formed as -theta/L + 2 pi/L = -inf + inf,
+    # where counting_function raised while the split summed to 0
+    zero_mode = int(geometry in (Interval(geometry.length, NEUMANN, NEUMANN),
+                                 TwistedCircle(geometry.length, 0.0)))
+    assert counting_function(geometry, omega) == zero_mode
+    assert counting_decomposition(geometry, omega).total == pytest.approx(zero_mode, abs=1e-15)
+
+
+def test_a_left_mover_level_is_counted_where_theta_over_length_overflows():
+    # theta/L = 6.3e310, yet the first left-mover level (2 pi - theta)/L is
+    # the float 8.9e294, which -theta/L + 2 pi/L formed as -inf + inf
+    geometry = TwistedCircle(1e-310, 2.0 * PI - 1e-15)
+    level = (2.0 * PI - geometry.theta) / geometry.length
+    assert eigenvalues(geometry, 1e300) == [(level, 1)]
+    assert counting_function(geometry, 0.5 * level) == 0
+    assert counting_function(geometry, 1e300) == 1
+    assert counting_decomposition(geometry, 1e300).total == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
     "geometry,omega",
     [(Interval(1.0, DIRICHLET, DIRICHLET), 1.7e308),  # 2 omega L overflows
      (Interval(1e-300, DIRICHLET, DIRICHLET), 1e-300),  # omega L underflows to 0
