@@ -7,9 +7,10 @@ to every number, kept honest against each other.
 
 Every public name and submodule loads on first use (PEP 562), so
 ``import vacuum1d`` imports none of them.  The closed-form energies and
-densities (``energy``, ``spectrum``, ``summation``) import numpy only
-inside their array functions; ``kernels``, ``orbits`` and ``verify``
-import it on load.
+densities (``energy``, ``spectrum``, and ``series``, the plain-float half
+of the summation layer) import numpy only inside their array functions
+and never load ``summation``, the lattice sums and quadrature;
+``kernels``, ``orbits`` and ``verify`` import numpy on load.
 """
 
 import importlib
@@ -79,7 +80,7 @@ _EXPORTS = {
         "twisted_energy",
         "twisted_energy_orbit_sum",
     ),
-    "summation": (
+    "series": (
         "ABEL",
         "RAW",
         "RIESZ_CESARO_2",
@@ -87,9 +88,9 @@ _EXPORTS = {
         "SeriesValue",
         "bernoulli_cos_sum",
         "bernoulli_sin_sum",
-        "lattice_sum",
         "riesz_cesaro2_energy_integrand",
     ),
+    "summation": ("lattice_sum",),
     "verify": ("CheckResult", "run_checks"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,7 +28,11 @@ Cold start: the closed forms, the level list and the default grids
 ``energy``, ``density``, ``spectrum``, ``compare`` and ``figure`` (both
 figures) never import numpy, which is most of the start-up time.  numpy
 loads only in ``kernel``, whose series take one array call per height
-and route over every ``--x``, and in ``verify``.
+and route over every ``--x``, and in ``verify``.  Each ``cmd_*`` imports
+the modules it runs when it runs: this module loads only ``spectrum``
+(and the ``series`` closed forms it reads) for the geometry flags, the
+energy and density commands add ``energy``, ``compare`` also its report
+half ``_reports``, and ``json`` loads in :func:`emit_json` alone.
 """
 
 from __future__ import annotations
@@ -36,20 +40,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .energy import (
-    approximation_report,
-    energy_density_regularized,
-    energy_density_renormalized,
-    total_energy_regularized,
-    total_energy_renormalized,
-)
 from .errors import ContinuousSpectrum, InvalidParameter, VacuumError
 from .spectrum import (
     DIRICHLET,
@@ -61,7 +57,6 @@ from .spectrum import (
     counting_function,
     eigenvalues,
 )
-from .summation import SeriesControl
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -117,6 +112,8 @@ def emit_csv(table: Table) -> str:
 
 def emit_json(table: Table) -> str:
     """JSON text: ``{"meta": {...}, "rows": [{column: value, ...}, ...]}``."""
+    import json
+
     rows = [
         {key: _py(value) for key, value in zip(table.columns, row)}
         for row in table.rows
@@ -256,6 +253,8 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[Table, int]:
 
 
 def cmd_energy(args: argparse.Namespace) -> tuple[Table, int]:
+    from .energy import total_energy_regularized, total_energy_renormalized
+
     if args.geometry == "twisted" and args.theta is None:
         # No angle given: sweep the full holonomy circle instead.
         n = _grid_points(args, 101)
@@ -298,6 +297,8 @@ def _default_x_grid(geometry: Geometry, n: int) -> list[float]:
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[Table, int]:
+    from .energy import energy_density_regularized, energy_density_renormalized
+
     geometry = build_geometry(args)
     xs = args.x if args.x else _default_x_grid(geometry, _grid_points(args, 101))
     meta = _meta(args, geometry, xi=args.xi)
@@ -330,6 +331,7 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
     import numpy as np
 
     from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM, cylinder_kernel
+    from .series import SeriesControl
 
     geometry = build_geometry(args)
     ts = args.t or [0.05, 0.1, 0.5, 1.0]
@@ -355,6 +357,8 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Table, int]:
 
 
 def cmd_figure(args: argparse.Namespace) -> tuple[Table, int]:
+    from .energy import energy_density_regularized, energy_density_renormalized
+
     if args.which == "fig1":
         if args.t:
             raise InvalidParameter("fig1 is the t -> 0 profile and takes no --t")
@@ -399,6 +403,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[Table, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[Table, int]:
+    from .energy import approximation_report
+
     geometry = Interval(args.length, _BC[args.bc_left], _BC[args.bc_right])
     report = approximation_report(
         geometry,

@@ -32,6 +32,14 @@ The regularized (finite-t) forms keep the full t-dependence and exhibit
 the non-commuting t -> 0 / x -> 0 limits near a wall: at fixed x the
 Dirichlet boundary density tends to +1/(8 pi x^2), while at fixed t it
 dives to -1/(2 pi t^2) as x -> 0.
+
+Everything here but the orbit sum runs on the plain-float closed forms of
+:mod:`vacuum1d.series`; :func:`twisted_energy_orbit_sum` loads the lattice
+sums of :mod:`vacuum1d.summation` on its first call.  The coefficient fit,
+the Theorem-1 comparison and the approximation report keep their entry
+points and docstrings here, and their work and records (importable from
+here too) live in :mod:`vacuum1d._reports`, which loads on the first call
+of one of them.
 """
 
 from __future__ import annotations
@@ -39,18 +47,17 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import summation
-from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry
-from .errors import as_count, as_float, as_real
+from .errors import ContinuousSpectrum, InvalidParameter, as_count, as_float, as_real
+from .series import _BERNOULLI_EVEN, _TABLES, ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
+from .series import _riesz_cesaro2, _winding_phase, bernoulli_cos_sum
 from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle, _phase
 from .spectrum import as_point
-from .summation import ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 
 if TYPE_CHECKING:
-    import numpy as np
+    from ._reports import ApproximationReport, CylinderExpansion, Theorem1Report
 
 PI = math.pi
 # Below this an angle pi t/2L or pi x/L has lost bits to underflow.
@@ -142,7 +149,7 @@ def _g_odd(z: float) -> float:
 # i = 0..j, so B_2j(1/2 + beta) is a polynomial in beta^2, highest power
 # first; B_2i(1/2) = (2^(1 - 2i) - 1) B_2i, and j runs to 12.
 _BERNOULLI_HALF = (1.0,) + tuple(
-    (2.0 ** (1 - 2 * i) - 1.0) * b for i, b in enumerate(summation._BERNOULLI_EVEN, start=1)
+    (2.0 ** (1 - 2 * i) - 1.0) * b for i, b in enumerate(_BERNOULLI_EVEN, start=1)
 )
 _TWISTED_SERIES = tuple(
     tuple(
@@ -275,7 +282,7 @@ def twisted_energy(theta: float, length: float) -> float:
     An energy past the float range raises :class:`InvalidParameter`.
     """
     theta, length = as_real(theta, "theta"), as_real(length, "length", positive=True)
-    energy = -summation.bernoulli_cos_sum(theta) / (PI * length)
+    energy = -bernoulli_cos_sum(theta) / (PI * length)
     if not _isfinite(energy):
         raise InvalidParameter(f"the vacuum energy leaves the float range at L={length!r}")
     return energy
@@ -297,6 +304,8 @@ def twisted_energy_orbit_sum(
     tens to hundreds of windings.  Converges to :func:`twisted_energy` as
     t -> 0; at t > 0 the value keeps the damping's own O(t^2) bias.
     """
+    from . import summation
+
     theta, length = as_real(theta, "theta"), as_real(length, "length", positive=True)
     t = control.damping_t
     # Re (a - i t)^-2 = (a^2 - t^2)/(a^2 + t^2)^2; the m and -m terms of
@@ -333,7 +342,7 @@ def orbit_energy_contribution(
       ``-cos(n theta) / (2 pi n^2 L)``).
     * ``riesz-cesaro-2``: the order-2 Riesz-Cesaro mean of the divergent
       frequency integral, ``(1/2pi) * closed antiderivative`` from
-      :func:`summation.riesz_cesaro2_energy_integrand` at the requested
+      :func:`~vacuum1d.series.riesz_cesaro2_energy_integrand` at the requested
       cutoff (default: its Omega -> inf limit).
 
     The two regulators agree exactly in their limits -- the orbit energy
@@ -352,9 +361,9 @@ def orbit_energy_contribution(
         raise InvalidParameter("abel damping t must be >= 0")
     if method not in (ABEL, RIESZ_CESARO_2):
         raise InvalidParameter(f"unknown per-orbit method {method!r}")
-    a, b = n * length, summation._winding_phase(n, theta)
+    a, b = n * length, _winding_phase(n, theta)
     if method == RIESZ_CESARO_2:
-        return summation._riesz_cesaro2(a, b, omega_max, length / (2.0 * PI))
+        return _riesz_cesaro2(a, b, omega_max, length / (2.0 * PI))
     # In ratios u = a/m, v = t/m to m = max(|a|, t), so no square leaves the
     # float range; L/m is 1/|n| where |a| is the larger, even if n L overflows.
     if t > abs(a):
@@ -374,7 +383,7 @@ def orbit_energy_contribution(
 # Only the wall profile depends on x.  The Weyl and periodic parts, and the
 # exponentials of z = pi t/2L that the interval profile is made of, depend
 # on (L, ends, t) alone: _density_bulk computes them once and keeps the
-# summation._TABLES most recent, so the points of a profile at one t share
+# _TABLES most recent, so the points of a profile at one t share
 # them.  The rest of a density call is one pass over plain floats: a numpy
 # call on a scalar costs about a microsecond, as much as the whole formula.
 # Each part is written once, in quantities that leave the float range only
@@ -410,7 +419,7 @@ def _sine_length(length: float, x: float, p: float) -> float:
 
 # typed: the interval's like_ends (a bool) and the twist theta (a float)
 # share the middle place of the key, and False == 0.0
-@functools.lru_cache(maxsize=summation._TABLES, typed=True)
+@functools.lru_cache(maxsize=_TABLES, typed=True)
 def _density_bulk(length: float, ends: bool | float, t: float) -> tuple[float, ...]:
     """The x-free part of the density at regulator t: (weyl, periodic) on the
     twisted circle (``ends`` = theta), and on the interval (``ends`` =
@@ -562,76 +571,27 @@ def energy_density_renormalized(
         bdry = 4.0 * xi * b
         return _breakdown(0.0, 0.0, bdry, bdry, 0.0, "", xi)
     xi, theta, length = as_real(xi, "xi"), geometry.theta, geometry.length
-    per = -summation.bernoulli_cos_sum(theta) / (PI * length) / length  # twisted_energy / L
+    per = -bernoulli_cos_sum(theta) / (PI * length) / length  # twisted_energy / L
     return _breakdown(0.0, per, 0.0, per, 0.0, _ZERO_MODE if theta == 0.0 else "", xi)
 
 
 # ---------------------------------------------------------------------------
-# Cylinder / heat coefficient extraction.
+# Reports: the cylinder coefficients, the Theorem-1 comparison and the
+# approximation hierarchy.  Their work and records live in _reports, which
+# loads on the first call of one of these.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class CylinderExpansion:
-    """Small-t expansion ``t Tr T(t) = sum_k e_k t^k``, k = 0..4, read off
-    the closed-form trace by a Cauchy integral.
-
-    In one dimension the expansion has no logarithmic terms, which is
-    what makes the e_2 energy coefficient well-defined.
-    ``truncation_bound`` is keyed like ``e`` and bounds each coefficient's
-    error (see :func:`extract_cylinder_coefficients`).
-    """
-
-    e: dict[int, float]
-    d: int
-    truncation_bound: dict[int, float]
-
-    @property
-    def energy(self) -> float:
-        """The vacuum energy read off the expansion: -e_2 / 2."""
-        return -0.5 * self.e[2]
+_REPORTS = ("ApproximationReport", "ApproximationRow", "CylinderExpansion", "Theorem1Report")
 
 
-# N nodes on |u| = r = R/2, aliasing bounded on |u| = rho = 0.95 R, so
-# q = (r/rho)^N = 1.9^-64.  Against 40-digit Taylor coefficients of every
-# interval and six twists the rounding reaches 0.92 eps max|h| r^-k; the
-# bound allows _CAUCHY_ROUNDING of these.
-_CAUCHY_NODES = 64
-_ALIASING = 1.9**-_CAUCHY_NODES / (1.0 - 1.9**-_CAUCHY_NODES)
-_CAUCHY_ROUNDING = 4.0
+def __getattr__(name: str):
+    """The report records, from :mod:`vacuum1d._reports` on first use."""
+    if name not in _REPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _reports
 
-
-@functools.cache
-def _cauchy_rule(r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u_m = r e^{2 pi i m/N}, m = 0..N/2, and the matrix taking h(u_m)
-    to h_0..h_4 (real part), built once per radius.  h is real on the real
-    axis, so the lower half circle adds the conjugate of the upper: weights
-    1/N at u = +-r and 2/N between."""
-    import numpy as np
-
-    m = np.arange(_CAUCHY_NODES // 2 + 1)
-    k = np.arange(5)[:, None]
-    nodes = r * np.exp(2j * PI / _CAUCHY_NODES * m)
-    weight = np.where((m == 0) | (m == _CAUCHY_NODES // 2), 1.0, 2.0) / _CAUCHY_NODES
-    rule = weight * np.exp(-2j * PI / _CAUCHY_NODES * k * m) / r**k
-    nodes.setflags(write=False)
-    rule.setflags(write=False)
-    return nodes, rule
-
-
-def _trace_envelope(unit: Interval | TwistedCircle, rho: float) -> float:
-    """A bound of |Tr T(u)| on |u| = rho < R for the unit-length geometry.
-
-    The traces are e^{-pi u/2} / 2 sinh(pi u/2) (+1 for Neumann ends),
-    1 / 2 sinh(pi u/2) (mixed ends) and cosh((pi - theta) u) / sinh(pi u);
-    |e^{-a u}| <= e^{a rho}, |cosh(a u)| <= cosh(a rho), and |sinh z| >= sin|z|
-    for |z| < pi, factor by factor in sinh z = z prod_n (1 + z^2/(n pi)^2)."""
-    if isinstance(unit, TwistedCircle):
-        return math.cosh((PI - unit.theta) * rho) / math.sin(PI * rho)
-    half = 0.5 * PI * rho
-    if not unit.like_ends:
-        return 0.5 / math.sin(half)
-    return 0.5 * math.exp(half) / math.sin(half) + (1.0 if unit.left is NEUMANN else 0.0)
+    value = globals()[name] = getattr(_reports, name)
+    return value
 
 
 def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
@@ -656,51 +616,9 @@ def extract_cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
     :class:`InvalidParameter` where a coefficient or its bound leaves the
     float range (e_3, e_4 carry L^-2, L^-3: below about L = 1e-100).
     """
-    from . import kernels
+    from ._reports import cylinder_coefficients
 
-    if isinstance(geometry, HalfLine):
-        raise ContinuousSpectrum("half-line cylinder trace diverges")
-    unit = replace(geometry, length=1.0)
-    pole = 1.0 if isinstance(geometry, TwistedCircle) else 2.0
-    r, rho = 0.5 * pole, 0.95 * pole
-    nodes, rule = _cauchy_rule(r)
-    coef = (rule @ (nodes * kernels._closed_trace(unit, nodes))).real.tolist()
-    aliasing = rho * _trace_envelope(unit, rho) * _ALIASING
-    rounding = _CAUCHY_ROUNDING * sys.float_info.epsilon * r * _trace_envelope(unit, r)
-    length = geometry.length
-    e, bound = {}, {}
-    for k, value in enumerate(coef):
-        err = aliasing / rho**k + rounding / r**k
-        if k == 0:
-            value, err = value * length, err * length
-        for _ in range(k - 1):
-            value, err = value / length, err / length
-        if not (_isfinite(value) and _isfinite(err)):
-            raise InvalidParameter(f"e_{k} leaves the float range at L = {length!r}")
-        e[k], bound[k] = value, err
-    return CylinderExpansion(e=e, d=1, truncation_bound=bound)
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Heat-kernel vs cylinder-kernel coefficient comparison (d = 1).
-
-    The heat coefficients determine e_0 and e_1 through
-
-        e_0 = (2 / sqrt(pi)) b_0,        e_1 = b_1,
-
-    but say nothing about e_2: that coefficient (the energy) lives in the
-    exponentially small part of the heat trace, as ``note`` states.
-    """
-
-    b0: float
-    b1: float
-    e0: float
-    e1: float
-    e2: float
-    defect_e0: float
-    defect_e1: float
-    note: str
+    return cylinder_coefficients(geometry)
 
 
 def theorem1_check(geometry: Geometry) -> Theorem1Report:
@@ -716,54 +634,9 @@ def theorem1_check(geometry: Geometry) -> Theorem1Report:
     ``b_1 = T_1 - b_0 t_1^{-1/2}`` exactly up to rounding; b_0 is then
     scaled by L.  Cylinder side: :func:`extract_cylinder_coefficients`.
     """
-    from . import kernels
+    from ._reports import theorem1
 
-    if isinstance(geometry, HalfLine):
-        raise ContinuousSpectrum("half-line traces diverge")
-    unit = replace(geometry, length=1.0)
-    t1, t2 = 1e-3, 2e-3
-    tr1, tr2 = kernels._heat_trace(unit, (t1, t2), SeriesControl()).tolist()
-    b0 = (tr1 - tr2) / (t1**-0.5 - t2**-0.5)
-    b1 = tr1 - b0 * t1**-0.5
-    b0 *= geometry.length
-    cyl = extract_cylinder_coefficients(geometry)
-    e0, e1, e2 = cyl.e[0], cyl.e[1], cyl.e[2]
-    return Theorem1Report(
-        b0, b1, e0, e1, e2, abs(e0 - 2.0 / math.sqrt(PI) * b0), abs(e1 - b1),
-        "e2 (hence the vacuum energy -e2/2) is invisible to the heat expansion: it "
-        "sits in a remainder of terms like e^(-L^2/t), exponentially small in 1/t "
-        "and with no power series at t = 0",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Approximation hierarchy.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApproximationRow:
-    quantity: str
-    exact: float
-    stationary_phase: float
-    short_orbit: float
-
-
-@dataclass(frozen=True)
-class ApproximationReport:
-    """Exact vs truncated-orbit answers for an interval.
-
-    ``stationary_phase`` drops the boundary family entirely (it carries
-    no stationary point of the phase at omega > 0): total energies are
-    exact, densities lose their wall profile.  ``short_orbit`` truncates
-    the boundary family at the two single-reflection paths while keeping
-    the periodic family resummed -- the tempting shortcut that leaves a
-    spurious wall energy behind.
-    """
-
-    geometry: Interval
-    xi: float
-    rows: tuple[ApproximationRow, ...] = field(default_factory=tuple)
+    return theorem1(geometry)
 
 
 def approximation_report(
@@ -783,32 +656,6 @@ def approximation_report(
     bulk and replace the wall profile by the two nearest single
     reflections, which are the two half-line wall densities.
     """
-    if not isinstance(geometry, Interval):
-        raise UnsupportedGeometry("approximation report is defined for intervals")
-    length, l, r = geometry.length, geometry.l, geometry.r
-    if x_points is None:
-        x_points = (0.25 * length, 0.5 * length)
-    exact_total = total_energy_renormalized(geometry).total_renormalized
-    short_bdry = ((-1.0) ** l + (-1.0) ** r) / (8.0 * PI * length)
-    rows = [
-        ApproximationRow(
-            "total_energy", exact_total, exact_total, exact_total + short_bdry
-        ),
-        ApproximationRow("boundary_energy", 0.0, 0.0, short_bdry),
-    ]
-    for x in x_points:
-        full = energy_density_renormalized(geometry, x, xi)
-        bulk_exact = full.periodic
-        wall = (
-            energy_density_renormalized(HalfLine(geometry.left), x, xi).boundary
-            + energy_density_renormalized(HalfLine(geometry.right), length - x, xi).boundary
-        )
-        rows.append(
-            ApproximationRow(
-                f"density@{x:g}",
-                full.total_renormalized,
-                bulk_exact,
-                bulk_exact + wall,
-            )
-        )
-    return ApproximationReport(geometry=geometry, xi=xi, rows=tuple(rows))
+    from ._reports import approximation
+
+    return approximation(geometry, x_points, xi)

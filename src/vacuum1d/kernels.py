@@ -248,7 +248,11 @@ def _mode_sum(
     For a point array, amplitude returns one row of rungs per point and
     the halves of x and y are arrays: each row is multiplied by the
     e^{-t omega} row and summed along it, as the one-point sum is.
-    Returns (value, terms, bound)."""
+    Returns (value, terms, bound).  An amplitude size past the float range
+    (L below about 1e-308) raises before any term is formed: its inf norm
+    times a term of 0.0 would be nan."""
+    if not size < math.inf:
+        raise InvalidParameter(f"t={t!r} is too small for a mode sum of amplitude {size!r}")
     total, terms, bound = 0.0, 0, 0.0
     rows = _mode_rows(geometry, t, min(control.max_terms, _CACHED_TERMS))
     if control.max_terms > _CACHED_TERMS and any(ladder[3].size > _CACHED_TERMS for ladder in rows):
@@ -799,10 +803,15 @@ def _closed_trace(geometry: Interval | TwistedCircle, t: np.ndarray | float) -> 
     like ends e^{-b}/(1 - e^{-b}), mixed ends e^{-b/2}/(1 - e^{-b}), and
     the twisted circle (e^{-theta t/L} + e^{-(2 pi - theta) t/L})/(1 - e^{-2b}).
     Each numerator is at most 2, so where the denominator would take the
-    trace past the float range (t/L below about 1e-308) it raises first."""
+    trace past the float range (t/L below about 1e-308) it raises first.
+    Each exponent is c t/L with c = pi, theta or 2 pi - theta; where a
+    float 2 pi t (pi t on the interval) overflows, t/L is formed first and
+    the trace runs in units of L, so every other t keeps the bits of c t/L."""
     length = geometry.length
-    b = math.pi * t / length
     circle = isinstance(geometry, TwistedCircle)
+    if isinstance(t, float) and not (TWO_PI if circle else math.pi) * t < math.inf:
+        t, length = t / length, 1.0
+    b = math.pi * t / length
     gap = -np.expm1(-2.0 * b if circle else -b)
     if not _all(abs(gap) >= 4.0 / sys.float_info.max):
         raise InvalidParameter(f"trace overflows at t={t!r}")

@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from . import summation
 from .errors import AtEigenvalue, ContinuousSpectrum, InvalidParameter, OutOfDomain
 from .errors import as_count, as_float, as_real
+from .series import bernoulli_sin_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -262,14 +262,18 @@ def _rungs(
 ) -> np.ndarray:
     """The frequencies offset + j*step <= omega_max of one ladder, at most
     ``cap`` of them, rung 0 as :func:`_rung` forms it; omega_max may be
-    inf when a cap is given."""
+    inf when a cap is given.  A rung past the float range is inf, as
+    :func:`_rung` forms it, and raises no numpy warning."""
     import numpy as np
 
     step, offset, j_min = ladder
     above = (omega_max - offset) / step - j_min  # rungs past the first
     n = cap if above >= cap else min(cap, _count_leq(step, offset, j_min, omega_max))
     j = np.arange(j_min, j_min + n, dtype=float)
-    return offset + np.multiply(j, step, out=j, where=j != 0.0)
+    if offset + (j_min + n - 1) * step < math.inf:
+        return offset + np.multiply(j, step, out=j, where=j != 0.0)
+    with np.errstate(over="ignore"):
+        return offset + np.multiply(j, step, out=j, where=j != 0.0)
 
 
 def eigenvalues(geometry: Geometry, omega_max: float) -> list[tuple[float, int]]:
@@ -352,7 +356,7 @@ def periodic_counting_term(geometry: Geometry, omega: float) -> float:
 
     Closed sawtooth forms, with z = turns omega L and theta of the direct
     family of :func:`_images` and saw the sawtooth sum sin(n z)/n of
-    :func:`summation.bernoulli_sin_sum`: ``saw(z + theta) / pi`` with
+    :func:`~vacuum1d.series.bernoulli_sin_sum`: ``saw(z + theta) / pi`` with
     walls, where theta = 0 or pi is the sign (-1)^n, and ``[saw(z - theta)
     + saw(z + theta)] / pi`` on the circle; 0 on the half-line.  Raises
     :class:`InvalidParameter` where the phase z overflows, or underflows to
@@ -365,7 +369,7 @@ def periodic_counting_term(geometry: Geometry, omega: float) -> float:
     z = turns * (omega * geometry.length)
     if not 0.0 < z < math.inf:
         raise InvalidParameter(f"the sawtooth phase is past the float range at omega = {omega!r}")
-    saw = summation.bernoulli_sin_sum
+    saw = bernoulli_sin_sum
     if _walls(rows):
         return saw(z + theta) / math.pi
     return (saw(z - theta) + saw(z + theta)) / math.pi

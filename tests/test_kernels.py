@@ -7,6 +7,8 @@ tame) is probed through the fitted 1/t and constant coefficients.
 """
 
 import math
+import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -35,6 +37,7 @@ from vacuum1d.spectrum import (
 from vacuum1d.summation import SeriesControl
 
 PI = math.pi
+EPS = sys.float_info.epsilon
 
 ROUTES = (MODE_SUM, IMAGE_SUM, CLOSED_FORM)
 
@@ -695,6 +698,48 @@ def test_heat_trace_past_the_float_range_of_t_omega_squared_is_zero():
     # t omega^2 overflows on every kept rung: the terms are 0.0, and numpy
     # once warned of the overflow on the way
     assert heat_trace(Interval(1e-300), 1e-300) == 0.0
+
+
+@pytest.mark.parametrize(
+    "geometry", [Interval(4e-308), TwistedCircle(4e-308, 0.5)], ids=repr
+)
+def test_heat_trace_with_rungs_past_the_float_range_is_zero_without_a_warning(geometry):
+    # from j = 3 on, j pi/L leaves the float range: numpy warned "overflow
+    # encountered in multiply" while the ladder was built
+    assert heat_trace(geometry, 1.0) == 0.0
+
+
+def test_mode_sum_with_an_amplitude_past_the_float_range_raises_without_a_warning():
+    # the norm 1/L = inf times a term of 0.0 warned "invalid value
+    # encountered in multiply" before the bound raised
+    with pytest.raises(InvalidParameter, match="too small for a mode sum"):
+        cylinder_kernel(TwistedCircle(1e-310, 0.0), 1.0, 0.0, 5e-311, method=MODE_SUM)
+
+
+@pytest.mark.parametrize(
+    "geometry,fraction",
+    [(Interval(sys.float_info.max), 1.0),
+     (Interval(sys.float_info.max, NEUMANN, DIRICHLET), 1.0),
+     (Interval(sys.float_info.max, NEUMANN, NEUMANN), 0.3),
+     (TwistedCircle(sys.float_info.max, 0.0), 0.3),
+     (TwistedCircle(sys.float_info.max, 1.0), 1.0)],
+    ids=repr,
+)
+def test_three_trace_routes_agree_at_the_largest_length(geometry, fraction):
+    # pi t and (2 pi - theta) t once overflowed before the division by L:
+    # the closed trace came back 0.0 on the interval, and 1.179 against
+    # coth(0.3 pi) = 1.358 on the untwisted circle, each with a bound of 0
+    t = fraction * geometry.length
+    closed = cylinder_trace(geometry, t)
+    unit = cylinder_trace(replace(geometry, length=1.0), t / geometry.length)
+    assert closed.value == pytest.approx(unit.value, rel=4 * EPS)
+    for method in (IMAGE_SUM, MODE_SUM):
+        series = cylinder_trace(geometry, t, method)
+        assert abs(series.value - closed.value) <= series.truncation_bound + 4 * EPS * closed.value
+    if isinstance(geometry, TwistedCircle):  # the diagonal kernel is Tr T / L
+        kernel = cylinder_kernel(geometry, t, 0.0)
+        image = cylinder_kernel(geometry, t, 0.0, method=IMAGE_SUM)
+        assert abs(image.value - kernel.value) <= image.truncation_bound + 4 * 5e-324
 
 
 def test_image_sums_near_the_float_range_stay_finite_within_their_bounds():
