@@ -9,8 +9,9 @@ this module on its first call, so the energy and density commands never
 compile it.  The four records (:class:`CylinderExpansion`,
 :class:`Theorem1Report`, :class:`ApproximationRow`,
 :class:`ApproximationReport`) are importable from :mod:`vacuum1d.energy`
-too.  The energies and densities these reports read are called through
-the :mod:`vacuum1d.energy` module, as the package itself calls them.
+too.  The energies, densities and coefficients these reports read are
+called through the :mod:`vacuum1d.energy` module, so that whatever is
+bound there runs (a tracer's wrapper, say), as when they lived in it.
 """
 
 from __future__ import annotations

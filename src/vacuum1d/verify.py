@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import energy, kernels, orbits, spectrum, summation
+from . import energy, kernels, spectrum, summation
 from .errors import AtEigenvalue
 from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM
 from .spectrum import DIRICHLET, NEUMANN, HalfLine, Interval, TwistedCircle

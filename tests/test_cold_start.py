@@ -24,7 +24,6 @@ ENGINE = ("vacuum1d.summation", "vacuum1d.kernels", "vacuum1d.orbits", "vacuum1d
           "vacuum1d._arrays", "numpy")
 NO_ENGINE = f"assert not set(sys.modules) & {set(ENGINE)!r}, sorted(sys.modules)"
 NO_JSON = "assert 'json' not in sys.modules, sorted(sys.modules)"
-NO_ENERGY = "assert 'vacuum1d.energy' not in sys.modules, sorted(sys.modules)"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -88,12 +87,13 @@ def test_closed_form_commands_load_json_for_json_output_alone(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--version"], ["spectrum", "--omega-max", "30"], ["kernel", "--geometry", "twisted"]],
-    ids=lambda argv: " ".join(argv),
+    "argv,module",
+    [(["--version"], "vacuum1d.energy"), (["spectrum", "--omega-max", "30"], "vacuum1d.energy"),
+     (["kernel", "--geometry", "twisted"], "vacuum1d.energy"), (["verify"], "vacuum1d.orbits")],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
 )
-def test_commands_without_an_energy_load_no_energy_module(argv):
-    proc = run_command(argv, NO_ENERGY)
+def test_commands_load_no_module_they_do_not_run(argv, module):
+    proc = run_command(argv, f"assert {module!r} not in sys.modules, sorted(sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 
