@@ -14,14 +14,8 @@ import numpy as np
 
 from . import summation
 from .errors import InvalidParameter
-from .summation import (
-    _SMALL_ANGLE,
-    EULER_MACLAURIN,
-    SUMMATION_BY_PARTS,
-    TWO_PI,
-    SeriesControl,
-    SeriesValue,
-)
+from .series import EULER_MACLAURIN, SUMMATION_BY_PARTS, TWO_PI, SeriesControl, SeriesValue
+from .summation import _SMALL_ANGLE
 
 
 class TermCounts(np.ndarray):

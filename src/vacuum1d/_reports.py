@@ -19,11 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import energy
-from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry
+from .errors import ContinuousSpectrum, InvalidParameter, Record, UnsupportedGeometry
 from .series import SeriesControl
 from .spectrum import NEUMANN, Geometry, HalfLine, Interval, TwistedCircle
 
@@ -37,8 +36,7 @@ PI = math.pi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderExpansion:
+class CylinderExpansion(Record):
     """Small-t expansion ``t Tr T(t) = sum_k e_k t^k``, k = 0..4, read off
     the closed-form trace by a Cauchy integral.
 
@@ -51,6 +49,9 @@ class CylinderExpansion:
     e: dict[int, float]
     d: int
     truncation_bound: dict[int, float]
+
+    def __init__(self, e: dict[int, float], d: int, truncation_bound: dict[int, float]) -> None:
+        self.__dict__.update(e=e, d=d, truncation_bound=truncation_bound)
 
     @property
     def energy(self) -> float:
@@ -106,7 +107,7 @@ def cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
 
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line cylinder trace diverges")
-    unit = replace(geometry, length=1.0)
+    unit = geometry.__replace__(length=1.0)
     pole = 1.0 if isinstance(geometry, TwistedCircle) else 2.0
     r, rho = 0.5 * pole, 0.95 * pole
     nodes, rule = _cauchy_rule(r)
@@ -127,8 +128,7 @@ def cylinder_coefficients(geometry: Geometry) -> CylinderExpansion:
     return CylinderExpansion(e=e, d=1, truncation_bound=bound)
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(Record):
     """Heat-kernel vs cylinder-kernel coefficient comparison (d = 1).
 
     The heat coefficients determine e_0 and e_1 through
@@ -148,6 +148,21 @@ class Theorem1Report:
     defect_e1: float
     note: str
 
+    def __init__(
+        self,
+        b0: float,
+        b1: float,
+        e0: float,
+        e1: float,
+        e2: float,
+        defect_e0: float,
+        defect_e1: float,
+        note: str,
+    ) -> None:
+        self.__dict__.update(
+            b0=b0, b1=b1, e0=e0, e1=e1, e2=e2, defect_e0=defect_e0, defect_e1=defect_e1, note=note
+        )
+
 
 def theorem1(geometry: Geometry) -> Theorem1Report:
     """The work of :func:`vacuum1d.energy.theorem1_check`."""
@@ -155,7 +170,7 @@ def theorem1(geometry: Geometry) -> Theorem1Report:
 
     if isinstance(geometry, HalfLine):
         raise ContinuousSpectrum("half-line traces diverge")
-    unit = replace(geometry, length=1.0)
+    unit = geometry.__replace__(length=1.0)
     t1, t2 = 1e-3, 2e-3
     tr1, tr2 = kernels._heat_trace(unit, (t1, t2), SeriesControl()).tolist()
     b0 = (tr1 - tr2) / (t1**-0.5 - t2**-0.5)
@@ -176,16 +191,25 @@ def theorem1(geometry: Geometry) -> Theorem1Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproximationRow:
+class ApproximationRow(Record):
+    """One quantity of an :class:`ApproximationReport`: exact and in the
+    two truncated-orbit approximations."""
+
     quantity: str
     exact: float
     stationary_phase: float
     short_orbit: float
 
+    def __init__(
+        self, quantity: str, exact: float, stationary_phase: float, short_orbit: float
+    ) -> None:
+        self.__dict__.update(
+            quantity=quantity, exact=exact, stationary_phase=stationary_phase,
+            short_orbit=short_orbit,
+        )
 
-@dataclass(frozen=True)
-class ApproximationReport:
+
+class ApproximationReport(Record):
     """Exact vs truncated-orbit answers for an interval.
 
     ``stationary_phase`` drops the boundary family entirely (it carries
@@ -198,7 +222,12 @@ class ApproximationReport:
 
     geometry: Interval
     xi: float
-    rows: tuple[ApproximationRow, ...] = field(default_factory=tuple)
+    rows: tuple[ApproximationRow, ...] = ()
+
+    def __init__(
+        self, geometry: Interval, xi: float, rows: tuple[ApproximationRow, ...] = ()
+    ) -> None:
+        self.__dict__.update(geometry=geometry, xi=xi, rows=rows)
 
 
 def approximation(

@@ -43,10 +43,9 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
-from .errors import ContinuousSpectrum, InvalidParameter, VacuumError
+from .errors import ContinuousSpectrum, InvalidParameter, Record, VacuumError
 from .spectrum import (
     DIRICHLET,
     NEUMANN,
@@ -72,13 +71,15 @@ _BC = {"D": DIRICHLET, "N": NEUMANN}
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Table:
+class Table(Record, frozen=False):
     """One emitted result set: metadata, column names, homogeneous rows."""
 
     meta: dict
     columns: tuple[str, ...]
     rows: list[tuple]
+
+    def __init__(self, meta: dict, columns: tuple[str, ...], rows: list[tuple]) -> None:
+        self.meta, self.columns, self.rows = meta, columns, rows
 
 
 def _py(value):

@@ -47,10 +47,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ContinuousSpectrum, InvalidParameter, as_count, as_float, as_real
+from .errors import ContinuousSpectrum, InvalidParameter, Record, as_count, as_float, as_real
 from .series import _BERNOULLI_EVEN, _TABLES, ABEL, RIESZ_CESARO_2, SeriesControl, SeriesValue
 from .series import _riesz_cesaro2, _winding_phase, bernoulli_cos_sum
 from .spectrum import DIRICHLET, NEUMANN, Geometry, HalfLine, Interval, TwistedCircle, _phase
@@ -66,8 +65,7 @@ _ZERO_MODE = "zero mode present (omega = 0); it adds nothing to the energy sum"
 _isfinite = math.isfinite
 
 
-@dataclass(frozen=True, init=False)
-class EnergyBreakdown:
+class EnergyBreakdown(Record):
     """Energy (or energy density) split by orbit family.
 
     ``weyl`` is the divergent volume part at the given regulator (0 once
@@ -83,10 +81,10 @@ class EnergyBreakdown:
     regulator_t: float
     note: str = ""
 
-    # Written out: a density profile builds thousands of these, and the
-    # generated frozen __init__, one object.__setattr__ a field, costs about
-    # three times as much.  The fields, equality, hash, repr, replace and
-    # FrozenInstanceError stay the dataclass's.
+    # Stored straight into __dict__: a density profile builds thousands of
+    # these, and one object.__setattr__ a field, as a generated frozen
+    # dataclass __init__ makes, costs about three times as much.  Equality,
+    # hash, repr, replace and freezing are errors.Record's.
     def __init__(
         self,
         weyl: float,

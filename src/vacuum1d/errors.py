@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types, input rules and the result-record base shared across
+the package.
 
 Every failure mode that callers are expected to branch on gets its own
 class; everything derives from :class:`VacuumError` so the command-line
 layer can catch the lot in one place and translate to exit codes.
+Every module that defines a record imports this one, so :class:`Record`
+lives here and puts no module on the cold path.
 """
+
+import operator
 
 
 class VacuumError(Exception):
@@ -80,3 +85,85 @@ def as_count(value: object, name: str) -> int:
     if number != int(number):
         raise InvalidParameter(f"{name} must be a whole number, not {number!r}")
     return int(number)
+
+
+class _DataclassProtocol:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record class
+    (PEP 557), made by the :mod:`dataclasses` module on first access, from
+    the class's annotations and defaults, and then set on the class."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, record: object, cls: type) -> object:
+        if cls is Record:
+            raise AttributeError(self.name)
+        import dataclasses
+
+        body = {name: cls.__dict__[name] for name in cls.__match_args__ if name in cls.__dict__}
+        body.update(__annotations__=cls.__annotations__, __module__=cls.__module__,
+                    __qualname__=cls.__qualname__)
+        twin = dataclasses.dataclass(type(cls.__name__, (), body), frozen=cls._frozen)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return cls.__dict__[self.name]
+
+
+class Record:
+    """Base of the package's result records, which behave as the frozen
+    dataclasses they were without importing :mod:`dataclasses` at import.
+
+    A subclass annotates its fields in order, with defaults as class
+    attributes, and writes its ``__init__``.  The base gives it
+    ``__match_args__``, equality and hashing over the field tuple (only
+    between records of one class), the dataclass ``__repr__``,
+    ``__replace__`` (:func:`copy.replace`), and a ``__setattr__`` and
+    ``__delattr__`` that raise :class:`dataclasses.FrozenInstanceError`;
+    ``frozen=False`` in the class statement leaves it mutable and
+    unhashable instead.  ``__dataclass_fields__`` and
+    ``__dataclass_params__`` are built on first access, so
+    :func:`dataclasses.replace`, ``fields``, ``asdict``, ``astuple`` and
+    ``is_dataclass`` work on every record.  Pickling stores ``__dict__``.
+    """
+
+    __dataclass_fields__ = _DataclassProtocol()
+    __dataclass_params__ = _DataclassProtocol()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        values = operator.attrgetter(*names)
+        cls.__match_args__ = names
+        # the field tuple of a record, called on the class: no method binds
+        cls._values = values if len(names) > 1 else lambda record: (values(record),)
+        cls._frozen = frozen
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._values(self) == cls._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__class__._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self.__class__._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __replace__(self, /, **changes: object) -> "Record":
+        cls = self.__class__
+        return cls(**dict(zip(cls.__match_args__, cls._values(self)), **changes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

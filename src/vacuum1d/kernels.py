@@ -40,13 +40,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from . import summation
-from .errors import ContinuousSpectrum, InvalidParameter, UnsupportedGeometry, as_real
+from .errors import ContinuousSpectrum, InvalidParameter, Record, UnsupportedGeometry, as_real
+from .series import _TABLES, SeriesControl
 from .spectrum import (
     DIRICHLET,
     MAX_RUNGS,
@@ -63,7 +63,6 @@ from .spectrum import (
     as_point,
     boundary_counting_term,
 )
-from .summation import SeriesControl
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -94,8 +93,7 @@ _MODE_ROUNDING = 4.0
 _FOURIER_SWITCH = 0.25
 
 
-@dataclass(frozen=True, init=False)
-class KernelValue:
+class KernelValue(Record):
     """A kernel evaluation plus provenance.
 
     ``method`` records the route actually used (requests that fall back,
@@ -117,8 +115,7 @@ class KernelValue:
     terms_used: int | TermCounts
     truncation_bound: float | np.ndarray
 
-    # Written out, as for energy.EnergyBreakdown: the generated frozen
-    # __init__ costs about three times as much.
+    # Stored straight into __dict__, as for energy.EnergyBreakdown.
     def __init__(
         self,
         value: float | complex | np.ndarray,
@@ -187,7 +184,7 @@ def _kept_rungs(
 _CACHED_TERMS = SeriesControl().max_terms
 
 
-@functools.lru_cache(maxsize=summation._TABLES)
+@functools.lru_cache(maxsize=_TABLES)
 def _mode_rows(
     geometry: Interval | TwistedCircle, t: float, max_terms: int
 ) -> tuple[tuple[float, float, float, np.ndarray, np.ndarray, float], ...]:
@@ -200,7 +197,7 @@ def _mode_rows(
     nothing and is left out.
 
     Every mode sum of a (geometry, t) row shares one entry, and the
-    summation._TABLES most recently used are kept: read-only arrays of at
+    _TABLES most recently used are kept: read-only arrays of at
     most 2 (max_terms + 1) floats per ladder.  :func:`_mode_sum` asks
     for at most the default max_terms, so they hold 5 MB at most; longer
     rows are built for their call through ``__wrapped__`` and not kept."""
@@ -252,7 +249,10 @@ def _mode_sum(
     (L below about 1e-308) raises before any term is formed: its inf norm
     times a term of 0.0 would be nan."""
     if not size < math.inf:
-        raise InvalidParameter(f"t={t!r} is too small for a mode sum of amplitude {size!r}")
+        raise InvalidParameter(
+            f"L={geometry.length!r} is too small for a mode sum: its amplitude {size!r} "
+            "leaves the float range"
+        )
     total, terms, bound = 0.0, 0, 0.0
     rows = _mode_rows(geometry, t, min(control.max_terms, _CACHED_TERMS))
     if control.max_terms > _CACHED_TERMS and any(ladder[3].size > _CACHED_TERMS for ladder in rows):
@@ -451,13 +451,13 @@ def _lorentzian_lattice(
     )
 
 
-@functools.lru_cache(maxsize=summation._TABLES)
+@functools.lru_cache(maxsize=_TABLES)
 def _centred_lattice(
     step: float, t: float, theta: float, control: SeriesControl
 ) -> tuple[complex, int, float]:
     """:func:`_lorentzian_lattice` at d = 0.0: the direct family of every
     diagonal point and of both trace image sums.
-    The summation._TABLES most recently used keys are kept."""
+    The _TABLES most recently used keys are kept."""
     return _lorentzian_lattice(step, 0.0, t, theta, control)
 
 

@@ -35,48 +35,61 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import spectrum, summation
-from .errors import InvalidParameter, UnsupportedGeometry, as_real
+from .errors import InvalidParameter, Record, UnsupportedGeometry, as_real
+from .series import _HUGE, ABEL, CLOSED_FORM, RAW, TWO_PI, SeriesControl, SeriesValue
 from .spectrum import DIRICHLET, Family, Geometry, Interval, TwistedCircle, as_point
 from .spectrum import _images, _walls
-from .summation import ABEL, CLOSED_FORM, RAW, TWO_PI, SeriesControl, SeriesValue
 
 # Local-counting methods.
 DIRICHLET_KERNEL = "dirichlet-kernel"
 ORBIT_SUM = "orbit-sum"
 
 
-@dataclass(frozen=True)
-class DeltaAtom:
+class DeltaAtom(Record):
     """A weighted Dirac atom, kept symbolic so it never leaks into floats."""
 
     weight: float
     location: float = 0.0
 
+    def __init__(self, weight: float, location: float = 0.0) -> None:
+        self.__dict__.update(weight=weight, location=location)
 
-@dataclass(frozen=True)
-class LocalDensity:
+
+class LocalDensity(Record):
     """Local spectral density sigma(omega, x) split by orbit family."""
 
     average: float
     periodic: SeriesValue
     boundary: SeriesValue
 
+    def __init__(self, average: float, periodic: SeriesValue, boundary: SeriesValue) -> None:
+        self.__dict__.update(average=average, periodic=periodic, boundary=boundary)
+
     @property
     def total(self) -> float:
         return self.average + self.periodic.value + self.boundary.value
 
 
-@dataclass(frozen=True)
-class GlobalDensity:
+class GlobalDensity(Record):
     """Global density rho(omega) = integral of sigma over the space."""
 
     weyl: float
     periodic: SeriesValue
     boundary: SeriesValue
     boundary_atom: DeltaAtom | None = None
+
+    def __init__(
+        self,
+        weyl: float,
+        periodic: SeriesValue,
+        boundary: SeriesValue,
+        boundary_atom: DeltaAtom | None = None,
+    ) -> None:
+        self.__dict__.update(
+            weyl=weyl, periodic=periodic, boundary=boundary, boundary_atom=boundary_atom
+        )
 
     @property
     def total(self) -> float:
@@ -447,7 +460,7 @@ def local_counting(
         length = geometry.length
         m = spectrum.counting_function(geometry, omega)
         # 2M + 1 may be an int past the float range, and pi x/L underflow to 0
-        phase = (2 * m + 1) * math.pi * x / length if 2 * m + 1 <= summation._HUGE else math.inf
+        phase = (2 * m + 1) * math.pi * x / length if 2 * m + 1 <= _HUGE else math.inf
         _finite(phase)
         den = 2.0 * length * math.sin(math.pi * x / length)
         if not den > 0.0:

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import InvalidParameter, as_count, as_float, as_real
+from .errors import InvalidParameter, Record, as_count, as_float, as_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,8 +55,7 @@ _BERNOULLI_EVEN = (
 _TABLES = 16
 
 
-@dataclass(frozen=True, init=False)
-class SeriesControl:
+class SeriesControl(Record):
     """Truncation and damping policy for orbit and mode sums.
 
     Attributes
@@ -89,7 +87,7 @@ class SeriesControl:
     tol: float = 1e-12
     damping_t: float = 0.0
 
-    # Written out: each field is checked and stored once, as the rules convert it.
+    # Each field is checked and stored once, as the rules convert it.
     def __init__(self, max_terms: int = 10_000, tol: float = 1e-12, damping_t: float = 0.0) -> None:
         max_terms = as_count(max_terms, "max_terms")
         tol, damping_t = as_float(tol, "tol"), as_real(damping_t, "damping_t")
@@ -99,13 +97,10 @@ class SeriesControl:
             raise InvalidParameter("tol must be positive")
         if damping_t < 0.0:
             raise InvalidParameter("damping_t must be >= 0")
-        object.__setattr__(self, "max_terms", max_terms)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "damping_t", damping_t)
+        self.__dict__.update(max_terms=max_terms, tol=tol, damping_t=damping_t)
 
 
-@dataclass(frozen=True, init=False)
-class SeriesValue:
+class SeriesValue(Record):
     """A summed series together with how the number was obtained.
 
     ``truncation_bound`` bounds the error of ``value``.  It is a proven
@@ -130,8 +125,7 @@ class SeriesValue:
     truncation_bound: float
     method_tag: str
 
-    # Written out, as for energy.EnergyBreakdown: the generated frozen
-    # __init__ costs about three times as much.
+    # Stored straight into __dict__, as for energy.EnergyBreakdown.
     def __init__(
         self, value: float, terms_used: int, truncation_bound: float, method_tag: str
     ) -> None:

@@ -30,10 +30,9 @@ from __future__ import annotations
 import collections
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import AtEigenvalue, ContinuousSpectrum, InvalidParameter, OutOfDomain
+from .errors import AtEigenvalue, ContinuousSpectrum, InvalidParameter, OutOfDomain, Record
 from .errors import as_count, as_float, as_real
 from .series import bernoulli_sin_sum
 
@@ -59,18 +58,21 @@ DIRICHLET = BoundaryCondition.DIRICHLET
 NEUMANN = BoundaryCondition.NEUMANN
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Segment (0, L) with conditions ``left`` at 0 and ``right`` at L."""
 
     length: float
     left: BoundaryCondition = DIRICHLET
     right: BoundaryCondition = DIRICHLET
 
-    def __post_init__(self) -> None:
-        length = as_real(self.length, "interval length", positive=True)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "_domain", (0.0, length))
+    def __init__(
+        self,
+        length: float,
+        left: BoundaryCondition = DIRICHLET,
+        right: BoundaryCondition = DIRICHLET,
+    ) -> None:
+        length = as_real(length, "interval length", positive=True)
+        self.__dict__.update(length=length, left=left, right=right, _domain=(0.0, length))
 
     @property
     def l(self) -> int:  # noqa: E743 - established index name
@@ -85,20 +87,21 @@ class Interval:
         return self.left is self.right
 
 
-@dataclass(frozen=True)
-class HalfLine:
+class HalfLine(Record):
     """The ray x > 0 with one condition at the origin."""
 
     condition: BoundaryCondition = DIRICHLET
     _domain = (0.0, math.inf)
+
+    def __init__(self, condition: BoundaryCondition = DIRICHLET) -> None:
+        self.__dict__["condition"] = condition
 
     @property
     def l(self) -> int:  # noqa: E743
         return self.condition.parity_index
 
 
-@dataclass(frozen=True)
-class TwistedCircle:
+class TwistedCircle(Record):
     """Circle of circumference L with holonomy angle theta.
 
     Sections obey ``u(x + L) = e^{i theta} u(x)``; theta is stored
@@ -109,10 +112,10 @@ class TwistedCircle:
     theta: float = 0.0
     _domain = (-math.inf, math.inf)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "length", as_real(self.length, "circumference", positive=True))
-        theta = math.fmod(as_real(self.theta, "theta"), TWO_PI)
-        object.__setattr__(self, "theta", theta + TWO_PI if theta < 0.0 else theta)
+    def __init__(self, length: float, theta: float = 0.0) -> None:
+        length = as_real(length, "circumference", positive=True)
+        theta = math.fmod(as_real(theta, "theta"), TWO_PI)
+        self.__dict__.update(length=length, theta=theta + TWO_PI if theta < 0.0 else theta)
 
 
 Geometry = Union[Interval, HalfLine, TwistedCircle]
@@ -324,14 +327,16 @@ def counting_function(geometry: Geometry, omega: float) -> int:
     return sum(_count_leq(*ladder, omega) for ladder in _ladders(geometry))
 
 
-@dataclass(frozen=True)
-class CountingDecomposition:
+class CountingDecomposition(Record):
     """Weyl / periodic-orbit / boundary split of the counting function."""
 
     omega: float
     weyl: float
     periodic: float
     boundary: float
+
+    def __init__(self, omega: float, weyl: float, periodic: float, boundary: float) -> None:
+        self.__dict__.update(omega=omega, weyl=weyl, periodic=periodic, boundary=boundary)
 
     @property
     def total(self) -> float:

@@ -36,16 +36,15 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import energy, kernels, spectrum, summation
-from .errors import AtEigenvalue
+from .errors import AtEigenvalue, Record
 from .kernels import CLOSED_FORM, IMAGE_SUM, MODE_SUM
+from .series import ABEL, RIESZ_CESARO_2, SeriesControl
 from .spectrum import DIRICHLET, NEUMANN, HalfLine, Interval, TwistedCircle
-from .summation import ABEL, RIESZ_CESARO_2, SeriesControl
 
 PI = math.pi
 _EPS = sys.float_info.epsilon
@@ -53,8 +52,7 @@ _EPS = sys.float_info.epsilon
 __all__ = ["CheckResult", "run_checks", "CHECKS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one verification check and the seconds it took."""
 
     name: str
@@ -63,6 +61,15 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_s: float
+
+    def __init__(
+        self, name: str, measured: float, tolerance: float, passed: bool, detail: str,
+        elapsed_s: float,
+    ) -> None:
+        self.__dict__.update(
+            name=name, measured=measured, tolerance=tolerance, passed=passed, detail=detail,
+            elapsed_s=elapsed_s,
+        )
 
     @property
     def margin(self) -> float:
