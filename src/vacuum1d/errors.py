@@ -8,8 +8,6 @@ Every module that defines a record imports this one, so :class:`Record`
 lives here and puts no module on the cold path.
 """
 
-import operator
-
 
 class VacuumError(Exception):
     """Base class for all errors raised by this package."""
@@ -109,6 +107,29 @@ class _DataclassProtocol:
         return cls.__dict__[self.name]
 
 
+# A record's __eq__ and __hash__ as the dataclass decorator writes them, one
+# attribute load a field: a geometry is a key of the mode sums' cache, and
+# hashing one through operator.attrgetter takes about a fifth longer.
+_METHODS = {
+    "__eq__": "def __eq__(self, other):\n"
+              " if other.__class__ is self.__class__:\n"
+              "  return ({mine}) == ({theirs})\n"
+              " return NotImplemented\n",
+    "__hash__": "def __hash__(self):\n return hash(({mine}))\n",
+}
+
+
+def _compiled(cls: type, name: str):
+    """``cls``'s method ``name`` from :data:`_METHODS`, compiled on the
+    first call and set on the class, so a class never compared or hashed
+    compiles neither."""
+    mine = "".join(f"self.{field}, " for field in cls.__match_args__)
+    namespace: dict = {}
+    exec(_METHODS[name].format(mine=mine, theirs=mine.replace("self.", "other.")), namespace)
+    setattr(cls, name, namespace[name])
+    return namespace[name]
+
+
 class Record:
     """Base of the package's result records, which behave as the frozen
     dataclasses they were without importing :mod:`dataclasses` at import.
@@ -131,32 +152,25 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        values = operator.attrgetter(*names)
-        cls.__match_args__ = names
-        # the field tuple of a record, called on the class: no method binds
-        cls._values = values if len(names) > 1 else lambda record: (values(record),)
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
         cls._frozen = frozen
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__hash__ = None
 
     def __eq__(self, other: object) -> bool:
-        cls = self.__class__
-        if other.__class__ is cls:
-            return cls._values(self) == cls._values(other)
-        return NotImplemented
+        return _compiled(self.__class__, "__eq__")(self, other)
 
     def __hash__(self) -> int:
-        return hash(self.__class__._values(self))
+        return _compiled(self.__class__, "__hash__")(self)
 
     def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self.__class__._values(self))
-        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __replace__(self, /, **changes: object) -> "Record":
-        cls = self.__class__
-        return cls(**dict(zip(cls.__match_args__, cls._values(self)), **changes))
+        fields = {name: getattr(self, name) for name in self.__match_args__}
+        return self.__class__(**fields | changes)
 
     def __setattr__(self, name: str, value: object) -> None:
         from dataclasses import FrozenInstanceError

@@ -87,7 +87,7 @@ class SeriesControl(Record):
     tol: float = 1e-12
     damping_t: float = 0.0
 
-    # Each field is checked and stored once, as the rules convert it.
+    # Written out: each field is checked and stored once, as the rules convert it.
     def __init__(self, max_terms: int = 10_000, tol: float = 1e-12, damping_t: float = 0.0) -> None:
         max_terms = as_count(max_terms, "max_terms")
         tol, damping_t = as_float(tol, "tol"), as_real(damping_t, "damping_t")
@@ -97,7 +97,9 @@ class SeriesControl(Record):
             raise InvalidParameter("tol must be positive")
         if damping_t < 0.0:
             raise InvalidParameter("damping_t must be >= 0")
-        self.__dict__.update(max_terms=max_terms, tol=tol, damping_t=damping_t)
+        object.__setattr__(self, "max_terms", max_terms)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "damping_t", damping_t)
 
 
 class SeriesValue(Record):
