@@ -96,6 +96,8 @@ class _DataclassProtocol:
     def __get__(self, record: object, cls: type) -> object:
         if cls is Record:
             raise AttributeError(self.name)
+        # a record's subclass shares its fields, as a dataclass's does
+        cls = next(klass for klass in cls.__mro__ if Record in klass.__bases__)
         import dataclasses
 
         body = {name: cls.__dict__[name] for name in cls.__match_args__ if name in cls.__dict__}
@@ -141,7 +143,9 @@ class Record:
     ``__replace__`` (:func:`copy.replace`), and a ``__setattr__`` and
     ``__delattr__`` that raise :class:`dataclasses.FrozenInstanceError`;
     ``frozen=False`` in the class statement leaves it mutable and
-    unhashable instead.  ``__dataclass_fields__`` and
+    unhashable instead.  A record's own subclass keeps its fields and
+    methods, as a dataclass's undecorated subclass does.
+    ``__dataclass_fields__`` and
     ``__dataclass_params__`` are built on first access, so
     :func:`dataclasses.replace`, ``fields``, ``asdict``, ``astuple`` and
     ``is_dataclass`` work on every record.  Pickling stores ``__dict__``.
@@ -152,6 +156,8 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
+        if Record not in cls.__bases__:
+            return  # a record's subclass keeps its fields and methods
         cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
         cls._frozen = frozen
         if not frozen:

@@ -1,6 +1,6 @@
 """Cold start: the package and the closed-form commands load no numpy and
-none of the series engine, only the modules they run; no command loads
-scipy.
+none of the series engine, only the modules they run, and neither
+dataclasses nor inspect; no command loads scipy.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and scipy for other tests' oracles.
@@ -24,6 +24,9 @@ ENGINE = ("vacuum1d.summation", "vacuum1d.kernels", "vacuum1d.orbits", "vacuum1d
           "vacuum1d._arrays", "numpy")
 NO_ENGINE = f"assert not set(sys.modules) & {set(ENGINE)!r}, sorted(sys.modules)"
 NO_JSON = "assert 'json' not in sys.modules, sorted(sys.modules)"
+# the records keep the dataclass protocol without importing dataclasses,
+# which imports inspect, ast, dis and tokenize
+NO_DATACLASSES = "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -38,7 +41,7 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 def test_import_loads_no_numpy_and_no_submodule():
     proc = run_fresh(
         "import sys, vacuum1d\n"
-        f"{NO_NUMPY}\n"
+        f"{NO_NUMPY}\n{NO_DATACLASSES}\n"
         "assert [m for m in sys.modules if m.startswith('vacuum1d')] == ['vacuum1d']\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -74,15 +77,17 @@ CLOSED_FORM_COMMANDS = [
     "argv", [["--version"], ["--help"], *CLOSED_FORM_COMMANDS], ids=lambda argv: " ".join(argv)
 )
 def test_closed_form_commands_load_no_numpy(argv):
-    # nor the lattice sums, the series routes or the registry, and json
-    # only for JSON output
-    proc = run_command(argv, f"{NO_ENGINE}\n{NO_JSON}")
+    # nor the lattice sums, the series routes, the registry or dataclasses,
+    # and json only for JSON output
+    proc = run_command(argv, f"{NO_ENGINE}\n{NO_JSON}\n{NO_DATACLASSES}")
     assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS, ids=lambda argv: " ".join(argv))
 def test_closed_form_commands_load_json_for_json_output_alone(argv):
-    proc = run_command([*argv, "--format", "json"], f"assert 'json' in sys.modules\n{NO_ENGINE}")
+    proc = run_command(
+        [*argv, "--format", "json"], f"assert 'json' in sys.modules\n{NO_ENGINE}\n{NO_DATACLASSES}"
+    )
     assert proc.returncode == 0, proc.stderr
 
 

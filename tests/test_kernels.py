@@ -716,6 +716,16 @@ def test_mode_sum_with_an_amplitude_past_the_float_range_raises_without_a_warnin
         cylinder_kernel(TwistedCircle(1e-310, 0.0), 1.0, 0.0, 5e-311, method=MODE_SUM)
 
 
+@pytest.mark.parametrize("geometry", [Interval(1e-310), TwistedCircle(1e-310, 0.0)], ids=repr)
+def test_mode_sum_amplitude_past_the_float_range_names_the_length(geometry):
+    # the amplitude 2/L (1/L on the circle) overflows whatever t is, so the
+    # message blames L, not t
+    with pytest.raises(InvalidParameter, match="too small for a mode sum") as info:
+        cylinder_kernel(geometry, 6e-310, 3e-311, 5e-311, method=MODE_SUM)
+    assert str(info.value).startswith("L=1e-310 is too small") and "amplitude inf" in str(info.value)
+    assert "t=" not in str(info.value)
+
+
 @pytest.mark.parametrize(
     "geometry,fraction",
     [(Interval(sys.float_info.max), 1.0),
