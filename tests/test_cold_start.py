@@ -1,6 +1,7 @@
 """Cold start: the package and the closed-form commands load no numpy and
 none of the series engine, only the modules they run, and neither
-dataclasses nor inspect; no command loads scipy.
+dataclasses nor inspect; no command loads scipy, and none loads
+numpy.random or the hashing modules it pulls in.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and scipy for other tests' oracles.
@@ -27,6 +28,11 @@ NO_JSON = "assert 'json' not in sys.modules, sorted(sys.modules)"
 # the records keep the dataclass protocol without importing dataclasses,
 # which imports inspect, ast, dis and tokenize
 NO_DATACLASSES = "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)"
+# numpy.random loads secrets, hmac, hashlib and OpenSSL's _hashlib: 6 MB
+NO_NUMPY_RANDOM = (
+    "assert not {'numpy.random', 'secrets', 'hashlib', '_hashlib'} & set(sys.modules), "
+    "sorted(sys.modules)"
+)
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -109,6 +115,16 @@ def test_commands_load_no_module_they_do_not_run(argv, module):
 )
 def test_commands_load_no_scipy(argv):
     proc = run_command(argv, NO_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["kernel"], *CLOSED_FORM_COMMANDS],
+    ids=lambda argv: " ".join(argv),
+)
+def test_commands_load_no_numpy_random_and_no_hashing(argv):
+    proc = run_command(argv, NO_NUMPY_RANDOM)
     assert proc.returncode == 0, proc.stderr
 
 
